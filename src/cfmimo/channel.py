@@ -82,25 +82,51 @@ def received_power_dbm(budget: LinkBudget, l: int, k: int) -> float:
 
 # --- spatial correlation and small-scale fading -----------------------------
 
-def local_scattering_correlation(n_antennas: int, nominal_angle_rad: float,
+def local_scattering_correlation(n_antennas: int, nominal_angle_rad,
                                  spread_deg: float) -> np.ndarray:
-    """Gaussian local-scattering correlation for a half-wavelength ULA, trace N."""
-    spread = math.radians(spread_deg)
+    """Gaussian local-scattering correlation for a half-wavelength ULA, trace N.
+
+    nominal_angle_rad may be an array of angles; the result then has shape
+    angles.shape + (N, N).
+    """
+    ang = np.asarray(nominal_angle_rad, dtype=float)[..., None]
+    delta = np.arange(1 - n_antennas, n_antennas)
+    # the matrix is Toeplitz: entry (m, n) depends only on m - n
+    taps = (np.exp(1j * math.pi * delta * np.sin(ang))
+            * np.exp(-0.5 * (math.radians(spread_deg) * math.pi * delta * np.cos(ang)) ** 2))
     idx = np.arange(n_antennas)
-    delta = idx[:, None] - idx[None, :]
-    phase = np.exp(1j * math.pi * delta * math.sin(nominal_angle_rad))
-    damp = np.exp(-0.5 * (spread * math.pi * delta * math.cos(nominal_angle_rad)) ** 2)
-    return phase * damp
+    return taps[..., idx[:, None] - idx[None, :] + n_antennas - 1]
 
 
 def correlation_sqrt(R: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root; eigenvalues below -tol are rejected, tiny negatives clamped."""
+    """Hermitian square root of R, or of each matrix of a stack (..., N, N).
+
+    Eigenvalues below -tol are rejected, tiny negatives clamped.
+    """
     vals, vecs = np.linalg.eigh(R)
     if np.min(vals) < -tol:
         raise ValueError(f"correlation matrix is not PSD (min eigenvalue {np.min(vals):.3e})")
     # eigenvalue dust would leak sqrt(eps)-sized components into null directions
-    vals = np.where(vals < np.max(vals) * 1e-14, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    vals = np.where(vals < np.max(vals, axis=-1, keepdims=True) * 1e-14, 0.0, vals)
+    half = vecs * np.sqrt(vals)[..., None, :]
+    np.conjugate(vecs, out=vecs)
+    return half @ np.swapaxes(vecs, -1, -2)
+
+
+def link_correlations(deployment: Deployment, config: SystemConfig, aps):
+    """Unit-gain correlation C_lk of the links from APs `aps` to every UE, and
+    its square root, each shaped (len(aps), K, N, N).
+
+    The identity model returns one read-only identity broadcast to that shape.
+    """
+    N = config.N
+    if config.correlation_model == "identity":
+        eye = np.broadcast_to(np.eye(N, dtype=complex), (len(aps), deployment.K, N, N))
+        return eye, eye
+    diff = deployment.ue_pos[None, :, :] - deployment.ap_pos[aps, None, :]
+    C = local_scattering_correlation(N, np.arctan2(diff[..., 1], diff[..., 0]),
+                                     config.angular_spread_deg)
+    return C, correlation_sqrt(C)
 
 
 def draw_channel(R: np.ndarray, beta: float, rng: np.random.Generator, size: int | None = None):
@@ -112,66 +138,64 @@ def draw_channel(R: np.ndarray, beta: float, rng: np.random.Generator, size: int
     return math.sqrt(beta) * w @ half.T
 
 
-def clutter_channel(R: np.ndarray, rng: np.random.Generator, size: int | None = None):
-    """Target-free channel R^(1/2) W R^(1/2) with W i.i.d. CN(0, 1)."""
-    n = R.shape[0]
-    shape = (n, n) if size is None else (size, n, n)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    half = correlation_sqrt(R)
-    return half @ w @ half
+# --- pilots and MMSE estimation (stacked over APs and UEs) ---------------------
+#
+# Notation of Bjornson, Hoydis & Sanguinetti, "Massive MIMO Networks" (2017),
+# ch. 3-4: UE k sends pilot sequence t(k) with power p_k over tau_p channel
+# uses; AP l observes y_lt = sum_{i: t(i)=t} sqrt(tau_p p_i) h_li + n_lt and
+# estimates h_lk = sqrt(p_k tau_p) R_lk Psi_lt^-1 y_lt with
+# Psi_lt = tau_p sum_{i: t(i)=t} p_i R_li + sigma2 I.
+
+def _pilot_groups(pilots) -> tuple[np.ndarray, np.ndarray]:
+    """Each UE's pilot group, groups numbered in order of first use, and the
+    (K, groups) membership matrix."""
+    order: dict[int, int] = {}
+    slot = np.array([order.setdefault(int(t), len(order)) for t in np.ravel(pilots)], dtype=int)
+    return slot, slot[:, None] == np.arange(len(order))
 
 
-# --- pilots and MMSE estimation ----------------------------------------------
+def pilot_rx(h, p, tau_p: int, pilots, sigma2: float, rng: np.random.Generator):
+    """Pilot observation y_{l,t(k)} of every AP, as seen by every UE k.
 
-def pilot_rx(h_set, p_p, tau_p: int, sigma2: float, rng: np.random.Generator):
-    """Received pilot observation for one pilot sequence at one AP.
-
-    h_set holds the channels of the co-pilot UEs (those sharing this
-    sequence); p_p their pilot powers (scalar or per-UE).
+    h has shape (L, K, N), p the K pilot powers (or a scalar), pilots the K
+    pilot sequences. Noise is drawn once per pilot group, groups in order of
+    first use, each as the real parts of an (L, N) block then the imaginary
+    parts. Returns (L, K, N); UEs sharing a pilot see the same observation.
     """
-    h_set = np.atleast_2d(np.asarray(h_set, dtype=complex))
-    n = h_set.shape[1]
-    p = np.broadcast_to(np.asarray(p_p, dtype=float), (h_set.shape[0],))
+    h = np.asarray(h, dtype=complex)
+    L, K, n = h.shape
+    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
     if np.any(p < 0):
         raise ValueError("pilot power must be >= 0")
-    y = (np.sqrt(tau_p * p)[:, None] * h_set).sum(axis=0)
-    noise = math.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return y + noise
+    slot, member = _pilot_groups(pilots)
+    y = np.einsum("lkn,kt->ltn", h, np.sqrt(tau_p * p)[:, None] * member)
+    noise = rng.standard_normal((member.shape[1], 2, L, n))
+    y += math.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1]).transpose(1, 0, 2)
+    return y[:, slot]
 
 
-@dataclass
-class ChannelEstimate:
-    h_hat: np.ndarray   # (N,)
-    B: np.ndarray       # (N, N) error covariance
-    Psi: np.ndarray     # (N, N) pilot observation covariance
+def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float) -> np.ndarray:
+    """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for every link.
 
-
-def mmse_estimate(y_p, R: np.ndarray, p_k: float, tau_p: int, sigma2: float,
-                  copilot=(), sparse_error_x: int | None = None) -> ChannelEstimate:
-    """MMSE channel estimate from a pilot observation.
-
-    `copilot` lists (power, correlation) pairs of contaminating UEs sharing the
-    pilot; they widen Psi. With sparse_error_x set, the error covariance is
-    replaced by the high-SNR sparse-link shortcut (sigma2 * X / (tau_p * p_k)) I.
+    R holds the channel correlations (large-scale gain included), shape
+    (L, K, N, N); p the K pilot powers; pilots the K pilot sequences. The
+    estimate of h_lk is filt[l, k] @ y_{l,t(k)} (see `pilot_rx`); its error
+    covariance is R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
     """
-    R = np.asarray(R, dtype=complex)
-    n = R.shape[0]
-    Psi = tau_p * p_k * R + sigma2 * np.eye(n)
-    for p_i, R_i in copilot:
-        Psi = Psi + tau_p * p_i * np.asarray(R_i, dtype=complex)
+    R = np.asarray(R)
+    K, n = R.shape[1], R.shape[-1]
+    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
+    slot, member = _pilot_groups(pilots)
+    psi = np.einsum("lkmn,kt->ltmn", R, tau_p * p[:, None] * member)
+    psi += sigma2 * np.eye(n)
     try:
-        filt = np.linalg.solve(Psi, np.asarray(y_p, dtype=complex))
-        inv_R = np.linalg.solve(Psi, R)
+        # R and Psi are Hermitian, so R Psi^-1 = (Psi^-1 R)^H
+        filt = np.linalg.solve(psi[:, slot], R)
     except np.linalg.LinAlgError as e:
         raise ValueError("pilot observation covariance is singular") from e
-    h_hat = math.sqrt(p_k * tau_p) * (R @ filt)
-    if sparse_error_x is not None:
-        if p_k <= 0:
-            raise ValueError("sparse error shortcut needs p_k > 0")
-        B = (sigma2 * sparse_error_x / (tau_p * p_k)) * np.eye(n)
-    else:
-        B = R - tau_p * p_k * (R @ inv_R)
-    return ChannelEstimate(h_hat=h_hat, B=B, Psi=Psi)
+    np.conjugate(filt, out=filt)
+    filt *= np.sqrt(p * tau_p)[:, None, None]
+    return np.swapaxes(filt, -1, -2)
 
 
 def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:
@@ -207,34 +231,26 @@ def ul_data_rx(h_by_ap: np.ndarray, symbols: np.ndarray, sigma2: float,
     """Received uplink data y_l = sum_k h_lk s_k + n_l for every AP.
 
     h_by_ap has shape (L, K, N); symbols (K,) or (K, S). Returns (L, N) or
-    (L, N, S).
+    (L, N, S); the noise is drawn as all real parts, then all imaginary parts.
     """
-    h = np.asarray(h_by_ap, dtype=complex)
-    s = np.asarray(symbols, dtype=complex)
-    if s.ndim == 1:
-        y = np.einsum("lkn,k->ln", h, s)
-    else:
-        y = np.einsum("lkn,ks->lns", h, s)
-    noise = math.sqrt(sigma2 / 2.0) * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y + noise
+    y = np.swapaxes(np.asarray(h_by_ap, dtype=complex), 1, 2) @ np.asarray(symbols, dtype=complex)
+    noise = np.empty(y.shape)  # one reused buffer bounds the peak memory of a large S
+    for part in (y.real, y.imag):
+        rng.standard_normal(out=noise)
+        noise *= math.sqrt(sigma2 / 2.0)
+        part += noise
+    return y
 
 
-def mr_combine(y_by_ap, combiners, serving: list[int]):
-    """Coherent MR output sum_{l in serving} combiner_l^H y_l."""
-    if len(serving) == 0:
-        raise ValueError("empty serving set")
-    out = None
-    for l in serving:
-        c = np.asarray(combiners[l], dtype=complex)
-        contrib = np.einsum("n,n...->...", c.conj(), np.asarray(y_by_ap[l], dtype=complex))
-        out = contrib if out is None else out + contrib
-    return out
+def mr_combine(combiners, y_by_ap):
+    """MR outputs z_k = sum_l v_lk^H y_l for every UE.
 
-
-def ul_data_rx_mr(h_by_ap, symbols, sigma2, combiners, serving, rng):
-    """Uplink reception followed by MR combining for one UE's serving set."""
-    y = ul_data_rx(h_by_ap, symbols, sigma2, rng)
-    return mr_combine(y, combiners, serving)
+    combiners has shape (L, K, N) and is zero where AP l does not serve UE k,
+    so each sum runs over the UE's serving set; y_by_ap is (L, N) or
+    (L, N, S). Returns (K,) or (K, S).
+    """
+    return np.tensordot(np.conjugate(combiners), np.asarray(y_by_ap, dtype=complex),
+                        axes=([0, 2], [0, 1]))
 
 
 # --- sensing: array response, echo synthesis, clutter geometry ---------------

@@ -146,8 +146,7 @@ def cmd_pd(args) -> int:
     schemes = _schemes(args)
     results = _associations(deployment, cfg, set(schemes) | {"sua"})
     grid = parse_range(args.snr)
-    _, scale_ref = sense_perf.pd_monte_carlo(
-        deployment, cfg, results["sua"].A, grid, 10, cfg.seed, "sua")
+    scale_ref = sense_perf.pd_scale_ref(deployment, cfg, results["sua"].A, grid)
     all_points = []
     for scheme in schemes:
         pts, _ = sense_perf.pd_monte_carlo(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,13 +186,6 @@ def ser_csv(points_by_scheme: dict[str, dict[str, list[SerPoint]]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CFMIMO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # --- link-level AWGN reference ------------------------------------------------
 
 def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
@@ -216,18 +208,6 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
 
 # --- scenario-level Monte-Carlo -----------------------------------------------
 
-def _link_sqrt_factors(deployment, config, pairs):
-    """Correlation square roots per needed link (identity model returns None)."""
-    if config.correlation_model == "identity":
-        return None
-    factors = {}
-    for (l, k) in pairs:
-        ang = channel.bearing(deployment.ap_pos[l], deployment.ue_pos[k])
-        R = channel.local_scattering_correlation(config.N, ang, config.angular_spread_deg)
-        factors[(l, k)] = channel.correlation_sqrt(R)
-    return factors
-
-
 def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Constellation,
                     snr_db_grid, n_symbols: int, seed: int, perfect_csi: bool = False,
                     gain_ref: float | None = None):
@@ -238,139 +218,78 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
     of a reference link with gain `gain_ref` (default: median gain over the
     serving links of A); the same reference must be reused across schemes to
     put them on one axis.
+
+    Every UE sends pilots (sensing UEs contend for sequences too); only
+    communication and JCAS UEs carry uplink data. Each coherence block of
+    tau_c - tau_p symbols draws from its own stream rng_stream(seed, "mc",
+    snr_index, block), in this order: the fading of every link from a serving
+    AP to every UE (real parts, then imaginary parts); with estimated CSI, the
+    pilot noise of each pilot group in order of first use (see
+    `channel.pilot_rx`); the data symbols; the data noise (real parts, then
+    imaginary parts).
     """
-    A = np.asarray(A)
-    L, K, N = deployment.L, deployment.K, config.N
-    budget = channel.link_budget(deployment, config)
-    gains = budget.gain_lin
+    A = np.asarray(A) == 1
+    K, N = deployment.K, config.N
+    gains = channel.link_budget(deployment, config).gain_lin
     if gain_ref is None:
-        sel = gains[np.asarray(A) == 1]
-        gain_ref = float(np.median(sel)) if sel.size else 1.0
+        gain_ref = float(np.median(gains[A])) if A.any() else 1.0
     g = gains / gain_ref
 
     p_lin = channel.dbm_to_watts(deployment.ue_power_dbm)
     p_rel = p_lin / float(np.median(p_lin))
 
-    eval_ues = [k for k in range(K) if int(deployment.ue_service[k]) in
-                (ServiceType.COM, ServiceType.JCAS)]
-    serving = {k: np.flatnonzero(A[:, k] == 1) for k in range(K)}
-    for k in eval_ues:
-        if serving[k].size == 0:
+    data_ues = deployment.ue_indices(ServiceType.COM, ServiceType.JCAS)
+    for k in data_ues:
+        if not A[:, k].any():
             raise InfeasibleModelError(f"UE {k} has an empty serving set")
-    needed_aps = sorted(set(int(l) for k in eval_ues for l in serving[k]))
-    ap_row = {l: i for i, l in enumerate(needed_aps)}
+    aps = np.flatnonzero(A[:, data_ues].any(axis=1))
+    pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)},
+                                   K, config.tau_p)
 
-    # every UE sends pilots (sensing UEs contend for sequences too); only
-    # communication and JCAS UEs carry uplink data
-    tx_ues = list(range(K))
-    pilots = channel.assign_pilots(serving, K, config.tau_p)
-    pilot_groups: dict[int, list[int]] = {}
-    for k in tx_ues:
-        pilot_groups.setdefault(int(pilots[k]), []).append(k)
-    tx_pos = {k: i for i, k in enumerate(tx_ues)}
-
-    sqrt_factors = _link_sqrt_factors(
-        deployment, config, [(l, k) for l in needed_aps for k in tx_ues])
-
+    C, C_sqrt = channel.link_correlations(deployment, config, aps)
+    sqrt_g = np.sqrt(g[aps])[..., None]
+    R = None if perfect_csi else g[aps][..., None, None] * C
+    del C  # only R and the square roots are used from here on
+    serves = A[np.ix_(aps, data_ues)][..., None]
+    amp_tx = np.sqrt(p_rel[data_ues])[:, None]
     sym_per_block = max(1, config.tau_c - config.tau_p)
+
     points = []
     for gi, snr_db in enumerate(np.atleast_1d(snr_db_grid)):
         sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-        errors = np.zeros(len(eval_ues), dtype=np.int64)
-        done = 0
-        block = 0
-        data_ues = [k for k in range(K) if int(deployment.ue_service[k]) in
-                    (ServiceType.COM, ServiceType.JCAS)]
-        while done < n_symbols:
+        if R is not None:
+            filt = None  # release the previous point's filters before building these
+            filt = channel.mmse_estimate(R, p_rel, config.tau_p, pilots, sigma2)[:, data_ues]
+            filt *= serves[..., None]
+        errors = 0
+        for block, done in enumerate(range(0, n_symbols, sym_per_block)):
             nsym = min(sym_per_block, n_symbols - done)
             rng = rng_stream(seed, "mc", gi, block)
-            errors += _ser_one_block(
-                rng, nsym, sigma2, g, p_rel, constel, config, deployment,
-                eval_ues, tx_ues, tx_pos, data_ues, serving, needed_aps, ap_row,
-                pilot_groups, pilots, perfect_csi, sqrt_factors)
-            done += nsym
-            block += 1
+            w = rng.standard_normal((aps.size, K, N)) + 1j * rng.standard_normal((aps.size, K, N))
+            h = sqrt_g * (C_sqrt @ (w / math.sqrt(2.0))[..., None])[..., 0]
+            if R is None:
+                h_hat = serves * h[:, data_ues]
+            else:
+                y_p = channel.pilot_rx(h, p_rel, config.tau_p, pilots, sigma2, rng)
+                h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
+            idx = rng.integers(0, constel.M, (data_ues.size, nsym))
+            z = channel.mr_combine(h_hat, channel.ul_data_rx(h[:, data_ues] * amp_tx,
+                                                             constel.points[idx], sigma2, rng))
+            gain = amp_tx * np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real[:, None]
+            det = np.argmin(np.abs(z[..., None] - gain[..., None] * constel.points) ** 2, axis=-1)
+            errors += int(np.count_nonzero(det != idx))
 
         c2 = residual_error_power(sigma2, K, config.tau_p, config.X)
         theory = float(np.mean([
             ser_theory(constel,
-                       effective_alpha(p_rel[k], config.tau_p, g[serving[k], k], sigma2, config.X),
+                       effective_alpha(p_rel[k], config.tau_p, g[A[:, k], k], sigma2, config.X),
                        sigma2, c2, N)
-            for k in eval_ues
+            for k in data_ues
         ]))
-        pooled = int(errors.sum())
-        n_tot = n_symbols * len(eval_ues)
-        points.append(SerPoint(float(snr_db), theory, pooled / n_tot, n_symbols,
-                               wilson_halfwidth(pooled, n_tot)))
+        n_tot = n_symbols * data_ues.size
+        points.append(SerPoint(float(snr_db), theory, errors / n_tot, n_symbols,
+                               wilson_halfwidth(errors, n_tot)))
     return points
-
-
-def _ser_one_block(rng, nsym, sigma2, g, p_rel, constel, config, deployment,
-                   eval_ues, tx_ues, tx_pos, data_ues, serving, needed_aps, ap_row,
-                   pilot_groups, pilots, perfect_csi, sqrt_factors):
-    n_need, n_tx, N = len(needed_aps), len(tx_ues), config.N
-
-    w = (rng.standard_normal((n_need, n_tx, N)) + 1j * rng.standard_normal((n_need, n_tx, N)))
-    w /= math.sqrt(2.0)
-    g_sub = g[np.ix_(needed_aps, tx_ues)]
-    if sqrt_factors is None:
-        h = np.sqrt(g_sub)[:, :, None] * w
-    else:
-        h = np.empty_like(w)
-        for i, l in enumerate(needed_aps):
-            for j, k in enumerate(tx_ues):
-                h[i, j] = math.sqrt(g[l, k]) * (sqrt_factors[(l, k)] @ w[i, j])
-
-    if perfect_csi:
-        h_hat = {(l, k): h[ap_row[l], tx_pos[k]] for k in eval_ues for l in serving[k]}
-    else:
-        h_hat = {}
-        for t, members in pilot_groups.items():
-            amp = np.array([math.sqrt(config.tau_p * p_rel[k]) for k in members])
-            y_p = np.einsum("k,lkn->ln", amp,
-                            h[:, [tx_pos[k] for k in members], :]).astype(complex)
-            y_p += math.sqrt(sigma2 / 2.0) * (rng.standard_normal((n_need, N))
-                                              + 1j * rng.standard_normal((n_need, N)))
-            if sqrt_factors is None:
-                psi = config.tau_p * (g_sub[:, [tx_pos[m] for m in members]]
-                                      @ p_rel[members]) + sigma2
-            for k in members:
-                if k not in eval_ues:
-                    continue
-                for l in serving[k]:
-                    i = ap_row[l]
-                    if sqrt_factors is None:
-                        h_hat[(l, k)] = (math.sqrt(p_rel[k] * config.tau_p)
-                                         * g[l, k] / psi[i]) * y_p[i]
-                    else:
-                        est = channel.mmse_estimate(
-                            y_p[i], g[l, k] * (sqrt_factors[(l, k)] @ sqrt_factors[(l, k)].conj().T),
-                            p_rel[k], config.tau_p, sigma2,
-                            copilot=[(p_rel[m],
-                                      g[l, m] * (sqrt_factors[(l, m)] @ sqrt_factors[(l, m)].conj().T))
-                                     for m in members if m != k])
-                        h_hat[(l, k)] = est.h_hat
-
-    data_cols = [tx_pos[k] for k in data_ues]
-    data_pos = {k: i for i, k in enumerate(data_ues)}
-    idx = rng.integers(0, constel.M, (len(data_ues), nsym))
-    s = constel.points[idx]
-    amp_tx = np.sqrt(p_rel[data_ues])
-    y = np.einsum("lkn,ks->lns", h[:, data_cols, :] * amp_tx[None, :, None], s)
-    y += math.sqrt(sigma2 / 2.0) * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-
-    errors = np.zeros(len(eval_ues), dtype=np.int64)
-    for pos, k in enumerate(eval_ues):
-        z = np.zeros(nsym, dtype=complex)
-        gain = 0.0
-        for l in serving[k]:
-            hh = h_hat[(l, k)]
-            z += np.einsum("n,ns->s", hh.conj(), y[ap_row[l]])
-            gain += float(np.vdot(hh, hh).real)
-        gain *= math.sqrt(p_rel[k])
-        det = np.argmin(np.abs(z[:, None] - gain * constel.points[None, :]) ** 2, axis=1)
-        errors[pos] = np.count_nonzero(det != idx[data_pos[k]])
-    return errors
 
 
 # --- decision-metric statistics -------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
@@ -41,6 +42,23 @@ def rng_stream(seed: int, name: str, *extra: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[name], *map(int, extra))))
 
 
+def _check_types(obj, where: str = ""):
+    """Integer fields must be ints (not bools), float fields finite numbers.
+
+    Field types are read from the dataclass annotations, which this module's
+    `from __future__ import annotations` keeps as strings such as "int".
+    """
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            raise ValidationError(f"{where}{f.name} must be an integer, got {v!r}")
+        if f.type.startswith("float"):
+            for x in (v if f.type == "float | list" and isinstance(v, (list, tuple)) else [v]):
+                if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                        or not math.isfinite(x)):
+                    raise ValidationError(f"{where}{f.name} must be a finite number, got {x!r}")
+
+
 @dataclass
 class PathLossParams:
     """Log-distance propagation constants (urban-microcell style defaults)."""
@@ -51,6 +69,7 @@ class PathLossParams:
     shadow_sigma_db: float = 4.0
 
     def validate(self):
+        _check_types(self, "pathloss.")
         if not self.d0_m > 0:
             raise ValidationError(f"pathloss.d0_m must be > 0, got {self.d0_m}")
         if self.gamma_pl < 2.0:
@@ -69,6 +88,7 @@ class ServiceMix:
         return (self.com, self.sense, self.jcas)
 
     def validate(self):
+        _check_types(self, "service_mix.")
         t = self.as_tuple()
         if any(f < 0 for f in t):
             raise ValidationError(f"service_mix fractions must be >= 0, got {t}")
@@ -109,6 +129,7 @@ class SystemConfig:
     seed: int = 1
 
     def validate(self):
+        _check_types(self)
         if not (self.L > self.K > 0):
             raise ValidationError(f"require L > K > 0, got L={self.L}, K={self.K}")
         if not (0 < self.X < self.L):

@@ -155,15 +155,6 @@ def glrt_combined(ys, ss, Sigmas, Phi=None) -> float:
     return sum(glrt_statistic(y, s, Sig, Phi) for y, s, Sig in zip(ys, ss, Sigmas))
 
 
-def matched_envelope(y, template) -> float:
-    """|template^H y| / ||template||, the envelope the threshold chain uses."""
-    t = np.asarray(template, dtype=complex).ravel()
-    nrm = float(np.linalg.norm(t))
-    if nrm == 0.0:
-        raise ValueError("matched filter template must be nonzero")
-    return abs(complex(np.vdot(t, np.asarray(y, dtype=complex).ravel()))) / nrm
-
-
 def pd_single(scnr: float, p_fa: float) -> float:
     """Detection probability Q1(sqrt(2 SCNR), sqrt(-2 ln P_FA))."""
     if scnr < 0:
@@ -262,6 +253,19 @@ def effective_scnr(echo, sigma_phi2, scale: float) -> float:
     return float(m.sum() ** 2 / np.asarray(sigma_phi2, dtype=float).sum())
 
 
+def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db) -> dict:
+    """Per sensing/JCAS UE and grid value, the echo scale that puts the UE's
+    aggregate SCNR under association A at that value: {k: {scnr_db: scale}}."""
+    budget = channel.link_budget(deployment, config)
+    geom = channel.clutter_geometry(deployment, config.pathloss)
+    scale_ref = {}
+    for k, (serving, echo, sp2) in _sensing_link_terms(deployment, config, A, budget, geom).items():
+        unit = effective_scnr(echo, sp2, 1.0)
+        scale_ref[k] = {float(s): 10.0 ** (s / 10.0) / unit
+                        for s in np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))}
+    return scale_ref
+
+
 def pd_monte_carlo(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
                    n_trials: int, seed: int, scheme: str = "sua",
                    scale_ref: dict | None = None, amplitude: str = "fixed"):
@@ -271,7 +275,8 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, A, scnr_grid_db
     strength and its own clutter+noise floor; outputs are summed unweighted
     across the serving set and the envelope is thresholded at the P_FA point.
     The grid is calibrated so SUA's aggregate SCNR equals the grid value
-    (scale_ref, computed here when absent, must be shared across schemes).
+    (scale_ref from `pd_scale_ref`, computed here for A when absent, must be
+    shared across schemes).
     With amplitude="swerling1" the target amplitude is redrawn per dwell.
 
     Returns (points, scale_ref).
@@ -285,11 +290,7 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, A, scnr_grid_db
 
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
     if scale_ref is None:
-        scale_ref = {}
-        for k, (serving, echo, sp2) in terms.items():
-            # scale that puts this UE's aggregate SCNR at the grid value
-            unit = effective_scnr(echo, sp2, 1.0)
-            scale_ref[k] = {float(s): 10.0 ** (s / 10.0) / unit for s in grid}
+        scale_ref = pd_scale_ref(deployment, config, A, grid)
 
     points = []
     agg_rows = {}

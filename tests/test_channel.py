@@ -93,6 +93,15 @@ class TestFading:
         with pytest.raises(ValueError, match="PSD"):
             channel.draw_channel(R, 1.0, rng_stream(1, "fading"))
 
+    def test_stacked_correlation_and_square_root(self):
+        angles = np.array([[0.4, -1.1], [2.0, 0.0]])
+        R = channel.local_scattering_correlation(4, angles, 10.0)
+        assert R.shape == (2, 2, 4, 4)
+        np.testing.assert_allclose(R[1, 0], channel.local_scattering_correlation(4, 2.0, 10.0))
+        half = channel.correlation_sqrt(R)
+        np.testing.assert_allclose(half @ half, R, atol=1e-12)
+        np.testing.assert_allclose(half[0, 1], channel.correlation_sqrt(R[0, 1]), atol=1e-12)
+
     def test_local_scattering_valid_correlation(self):
         R = channel.local_scattering_correlation(6, 0.4, 10.0)
         assert np.allclose(R, R.conj().T, atol=1e-12)
@@ -100,63 +109,80 @@ class TestFading:
         assert np.linalg.eigvalsh(R).min() > -1e-10
 
 
+def _stack(*hs):
+    """Channels of UEs at one AP as the (1, K, N) stack the primitives take."""
+    return np.array(hs, dtype=complex)[None]
+
+
 class TestPilotsAndEstimation:
     def test_single_ue_noise_free(self):
         h = np.array([1.0 + 1j, 2.0, -1j])
-        y = channel.pilot_rx([h], 2.0, 4, 0.0, rng_stream(1, "noise"))
-        np.testing.assert_allclose(y, math.sqrt(8.0) * h, atol=1e-14)
+        y = channel.pilot_rx(_stack(h), 2.0, 4, [0], 0.0, rng_stream(1, "noise"))
+        np.testing.assert_allclose(y[0, 0], math.sqrt(8.0) * h, atol=1e-14)
 
     def test_zero_power_pure_noise(self):
-        y = channel.pilot_rx([np.ones(3)], 0.0, 4, 1.0, rng_stream(2, "noise"))
+        y = channel.pilot_rx(_stack(np.ones(3)), 0.0, 4, [0], 1.0, rng_stream(2, "noise"))
         assert np.all(np.isfinite(y)) and np.any(y != 0)
 
     def test_copilot_linearity(self):
         h1 = np.array([1.0, 2.0 + 1j])
         h2 = np.array([-1j, 0.5])
-        y = channel.pilot_rx([h1, h2], 1.0, 9, 0.0, rng_stream(3, "noise"))
-        np.testing.assert_allclose(y, 3.0 * (h1 + h2), atol=1e-14)
+        h3 = np.array([4.0, 4.0j])
+        y = channel.pilot_rx(_stack(h1, h2, h3), 1.0, 9, [1, 1, 0], 0.0,
+                             rng_stream(3, "noise"))
+        np.testing.assert_allclose(y[0, 0], 3.0 * (h1 + h2), atol=1e-14)
+        np.testing.assert_allclose(y[0, 1], y[0, 0])
+        np.testing.assert_allclose(y[0, 2], 3.0 * h3, atol=1e-14)  # other pilot: no mixing
+
+    def test_noise_drawn_per_group_in_order_of_first_use(self):
+        y = channel.pilot_rx(np.zeros((2, 3, 2)), 1.0, 4, [5, 2, 5], 2.0, rng_stream(8, "noise"))
+        rng = rng_stream(8, "noise")
+        for k in (0, 1):  # pilot 5 is used first, then pilot 2
+            re, im = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+            np.testing.assert_array_equal(y[:, k], re + 1j * im)
+        np.testing.assert_array_equal(y[:, 2], y[:, 0])
 
     def test_perfect_estimation_limit(self):
         h = np.array([0.3 - 0.2j, 1.1j])
-        y = channel.pilot_rx([h], 1.0, 16, 0.0, rng_stream(4, "noise"))
-        est = channel.mmse_estimate(y, np.eye(2), 1.0, 16, 1e-14)
-        np.testing.assert_allclose(est.h_hat, h, atol=1e-5)
-        assert np.linalg.norm(est.B) < 1e-12
+        y = channel.pilot_rx(_stack(h), 1.0, 16, [0], 0.0, rng_stream(4, "noise"))
+        filt = channel.mmse_estimate(np.eye(2)[None, None], 1.0, 16, [0], 1e-14)
+        np.testing.assert_allclose(filt[0, 0] @ y[0, 0], h, atol=1e-5)
 
     def test_no_information_limit(self):
-        est = channel.mmse_estimate(np.ones(2), np.eye(2), 0.0, 8, 1.0)
-        np.testing.assert_allclose(est.h_hat, 0.0)
-        np.testing.assert_allclose(est.B, np.eye(2))
+        filt = channel.mmse_estimate(np.eye(2)[None, None], 0.0, 8, [0], 1.0)
+        np.testing.assert_allclose(filt[0, 0] @ np.ones(2), 0.0)
 
     def test_matches_generic_lmmse_oracle(self):
-        # independent route: h_hat = C_hy C_yy^-1 y with the observation model
+        # independent route: h_hat = C_hy C_yy^-1 y with the observation model,
+        # including a contaminating co-pilot UE and one on another pilot
         rng = rng_stream(5, "fading")
-        R = np.eye(3)
-        p, tau, s2 = 0.7, 6, 0.4
+        R = np.stack([0.8 * channel.local_scattering_correlation(3, a, 15.0)
+                      for a in (0.3, -0.9, 1.2)])
+        p, tau, s2 = np.array([0.7, 1.3, 0.4]), 6, 0.4
         y = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        est = channel.mmse_estimate(y, R, p, tau, s2)
-        c_hy = math.sqrt(p * tau) * R
-        c_yy = tau * p * R + s2 * np.eye(3)
-        oracle = c_hy @ np.linalg.solve(c_yy, y)
-        np.testing.assert_allclose(est.h_hat, oracle, atol=1e-10)
-        b_oracle = R - tau * p * (R @ np.linalg.inv(c_yy) @ R)
-        np.testing.assert_allclose(est.B, b_oracle, atol=1e-10)
-
-    def test_sparse_error_shortcut(self):
-        est = channel.mmse_estimate(np.ones(2), np.eye(2), 0.5, 4, 0.3, sparse_error_x=3)
-        np.testing.assert_allclose(est.B, (0.3 * 3 / (4 * 0.5)) * np.eye(2))
+        filt = channel.mmse_estimate(R[None], p, tau, [2, 2, 0], s2)
+        c_yy = tau * (p[0] * R[0] + p[1] * R[1]) + s2 * np.eye(3)
+        for k in (0, 1):
+            oracle = math.sqrt(p[k] * tau) * R[k] @ np.linalg.solve(c_yy, y)
+            np.testing.assert_allclose(filt[0, k] @ y, oracle, atol=1e-10)
+        alone = math.sqrt(p[2] * tau) * R[2] @ np.linalg.solve(tau * p[2] * R[2] + s2 * np.eye(3), y)
+        np.testing.assert_allclose(filt[0, 2] @ y, alone, atol=1e-10)
 
     def test_mmse_orthogonality_empirical(self):
+        # the estimate the pipeline forms is uncorrelated with its error, and
+        # the error power is the MMSE g - p tau g^2 / (p tau g + s2)
         rng = rng_stream(9, "fading")
         g, p, tau, s2, n = 1.0, 1.0, 4, 0.5, 100000
-        h = channel.draw_channel(np.eye(1), g, rng, size=n)[:, 0]
-        noise = math.sqrt(s2 / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        y = math.sqrt(tau * p) * h + noise
-        est = math.sqrt(p * tau) * g / (tau * p * g + s2) * y
-        err = h - est
+        h = channel.draw_channel(np.eye(1), g, rng, size=n)[:, None, :]
+        y = channel.pilot_rx(h, p, tau, [0], s2, rng)
+        filt = channel.mmse_estimate(np.full((n, 1, 1, 1), g), p, tau, [0], s2)
+        est = (filt @ y[..., None])[:, 0, 0, 0]
+        err = h[:, 0, 0] - est
         corr = abs(np.mean(est.conj() * err)) / math.sqrt(
             np.mean(np.abs(est) ** 2) * np.mean(np.abs(err) ** 2))
         assert corr < 1e-2
+        mmse = g - p * tau * g ** 2 / (p * tau * g + s2)
+        assert np.mean(np.abs(err) ** 2) == pytest.approx(mmse, rel=0.03)
 
     def test_pilot_assignment_round_robin_and_collision_free(self):
         serving = {0: [0], 1: [0], 2: [0], 3: [1]}
@@ -167,12 +193,14 @@ class TestPilotsAndEstimation:
 
 class TestUplinkData:
     def test_single_ue_perfect_csi_no_noise(self):
-        h = np.zeros((1, 1, 3), dtype=complex)
+        h = np.zeros((2, 1, 3), dtype=complex)
         h[0, 0] = np.array([1.0, 1j, 2.0])
-        out = channel.ul_data_rx_mr(h, np.array([0.7 + 0.1j]), 0.0,
-                                    {0: h[0, 0]}, [0], rng_stream(1, "noise"))
-        expect = float(np.vdot(h[0, 0], h[0, 0]).real) * (0.7 + 0.1j)
-        assert out == pytest.approx(expect)
+        h[1, 0] = np.array([0.5, -1.0, 1j])
+        y = channel.ul_data_rx(h, np.array([[0.7 + 0.1j]]), 0.0, rng_stream(1, "noise"))
+        out = channel.mr_combine(h, y)
+        expect = float(np.vdot(h, h).real) * (0.7 + 0.1j)
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(expect)
 
     def test_zero_channel_only_noise(self):
         h = np.zeros((1, 1, 2), dtype=complex)
@@ -184,12 +212,14 @@ class TestUplinkData:
         h[0, 0] = np.array([1.0, 0.0])
         h[0, 1] = np.array([0.0, 1.0])
         y = channel.ul_data_rx(h, np.array([1.0, 1.0]), 0.0, rng_stream(3, "noise"))
-        z0 = np.vdot(h[0, 0], y[0])
-        assert abs(z0 - 1.0) < 1e-12  # UE 1's symbol does not leak into UE 0
+        z = channel.mr_combine(h, y)
+        np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-12)  # no leakage between UEs
 
-    def test_empty_serving_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            channel.mr_combine([np.ones(2)], {0: np.ones(2)}, [])
+    def test_combining_runs_over_the_serving_set(self):
+        # a zero combiner row drops that AP from the UE's sum
+        y = np.array([[1.0, 2.0], [10.0, 20.0]], dtype=complex)
+        v = np.array([[[1.0, 0.0]], [[0.0, 0.0]]], dtype=complex)
+        np.testing.assert_allclose(channel.mr_combine(v, y), [1.0])
 
 
 class TestArrayResponse:

@@ -46,6 +46,11 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 2
+        # 1e400 parses as an infinite float: rejected, not an overflow traceback
+        doc["K"] = 30
+        path.write_text(json.dumps(doc).replace('"area_side_m": 500.0', '"area_side_m": 1e400'))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
     def test_unknown_key_exit_2(self, tmp_path):
         doc = config_to_dict(SystemConfig())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cfmimo import association as assoc
 from cfmimo import channel, comm_perf
 from cfmimo.comm_perf import BPSK, QPSK
 from cfmimo.scenario import InfeasibleModelError, SystemConfig, generate_deployment, rng_stream
@@ -246,6 +247,50 @@ class TestSerMonteCarlo:
         a = comm_perf.ser_monte_carlo(dep, cfg, A, BPSK, [0.0], 2000, 11)
         b = comm_perf.ser_monte_carlo(dep, cfg, A, BPSK, [0.0], 2000, 11)
         assert a[0].ser_mc == b[0].ser_mc
+
+
+    @staticmethod
+    def _pinned_scenario(**kw):
+        cfg = SystemConfig(**dict(dict(L=12, K=5, N=2, tau_p=3, tau_c=40, X=2,
+                                       area_side_m=150.0, clutter_density_per_km2=400.0,
+                                       seed=3), **kw))
+        dep = generate_deployment(cfg)
+        return cfg, dep, {"sua": assoc.run_sua(dep, cfg).A,
+                          "baseline": assoc.run_baseline(dep, cfg).A}
+
+    def test_local_scattering_at_one_antenna_equals_identity(self):
+        # a single antenna has no spatial correlation to model
+        ser = {}
+        for model in ("identity", "local_scattering"):
+            cfg, dep, assocs = self._pinned_scenario(N=1, correlation_model=model)
+            for scheme, A in assocs.items():
+                ser[model, scheme] = [p.ser_mc for p in comm_perf.ser_monte_carlo(
+                    dep, cfg, A, QPSK, [0.0, 10.0], 2000, 21)]
+        for scheme in ("sua", "baseline"):
+            assert ser["identity", scheme] == ser["local_scattering", scheme]
+
+    # QPSK symbol errors over 2000 symbols x 3 communication/JCAS UEs at 0 and
+    # 10 dB, stream seed 21; they depend on the per-block draw order
+    PINNED_ERRORS = {
+        ("identity", "sua", False): [856, 97],
+        ("identity", "sua", True): [508, 65],
+        ("identity", "baseline", False): [132, 164],
+        ("identity", "baseline", True): [70, 185],
+        ("local_scattering", "sua", False): [894, 211],
+        ("local_scattering", "sua", True): [606, 137],
+        ("local_scattering", "baseline", False): [244, 263],
+        ("local_scattering", "baseline", True): [191, 222],
+    }
+
+    @pytest.mark.parametrize("model", ["identity", "local_scattering"])
+    def test_pinned_error_counts(self, model):
+        cfg, dep, assocs = self._pinned_scenario(correlation_model=model)
+        for scheme, A in assocs.items():
+            for perfect in (False, True):
+                pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [0.0, 10.0], 2000, 21,
+                                                perfect_csi=perfect)
+                expect = self.PINNED_ERRORS[model, scheme, perfect]
+                assert [p.ser_mc for p in pts] == [e / 6000 for e in expect], (scheme, perfect)
 
 
 class TestDecisionMetric:

@@ -43,6 +43,12 @@ class TestValidation:
         ("area_side_m", 0.0),
         ("p_fa", 0.0),
         ("p_fa", 1.0),
+        ("L", 100.5),        # integer fields take ints only
+        ("N", 2.5),
+        ("K", True),
+        ("area_side_m", float("inf")),   # float fields must be finite
+        ("p_threshold_dbm", float("nan")),
+        ("p_k_dbm", [20.0] * 29 + [float("nan")]),
     ])
     def test_invariants_rejected(self, field, value):
         cfg = SystemConfig(**{field: value})
