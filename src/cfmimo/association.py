@@ -45,21 +45,6 @@ class LinkQuality:
     clutter_count: np.ndarray  # (L, K) lobe scatterer count, -1 where not evaluated
 
 
-def clutter_power(ap_index: int, ue_index: int, deployment: Deployment,
-                  config: SystemConfig, geom: channel.ClutterGeometry | None = None,
-                  link_dist: float | None = None) -> float:
-    """Clutter power (W) reflected into the (ap, ue) sensing lobe."""
-    if geom is None:
-        geom = channel.clutter_geometry(deployment, config.pathloss)
-    if link_dist is None:
-        link_dist = max(
-            math.hypot(*(deployment.ap_pos[ap_index] - deployment.ue_pos[ue_index])),
-            config.pathloss.d0_m,
-        )
-    power, _ = channel.clutter_return(geom, deployment, config, ap_index, ue_index, link_dist)
-    return power
-
-
 def link_quality(deployment: Deployment, config: SystemConfig,
                  budget: channel.LinkBudget, mask_m: np.ndarray | None,
                  geom: channel.ClutterGeometry | None = None) -> LinkQuality:
@@ -83,29 +68,19 @@ def link_quality(deployment: Deployment, config: SystemConfig,
     clut_w = np.full((L, K), np.nan)
     clut_n = np.full((L, K), -1, dtype=int)
 
-    for k in range(K):
-        svc = int(deployment.ue_service[k])
-        rows = np.flatnonzero(evaluate[:, k])
-        if rows.size == 0:
-            continue
-        if svc == ServiceType.COM:
-            S[rows, k] = snr[rows, k]
-            kind[rows, k] = KIND_SNR
-            continue
-        for l in rows:
-            pc, cnt = channel.clutter_return(geom, deployment, config, l, k,
-                                             float(budget.distance_m[l, k]))
-            clut_w[l, k] = pc
-            clut_n[l, k] = cnt
-            scnr = p_r_w[l, k] / (pc + n0)
-            if svc == ServiceType.SENSE:
-                S[l, k] = scnr
-                kind[l, k] = KIND_SCNR
-            else:
-                S[l, k] = config.w_c * snr[l, k] + config.w_s * scnr
-                kind[l, k] = KIND_JOINT
-    if mask_m is not None:
-        S[np.asarray(mask_m) == 0] = 0.0
+    svc = np.asarray(deployment.ue_service)[None, :]
+    com = evaluate & (svc == ServiceType.COM)
+    S[com] = snr[com]
+    kind[com] = KIND_SNR
+    l_idx, k_idx = np.nonzero(evaluate & (svc != ServiceType.COM))
+    pc, cnt = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
+                                      budget.distance_m[l_idx, k_idx])
+    clut_w[l_idx, k_idx] = pc
+    clut_n[l_idx, k_idx] = cnt
+    scnr = p_r_w[l_idx, k_idx] / (pc + n0)
+    sense = svc[0, k_idx] == ServiceType.SENSE
+    S[l_idx, k_idx] = np.where(sense, scnr, config.w_c * snr[l_idx, k_idx] + config.w_s * scnr)
+    kind[l_idx, k_idx] = np.where(sense, KIND_SCNR, KIND_JOINT)
     return LinkQuality(S=S, kind=kind, clutter_w=clut_w, clutter_count=clut_n)
 
 
@@ -172,13 +147,12 @@ def _check_instance(S, R, M, tau_p, X):
 
 
 def _column_top_selection(w: np.ndarray, M: np.ndarray, X: int) -> np.ndarray:
+    """Per column, the (at most) X eligible rows of largest weight; equal
+    weights go to the lower row."""
+    eligible = (M == 1) & (w > 0)
+    order = np.argsort(np.where(eligible, -w, np.inf), axis=0, kind="stable")[:X]
     A = np.zeros(w.shape, dtype=np.int8)
-    for k in range(w.shape[1]):
-        rows = np.flatnonzero((M[:, k] == 1) & (w[:, k] > 0))
-        if rows.size == 0:
-            continue
-        order = np.lexsort((rows, -w[rows, k]))
-        A[rows[order[:X]], k] = 1
+    A[order, np.arange(w.shape[1])] = np.take_along_axis(eligible, order, axis=0)
     return A
 
 
@@ -311,7 +285,7 @@ def optimize(S, R, M, tau_p: int, X: int):
         psi=sparsity_psi(M),
         solve_time_s=dt,
         method="flow-exact",
-        integral=bool(np.isin(A, (0, 1)).all()),
+        integral=bool(((A == 0) | (A == 1)).all()),
     )
     return A, report
 

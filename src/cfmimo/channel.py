@@ -270,40 +270,75 @@ class ClutterGeometry:
     """Per-(AP, scatterer) geometry cached once per deployment."""
 
     dist: np.ndarray          # (L, S)
-    angle: np.ndarray         # (L, S) bearing AP -> scatterer
+    cos_bearing: np.ndarray   # (L, S) cosine of the bearing AP -> scatterer
+    sin_bearing: np.ndarray   # (L, S) sine of the same bearing
     two_way_gain: np.ndarray  # (L, S) linear, both hops at the config exponent
 
 
 def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> ClutterGeometry:
     diff = deployment.scatterer_pos[None, :, :] - deployment.ap_pos[:, None, :]
     d = np.maximum(np.linalg.norm(diff, axis=2), pathloss.d0_m)
+    # arctan2 gives a scatterer on top of its AP the bearing 0
     ang = np.arctan2(diff[..., 1], diff[..., 0])
     g2 = db_to_lin(-2.0 * path_loss_db(pathloss, d))
-    return ClutterGeometry(dist=d, angle=ang, two_way_gain=g2)
+    return ClutterGeometry(dist=d, cos_bearing=np.cos(ang), sin_bearing=np.sin(ang),
+                           two_way_gain=g2)
 
 
-def _lobe_mask(geom: ClutterGeometry, l: int, ue_pos, ap_pos, link_dist: float,
-               n_antennas: int) -> np.ndarray:
-    half_angle = BEAM_HALF_ANGLE_FACTOR / n_antennas
-    ang_ue = bearing(ap_pos, ue_pos)
-    dphi = np.angle(np.exp(1j * (geom.angle[l] - ang_ue)))
-    return (np.abs(dphi) <= half_angle) & (geom.dist[l] <= CLUTTER_RANGE_FACTOR * link_dist)
+# Lobe tests per block of links in `clutter_returns`; keeps each (links, S)
+# temporary near 0.5 MB whatever the number of links.
+_LOBE_TESTS_PER_BLOCK = 1 << 16
+
+
+def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: SystemConfig,
+                    l_idx, k_idx, link_dist) -> tuple[np.ndarray, np.ndarray]:
+    """Clutter power (W) and scatterer count inside the sensing lobe of each
+    link (l_idx[i], k_idx[i]) whose AP-UE distance is link_dist[i].
+
+    A scatterer is in the lobe when its bearing from the AP is within the
+    half-angle BEAM_HALF_ANGLE_FACTOR/N of the UE's bearing, tested as
+    cos(phi_s - phi_ue) >= cos(half-angle), which is equivalent because the
+    half-angle is below pi, and when its distance from the AP is at most
+    CLUTTER_RANGE_FACTOR * link_dist.
+    """
+    l_idx = np.asarray(l_idx, dtype=np.intp)
+    k_idx = np.asarray(k_idx, dtype=np.intp)
+    reach = CLUTTER_RANGE_FACTOR * np.asarray(link_dist, dtype=float)
+    n, n_scat = l_idx.size, geom.dist.shape[1]
+    power = np.zeros(n)
+    count = np.zeros(n, dtype=int)
+    if n == 0 or n_scat == 0:
+        return power, count
+    diff = deployment.ue_pos[k_idx] - deployment.ap_pos[l_idx]
+    ue_bearing = np.arctan2(diff[:, 1], diff[:, 0])
+    cos_ue, sin_ue = np.cos(ue_bearing)[:, None], np.sin(ue_bearing)[:, None]
+    cos_half = math.cos(BEAM_HALF_ANGLE_FACTOR / config.N)
+    step = max(1, _LOBE_TESTS_PER_BLOCK // n_scat)
+    for lo in range(0, n, step):
+        b = slice(lo, lo + step)
+        rows = l_idx[b]
+        # the row gathers are fresh copies, so the arithmetic runs in place
+        cos_diff = geom.cos_bearing[rows]
+        cos_diff *= cos_ue[b]
+        sin_term = geom.sin_bearing[rows]
+        sin_term *= sin_ue[b]
+        cos_diff += sin_term
+        in_lobe = cos_diff >= cos_half
+        in_lobe &= geom.dist[rows] <= reach[b, None]
+        count[b] = np.count_nonzero(in_lobe, axis=1)
+        returns = geom.two_way_gain[rows]
+        returns *= in_lobe
+        returns *= deployment.scatterer_refl
+        power[b] = returns.sum(axis=1)
+    power *= config.sigma_c2 * float(dbm_to_watts(config.p_t_dbm))
+    return power, count
 
 
 def clutter_return(geom: ClutterGeometry, deployment: Deployment, config: SystemConfig,
                    l: int, k: int, link_dist: float) -> tuple[float, int]:
     """Clutter power (W) and scatterer count inside the (l, k) sensing lobe."""
-    if deployment.scatterer_pos.shape[0] == 0:
-        return 0.0, 0
-    in_lobe = _lobe_mask(geom, l, deployment.ue_pos[k], deployment.ap_pos[l],
-                         link_dist, config.N)
-    if not np.any(in_lobe):
-        return 0.0, 0
-    p_t_w = float(dbm_to_watts(config.p_t_dbm))
-    power = config.sigma_c2 * p_t_w * float(
-        np.sum(deployment.scatterer_refl[in_lobe] * geom.two_way_gain[l][in_lobe])
-    )
-    return power, int(np.count_nonzero(in_lobe))
+    power, count = clutter_returns(geom, deployment, config, [l], [k], [link_dist])
+    return float(power[0]), int(count[0])
 
 
 def synth_echo(ap_pos, target_pos, x, config: SystemConfig, clutter_var_w: float,

@@ -43,6 +43,14 @@ def parse_range(text: str) -> np.ndarray:
     return a + step * np.arange(n)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for sample and repetition counts: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def atomic_write(path: str, text: str):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -66,13 +74,16 @@ def _schemes(args):
 
 
 def _associations(deployment, cfg, schemes):
-    out = {}
-    for scheme in schemes:
-        if scheme == "sua":
-            out[scheme] = association.run_sua(deployment, cfg)
-        else:
-            out[scheme] = association.run_baseline(deployment, cfg)
-    return out
+    """Association result per scheme, all built on one link budget and one
+    clutter geometry; returns (results, budget, geom).
+
+    The geometry holds four (L, S) arrays: callers that do not need it drop
+    it at once, so it is freed before the output tables are formatted.
+    """
+    budget = channel.link_budget(deployment, cfg)
+    geom = channel.clutter_geometry(deployment, cfg.pathloss)
+    run = {"sua": association.run_sua, "baseline": association.run_baseline}
+    return {s: run[s](deployment, cfg, budget, geom) for s in schemes}, budget, geom
 
 
 def cmd_validate(args) -> int:
@@ -89,7 +100,7 @@ def cmd_associate(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
-    results = _associations(deployment, cfg, _schemes(args))
+    results = _associations(deployment, cfg, _schemes(args))[0]
     tables = {}
     for scheme, res in results.items():
         csv = association.association_csv(res.quality.S, res.prio, res.A, res.mask)
@@ -111,10 +122,8 @@ def cmd_ser(args) -> int:
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
     schemes = _schemes(args)
-    results = _associations(deployment, cfg, set(schemes) | {"sua"})
-    sua_A = results["sua"].A
-    budget = channel.link_budget(deployment, cfg)
-    sel = budget.gain_lin[np.asarray(sua_A) == 1]
+    results, budget = _associations(deployment, cfg, set(schemes) | {"sua"})[:2]
+    sel = budget.gain_lin[np.asarray(results["sua"].A) == 1]
     gain_ref = float(np.median(sel)) if sel.size else 1.0
 
     grid = parse_range(args.snr)
@@ -144,7 +153,7 @@ def cmd_pd(args) -> int:
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
     schemes = _schemes(args)
-    results = _associations(deployment, cfg, set(schemes) | {"sua"})
+    results = _associations(deployment, cfg, set(schemes) | {"sua"})[0]
     grid = parse_range(args.snr)
     scale_ref = sense_perf.pd_scale_ref(deployment, cfg, results["sua"].A, grid)
     all_points = []
@@ -183,14 +192,14 @@ def cmd_netmetrics(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
-    results = _associations(deployment, cfg, ("sua", "baseline"))
+    results, budget, geom = _associations(deployment, cfg, ("sua", "baseline"))
     model = net_metrics.EnergyModel()
     delays, energies, clutters = {}, {}, {}
     for scheme, res in results.items():
         delays[scheme] = net_metrics.transmission_delay(deployment, res.A)
         _, _, active = association.served_counts(res.A)
         energies[scheme] = (active, net_metrics.energy_total(res.A, model))
-        clutters[scheme] = net_metrics.clutter_counts(deployment, cfg, res.A)
+        clutters[scheme] = net_metrics.clutter_counts(deployment, cfg, res.A, geom, budget)
     tables = {
         "delay": net_metrics.delay_csv(delays),
         "energy": net_metrics.energy_csv(energies),
@@ -257,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--snr", default="0:2:20", help="SNR grid a:step:b in dB")
     p.add_argument("--mod", choices=("bpsk", "qpsk"), default="qpsk")
-    p.add_argument("--symbols", type=int, default=100000)
+    p.add_argument("--symbols", type=positive_int, default=100000)
     p.add_argument("--perfect-csi", action="store_true")
     p.set_defaults(func=cmd_ser)
 
     p = sub.add_parser("pd", help="probability of detection, formula and Monte-Carlo")
     common(p)
     p.add_argument("--snr", default="0:2.5:15", help="SCNR grid a:step:b in dB")
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=positive_int, default=100000)
     p.add_argument("--pfa", type=float, default=None)
     p.set_defaults(func=cmd_pd)
 
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("netmetrics", help="delay, energy, clutter, runtime")
     common(p, scheme=False)
-    p.add_argument("--reps", type=int, default=20, help="runtime measurement repetitions")
+    p.add_argument("--reps", type=positive_int, default=20, help="runtime measurement repetitions")
     p.set_defaults(func=cmd_netmetrics)
 
     p = sub.add_parser("report", help="combine experiment reports in --out")

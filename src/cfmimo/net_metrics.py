@@ -66,14 +66,12 @@ def clutter_counts(deployment: Deployment, config: SystemConfig, A,
         geom = channel.clutter_geometry(deployment, config.pathloss)
     if budget is None:
         budget = channel.link_budget(deployment, config)
-    links = []
+    l_idx, k_idx = np.nonzero(A == 1)
+    _, counts = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
+                                        budget.distance_m[l_idx, k_idx])
+    links = list(zip(l_idx.tolist(), k_idx.tolist(), counts.tolist()))
     per_ap = np.zeros(deployment.L, dtype=int)
-    for l, k in zip(*np.nonzero(A == 1)):
-        _, cnt = channel.clutter_return(geom, deployment, config, int(l), int(k),
-                                        float(budget.distance_m[l, k]))
-        links.append((int(l), int(k), cnt))
-        per_ap[l] += cnt
-    counts = np.array([c for _, _, c in links], dtype=int)
+    np.add.at(per_ap, l_idx, counts)
     if counts.size == 0:
         return ClutterReport(links, per_ap, 0.0, 0, 0)
     return ClutterReport(links, per_ap, float(counts.mean()), int(counts.min()),

@@ -227,20 +227,22 @@ def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,
     Echo strength is the two-way link gain; the clutter+noise power per AP is
     normalized to unit thermal noise, so sigma_phi2 = 1 + clutter/noise.
     """
-    n0 = config.noise_power_w()
-    terms = {}
-    for k in deployment.ue_indices(ServiceType.SENSE, ServiceType.JCAS):
-        serving = np.flatnonzero(np.asarray(A)[:, k] == 1)
-        if serving.size == 0:
-            raise InfeasibleModelError(f"sensing UE {k} has an empty serving set")
-        echo = np.array([float(channel.db_to_lin(-2.0 * budget.pl_db[l, k])) for l in serving])
-        sig_phi2 = np.empty(serving.size)
-        for i, l in enumerate(serving):
-            pc, _ = channel.clutter_return(geom, deployment, config, int(l), int(k),
-                                           float(budget.distance_m[l, k]))
-            sig_phi2[i] = 1.0 + pc / n0
-        terms[int(k)] = (serving, echo, sig_phi2)
-    return terms
+    ues = deployment.ue_indices(ServiceType.SENSE, ServiceType.JCAS)
+    served = np.asarray(A)[:, ues].T == 1
+    n_serving = served.sum(axis=1)
+    if np.any(n_serving == 0):
+        raise InfeasibleModelError(
+            f"sensing UE {ues[np.argmin(n_serving)]} has an empty serving set")
+    # links grouped by UE, each UE's serving APs in ascending order
+    col, l_idx = np.nonzero(served)
+    k_idx = ues[col]
+    pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
+                                    budget.distance_m[l_idx, k_idx])
+    echo = channel.db_to_lin(-2.0 * budget.pl_db[l_idx, k_idx])
+    sig_phi2 = 1.0 + pc / config.noise_power_w()
+    cuts = np.cumsum(n_serving)[:-1]
+    return {int(k): (serving, e, sp2) for k, serving, e, sp2 in
+            zip(ues, np.split(l_idx, cuts), np.split(echo, cuts), np.split(sig_phi2, cuts))}
 
 
 def effective_scnr(echo, sigma_phi2, scale: float) -> float:

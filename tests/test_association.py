@@ -101,25 +101,30 @@ class TestClutterPower:
         dep.scatterer_refl = np.asarray(refl, dtype=float)
         return dep
 
+    def _power(self, dep):
+        geom = channel.clutter_geometry(dep, self.cfg.pathloss)
+        link_dist = max(float(np.linalg.norm(dep.ap_pos[0] - dep.ue_pos[0])),
+                        self.cfg.pathloss.d0_m)
+        power, _ = channel.clutter_return(geom, dep, self.cfg, 0, 0, link_dist)
+        return power
+
     def test_no_scatterers_zero(self):
         dep = self._with_scatterers(np.zeros((0, 2)), np.zeros(0))
-        assert assoc.clutter_power(0, 0, dep, self.cfg) == 0.0
+        assert self._power(dep) == 0.0
 
     def test_reflectivity_linearity(self):
         ap, ue = self.dep.ap_pos[0], self.dep.ue_pos[0]
         mid = ap + 0.4 * (ue - ap)
-        d1 = self._with_scatterers([mid], [1.0])
-        d2 = self._with_scatterers([mid], [2.0])
-        p1 = assoc.clutter_power(0, 0, d1, self.cfg)
-        p2 = assoc.clutter_power(0, 0, d2, self.cfg)
+        p1 = self._power(self._with_scatterers([mid], [1.0]))
+        p2 = self._power(self._with_scatterers([mid], [2.0]))
         assert p1 > 0
         assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
 
     def test_two_equal_scatterers_double(self):
         ap, ue = self.dep.ap_pos[0], self.dep.ue_pos[0]
         mid = ap + 0.4 * (ue - ap)
-        p1 = assoc.clutter_power(0, 0, self._with_scatterers([mid], [1.0]), self.cfg)
-        p2 = assoc.clutter_power(0, 0, self._with_scatterers([mid, mid], [1.0, 1.0]), self.cfg)
+        p1 = self._power(self._with_scatterers([mid], [1.0]))
+        p2 = self._power(self._with_scatterers([mid, mid], [1.0, 1.0]))
         assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
 
 
@@ -296,6 +301,27 @@ class TestOptimize:
         A1, _ = assoc.optimize(S, R, M, 1, 1)
         A2, _ = assoc.optimize(S, R, M, 1, 1)
         np.testing.assert_array_equal(A1, A2)
+
+    def test_tied_top_selection_pinned(self):
+        # equal weights go to the lower row; ineligible cells (masked or zero
+        # weight) are never picked. Expected selections recorded from the
+        # per-column lexsort implementation this one replaced.
+        w = np.array([[2.0, 1.0, 0.5, 0.0],
+                      [3.0, 1.0, 0.5, 4.0],
+                      [2.0, 1.0, 0.5, 4.0],
+                      [2.0, 0.0, 0.5, 4.0],
+                      [3.0, 1.0, 0.5, 1.0]])
+        M = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1], [1, 1, 1, 0],
+                      [1, 0, 1, 1]], dtype=np.int8)
+        expected = {
+            1: [[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            2: [[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0]],
+            3: [[1, 1, 1, 0], [1, 1, 0, 1], [0, 1, 1, 1], [0, 0, 1, 0], [1, 0, 0, 1]],
+        }
+        for X, A in expected.items():
+            got = assoc._column_top_selection(w, M, X)
+            assert got.dtype == np.int8
+            np.testing.assert_array_equal(got, A)
 
     def test_report_psi(self):
         S = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmimo import channel
-from cfmimo.scenario import PathLossParams, SystemConfig, generate_deployment, rng_stream
+from cfmimo.scenario import (
+    Deployment,
+    PathLossParams,
+    SystemConfig,
+    generate_deployment,
+    rng_stream,
+)
 
 PL = PathLossParams(pl0_db=30.0, d0_m=1.0, gamma_pl=3.67, shadow_sigma_db=4.0)
 
@@ -314,3 +320,128 @@ class TestClutterGeometry:
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         p, c = channel.clutter_return(geom, dep, cfg, 0, 0, 100.0)
         assert p == 0.0 and c == 0
+
+
+def lobe_oracle(geom, dep, cfg, l, k, link_dist):
+    """The per-link lobe rule the batched kernel replaced: the bearing
+    difference wrapped to (-pi, pi] lies within the half-angle, and the
+    scatterer is within range."""
+    diff = dep.scatterer_pos - dep.ap_pos[l]
+    ang = np.arctan2(diff[:, 1], diff[:, 0])
+    dphi = np.angle(np.exp(1j * (ang - channel.bearing(dep.ap_pos[l], dep.ue_pos[k]))))
+    in_lobe = ((np.abs(dphi) <= channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
+               & (geom.dist[l] <= channel.CLUTTER_RANGE_FACTOR * link_dist))
+    power = cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm)) * float(
+        np.sum(dep.scatterer_refl[in_lobe] * geom.two_way_gain[l][in_lobe]))
+    return power, int(np.count_nonzero(in_lobe))
+
+
+def make_deployment(ap, ue, scat, refl=None):
+    ap, ue = np.asarray(ap, dtype=float), np.asarray(ue, dtype=float)
+    scat = np.asarray(scat, dtype=float).reshape(-1, 2)
+    return Deployment(ap_pos=ap, ue_pos=ue, ue_service=np.zeros(len(ue), dtype=int),
+                      ue_power_dbm=np.zeros(len(ue)), scatterer_pos=scat,
+                      scatterer_refl=np.ones(len(scat)) if refl is None else np.asarray(refl))
+
+
+def link_distance(dep, cfg, l, k):
+    return max(float(np.linalg.norm(dep.ap_pos[l] - dep.ue_pos[k])), cfg.pathloss.d0_m)
+
+
+coord = st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 300.0))
+
+
+class TestClutterReturnsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ap=st.lists(coord, min_size=1, max_size=4),
+           ue=st.lists(coord, min_size=1, max_size=3),
+           scat=st.lists(st.tuples(coord, st.floats(0.0, 5.0)), max_size=15),
+           n_antennas=st.integers(1, 8),
+           reach=st.floats(0.3, 3.0),
+           order_seed=st.integers(0, 2 ** 16))
+    def test_matches_per_link_rule(self, ap, ue, scat, n_antennas, reach, order_seed):
+        dep = make_deployment(ap, ue, [p for p, _ in scat], [r for _, r in scat])
+        cfg = SystemConfig(N=n_antennas)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        l_idx, k_idx = np.nonzero(np.ones((dep.L, dep.K), dtype=bool))
+        perm = np.random.default_rng(order_seed).permutation(l_idx.size)
+        l_idx, k_idx = l_idx[perm], k_idx[perm]
+        dist = np.array([reach * link_distance(dep, cfg, l, k) for l, k in zip(l_idx, k_idx)])
+        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
+        for i, (l, k) in enumerate(zip(l_idx, k_idx)):
+            p_ref, c_ref = lobe_oracle(geom, dep, cfg, l, k, dist[i])
+            assert count[i] == c_ref
+            assert power[i] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
+            assert channel.clutter_return(geom, dep, cfg, l, k, dist[i]) == (power[i], count[i])
+
+    def check_counts(self, dep, cfg, links, expected):
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        l_idx, k_idx, dist = (np.array(v) for v in zip(*links))
+        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
+        np.testing.assert_array_equal(count, expected)
+        for i, (l, k, d) in enumerate(links):
+            p_ref, c_ref = lobe_oracle(geom, dep, cfg, l, k, d)
+            assert count[i] == c_ref
+            assert power[i] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
+            assert (power[i] > 0) == (count[i] > 0)
+
+    def test_scatterer_on_ap(self):
+        # a scatterer on top of its AP has bearing 0, at the clamped distance d0
+        dep = make_deployment([[0.0, 0.0]], [[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0]],
+                              [[0.0, 0.0]])
+        cfg = SystemConfig(N=4)  # half-angle 0.5 rad
+        self.check_counts(dep, cfg, [(0, 0, 10.0), (0, 1, 10.0), (0, 2, 10.0)], [1, 0, 0])
+        cfg = SystemConfig(N=1)  # half-angle 2 rad
+        self.check_counts(dep, cfg, [(0, 0, 10.0), (0, 1, 10.0), (0, 2, 10.0)], [1, 1, 0])
+
+    def test_ue_on_ap(self):
+        # a UE on top of its AP has bearing 0 and the link distance d0
+        dep = make_deployment([[5.0, 5.0]], [[5.0, 5.0]],
+                              [[5.5, 5.0], [5.0, 5.5], [4.5, 5.0], [7.0, 5.0]])
+        cfg = SystemConfig(N=4)
+        self.check_counts(dep, cfg, [(0, 0, cfg.pathloss.d0_m)], [1])
+
+    def test_range_boundary_inclusive(self):
+        assert channel.CLUTTER_RANGE_FACTOR * 10.0 == 12.0
+        dep = make_deployment([[0.0, 0.0]], [[10.0, 0.0]],
+                              [[12.0, 0.0], [np.nextafter(12.0, 13.0), 0.0]])
+        cfg = SystemConfig(N=4)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        assert geom.dist[0, 0] == 12.0
+        self.check_counts(dep, cfg, [(0, 0, 10.0)], [1])
+
+    def test_one_antenna_half_angle_two_radians(self):
+        angles = np.array([1.9, -1.9, 2.1, -2.1, math.pi])
+        scat = 5.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        dep = make_deployment([[0.0, 0.0]], [[10.0, 0.0]], scat)
+        self.check_counts(dep, SystemConfig(N=1), [(0, 0, 10.0)], [2])
+
+    def test_zero_scatterers(self):
+        dep = make_deployment([[0.0, 0.0], [50.0, 0.0]], [[10.0, 0.0]], np.zeros((0, 2)))
+        cfg = SystemConfig(N=4)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        power, count = channel.clutter_returns(geom, dep, cfg, [0, 1], [0, 0], [10.0, 40.0])
+        np.testing.assert_array_equal(power, [0.0, 0.0])
+        np.testing.assert_array_equal(count, [0, 0])
+
+    def test_empty_link_set(self):
+        dep = make_deployment([[0.0, 0.0]], [[10.0, 0.0]], [[5.0, 0.0]])
+        cfg = SystemConfig(N=4)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        power, count = channel.clutter_returns(geom, dep, cfg, [], [], [])
+        assert power.shape == (0,) and count.shape == (0,)
+        assert count.dtype.kind == "i"
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        cfg = SystemConfig(L=20, K=8, N=5, tau_p=5, tau_c=200, X=3, area_side_m=250.0, seed=7)
+        dep = generate_deployment(cfg)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        budget = channel.link_budget(dep, cfg)
+        l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
+        args = (geom, dep, cfg, l_idx, k_idx, budget.distance_m[l_idx, k_idx])
+        whole = channel.clutter_returns(*args)
+        assert whole[1].sum() > 0
+        for block in (1, 3 * geom.dist.shape[1] + 1):
+            monkeypatch.setattr(channel, "_LOBE_TESTS_PER_BLOCK", block)
+            for got, want in zip(channel.clutter_returns(*args), whole):
+                np.testing.assert_array_equal(got, want)

@@ -60,6 +60,19 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 2
 
 
+class TestSampleCounts:
+    @pytest.mark.parametrize("command,option", [("ser", "--symbols"), ("pd", "--trials"),
+                                                ("netmetrics", "--reps")])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_non_positive_count_exit_2(self, tmp_path, capsys, command, option, value):
+        path = small_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--scenario", path, "--out", str(tmp_path), option, value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+        assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
 class TestAssociate:
     def test_writes_outputs(self, tmp_path):
         path = small_scenario(tmp_path)
