@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -163,7 +161,9 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> np.ndarray:
     upper-bounds the optimum; when it happens to satisfy the AP capacities it
     is returned directly.  Otherwise the full min-cost-flow search runs on the
     masked bipartite graph with unit capacity per link, so flows are integral
-    by construction.  Ties are resolved by fixed (weight, index) orderings.
+    by construction.  Each augmenting path comes from a vectorized
+    label-correcting search over the eligible links; ties between equal-cost
+    paths are broken by index, so results are deterministic.
     """
     L, K = w.shape
     A = _column_top_selection(w, M, X)
@@ -171,102 +171,81 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> np.ndarray:
         return A
 
     A = np.zeros((L, K), dtype=np.int8)
-    cols_of_row = [np.flatnonzero((M[l] == 1) & (w[l] > 0)) for l in range(L)]
-    col_max = np.zeros(K)
-    has_edge = np.zeros(K, dtype=bool)
-    for k in range(K):
-        rows = np.flatnonzero((M[:, k] == 1) & (w[:, k] > 0))
-        if rows.size:
-            has_edge[k] = True
-            col_max[k] = w[rows, k].max()
-    if not has_edge.any():
+    # Eligible links as a flat edge list grouped by UE, APs ascending within a
+    # UE; only UEs with at least one edge take part, renumbered u = 0..U-1.
+    e_k, e_l = np.nonzero(((M == 1) & (w > 0)).T)
+    if e_k.size == 0:
         return A
-
-    INF = math.inf
-    pi_ap = np.zeros(L)
-    pi_ue = np.where(has_edge, -col_max, 0.0)
-    pi_t = pi_ue[has_edge].min()
+    e_w = w[e_l, e_k]
+    _, starts, e_u = np.unique(e_k, return_index=True, return_inverse=True)
+    U, E = starts.size, e_k.size
+    used = np.zeros(E, dtype=bool)      # edge carries flow, i.e. a_lk = 1
     row_used = np.zeros(L, dtype=int)
-    col_used = np.zeros(K, dtype=int)
-    SINK = L + K
+    col_used = np.zeros(U, dtype=int)
+    pi_ap = np.zeros(L)
+    pi_ue = -np.maximum.reduceat(e_w, starts)
+    pi_t = pi_ue.min()
 
     for _ in range(L * K + 1):
-        dist_ap = np.full(L, INF)
-        dist_ue = np.full(K, INF)
-        dist_t = INF
-        parent_ue = np.full(K, -1, dtype=int)          # AP feeding each UE
-        parent_ap = np.full(L, -2, dtype=int)          # -1 = source, >=0 = UE via reverse edge
-        parent_t = -1
-        settled = np.zeros(L + K + 1, dtype=bool)
-        heap = []
-        for l in np.flatnonzero(row_used < tau_p):
-            d = max(0.0, -pi_ap[l])
-            dist_ap[l] = d
-            parent_ap[l] = -1
-            heapq.heappush(heap, (d, int(l)))
-
-        while heap:
-            d, node = heapq.heappop(heap)
-            if settled[node]:
-                continue
-            settled[node] = True
-            if node == SINK:
+        # Label-correcting shortest paths on the residual graph: source -> AP
+        # with spare capacity -> open edge -> UE -> used edge back -> AP ...
+        # Reduced costs are clipped at 0 against rounding.  A parent is set
+        # only on a strict improvement, so zero-cost cycles cannot make the
+        # parent pointers cyclic.
+        rc_fwd = np.maximum(0.0, -e_w + pi_ap[e_l] - pi_ue[e_u])
+        rc_fwd[used] = np.inf
+        rev = np.flatnonzero(used)
+        rev_l, rev_u = e_l[rev], e_u[rev]
+        rc_rev = np.maximum(0.0, e_w[rev] + pi_ue[rev_u] - pi_ap[rev_l])
+        dist_ap = np.where(row_used < tau_p, np.maximum(0.0, -pi_ap), np.inf)
+        parent_ap = np.full(L, -1)      # edge into each AP; -1 = source
+        dist_ue = np.full(U, np.inf)
+        parent_ue = np.full(U, -1)      # edge into each UE
+        for _ in range(L + K + 2):
+            cand = dist_ap[e_l] + rc_fwd
+            best = np.minimum.reduceat(cand, starts)
+            gain = best < dist_ue
+            if gain.any():
+                hit = np.where(cand == best[e_u], np.arange(E), E)
+                parent_ue[gain] = np.minimum.reduceat(hit, starts)[gain]
+                dist_ue[gain] = best[gain]
+            cand = dist_ue[rev_u] + rc_rev
+            best = np.full(L, np.inf)
+            np.minimum.at(best, rev_l, cand)
+            gain = best < dist_ap
+            if not gain.any():
                 break
-            if node < L:
-                l = node
-                ks = cols_of_row[l]
-                if ks.size:
-                    open_ks = ks[A[l, ks] == 0]
-                    if open_ks.size:
-                        rc = np.maximum(0.0, -w[l, open_ks] + pi_ap[l] - pi_ue[open_ks])
-                        nd = d + rc
-                        better = nd < dist_ue[open_ks]
-                        for k, ndk in zip(open_ks[better], nd[better]):
-                            dist_ue[k] = ndk
-                            parent_ue[k] = l
-                            heapq.heappush(heap, (float(ndk), L + int(k)))
-            else:
-                k = node - L
-                if col_used[k] < X:
-                    nd = d + max(0.0, pi_ue[k] - pi_t)
-                    if nd < dist_t:
-                        dist_t = nd
-                        parent_t = k
-                        heapq.heappush(heap, (float(nd), SINK))
-                for l in np.flatnonzero(A[:, k] == 1):
-                    nd = d + max(0.0, w[l, k] + pi_ue[k] - pi_ap[l])
-                    if nd < dist_ap[l]:
-                        dist_ap[l] = nd
-                        parent_ap[l] = k
-                        heapq.heappush(heap, (float(nd), int(l)))
+            first = np.full(L, E)
+            hit = gain[rev_l] & (cand == best[rev_l])
+            np.minimum.at(first, rev_l[hit], rev[hit])
+            parent_ap[gain] = first[gain]
+            dist_ap[gain] = best[gain]
 
-        if not settled[SINK] or parent_t < 0:
+        d_sink = np.where(col_used < X, dist_ue + np.maximum(0.0, pi_ue - pi_t), np.inf)
+        u = int(np.argmin(d_sink))
+        dist_t = d_sink[u]
+        if dist_t == np.inf:
             break
 
-        # Reconstruct the augmenting path and evaluate its true (unreduced) cost.
-        edges = []
-        k = parent_t
-        true_cost = 0.0
-        while True:
-            l = parent_ue[k]
-            edges.append((l, k, 1))
-            true_cost -= w[l, k]
-            if parent_ap[l] == -1:
-                break
-            k = parent_ap[l]
-            edges.append((l, k, 0))
-            true_cost += w[l, k]
+        # The augmenting path back from the sink, and its true (unreduced) cost.
+        e = parent_ue[u]
+        path = [e]
+        true_cost = -e_w[e]
+        while parent_ap[e_l[e]] >= 0:
+            e = parent_ap[e_l[e]]
+            true_cost += e_w[e]
+            path.append(e)
+            e = parent_ue[e_u[e]]
+            true_cost -= e_w[e]
+            path.append(e)
         if true_cost >= 0.0:
             break
-        for l, k, val in edges:
-            A[l, k] = val
-        row_used[edges[-1][0]] += 1
-        col_used[parent_t] += 1
-
-        bound = dist_t
-        pi_ap += np.minimum(dist_ap, bound)
-        pi_ue += np.minimum(dist_ue, bound)
-        # pi_t += 0 relative shift (sink distance is the reference)
+        used[path] = ~used[path]
+        row_used[e_l[e]] += 1
+        col_used[u] += 1
+        pi_ap += np.minimum(dist_ap, dist_t)
+        pi_ue += np.minimum(dist_ue, dist_t)
+    A[e_l[used], e_k[used]] = 1
     return A
 
 
@@ -322,48 +301,6 @@ def enumeration_objective(S, R, M, tau_p: int, X: int) -> float:
     return float(dp.max())
 
 
-def bound_prune_objective(S, R, M, tau_p: int, X: int) -> float:
-    """Independent bound-and-prune search over per-UE subsets (exact)."""
-    w, M = _check_instance(S, R, M, tau_p, X)
-    L, K = w.shape
-    if L > 16:
-        raise ValueError("bound-and-prune cross-check is meant for small instances")
-    options = []
-    for k in range(K):
-        rows = np.flatnonzero((M[:, k] == 1) & (w[:, k] > 0))
-        opts = [(0.0, ())]
-        for size in range(1, min(X, rows.size) + 1):
-            for sub in itertools.combinations(rows.tolist(), size):
-                opts.append((float(np.sum(w[list(sub), k])), sub))
-        opts.sort(key=lambda t: -t[0])
-        options.append(opts)
-    best_single = [opts[0][0] for opts in options]
-    suffix = [0.0] * (K + 1)
-    for k in range(K - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + best_single[k]
-
-    best = -math.inf
-
-    def recurse(k, caps, acc):
-        nonlocal best
-        if acc + suffix[k] <= best:
-            return
-        if k == K:
-            best = max(best, acc)
-            return
-        for wsub, sub in options[k]:
-            if acc + wsub + suffix[k + 1] <= best:
-                break
-            if all(caps[l] >= 1 for l in sub):
-                new_caps = list(caps)
-                for l in sub:
-                    new_caps[l] -= 1
-                recurse(k + 1, tuple(new_caps), acc + wsub)
-
-    recurse(0, tuple([tau_p] * L), 0.0)
-    return best
-
-
 def check_feasible(A, M, tau_p: int, X: int) -> bool:
     """Integer-arithmetic feasibility check of C1 (rows), C2 (columns), D3 (mask)."""
     A = np.asarray(A)
@@ -376,16 +313,24 @@ def check_feasible(A, M, tau_p: int, X: int) -> bool:
 
 
 def association_csv(S, R, A, M) -> str:
-    """Association dump: one row per (AP, UE) link."""
-    lines = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"]
-    L, K = np.asarray(S).shape
+    """Association dump: one row per (AP, UE) link.
+
+    Formatted one AP at a time from Python lists, so the temporaries stay at
+    one AP's K rows and each AP's rows are kept as a single string.
+    """
+    S = np.asarray(S, dtype=float)
+    R = np.asarray(R, dtype=float)
+    A = np.asarray(A).astype(int)
+    masked = (np.asarray(M) == 0).astype(int)
+    L, K = S.shape
+    ues = range(K)
+    parts = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"]
     for l in range(L):
-        for k in range(K):
-            lines.append(
-                f"{l},{k},{repr(float(S[l, k]))},{repr(float(R[l, k]))},"
-                f"{int(A[l, k])},{int(M[l, k] == 0)}"
-            )
-    return "\n".join(lines) + "\n"
+        rows = map("{},{},{},{},{},{}\n".format, itertools.repeat(l, K), ues,
+                   map(repr, S[l].tolist()), map(repr, R[l].tolist()),
+                   A[l].tolist(), masked[l].tolist())
+        parts.append("".join(rows))
+    return "".join(parts)
 
 
 # --- end-to-end pipelines -----------------------------------------------------

@@ -132,7 +132,7 @@ def cmd_ser(args) -> int:
     for scheme in schemes:
         pts = comm_perf.ser_monte_carlo(
             deployment, cfg, results[scheme].A, constel, grid, args.symbols,
-            cfg.seed, perfect_csi=args.perfect_csi, gain_ref=gain_ref)
+            cfg.seed, perfect_csi=args.perfect_csi, gain_ref=gain_ref, budget=budget)
         by_scheme[scheme] = {constel.name.lower(): pts}
     csv = comm_perf.ser_csv(by_scheme)
     for scheme in schemes:
@@ -153,14 +153,14 @@ def cmd_pd(args) -> int:
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
     schemes = _schemes(args)
-    results = _associations(deployment, cfg, set(schemes) | {"sua"})[0]
+    results, budget, geom = _associations(deployment, cfg, set(schemes) | {"sua"})
     grid = parse_range(args.snr)
-    scale_ref = sense_perf.pd_scale_ref(deployment, cfg, results["sua"].A, grid)
+    scale_ref = sense_perf.pd_scale_ref(deployment, cfg, results["sua"].A, grid, budget, geom)
     all_points = []
     for scheme in schemes:
         pts, _ = sense_perf.pd_monte_carlo(
             deployment, cfg, results[scheme].A, grid, args.trials, cfg.seed,
-            scheme, scale_ref=scale_ref)
+            scheme, scale_ref=scale_ref, budget=budget, geom=geom)
         all_points.extend(pts)
         atomic_write(os.path.join(args.out, f"pd_{scheme}.csv"),
                      sense_perf.pd_csv(pts))
@@ -208,7 +208,8 @@ def cmd_netmetrics(args) -> int:
     for name, csv in tables.items():
         atomic_write(os.path.join(args.out, f"netmetrics_{name}.csv"), csv)
     # wall-clock measurement: not reproducible run-to-run, kept out of the report
-    rt = net_metrics.association_runtime(deployment, cfg, reps=args.reps)
+    rt = net_metrics.association_runtime(deployment, cfg, reps=args.reps,
+                                         budget=budget, geom=geom)
     atomic_write(os.path.join(args.out, "netmetrics_runtime.csv"),
                  net_metrics.runtime_csv(rt))
     rep = report.build_report("netmetrics", cfg, cfg.seed, tables,

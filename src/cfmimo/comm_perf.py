@@ -210,14 +210,15 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
 
 def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Constellation,
                     snr_db_grid, n_symbols: int, seed: int, perfect_csi: bool = False,
-                    gain_ref: float | None = None):
+                    gain_ref: float | None = None, budget: channel.LinkBudget | None = None):
     """Uplink SER of communication and JCAS UEs under a given association.
 
     Estimated channels (MMSE with the scheme's pilot reuse), MR combining over
     each UE's serving set, ML detection.  snr_db is the per-symbol receive SNR
     of a reference link with gain `gain_ref` (default: median gain over the
     serving links of A); the same reference must be reused across schemes to
-    put them on one axis.
+    put them on one axis.  The deployment's link budget is built here unless
+    passed.
 
     Every UE sends pilots (sensing UEs contend for sequences too); only
     communication and JCAS UEs carry uplink data. Each coherence block of
@@ -230,7 +231,9 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
     """
     A = np.asarray(A) == 1
     K, N = deployment.K, config.N
-    gains = channel.link_budget(deployment, config).gain_lin
+    if budget is None:
+        budget = channel.link_budget(deployment, config)
+    gains = budget.gain_lin
     if gain_ref is None:
         gain_ref = float(np.median(gains[A])) if A.any() else 1.0
     g = gains / gain_ref

@@ -88,16 +88,19 @@ class RuntimeResult:
 
 
 def association_runtime(deployment: Deployment, config: SystemConfig,
-                        reps: int = 20) -> RuntimeResult:
+                        reps: int = 20, budget: channel.LinkBudget | None = None,
+                        geom: channel.ClutterGeometry | None = None) -> RuntimeResult:
     """Median wall-clock of the SUA pipeline vs the baseline's full evaluation.
 
-    Both schemes share the precomputed link budget and clutter geometry; the
-    timed region covers per-link metric evaluation and scheme-specific logic
-    (mask -> metrics -> priorities -> optimize for SUA; all-link metrics plus
-    allocation bookkeeping for the baseline).
+    Both schemes share one link budget and clutter geometry, built here unless
+    passed; the timed region covers per-link metric evaluation and
+    scheme-specific logic (mask -> metrics -> priorities -> optimize for SUA;
+    all-link metrics plus allocation bookkeeping for the baseline).
     """
-    budget = channel.link_budget(deployment, config)
-    geom = channel.clutter_geometry(deployment, config.pathloss)
+    if budget is None:
+        budget = channel.link_budget(deployment, config)
+    if geom is None:
+        geom = channel.clutter_geometry(deployment, config.pathloss)
 
     def sua_once():
         m, _ = association.mask(deployment, config, budget)

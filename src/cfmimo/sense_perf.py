@@ -221,12 +221,17 @@ def pd_csv(points: list[PdPoint]) -> str:
 
 
 def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,
-                        budget: channel.LinkBudget, geom: channel.ClutterGeometry):
+                        budget: channel.LinkBudget | None = None,
+                        geom: channel.ClutterGeometry | None = None):
     """Per sensing/JCAS UE: serving APs with echo strength and clutter level.
 
     Echo strength is the two-way link gain; the clutter+noise power per AP is
     normalized to unit thermal noise, so sigma_phi2 = 1 + clutter/noise.
     """
+    if budget is None:
+        budget = channel.link_budget(deployment, config)
+    if geom is None:
+        geom = channel.clutter_geometry(deployment, config.pathloss)
     ues = deployment.ue_indices(ServiceType.SENSE, ServiceType.JCAS)
     served = np.asarray(A)[:, ues].T == 1
     n_serving = served.sum(axis=1)
@@ -255,11 +260,11 @@ def effective_scnr(echo, sigma_phi2, scale: float) -> float:
     return float(m.sum() ** 2 / np.asarray(sigma_phi2, dtype=float).sum())
 
 
-def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db) -> dict:
+def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
+                 budget: channel.LinkBudget | None = None,
+                 geom: channel.ClutterGeometry | None = None) -> dict:
     """Per sensing/JCAS UE and grid value, the echo scale that puts the UE's
     aggregate SCNR under association A at that value: {k: {scnr_db: scale}}."""
-    budget = channel.link_budget(deployment, config)
-    geom = channel.clutter_geometry(deployment, config.pathloss)
     scale_ref = {}
     for k, (serving, echo, sp2) in _sensing_link_terms(deployment, config, A, budget, geom).items():
         unit = effective_scnr(echo, sp2, 1.0)
@@ -270,7 +275,9 @@ def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db) 
 
 def pd_monte_carlo(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
                    n_trials: int, seed: int, scheme: str = "sua",
-                   scale_ref: dict | None = None, amplitude: str = "fixed"):
+                   scale_ref: dict | None = None, amplitude: str = "fixed",
+                   budget: channel.LinkBudget | None = None,
+                   geom: channel.ClutterGeometry | None = None):
     """Detection curves for sensing and JCAS UEs under a given association.
 
     Each serving AP contributes a matched-filter output with the link's echo
@@ -278,21 +285,20 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, A, scnr_grid_db
     across the serving set and the envelope is thresholded at the P_FA point.
     The grid is calibrated so SUA's aggregate SCNR equals the grid value
     (scale_ref from `pd_scale_ref`, computed here for A when absent, must be
-    shared across schemes).
+    shared across schemes).  The deployment's link budget and clutter geometry
+    are built here unless passed.
     With amplitude="swerling1" the target amplitude is redrawn per dwell.
 
     Returns (points, scale_ref).
     """
     if amplitude not in ("fixed", "swerling1"):
         raise ValueError(f"unknown amplitude mode {amplitude!r}")
-    budget = channel.link_budget(deployment, config)
-    geom = channel.clutter_geometry(deployment, config.pathloss)
     terms = _sensing_link_terms(deployment, config, A, budget, geom)
     b = math.sqrt(-2.0 * math.log(config.p_fa))
 
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
     if scale_ref is None:
-        scale_ref = pd_scale_ref(deployment, config, A, grid)
+        scale_ref = pd_scale_ref(deployment, config, A, grid, budget, geom)
 
     points = []
     agg_rows = {}

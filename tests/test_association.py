@@ -230,18 +230,12 @@ class TestOptimize:
         assert A.sum(axis=0).max() <= 1 and A.sum(axis=1).max() <= 1
 
     def test_matches_enumeration_exactly(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(60):
-            S, R, M, tau_p, X = random_instance(rng)
-            _, rep = assoc.optimize(S, R, M, tau_p, X)
-            assert rep.objective == assoc.enumeration_objective(S, R, M, tau_p, X)
-
-    def test_matches_bound_prune_exactly(self):
-        rng = np.random.default_rng(77)
-        for _ in range(40):
-            S, R, M, tau_p, X = random_instance(rng)
-            _, rep = assoc.optimize(S, R, M, tau_p, X)
-            assert rep.objective == assoc.bound_prune_objective(S, R, M, tau_p, X)
+        for seed, n in ((2024, 60), (77, 40)):
+            rng = np.random.default_rng(seed)
+            for _ in range(n):
+                S, R, M, tau_p, X = random_instance(rng)
+                _, rep = assoc.optimize(S, R, M, tau_p, X)
+                assert rep.objective == assoc.enumeration_objective(S, R, M, tau_p, X)
 
     def test_feasibility_random_instances(self):
         rng = np.random.default_rng(5)
@@ -302,6 +296,33 @@ class TestOptimize:
         A2, _ = assoc.optimize(S, R, M, 1, 1)
         np.testing.assert_array_equal(A1, A2)
 
+    @pytest.mark.parametrize("weights", ["ones", "small_int"])
+    def test_ties_with_binding_capacities(self, weights):
+        # all-equal and small-integer weights make many shortest augmenting
+        # paths of equal cost, and zero-cost cycles in the residual graph;
+        # the search must still finish, stay exact and resolve ties the same
+        # way on a rerun
+        rng = np.random.default_rng(31)
+        for trial in range(12):
+            if weights == "ones":
+                L, K = (6, 5) if trial == 0 else (int(rng.integers(3, 7)), int(rng.integers(2, 6)))
+                S = np.ones((L, K))
+            else:
+                L, K = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+                S = rng.integers(1, 4, (L, K)).astype(float)
+            M = np.ones((L, K), dtype=np.int8)
+            drop = rng.random((L, K)) < 0.2
+            if trial > 0:  # the first instance keeps every link
+                M[drop] = 0
+            R, tau_p, X = np.ones((L, K)), 1, 2
+            w, _ = assoc._check_instance(S, R, M, tau_p, X)
+            assert assoc._column_top_selection(w, M, X).sum(axis=1).max() > tau_p
+            A1, rep = assoc.optimize(S, R, M, tau_p, X)
+            A2, _ = assoc.optimize(S, R, M, tau_p, X)
+            np.testing.assert_array_equal(A1, A2)
+            assert assoc.check_feasible(A1, M, tau_p, X)
+            assert rep.objective == assoc.enumeration_objective(S, R, M, tau_p, X)
+
     def test_tied_top_selection_pinned(self):
         # equal weights go to the lower row; ineligible cells (masked or zero
         # weight) are never picked. Expected selections recorded from the
@@ -330,6 +351,62 @@ class TestOptimize:
         assert rep.psi == 0.5
 
 
+def lp_optimum(w, tau_p, X):
+    """Max-weight b-matching as an LP; the bipartite incidence matrix is
+    totally unimodular, so the LP optimum is the integer optimum."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    sparse = pytest.importorskip("scipy.sparse")
+    L, K = w.shape
+    ls, ks = np.nonzero(w > 0)
+    n = np.arange(ls.size)
+    a_ub = sparse.coo_matrix((np.ones(2 * ls.size), (np.concatenate([ls, L + ks]),
+                                                     np.concatenate([n, n]))),
+                             shape=(L + K, ls.size)).tocsr()
+    b_ub = np.concatenate([np.full(L, tau_p), np.full(K, X)])
+    res = linprog(-w[ls, ks], A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def binding_scenario_instance(seed):
+    cfg = SystemConfig(L=400, K=120, area_side_m=1000.0, tau_p=2, p_threshold_dbm=-80.0,
+                       seed=seed)
+    dep = generate_deployment(cfg)
+    budget = channel.link_budget(dep, cfg)
+    m, _ = assoc.mask(dep, cfg, budget)
+    q = assoc.link_quality(dep, cfg, budget, m)
+    return q.S, assoc.priorities(q.S), m, cfg.tau_p, cfg.X
+
+
+def random_binding_instance(L, seed):
+    # K * X links wanted against L * tau_p AP slots: capacities bind
+    rng = np.random.default_rng(seed)
+    K = L // 2
+    M = (rng.random((L, K)) < rng.uniform(0.05, 0.2)).astype(np.int8)
+    S = rng.random((L, K)) * M
+    return S, assoc.priorities(S), M, 1, 3
+
+
+class TestOptimizerAtScale:
+    """Exactness where enumeration cannot reach: the flow solver against an
+    LP solver on instances whose per-UE relaxation breaks an AP capacity."""
+
+    @pytest.mark.parametrize("instance", [
+        pytest.param(lambda: binding_scenario_instance(1000), id="scenario-1000"),
+        pytest.param(lambda: binding_scenario_instance(2000), id="scenario-2000"),
+        *(pytest.param(lambda L=L: random_binding_instance(L, L), id=f"random-L{L}")
+          for L in (50, 100, 150, 200)),
+    ])
+    def test_matches_lp_optimum(self, instance):
+        S, R, M, tau_p, X = instance()
+        w, _ = assoc._check_instance(S, R, M, tau_p, X)
+        assert assoc._column_top_selection(w, M, X).sum(axis=1).max() > tau_p
+        A, rep = assoc.optimize(S, R, M, tau_p, X)
+        assert assoc.check_feasible(A, M, tau_p, X)
+        best = lp_optimum(w, tau_p, X)
+        assert abs(rep.objective - best) <= 1e-9 * best
+
+
 class TestCsvDump:
     def test_format(self):
         S = np.array([[1.5, 0.0]])
@@ -341,6 +418,18 @@ class TestCsvDump:
         assert lines[0] == "ap_id,ue_id,s_lk,r_lk,a_lk,masked"
         assert lines[1] == "0,0,1.5,1.0,1,0"
         assert lines[2] == "0,1,0.0,0.0,0,1"
+
+    def test_matches_cell_by_cell_format(self):
+        rng = np.random.default_rng(3)
+        M = (rng.random((7, 5)) < 0.6).astype(np.int8)
+        S = rng.random((7, 5)) * 1e6 * M
+        S[0, :3] = [1e-300, 1.0 / 3.0, 1e16]
+        R = assoc.priorities(S)
+        A = (rng.random((7, 5)) < 0.3).astype(np.int64)
+        expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
+            f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
+            for l in range(7) for k in range(5)]
+        assert assoc.association_csv(S, R, A, M) == "\n".join(expected) + "\n"
 
 
 class TestPipelines:

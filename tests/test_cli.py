@@ -73,6 +73,27 @@ class TestSampleCounts:
         assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
 
+class TestDeploymentStateBuiltOnce:
+    @pytest.mark.parametrize("argv", [
+        ["associate"],
+        ["ser", "--snr", "0:10:10", "--symbols", "200"],
+        ["pd", "--snr", "0:10:10", "--trials", "200"],
+        ["netmetrics", "--reps", "1"],
+    ])
+    def test_one_link_budget_and_geometry(self, tmp_path, monkeypatch, argv):
+        from cfmimo import channel
+
+        calls = {"link_budget": 0, "clutter_geometry": 0}
+        for name in calls:
+            def counted(*a, _fn=getattr(channel, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(channel, name, counted)
+        path = small_scenario(tmp_path)
+        assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"link_budget": 1, "clutter_geometry": 1}
+
+
 class TestAssociate:
     def test_writes_outputs(self, tmp_path):
         path = small_scenario(tmp_path)
