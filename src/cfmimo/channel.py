@@ -117,12 +117,12 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
     """Unit-gain correlation C_lk of the links from APs `aps` to every UE, and
     its square root, each shaped (len(aps), K, N, N).
 
-    The identity model returns one read-only identity broadcast to that shape.
+    The identity model returns one read-only identity broadcast to that shape,
+    and None for the square root, which is the identity too.
     """
     N = config.N
     if config.correlation_model == "identity":
-        eye = np.broadcast_to(np.eye(N, dtype=complex), (len(aps), deployment.K, N, N))
-        return eye, eye
+        return np.broadcast_to(np.eye(N, dtype=complex), (len(aps), deployment.K, N, N)), None
     diff = deployment.ue_pos[None, :, :] - deployment.ap_pos[aps, None, :]
     C = local_scattering_correlation(N, np.arctan2(diff[..., 1], diff[..., 0]),
                                      config.angular_spread_deg)
@@ -174,13 +174,15 @@ def pilot_rx(h, p, tau_p: int, pilots, sigma2: float, rng: np.random.Generator):
     return y[:, slot]
 
 
-def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float) -> np.ndarray:
-    """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for every link.
+def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues=None) -> np.ndarray:
+    """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for every link,
+    or only for the links to the UEs `ues`.
 
     R holds the channel correlations (large-scale gain included), shape
-    (L, K, N, N); p the K pilot powers; pilots the K pilot sequences. The
-    estimate of h_lk is filt[l, k] @ y_{l,t(k)} (see `pilot_rx`); its error
-    covariance is R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
+    (L, K, N, N); p the K pilot powers; pilots the K pilot sequences. Psi
+    sums over all K UEs either way. The estimate of h_lk is filt[l, k] @
+    y_{l,t(k)} (see `pilot_rx`); its error covariance is
+    R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
     """
     R = np.asarray(R)
     K, n = R.shape[1], R.shape[-1]
@@ -188,6 +190,8 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float) -> np.ndarray:
     slot, member = _pilot_groups(pilots)
     psi = np.einsum("lkmn,kt->ltmn", R, tau_p * p[:, None] * member)
     psi += sigma2 * np.eye(n)
+    if ues is not None:
+        R, p, slot = R[:, ues], p[ues], slot[ues]
     try:
         # R and Psi are Hermitian, so R Psi^-1 = (Psi^-1 R)^H
         filt = np.linalg.solve(psi[:, slot], R)
@@ -202,16 +206,19 @@ def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:
     """Round-robin pilots, avoiding collisions among UEs served by a common AP.
 
     serving_sets maps UE index -> iterable of serving AP indices (empty sets
-    allowed). With each AP serving at most tau_p UEs a collision-free choice
-    usually exists; if every pilot is taken the round-robin default stands.
+    allowed). UE k, in index order, takes the first of the pilots k, k+1, ...
+    (mod tau_p) that no earlier UE sharing an AP with it uses. With each AP
+    serving at most tau_p UEs a collision-free choice usually exists; if
+    every pilot is taken the round-robin default k mod tau_p stands.
     """
+    sets = [np.asarray(list(serving_sets.get(k, ())), dtype=np.intp) for k in range(K)]
+    aps = np.concatenate([np.zeros(0, dtype=np.intp), *sets])
+    member = np.zeros((K, aps.max() + 1 if aps.size else 0))
+    member[np.repeat(np.arange(K), [s.size for s in sets]), aps] = 1.0
+    shares_ap = member @ member.T > 0
     pilots = np.full(K, -1, dtype=int)
-    ap_members: dict[int, list[int]] = {}
     for k in range(K):
-        used = set()
-        for l in serving_sets.get(k, ()):
-            for other in ap_members.get(l, ()):
-                used.add(int(pilots[other]))
+        used = set(pilots[:k][shares_ap[k, :k]].tolist())
         pilot = k % tau_p
         for step in range(tau_p):
             cand = (k + step) % tau_p
@@ -219,8 +226,6 @@ def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:
                 pilot = cand
                 break
         pilots[k] = pilot
-        for l in serving_sets.get(k, ()):
-            ap_members.setdefault(l, []).append(k)
     return pilots
 
 
@@ -233,7 +238,17 @@ def ul_data_rx(h_by_ap: np.ndarray, symbols: np.ndarray, sigma2: float,
     h_by_ap has shape (L, K, N); symbols (K,) or (K, S). Returns (L, N) or
     (L, N, S); the noise is drawn as all real parts, then all imaginary parts.
     """
-    y = np.swapaxes(np.asarray(h_by_ap, dtype=complex), 1, 2) @ np.asarray(symbols, dtype=complex)
+    h = np.swapaxes(np.asarray(h_by_ap, dtype=complex), 1, 2)
+    symbols = np.asarray(symbols, dtype=complex)
+    L, n, K = h.shape
+    if n > 1 and symbols.ndim == 2 and symbols.shape[1] > 1:
+        # one (L N, K) @ (K, S) product on a contiguous copy in place of L small
+        # ones; numpy takes a single antenna row or a single symbol column
+        # through matrix-vector kernels that round differently, so those keep
+        # the per-AP product
+        y = (np.ascontiguousarray(h).reshape(L * n, K) @ symbols).reshape(L, n, -1)
+    else:
+        y = h @ symbols
     noise = np.empty(y.shape)  # one reused buffer bounds the peak memory of a large S
     for part in (y.real, y.imag):
         rng.standard_normal(out=noise)

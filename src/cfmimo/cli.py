@@ -73,17 +73,21 @@ def _schemes(args):
     return ("sua", "baseline") if args.scheme == "both" else (args.scheme,)
 
 
-def _associations(deployment, cfg, schemes):
-    """Association result per scheme, all built on one link budget and one
-    clutter geometry; returns (results, budget, geom).
+def _deployment_state(deployment, cfg):
+    """The one link budget and clutter geometry a command builds per deployment.
 
     The geometry holds four (L, S) arrays: callers that do not need it drop
     it at once, so it is freed before the output tables are formatted.
     """
-    budget = channel.link_budget(deployment, cfg)
-    geom = channel.clutter_geometry(deployment, cfg.pathloss)
-    run = {"sua": association.run_sua, "baseline": association.run_baseline}
-    return {s: run[s](deployment, cfg, budget, geom) for s in schemes}, budget, geom
+    return channel.link_budget(deployment, cfg), channel.clutter_geometry(deployment, cfg.pathloss)
+
+
+def _association_matrices(deployment, cfg, schemes, budget, geom):
+    """Association matrix per scheme. The baseline's is all ones whatever the
+    link metrics, so it skips `run_baseline`'s all-link evaluation."""
+    return {s: association.run_sua(deployment, cfg, budget, geom).A if s == "sua"
+            else association.baseline_all_to_all(deployment.L, deployment.K)
+            for s in schemes}
 
 
 def cmd_validate(args) -> int:
@@ -100,7 +104,10 @@ def cmd_associate(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
-    results = _associations(deployment, cfg, _schemes(args))[0]
+    budget, geom = _deployment_state(deployment, cfg)
+    run = {"sua": association.run_sua, "baseline": association.run_baseline}
+    results = {s: run[s](deployment, cfg, budget, geom) for s in _schemes(args)}
+    del budget, geom
     tables = {}
     for scheme, res in results.items():
         csv = association.association_csv(res.quality.S, res.prio, res.A, res.mask)
@@ -122,8 +129,10 @@ def cmd_ser(args) -> int:
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
     schemes = _schemes(args)
-    results, budget = _associations(deployment, cfg, set(schemes) | {"sua"})[:2]
-    sel = budget.gain_lin[np.asarray(results["sua"].A) == 1]
+    budget, geom = _deployment_state(deployment, cfg)
+    assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
+    del geom
+    sel = budget.gain_lin[np.asarray(assocs["sua"]) == 1]
     gain_ref = float(np.median(sel)) if sel.size else 1.0
 
     grid = parse_range(args.snr)
@@ -131,7 +140,7 @@ def cmd_ser(args) -> int:
     by_scheme = {}
     for scheme in schemes:
         pts = comm_perf.ser_monte_carlo(
-            deployment, cfg, results[scheme].A, constel, grid, args.symbols,
+            deployment, cfg, assocs[scheme], constel, grid, args.symbols,
             cfg.seed, perfect_csi=args.perfect_csi, gain_ref=gain_ref, budget=budget)
         by_scheme[scheme] = {constel.name.lower(): pts}
     csv = comm_perf.ser_csv(by_scheme)
@@ -153,17 +162,18 @@ def cmd_pd(args) -> int:
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
     schemes = _schemes(args)
-    results, budget, geom = _associations(deployment, cfg, set(schemes) | {"sua"})
+    budget, geom = _deployment_state(deployment, cfg)
+    assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
     grid = parse_range(args.snr)
-    scale_ref = sense_perf.pd_scale_ref(deployment, cfg, results["sua"].A, grid, budget, geom)
-    all_points = []
+    # the grid is calibrated on SUA's aggregate SCNR, whichever schemes run
+    scale_ref = None if schemes[0] == "sua" else sense_perf.pd_scale_ref(
+        deployment, cfg, assocs["sua"], grid, budget, geom)
+    all_points, _ = sense_perf.pd_monte_carlo(
+        deployment, cfg, {s: assocs[s] for s in schemes}, grid, args.trials, cfg.seed,
+        scale_ref=scale_ref, budget=budget, geom=geom)
     for scheme in schemes:
-        pts, _ = sense_perf.pd_monte_carlo(
-            deployment, cfg, results[scheme].A, grid, args.trials, cfg.seed,
-            scheme, scale_ref=scale_ref, budget=budget, geom=geom)
-        all_points.extend(pts)
         atomic_write(os.path.join(args.out, f"pd_{scheme}.csv"),
-                     sense_perf.pd_csv(pts))
+                     sense_perf.pd_csv([p for p in all_points if p.scheme == scheme]))
     rep = report.build_report("pd", cfg, cfg.seed, {"pd": sense_perf.pd_csv(all_points)},
                               time.perf_counter() - t0)
     atomic_write(os.path.join(args.out, "pd_report.json"), rep.to_json())
@@ -192,14 +202,15 @@ def cmd_netmetrics(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
     t0 = time.perf_counter()
-    results, budget, geom = _associations(deployment, cfg, ("sua", "baseline"))
+    budget, geom = _deployment_state(deployment, cfg)
+    assocs = _association_matrices(deployment, cfg, ("sua", "baseline"), budget, geom)
     model = net_metrics.EnergyModel()
     delays, energies, clutters = {}, {}, {}
-    for scheme, res in results.items():
-        delays[scheme] = net_metrics.transmission_delay(deployment, res.A)
-        _, _, active = association.served_counts(res.A)
-        energies[scheme] = (active, net_metrics.energy_total(res.A, model))
-        clutters[scheme] = net_metrics.clutter_counts(deployment, cfg, res.A, geom, budget)
+    for scheme, A in assocs.items():
+        delays[scheme] = net_metrics.transmission_delay(deployment, A)
+        _, _, active = association.served_counts(A)
+        energies[scheme] = (active, net_metrics.energy_total(A, model))
+        clutters[scheme] = net_metrics.clutter_counts(deployment, cfg, A, geom, budget)
     tables = {
         "delay": net_metrics.delay_csv(delays),
         "energy": net_metrics.energy_csv(energies),

@@ -131,14 +131,26 @@ def pep_average(alphas, delta: complex, sigma2: float, c2: float, N: int) -> flo
 
 def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int,
                clamp: bool = True) -> float:
-    """Closed-form SER: average pairwise error over all ordered symbol pairs."""
+    """Closed-form SER: average pairwise error over all ordered symbol pairs.
+
+    `pep_average` of every pair (i, j), i != j, as one array expression over
+    the pairs and the links of `alphas`; the pair terms are then added in
+    (i, j) order, one after the other.
+    """
     pts = constel.points
+    i, j = np.nonzero(~np.eye(constel.M, dtype=bool))
+    d2 = np.abs(pts[i] - pts[j]) ** 2
+    link_sums = np.atleast_1d(np.asarray(alphas, dtype=float))[None, :] * d2[:, None]
+    D = 2.0 * (sigma2 + c2)
+    mgf = []
+    for t in (-1.0 / (4.0 * D), -1.0 / (3.0 * D)):
+        terms = 1.0 - t * link_sums
+        if np.any(terms <= 0.0):
+            raise ValueError("MGF evaluated beyond its pole (1 - t*s <= 0)")
+        mgf.append(np.prod(terms ** (-float(N)), axis=1))
     total = 0.0
-    for i in range(constel.M):
-        for j in range(constel.M):
-            if i == j:
-                continue
-            total += pep_average(alphas, pts[i] - pts[j], sigma2, c2, N)
+    for pep in (mgf[0] / 12.0 + mgf[1] / 4.0).tolist():
+        total += pep
     ser = total / constel.M
     return min(max(ser, 0.0), 1.0) if clamp else ser
 
@@ -262,14 +274,15 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
         sigma2 = 10.0 ** (-float(snr_db) / 10.0)
         if R is not None:
             filt = None  # release the previous point's filters before building these
-            filt = channel.mmse_estimate(R, p_rel, config.tau_p, pilots, sigma2)[:, data_ues]
+            filt = channel.mmse_estimate(R, p_rel, config.tau_p, pilots, sigma2, data_ues)
             filt *= serves[..., None]
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
             nsym = min(sym_per_block, n_symbols - done)
             rng = rng_stream(seed, "mc", gi, block)
             w = rng.standard_normal((aps.size, K, N)) + 1j * rng.standard_normal((aps.size, K, N))
-            h = sqrt_g * (C_sqrt @ (w / math.sqrt(2.0))[..., None])[..., 0]
+            w /= math.sqrt(2.0)
+            h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
             if R is None:
                 h_hat = serves * h[:, data_ues]
             else:

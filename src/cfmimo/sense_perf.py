@@ -79,7 +79,7 @@ def marcum_q1(a: float, b: float) -> float:
         return 0.0
     lam = a * a / 2.0
     if lam > 600.0 or y > 600.0:
-        raise ValueError("marcum_q1 arguments too large for the series evaluation")
+        return _marcum_q1_log_weights(lam, y)
     p = math.exp(-lam)       # Poisson(k; lam) weight
     e = math.exp(-y)         # Poisson(j; y) term for the gamma tail
     g = e                    # P(Gamma(k+1) > y), k = 0
@@ -95,6 +95,52 @@ def marcum_q1(a: float, b: float) -> float:
         cum += p
         if k > 10000:
             break
+    return min(total, 1.0)
+
+
+def _log_poisson(k: int, mean: float) -> float:
+    """log Poisson(k; mean) for k >= 30, in Stirling form: its large terms
+    cancel analytically, so the error stays near 1e-14 at any mean."""
+    x = (mean - k) / k
+    stirling = 1.0 / (12.0 * k) - 1.0 / (360.0 * k ** 3) + 1.0 / (1260.0 * k ** 5)
+    return k * (math.log1p(x) - x) - 0.5 * math.log(2.0 * math.pi * k) - stirling
+
+
+def _marcum_q1_log_weights(lam: float, y: float) -> float:
+    """The series of `marcum_q1` where exp(-lam) or exp(-y) would underflow.
+
+    Q1 = sum_k Poisson(k; lam) P(Poisson(y) <= k), summed over
+    k = lam -+ 12 sqrt(lam), outside which the Poisson(lam) mass is below
+    1e-25. The first weight and the first gamma tail come from logarithms;
+    the recursions of `marcum_q1` run on from there. Past its saturation
+    shortcuts, lam or y above 600 puts both above 210, so k starts above 30.
+    """
+    sd = math.sqrt(lam)
+    k = int(lam - 12.0 * sd)
+    k_end = int(lam + 12.0 * sd) + 1
+    e = math.exp(_log_poisson(k, y))  # Poisson(k; y)
+    # P(Poisson(y) <= k), summed from its largest terms outward
+    if k < y:
+        g, term, j = e, e, k
+        while j > 0 and term > g * 1e-17:
+            term *= j / y
+            g += term
+            j -= 1
+    else:
+        tail, term, j = 0.0, e, k
+        while term > 1e-17:
+            j += 1
+            term *= y / j
+            tail += term
+        g = 1.0 - tail
+    p = math.exp(_log_poisson(k, lam))
+    total = p * g
+    while k < k_end:
+        k += 1
+        p *= lam / k
+        e *= y / k
+        g += e
+        total += p * g
     return min(total, 1.0)
 
 
@@ -260,75 +306,86 @@ def effective_scnr(echo, sigma_phi2, scale: float) -> float:
     return float(m.sum() ** 2 / np.asarray(sigma_phi2, dtype=float).sum())
 
 
+def _scale_ref(terms: dict, grid) -> dict:
+    scale_ref = {}
+    for k, (_, echo, sp2) in terms.items():
+        unit = effective_scnr(echo, sp2, 1.0)
+        scale_ref[k] = {float(s): 10.0 ** (s / 10.0) / unit for s in grid}
+    return scale_ref
+
+
 def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
                  budget: channel.LinkBudget | None = None,
                  geom: channel.ClutterGeometry | None = None) -> dict:
     """Per sensing/JCAS UE and grid value, the echo scale that puts the UE's
     aggregate SCNR under association A at that value: {k: {scnr_db: scale}}."""
-    scale_ref = {}
-    for k, (serving, echo, sp2) in _sensing_link_terms(deployment, config, A, budget, geom).items():
-        unit = effective_scnr(echo, sp2, 1.0)
-        scale_ref[k] = {float(s): 10.0 ** (s / 10.0) / unit
-                        for s in np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))}
-    return scale_ref
+    return _scale_ref(_sensing_link_terms(deployment, config, A, budget, geom),
+                      np.atleast_1d(np.asarray(scnr_grid_db, dtype=float)))
 
 
-def pd_monte_carlo(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
-                   n_trials: int, seed: int, scheme: str = "sua",
+def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
+                   scnr_grid_db, n_trials: int, seed: int,
                    scale_ref: dict | None = None, amplitude: str = "fixed",
                    budget: channel.LinkBudget | None = None,
                    geom: channel.ClutterGeometry | None = None):
-    """Detection curves for sensing and JCAS UEs under a given association.
+    """Detection curves for sensing and JCAS UEs under each association of
+    `assocs`, a mapping from scheme name to association matrix.
 
     Each serving AP contributes a matched-filter output with the link's echo
     strength and its own clutter+noise floor; outputs are summed unweighted
     across the serving set and the envelope is thresholded at the P_FA point.
-    The grid is calibrated so SUA's aggregate SCNR equals the grid value
-    (scale_ref from `pd_scale_ref`, computed here for A when absent, must be
-    shared across schemes).  The deployment's link budget and clutter geometry
-    are built here unless passed.
-    With amplitude="swerling1" the target amplitude is redrawn per dwell.
+    The grid is calibrated so the aggregate SCNR under the reference
+    association equals the grid value: scale_ref from `pd_scale_ref`, or when
+    absent from the first association of `assocs`. The deployment's link
+    budget and clutter geometry are built here unless passed.
+    Per (UE, grid point) the target phases (with amplitude="swerling1" the
+    target amplitudes, redrawn per dwell) and the unit noise come from one
+    stream rng_stream(seed, "mc", 92000, k, gi), and every scheme's detector
+    sees those same draws, scaled to its own serving set.
 
-    Returns (points, scale_ref).
+    Returns (points, scale_ref); points holds each scheme's per-UE points and
+    then its aggregates, schemes in the order of `assocs`.
     """
     if amplitude not in ("fixed", "swerling1"):
         raise ValueError(f"unknown amplitude mode {amplitude!r}")
-    terms = _sensing_link_terms(deployment, config, A, budget, geom)
+    terms = {scheme: _sensing_link_terms(deployment, config, A, budget, geom)
+             for scheme, A in assocs.items()}
     b = math.sqrt(-2.0 * math.log(config.p_fa))
 
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
     if scale_ref is None:
-        scale_ref = pd_scale_ref(deployment, config, A, grid, budget, geom)
+        scale_ref = _scale_ref(next(iter(terms.values())), grid)
 
-    points = []
-    agg_rows = {}
-    for k, (serving, echo, sp2) in sorted(terms.items()):
+    points = {scheme: [] for scheme in terms}
+    agg_rows = {scheme: {} for scheme in terms}  # gi -> [(formula, rate)] over UEs
+    for k in sorted(next(iter(terms.values()))):
         for gi, scnr_db in enumerate(grid):
             scale = scale_ref[k][float(scnr_db)]
-            m_l = np.sqrt(scale * echo)
-            sig_tot = float(sp2.sum())
-            eff = float(m_l.sum() ** 2 / sig_tot)
-            eta = math.sqrt(sig_tot) * math.sqrt(-math.log(config.p_fa))
-
             rng = rng_stream(seed, "mc", 92000, k, gi)
             if amplitude == "fixed":
                 amp = np.exp(2j * math.pi * rng.random(n_trials))
             else:
                 amp = (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
                 amp /= math.sqrt(2.0)
-            noise = math.sqrt(sig_tot / 2.0) * (rng.standard_normal(n_trials)
-                                                + 1j * rng.standard_normal(n_trials))
-            u = amp * float(m_l.sum()) + noise
-            rate = float(np.count_nonzero(np.abs(u) > eta)) / n_trials
+            unit_noise = rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
+            for scheme, by_ue in terms.items():
+                _, echo, sp2 = by_ue[k]
+                m_l = np.sqrt(scale * echo)
+                sig_tot = float(sp2.sum())
+                eff = float(m_l.sum() ** 2 / sig_tot)
+                eta = math.sqrt(sig_tot) * math.sqrt(-math.log(config.p_fa))
+                u = amp * float(m_l.sum()) + math.sqrt(sig_tot / 2.0) * unit_noise
+                rate = float(np.count_nonzero(np.abs(u) > eta)) / n_trials
+                formula = marcum_q1(math.sqrt(2.0 * eff), b)
+                points[scheme].append(PdPoint(scheme, str(k), float(scnr_db), formula, rate,
+                                              n_trials, config.p_fa))
+                agg_rows[scheme].setdefault(gi, []).append((formula, rate))
 
-            formula = marcum_q1(math.sqrt(2.0 * eff), b)
-            points.append(PdPoint(scheme, str(k), float(scnr_db), formula, rate,
-                                  n_trials, config.p_fa))
-            agg_rows.setdefault(gi, []).append((formula, rate))
-
-    for gi, rows in sorted(agg_rows.items()):
-        mean_formula = float(np.mean([r[0] for r in rows]))
-        mean_rate = float(np.mean([r[1] for r in rows]))
-        points.append(PdPoint(scheme, "aggregate", float(grid[gi]),
-                              mean_formula, mean_rate, n_trials, config.p_fa))
-    return points, scale_ref
+    out = []
+    for scheme, scheme_points in points.items():
+        out += scheme_points
+        for gi, rows in sorted(agg_rows[scheme].items()):
+            out.append(PdPoint(scheme, "aggregate", float(grid[gi]),
+                               float(np.mean([r[0] for r in rows])),
+                               float(np.mean([r[1] for r in rows])), n_trials, config.p_fa))
+    return out, scale_ref

@@ -131,11 +131,10 @@ def test_c4_detection_chain():
     sua = assoc.run_sua(dep, cfg)
     base = assoc.run_baseline(dep, cfg)
     grid = np.arange(0.0, 15.1, 2.5)
-    pts_s, scale = sense_perf.pd_monte_carlo(dep, cfg, sua.A, grid, 100000, cfg.seed, "sua")
-    pts_b, _ = sense_perf.pd_monte_carlo(dep, cfg, base.A, grid, 100000, cfg.seed,
-                                         "baseline", scale_ref=scale)
-    mc_s = {(p.ue, p.scnr_db): p.pd_mc for p in pts_s}
-    mc_b = {(p.ue, p.scnr_db): p.pd_mc for p in pts_b}
+    pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": sua.A, "baseline": base.A}, grid,
+                                       100000, cfg.seed)
+    mc_s = {(p.ue, p.scnr_db): p.pd_mc for p in pts if p.scheme == "sua"}
+    mc_b = {(p.ue, p.scnr_db): p.pd_mc for p in pts if p.scheme == "baseline"}
     ordering = all(mc_s[key] >= mc_b[key] for key in mc_s)
 
     elapsed = time.perf_counter() - t0

@@ -196,8 +196,65 @@ class TestPilotsAndEstimation:
         assert len(set(pilots[:3])) == 3  # UEs sharing AP 0 get distinct pilots
         assert pilots[3] == 0  # round-robin default
 
+    @staticmethod
+    def _assign_pilots_per_ap_loops(serving_sets, K, tau_p):
+        # the rule written as per-AP member lists: UE k avoids the pilots of
+        # the earlier UEs at each of its APs
+        pilots = np.full(K, -1, dtype=int)
+        ap_members = {}
+        for k in range(K):
+            used = set()
+            for l in serving_sets.get(k, ()):
+                for other in ap_members.get(l, ()):
+                    used.add(int(pilots[other]))
+            pilot = k % tau_p
+            for step in range(tau_p):
+                cand = (k + step) % tau_p
+                if cand not in used:
+                    pilot = cand
+                    break
+            pilots[k] = pilot
+            for l in serving_sets.get(k, ()):
+                ap_members.setdefault(l, []).append(k)
+        return pilots
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda K: st.tuples(
+        st.just(K),
+        st.dictionaries(st.integers(0, max(K - 1, 0)),
+                        st.lists(st.integers(0, 7), max_size=5), max_size=K),
+        st.integers(1, 5))))
+    def test_pilot_assignment_equals_per_ap_loops(self, case):
+        K, serving, tau_p = case
+        np.testing.assert_array_equal(channel.assign_pilots(serving, K, tau_p),
+                                      self._assign_pilots_per_ap_loops(serving, K, tau_p))
+
+    def test_pilot_assignment_edge_cases(self):
+        assert channel.assign_pilots({}, 0, 3).shape == (0,)
+        np.testing.assert_array_equal(channel.assign_pilots({}, 4, 3), [0, 1, 2, 0])
+        np.testing.assert_array_equal(channel.assign_pilots({0: [1], 1: [1]}, 2, 1), [0, 0])
+
+    def test_filters_for_selected_ues_equal_full_solve(self):
+        R = np.stack([np.stack([g * channel.local_scattering_correlation(3, a, 12.0)
+                                for g, a in ((0.8, 0.3), (1.5, -0.9), (0.4, 1.2), (1.1, 2.0))])
+                      for _ in range(2)])
+        p, pilots = np.array([0.7, 1.3, 0.4, 0.9]), [1, 0, 1, 2]
+        full = channel.mmse_estimate(R, p, 4, pilots, 0.3)
+        ues = np.array([1, 3])
+        np.testing.assert_array_equal(channel.mmse_estimate(R, p, 4, pilots, 0.3, ues),
+                                      full[:, ues])
+
 
 class TestUplinkData:
+    @pytest.mark.parametrize("n,shape", [(1, (7,)), (1, (7, 9)), (2, (7,)), (3, (7, 9)),
+                                         (5, (7, 1))])
+    def test_product_equals_per_ap_product(self, n, shape):
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((6, 7, n)) + 1j * rng.standard_normal((6, 7, n))
+        s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = channel.ul_data_rx(h, s, 0.0, rng_stream(1, "noise"))
+        np.testing.assert_array_equal(y, np.swapaxes(h, 1, 2) @ s)
+
     def test_single_ue_perfect_csi_no_noise(self):
         h = np.zeros((2, 1, 3), dtype=complex)
         h[0, 0] = np.array([1.0, 1j, 2.0])

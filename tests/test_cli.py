@@ -143,6 +143,31 @@ class TestPd:
         assert text.startswith("scheme,ue_id,scnr_db")
         assert "aggregate" in text
 
+    def test_tiny_false_alarm_rate_exit_0(self, tmp_path):
+        # a threshold of sqrt(-2 ln 1e-300) = 37.2 and SCNRs near 28 dB put the
+        # Marcum Q arguments past exp(-600)
+        out = tmp_path / "out"
+        assert cli.main(["pd", "--pfa", "1e-300", "--snr", "28:1:29", "--trials", "10",
+                         "--out", str(out)]) == 0
+        rows = (out / "pd_sua.csv").read_text().strip().split("\n")[1:]
+        formulas = [float(row.split(",")[3]) for row in rows]
+        assert formulas and all(0.0 <= f <= 1.0 for f in formulas)
+
+
+class TestSchemeOutputs:
+    @pytest.mark.parametrize("argv", [["ser", "--snr", "0:5:10", "--symbols", "400"],
+                                      ["pd", "--snr", "0:5:10", "--trials", "500"]])
+    def test_both_equals_single_scheme_runs(self, tmp_path, argv):
+        path = small_scenario(tmp_path)
+        for scheme in ("both", "sua", "baseline"):
+            assert cli.main([*argv, "--scheme", scheme, "--scenario", path,
+                             "--out", str(tmp_path / scheme)]) == 0
+        for scheme in ("sua", "baseline"):
+            name = f"{argv[0]}_{scheme}.csv"
+            assert (tmp_path / "both" / name).read_bytes() == \
+                (tmp_path / scheme / name).read_bytes(), name
+            assert [p.name for p in (tmp_path / scheme).glob(f"{argv[0]}_*.csv")] == [name]
+
 
 class TestSweepX:
     def test_runs_and_writes(self, tmp_path):

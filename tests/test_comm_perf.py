@@ -185,6 +185,29 @@ class TestSerTheory:
         assert raw == pytest.approx(3.0 * (1.0 / 3.0))  # 3 wrong symbols at the degenerate point
         assert comm_perf.ser_theory(QPSK, np.zeros(1), 1.0, 0.0, 1) == 1.0
 
+    @staticmethod
+    def _ser_theory_pair_loop(constel, alphas, sigma2, c2, N):
+        total = 0.0
+        for i in range(constel.M):
+            for j in range(constel.M):
+                if i != j:
+                    total += comm_perf.pep_average(alphas, constel.points[i] - constel.points[j],
+                                                   sigma2, c2, N)
+        return min(max(total / constel.M, 0.0), 1.0)
+
+    def test_equals_pair_loop(self):
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            alphas = rng.random(int(rng.integers(1, 12))) * 10 ** rng.uniform(-3, 3)
+            sigma2, c2 = 10 ** rng.uniform(-4, 2), 10 ** rng.uniform(-5, 1) * (trial % 4 > 0)
+            constel, N = (BPSK, QPSK)[trial % 2], int(rng.integers(1, 9))
+            assert (comm_perf.ser_theory(constel, alphas, sigma2, c2, N)
+                    == self._ser_theory_pair_loop(constel, alphas, sigma2, c2, N))
+
+    def test_pole_rejected(self):
+        with pytest.raises(ValueError, match="pole"):
+            comm_perf.ser_theory(QPSK, np.array([100.0]), -2.0, 0.0, 1)
+
     def test_residual_error_modes(self):
         assert comm_perf.residual_error_power(0.5, 30, 10, 5) == pytest.approx(0.5 * 30 / 50)
         assert comm_perf.residual_error_power(0.5, 30, 10, 5, mode="dense") == pytest.approx(0.5 * 5 * 30 / 10)

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from cfmimo import channel, sense_perf
 from cfmimo.scenario import SystemConfig, generate_deployment, rng_stream
@@ -80,6 +80,25 @@ class TestMarcumQ1:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sense_perf.marcum_q1(-1.0, 1.0)
+
+    # lam = a^2/2 or y = b^2/2 above 600, where exp(-lam) and exp(-y) leave
+    # the plain series' range and the log-domain weights take over
+    @pytest.mark.parametrize("a,b", [(36.0, 36.0), (35.5, 37.2), (37.2, 35.5), (34.0, 36.0),
+                                     (40.0, 45.0), (60.0, 55.0), (25.0, 38.0)])
+    def test_large_arguments_match_references(self, a, b):
+        q = sense_perf.marcum_q1(a, b)
+        assert abs(q - stats.ncx2.sf(b * b, 2, a * a)) < 1e-10
+        assert abs(q - marcum_quadrature(a, b)[0]) < 1e-10
+
+    def test_large_arguments_reference_value(self):
+        assert abs(sense_perf.marcum_q1(36.0, 36.0) - 0.5055413996575663) < 1e-10
+
+    def test_branches_agree_at_the_switch(self):
+        a0 = math.sqrt(1200.0)  # lam = 600
+        for b in (a0, 30.0, 40.0):
+            below = sense_perf.marcum_q1(math.nextafter(a0, 0.0), b)
+            above = sense_perf.marcum_q1(math.nextafter(a0, 99.0), b)
+            assert abs(below - above) < 1e-12
 
 
 class TestEnvelopePdfs:
@@ -172,9 +191,10 @@ class TestPdFormulas:
         assert sense_perf.pd_single(1e4, 0.01) == 1.0
         assert sense_perf.pd_single(60.0, 0.01) > 1 - 1e-9
 
-    def test_oversized_close_arguments_rejected(self):
-        with pytest.raises(ValueError, match="too large"):
-            sense_perf.marcum_q1(50.0, 49.0)
+    def test_oversized_close_arguments_evaluated(self):
+        # lam = 1250 and y = 1200.5: exp(-lam) and exp(-y) are below 1e-500
+        assert abs(sense_perf.marcum_q1(50.0, 49.0)
+                   - stats.ncx2.sf(49.0 ** 2, 2, 50.0 ** 2)) < 1e-10
 
     def test_matches_rician_monte_carlo(self):
         scnr = 10.0  # 10 dB
@@ -254,28 +274,62 @@ class TestPdMonteCarlo:
 
     def test_saturation_at_high_scnr(self):
         cfg, dep, A = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, A, [25.0], 100000, cfg.seed)
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [25.0], 100000, cfg.seed)
         agg = [p for p in pts if p.ue == "aggregate"][0]
         assert agg.pd_mc > 0.99
 
     def test_formula_tracks_mc(self):
         cfg, dep, A = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, A, np.arange(0, 15.1, 5.0),
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, np.arange(0, 15.1, 5.0),
                                            100000, cfg.seed)
         for p in pts:
             assert abs(p.pd_mc - p.pd_formula) < 2e-2
 
     def test_swerling_mode_runs(self):
         cfg, dep, A = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, A, [10.0], 20000, cfg.seed,
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [10.0], 20000, cfg.seed,
                                            amplitude="swerling1")
         agg = [p for p in pts if p.ue == "aggregate"][0]
         assert 0.0 < agg.pd_mc < 1.0
 
+    # detections out of 2000 trials per (UE, SCNR) at 0, 5 and 10 dB, stream
+    # seed 9, UEs 0, 1, 3 in turn; recorded when each scheme drew its own trials
+    PINNED_DETECTIONS = {
+        ("fixed", "sua"): [167, 731, 1888, 179, 766, 1880, 156, 752, 1864],
+        ("fixed", "baseline"): [18, 12, 18, 189, 821, 1910, 137, 643, 1779],
+        ("swerling1", "sua"): [196, 645, 1285, 198, 706, 1327, 195, 623, 1301],
+        ("swerling1", "baseline"): [20, 14, 22, 217, 737, 1351, 167, 547, 1243],
+    }
+
+    @pytest.mark.parametrize("amplitude", ["fixed", "swerling1"])
+    def test_pinned_detection_counts(self, amplitude):
+        from cfmimo import association
+        cfg, dep, A = self._scenario()
+        assocs = {"sua": A, "baseline": association.baseline_all_to_all(dep.L, dep.K)}
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, [0.0, 5.0, 10.0], 2000, 9,
+                                           amplitude=amplitude)
+        assert [p.scheme for p in pts] == ["sua"] * 12 + ["baseline"] * 12
+        for scheme in assocs:
+            got = [p.pd_mc for p in pts if p.scheme == scheme and p.ue != "aggregate"]
+            assert got == [c / 2000 for c in self.PINNED_DETECTIONS[amplitude, scheme]], scheme
+
+    def test_shared_draws_equal_one_scheme_calls(self):
+        from cfmimo import association
+        cfg, dep, A = self._scenario()
+        B = association.baseline_all_to_all(dep.L, dep.K)
+        grid = [0.0, 7.5]
+        both, ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A, "baseline": B}, grid,
+                                              1000, 4)
+        sua, sua_ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, grid, 1000, 4)
+        base, _ = sense_perf.pd_monte_carlo(dep, cfg, {"baseline": B}, grid, 1000, 4,
+                                            scale_ref=ref)
+        assert ref == sua_ref == sense_perf.pd_scale_ref(dep, cfg, A, grid)
+        assert both == sua + base
+
     def test_deterministic(self):
         cfg, dep, A = self._scenario()
-        a, _ = sense_perf.pd_monte_carlo(dep, cfg, A, [5.0], 5000, cfg.seed)
-        b, _ = sense_perf.pd_monte_carlo(dep, cfg, A, [5.0], 5000, cfg.seed)
+        a, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed)
+        b, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed)
         assert [p.pd_mc for p in a] == [p.pd_mc for p in b]
 
     def test_csv_format(self):
