@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,6 @@ KIND_JOINT = 3
 class LinkQuality:
     S: np.ndarray              # (L, K) linear link-quality metric, 0 where masked
     kind: np.ndarray           # (L, K) metric tag per cell
-    clutter_w: np.ndarray      # (L, K) clutter power, NaN where not evaluated
-    clutter_count: np.ndarray  # (L, K) lobe scatterer count, -1 where not evaluated
 
 
 def link_quality(deployment: Deployment, config: SystemConfig,
@@ -63,23 +60,19 @@ def link_quality(deployment: Deployment, config: SystemConfig,
 
     S = np.zeros((L, K))
     kind = np.full((L, K), KIND_MASKED, dtype=np.int8)
-    clut_w = np.full((L, K), np.nan)
-    clut_n = np.full((L, K), -1, dtype=int)
 
     svc = np.asarray(deployment.ue_service)[None, :]
     com = evaluate & (svc == ServiceType.COM)
     S[com] = snr[com]
     kind[com] = KIND_SNR
     l_idx, k_idx = np.nonzero(evaluate & (svc != ServiceType.COM))
-    pc, cnt = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
-                                      budget.distance_m[l_idx, k_idx])
-    clut_w[l_idx, k_idx] = pc
-    clut_n[l_idx, k_idx] = cnt
+    pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
+                                    budget.distance_m[l_idx, k_idx])
     scnr = p_r_w[l_idx, k_idx] / (pc + n0)
     sense = svc[0, k_idx] == ServiceType.SENSE
     S[l_idx, k_idx] = np.where(sense, scnr, config.w_c * snr[l_idx, k_idx] + config.w_s * scnr)
     kind[l_idx, k_idx] = np.where(sense, KIND_SCNR, KIND_JOINT)
-    return LinkQuality(S=S, kind=kind, clutter_w=clut_w, clutter_count=clut_n)
+    return LinkQuality(S=S, kind=kind)
 
 
 def priorities(S: np.ndarray) -> np.ndarray:
@@ -115,7 +108,6 @@ def served_counts(A: np.ndarray):
 class OptimizerReport:
     objective: float
     psi: float
-    solve_time_s: float
     method: str
     integral: bool
 
@@ -256,13 +248,10 @@ def optimize(S, R, M, tau_p: int, X: int):
     per AP, at most X APs per UE, and a <= M elementwise.
     """
     w, M = _check_instance(S, R, M, tau_p, X)
-    t0 = time.perf_counter()
     A = _solve_flow(w, M, tau_p, X)
-    dt = time.perf_counter() - t0
     report = OptimizerReport(
         objective=objective_value(w, A),
         psi=sparsity_psi(M),
-        solve_time_s=dt,
         method="flow-exact",
         integral=bool(((A == 0) | (A == 1)).all()),
     )

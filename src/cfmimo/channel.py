@@ -1,4 +1,5 @@
-"""Propagation, fading, pilot-based estimation, echo synthesis, DFRC covariance."""
+"""Propagation, spatial correlation, pilot-based MMSE estimation, uplink data and
+MR combining, and the clutter returns inside each link's sensing lobe."""
 
 from __future__ import annotations
 
@@ -24,16 +25,8 @@ def db_to_lin(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def lin_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
-
-
 def dbm_to_watts(dbm):
     return 10.0 ** ((np.asarray(dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(w):
-    return 10.0 * np.log10(np.asarray(w, dtype=float)) + 30.0
 
 
 def path_loss_db(params: PathLossParams, d_m, shadow_db=0.0):
@@ -76,11 +69,7 @@ def link_budget(deployment: Deployment, config: SystemConfig) -> LinkBudget:
     return LinkBudget(distance_m=d, shadow_db=shadow, pl_db=pl, rssi_dbm=rs, gain_lin=db_to_lin(-pl))
 
 
-def received_power_dbm(budget: LinkBudget, l: int, k: int) -> float:
-    return float(budget.p_r_dbm[l, k])
-
-
-# --- spatial correlation and small-scale fading -----------------------------
+# --- spatial correlation ----------------------------------------------------
 
 def local_scattering_correlation(n_antennas: int, nominal_angle_rad,
                                  spread_deg: float) -> np.ndarray:
@@ -127,15 +116,6 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
     C = local_scattering_correlation(N, np.arctan2(diff[..., 1], diff[..., 0]),
                                      config.angular_spread_deg)
     return C, correlation_sqrt(C)
-
-
-def draw_channel(R: np.ndarray, beta: float, rng: np.random.Generator, size: int | None = None):
-    """Correlated Rayleigh draws h = sqrt(beta) R^(1/2) w, w ~ CN(0, I)."""
-    n = R.shape[0]
-    shape = (n,) if size is None else (size, n)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    half = correlation_sqrt(R)
-    return math.sqrt(beta) * w @ half.T
 
 
 # --- pilots and MMSE estimation (stacked over APs and UEs) ---------------------
@@ -268,17 +248,7 @@ def mr_combine(combiners, y_by_ap):
                         axes=([0, 2], [0, 1]))
 
 
-# --- sensing: array response, echo synthesis, clutter geometry ---------------
-
-def array_response(phi: float, theta: float, n_antennas: int) -> np.ndarray:
-    """ULA steering vector, entries exp(j n pi sin(phi) cos(theta))."""
-    n = np.arange(n_antennas)
-    return np.exp(1j * math.pi * n * math.sin(phi) * math.cos(theta))
-
-
-def bearing(src, dst) -> float:
-    return math.atan2(float(dst[1]) - float(src[1]), float(dst[0]) - float(src[0]))
-
+# --- sensing: clutter geometry and lobe returns ------------------------------
 
 @dataclass
 class ClutterGeometry:
@@ -354,45 +324,3 @@ def clutter_return(geom: ClutterGeometry, deployment: Deployment, config: System
     """Clutter power (W) and scatterer count inside the (l, k) sensing lobe."""
     power, count = clutter_returns(geom, deployment, config, [l], [k], [link_dist])
     return float(power[0]), int(count[0])
-
-
-def synth_echo(ap_pos, target_pos, x, config: SystemConfig, clutter_var_w: float,
-               noise_var_w: float, rng: np.random.Generator, n_trials: int | None = None,
-               rcs_amplitude: complex | None = None):
-    """Monostatic echo over one dwell: target reflection + clutter + noise.
-
-    x is the (N, L_d) transmit matrix over the dwell. The RCS coefficient is
-    drawn once per dwell (Swerling-I) unless rcs_amplitude pins it. Returns
-    (N, L_d), or (n_trials, N, L_d) with independent dwells.
-    """
-    x = np.asarray(x, dtype=complex)
-    n, l_d = x.shape
-    if l_d < 1:
-        raise ValueError("need at least one sensing symbol")
-    phi = bearing(ap_pos, target_pos)
-    a = array_response(phi, 0.0, n)
-    d = max(math.hypot(target_pos[0] - ap_pos[0], target_pos[1] - ap_pos[1]),
-            config.pathloss.d0_m)
-    beta_2way = float(db_to_lin(-2.0 * path_loss_db(config.pathloss, d)))
-    t = 1 if n_trials is None else n_trials
-
-    if rcs_amplitude is None:
-        alpha = math.sqrt(config.sigma_rcs / 2.0) * (rng.standard_normal(t) + 1j * rng.standard_normal(t))
-    else:
-        alpha = np.full(t, complex(rcs_amplitude))
-    target = alpha[:, None, None] * math.sqrt(beta_2way) * np.outer(a, a @ x)[None, :, :]
-
-    h_c = (rng.standard_normal((t, n, n)) + 1j * rng.standard_normal((t, n, n))) / math.sqrt(2.0)
-    clutter = math.sqrt(clutter_var_w / n) * np.einsum("tij,jm->tim", h_c, x)
-
-    noise = math.sqrt(noise_var_w / 2.0) * (rng.standard_normal((t, n, l_d)) + 1j * rng.standard_normal((t, n, l_d)))
-    y = target + clutter + noise
-    return y[0] if n_trials is None else y
-
-
-def dfrc_covariance(W: np.ndarray):
-    """Transmit covariance R = W W^H and the per-stream rank-1 terms."""
-    W = np.atleast_2d(np.asarray(W, dtype=complex))
-    R = W @ W.conj().T
-    per_stream = np.einsum("ng,mg->gnm", W, W.conj())
-    return R, per_stream

@@ -6,7 +6,6 @@ import argparse
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -103,7 +102,6 @@ def cmd_validate(args) -> int:
 def cmd_associate(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
-    t0 = time.perf_counter()
     budget, geom = _deployment_state(deployment, cfg)
     run = {"sua": association.run_sua, "baseline": association.run_baseline}
     results = {s: run[s](deployment, cfg, budget, geom) for s in _schemes(args)}
@@ -118,8 +116,7 @@ def cmd_associate(args) -> int:
         obj = res.report.objective if res.report else float((res.quality.S * res.prio * res.A).sum())
         print(f"{scheme}: psi={psi:.4f} objective={obj:.6g} active_aps={active} "
               f"max_ues_per_ap={int(per_ap.max())} max_aps_per_ue={int(per_ue.max())}")
-    rep = report.build_report("associate", cfg, cfg.seed, tables,
-                              time.perf_counter() - t0)
+    rep = report.build_report("associate", cfg, cfg.seed, tables)
     atomic_write(os.path.join(args.out, "associate_report.json"), rep.to_json())
     return EXIT_OK
 
@@ -127,7 +124,6 @@ def cmd_associate(args) -> int:
 def cmd_ser(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
-    t0 = time.perf_counter()
     schemes = _schemes(args)
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
@@ -147,7 +143,7 @@ def cmd_ser(args) -> int:
     for scheme in schemes:
         single = comm_perf.ser_csv({scheme: by_scheme[scheme]})
         atomic_write(os.path.join(args.out, f"ser_{scheme}.csv"), single)
-    rep = report.build_report("ser", cfg, cfg.seed, {"ser": csv}, time.perf_counter() - t0)
+    rep = report.build_report("ser", cfg, cfg.seed, {"ser": csv})
     atomic_write(os.path.join(args.out, "ser_report.json"), rep.to_json())
     print(f"ser: {len(grid)} SNR points x {len(schemes)} scheme(s), "
           f"{args.symbols} symbols/point -> {args.out}")
@@ -160,7 +156,6 @@ def cmd_pd(args) -> int:
         cfg.p_fa = args.pfa
         cfg.validate()
     deployment = generate_deployment(cfg)
-    t0 = time.perf_counter()
     schemes = _schemes(args)
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
@@ -174,8 +169,7 @@ def cmd_pd(args) -> int:
     for scheme in schemes:
         atomic_write(os.path.join(args.out, f"pd_{scheme}.csv"),
                      sense_perf.pd_csv([p for p in all_points if p.scheme == scheme]))
-    rep = report.build_report("pd", cfg, cfg.seed, {"pd": sense_perf.pd_csv(all_points)},
-                              time.perf_counter() - t0)
+    rep = report.build_report("pd", cfg, cfg.seed, {"pd": sense_perf.pd_csv(all_points)})
     atomic_write(os.path.join(args.out, "pd_report.json"), rep.to_json())
     print(f"pd: {len(grid)} SCNR points x {len(schemes)} scheme(s), "
           f"{args.trials} trials/point -> {args.out}")
@@ -185,14 +179,12 @@ def cmd_pd(args) -> int:
 def cmd_sweep_x(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
-    t0 = time.perf_counter()
     xs = [int(v) for v in parse_range(args.x_range)]
     points = net_metrics.x_sweep_gain(deployment, cfg, xs)
     knee = net_metrics.detect_knee(points)
     csv = net_metrics.gain_csv(points)
     atomic_write(os.path.join(args.out, "sweep-x_sua.csv"), csv)
-    rep = report.build_report("sweep-x", cfg, cfg.seed, {"gain": csv},
-                              time.perf_counter() - t0)
+    rep = report.build_report("sweep-x", cfg, cfg.seed, {"gain": csv})
     atomic_write(os.path.join(args.out, "sweep-x_report.json"), rep.to_json())
     print(f"sweep-x: knee at x={knee}")
     return EXIT_OK
@@ -201,7 +193,6 @@ def cmd_sweep_x(args) -> int:
 def cmd_netmetrics(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
-    t0 = time.perf_counter()
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, ("sua", "baseline"), budget, geom)
     model = net_metrics.EnergyModel()
@@ -223,8 +214,7 @@ def cmd_netmetrics(args) -> int:
                                          budget=budget, geom=geom)
     atomic_write(os.path.join(args.out, "netmetrics_runtime.csv"),
                  net_metrics.runtime_csv(rt))
-    rep = report.build_report("netmetrics", cfg, cfg.seed, tables,
-                              time.perf_counter() - t0)
+    rep = report.build_report("netmetrics", cfg, cfg.seed, tables)
     atomic_write(os.path.join(args.out, "netmetrics_report.json"), rep.to_json())
     print(f"netmetrics: sua runtime {rt.sua_s * 1e3:.2f} ms vs baseline {rt.baseline_s * 1e3:.2f} ms "
           f"({(1 - rt.sua_s / rt.baseline_s) * 100:.1f}% faster)")

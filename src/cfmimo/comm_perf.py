@@ -1,4 +1,4 @@
-"""Communication performance: Q kernels, pairwise error probabilities, SER."""
+"""Communication performance: closed-form and Monte-Carlo symbol error rates."""
 
 from __future__ import annotations
 
@@ -57,85 +57,26 @@ def q_exact(x):
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def q_approx(x):
-    """Two-exponential surrogate exp(-x^2/2)/12 + exp(-2x^2/3)/4, x >= 0."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise ValueError("q_approx is defined for x >= 0")
-    out = np.exp(-xs ** 2 / 2.0) / 12.0 + np.exp(-2.0 * xs ** 2 / 3.0) / 4.0
-    return float(out) if xs.ndim == 0 else out
-
-
-def pep_conditioned(h_hat, s_i: complex, s_j: complex, Sigma) -> float:
-    """Pairwise error probability conditioned on a channel estimate.
-
-    Q(||u||^2 / sqrt(2 u^H Sigma u)) with u = h_hat (s_i - s_j); the general
-    covariance form of the ML-detector bound.
-    """
-    if s_i == s_j:
-        raise ValueError("identical symbols have no pairwise error event")
-    u = np.asarray(h_hat, dtype=complex) * (s_i - s_j)
-    num = float(np.vdot(u, u).real)
-    quad = float(np.vdot(u, np.asarray(Sigma, dtype=complex) @ u).real)
-    if quad <= 0.0:
-        return 0.5 if num == 0.0 else 0.0
-    return q_exact(num / math.sqrt(2.0 * quad))
-
-
-def pep_conditioned_diag(h_hat, s_i: complex, s_j: complex, sigma2: float, b2: float) -> float:
-    """Diagonal-covariance reduction Q(||u|| / sqrt(2 (sigma2 + b2)))."""
-    n = np.asarray(h_hat, dtype=complex).size
-    return pep_conditioned(h_hat, s_i, s_j, (sigma2 + b2) * np.eye(n))
-
-
 def effective_alpha(p: float, tau_p: int, beta, sigma2: float, X: int):
     """Per-link effective estimate variance p tau_p beta^2 / (p tau_p beta + X sigma2)."""
     beta = np.asarray(beta, dtype=float)
     return p * tau_p * beta ** 2 / (p * tau_p * beta + X * sigma2)
 
 
-def residual_error_power(sigma2: float, K: int, tau_p: int, X: int, mode: str = "sparse") -> float:
-    """Aggregate channel-estimation-error power.
-
-    "sparse" gives c^2 = sigma2 K / (tau_p X), the term the final SER uses;
-    "dense" gives the alternate b^2 = sigma2 X K / tau_p.
-    """
-    if mode == "sparse":
-        return sigma2 * K / (tau_p * X)
-    if mode == "dense":
-        return sigma2 * X * K / tau_p
-    raise ValueError(f"unknown mode {mode!r}")
+def residual_error_power(sigma2: float, K: int, tau_p: int, X: int) -> float:
+    """Aggregate channel-estimation-error power c^2 = sigma2 K / (tau_p X)."""
+    return sigma2 * K / (tau_p * X)
 
 
-def mgf_gamma(t: float, alphas, deltas, N: int) -> float:
-    """MGF of the effective signal strength: prod_l (1 - t sum_k a_lk |d_k|^2)^(-N)."""
-    a = np.atleast_1d(np.asarray(alphas, dtype=float))
-    d2 = np.abs(np.asarray(deltas, dtype=complex)) ** 2
-    if a.ndim == 2:
-        link_sums = a @ np.atleast_1d(d2)
-    else:
-        link_sums = a * d2
-    link_sums = np.atleast_1d(link_sums)
-    terms = 1.0 - t * link_sums
-    if np.any(terms <= 0.0):
-        raise ValueError("MGF evaluated beyond its pole (1 - t*s <= 0)")
-    return float(np.prod(terms ** (-float(N))))
+def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int) -> float:
+    """Closed-form SER, clamped to [0, 1]: the union bound
+    sum_{i != j} PEP(i -> j) / M over the ordered symbol pairs.
 
-
-def pep_average(alphas, delta: complex, sigma2: float, c2: float, N: int) -> float:
-    """Fading-averaged pairwise error probability via the two-point MGF rule."""
-    D = 2.0 * (sigma2 + c2)
-    return (mgf_gamma(-1.0 / (4.0 * D), alphas, delta, N) / 12.0
-            + mgf_gamma(-1.0 / (3.0 * D), alphas, delta, N) / 4.0)
-
-
-def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int,
-               clamp: bool = True) -> float:
-    """Closed-form SER: average pairwise error over all ordered symbol pairs.
-
-    `pep_average` of every pair (i, j), i != j, as one array expression over
-    the pairs and the links of `alphas`; the pair terms are then added in
-    (i, j) order, one after the other.
+    With D = 2 (sigma2 + c2) and s_l = alpha_l |s_i - s_j|^2, PEP(i -> j) is
+    the two-exponential Q approximation averaged over the fading,
+    MGF(-1/(4D)) / 12 + MGF(-1/(3D)) / 4 with MGF(t) = prod_l (1 - t s_l)^-N.
+    All pairs and links are one array expression; the pair terms are then
+    added in (i, j) order, one after the other.
     """
     pts = constel.points
     i, j = np.nonzero(~np.eye(constel.M, dtype=bool))
@@ -151,21 +92,7 @@ def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int,
     total = 0.0
     for pep in (mgf[0] / 12.0 + mgf[1] / 4.0).tolist():
         total += pep
-    ser = total / constel.M
-    return min(max(ser, 0.0), 1.0) if clamp else ser
-
-
-def ser_awgn_approx(constel: Constellation, snr_lin: float) -> float:
-    """Conditioned SER of a unit channel in AWGN with the two-exponential kernel."""
-    sigma2 = 1.0 / snr_lin
-    total = 0.0
-    for i in range(constel.M):
-        for j in range(constel.M):
-            if i == j:
-                continue
-            d = abs(constel.points[i] - constel.points[j])
-            total += q_approx(d ** 2 / math.sqrt(2.0 * sigma2 * d ** 2))
-    return min(total / constel.M, 1.0)
+    return min(max(total / constel.M, 0.0), 1.0)
 
 
 def wilson_halfwidth(errors: int, n: int, z: float = 1.959963984540054) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfmimo import association, channel
-from cfmimo.scenario import Deployment, InfeasibleModelError, SystemConfig
+from cfmimo.scenario import Deployment, InfeasibleModelError, SystemConfig, ValidationError
 
 
 @dataclass
@@ -51,7 +51,6 @@ def energy_total(A, model: EnergyModel) -> float:
 @dataclass
 class ClutterReport:
     links: list            # (ap_id, ue_id, count) over selected links
-    per_ap: np.ndarray     # summed counts over each AP's selected links
     mean: float
     min: int
     max: int
@@ -70,12 +69,9 @@ def clutter_counts(deployment: Deployment, config: SystemConfig, A,
     _, counts = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                         budget.distance_m[l_idx, k_idx])
     links = list(zip(l_idx.tolist(), k_idx.tolist(), counts.tolist()))
-    per_ap = np.zeros(deployment.L, dtype=int)
-    np.add.at(per_ap, l_idx, counts)
     if counts.size == 0:
-        return ClutterReport(links, per_ap, 0.0, 0, 0)
-    return ClutterReport(links, per_ap, float(counts.mean()), int(counts.min()),
-                         int(counts.max()))
+        return ClutterReport(links, 0.0, 0, 0)
+    return ClutterReport(links, float(counts.mean()), int(counts.min()), int(counts.max()))
 
 
 @dataclass
@@ -143,25 +139,25 @@ class GainPoint:
 RESIDUAL_LEAKAGE = 0.7
 
 
-def x_sweep_gain(deployment: Deployment, config: SystemConfig, x_range,
-                 leakage: float = RESIDUAL_LEAKAGE) -> list[GainPoint]:
+def x_sweep_gain(deployment: Deployment, config: SystemConfig, x_range) -> list[GainPoint]:
     """Processing gain versus the per-UE AP budget.
 
     Ideal gain is coherent combining of x equal-quality links, 10 log10(x).
     Real gain applies the same combining to x equal-quality branches whose
     noise floors carry residual inter-link interference from co-scheduled
     associations; the expected co-scheduling load per branch is x (K-1) / L,
-    so combined SINR grows like x / (1 + leakage * load(x)), normalized to
-    x = 1.
+    so combined SINR grows like x / (1 + RESIDUAL_LEAKAGE * load(x)),
+    normalized to x = 1.
     """
     xs = sorted(int(x) for x in x_range)
     if xs[0] < 1 or xs[-1] > deployment.L - 1:
-        raise ValueError("x_range must lie within [1, L-1]")
+        raise ValidationError(f"x range {xs[0]}:{xs[-1]} must lie within [1, L-1] = "
+                              f"[1, {deployment.L - 1}]")
     load_rate = (deployment.K - 1) / deployment.L
     points = []
-    base = 1.0 / (1.0 + leakage * load_rate)
+    base = 1.0 / (1.0 + RESIDUAL_LEAKAGE * load_rate)
     for x in xs:
-        sinr = x / (1.0 + leakage * load_rate * x)
+        sinr = x / (1.0 + RESIDUAL_LEAKAGE * load_rate * x)
         points.append(GainPoint(x, 10.0 * math.log10(x),
                                 10.0 * math.log10(sinr / base)))
     return points

@@ -46,26 +46,23 @@ class MetricReport:
     digest: str
     seed: int
     tables: dict            # name -> {"schema": str, "csv": str}
-    wall_time_s: float
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "experiment": self.experiment,
             "digest": self.digest,
             "seed": self.seed,
             "tables": self.tables,
         }
-        if include_timing:
-            doc["wall_time_s"] = self.wall_time_s
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def build_report(experiment: str, config: SystemConfig, seed: int,
-                 tables: dict[str, str], wall_time_s: float = 0.0) -> MetricReport:
+                 tables: dict[str, str]) -> MetricReport:
     """Assemble one experiment's tables with provenance.
 
-    Timing is carried on the object but kept out of the serialized document so
-    identical runs produce byte-identical files.
+    The report holds no wall-clock time, so identical runs produce
+    byte-identical files.
     """
     if not tables:
         raise ValueError("refusing to build an empty report")
@@ -79,7 +76,6 @@ def build_report(experiment: str, config: SystemConfig, seed: int,
         digest=config_digest(config, seed),
         seed=int(seed),
         tables=named,
-        wall_time_s=wall_time_s,
     )
 
 
@@ -90,7 +86,6 @@ def parse_report(text: str) -> MetricReport:
         digest=doc["digest"],
         seed=int(doc["seed"]),
         tables=doc["tables"],
-        wall_time_s=float(doc.get("wall_time_s", 0.0)),
     )
 
 
@@ -111,5 +106,4 @@ def merge_reports(reports: list[MetricReport]) -> MetricReport:
         digest=reports[0].digest,
         seed=reports[0].seed,
         tables=tables,
-        wall_time_s=sum(r.wall_time_s for r in reports),
     )

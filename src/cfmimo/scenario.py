@@ -194,12 +194,6 @@ class Deployment:
         return np.array([k for k in range(self.K) if int(self.ue_service[k]) in wanted], dtype=int)
 
 
-def distance(a, b, floor: float = 0.0) -> float:
-    """Euclidean distance, clamped below at `floor` (the pathloss reference distance)."""
-    d = math.hypot(float(a[0]) - float(b[0]), float(a[1]) - float(b[1]))
-    return max(d, floor)
-
-
 def service_counts(K: int, mix: ServiceMix) -> tuple[int, int, int]:
     """Largest-remainder apportionment of K UEs over (com, sense, jcas)."""
     quotas = [K * f for f in mix.as_tuple()]
@@ -277,11 +271,15 @@ def config_to_dict(config: SystemConfig) -> dict:
 
 
 def load_scenario(path: str) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"scenario file is not valid JSON: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"scenario file is not valid JSON: {e}") from e
+    except OSError as e:  # its message names the file
+        raise ValidationError(f"cannot read scenario file: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"cannot read scenario file {path!r}: {e}") from e
     if not isinstance(data, dict):
         raise ValidationError("scenario file must contain a JSON object")
     return config_from_dict(data)

@@ -1,4 +1,6 @@
-"""Sensing performance: special functions, GLRT chain, detection probability."""
+"""Sensing performance: Bessel and Marcum Q functions, envelope densities, the
+envelope detector's threshold, and closed-form and Monte-Carlo detection
+probability."""
 
 from __future__ import annotations
 
@@ -183,37 +185,11 @@ def detection_threshold(cfg: DetectionConfig) -> float:
     return math.sqrt(cfg.sigma_phi2) * math.sqrt(-math.log(cfg.p_fa))
 
 
-def glrt_statistic(y, s, Sigma, Phi=None) -> float:
-    """Linear detector statistic 2 Re{y^H Sigma^-1 Phi s}."""
-    y = np.asarray(y, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    Sigma = np.asarray(Sigma, dtype=complex)
-    template = s if Phi is None else np.asarray(Phi, dtype=complex) @ s
-    try:
-        x = np.linalg.solve(Sigma, template)
-    except np.linalg.LinAlgError as e:
-        raise ValueError("detector covariance is singular") from e
-    return 2.0 * float(np.vdot(y, x).real)
-
-
-def glrt_combined(ys, ss, Sigmas, Phi=None) -> float:
-    """Sum of per-AP statistics for a multi-AP serving set."""
-    return sum(glrt_statistic(y, s, Sig, Phi) for y, s, Sig in zip(ys, ss, Sigmas))
-
-
 def pd_single(scnr: float, p_fa: float) -> float:
     """Detection probability Q1(sqrt(2 SCNR), sqrt(-2 ln P_FA))."""
     if scnr < 0:
         raise ValueError("scnr must be >= 0")
     return marcum_q1(math.sqrt(2.0 * scnr), math.sqrt(-2.0 * math.log(p_fa)))
-
-
-def pd_aggregate(scnrs, p_fa: float) -> float:
-    """Detection probability with the serving set's SCNRs combined."""
-    arr = np.atleast_1d(np.asarray(scnrs, dtype=float))
-    if arr.size == 0:
-        raise ValueError("empty serving set")
-    return pd_single(float(arr.sum()), p_fa)
 
 
 # --- Monte-Carlo chains -------------------------------------------------------
@@ -350,7 +326,6 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
         raise ValueError(f"unknown amplitude mode {amplitude!r}")
     terms = {scheme: _sensing_link_terms(deployment, config, A, budget, geom)
              for scheme, A in assocs.items()}
-    b = math.sqrt(-2.0 * math.log(config.p_fa))
 
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
     if scale_ref is None:
@@ -370,13 +345,12 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
             unit_noise = rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
             for scheme, by_ue in terms.items():
                 _, echo, sp2 = by_ue[k]
-                m_l = np.sqrt(scale * echo)
                 sig_tot = float(sp2.sum())
-                eff = float(m_l.sum() ** 2 / sig_tot)
-                eta = math.sqrt(sig_tot) * math.sqrt(-math.log(config.p_fa))
-                u = amp * float(m_l.sum()) + math.sqrt(sig_tot / 2.0) * unit_noise
+                eta = detection_threshold(DetectionConfig(config.p_fa, sig_tot))
+                m_tot = float(np.sqrt(scale * echo).sum())
+                u = amp * m_tot + math.sqrt(sig_tot / 2.0) * unit_noise
                 rate = float(np.count_nonzero(np.abs(u) > eta)) / n_trials
-                formula = marcum_q1(math.sqrt(2.0 * eff), b)
+                formula = pd_single(effective_scnr(echo, sp2, scale), config.p_fa)
                 points[scheme].append(PdPoint(scheme, str(k), float(scnr_db), formula, rate,
                                               n_trials, config.p_fa))
                 agg_rows[scheme].setdefault(gi, []).append((formula, rate))

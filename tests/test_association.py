@@ -49,9 +49,31 @@ class TestMask:
 
 
 class TestLinkQuality:
-    def test_joint_weighting(self):
-        # w_c*SNR + w_s*SCNR with the default (0.4, 0.6) weights
-        assert 0.4 * 10.0 + 0.6 * 5.0 == pytest.approx(7.0)
+    def test_joint_weighting(self, desk):
+        # JCAS cells hold w_c*SNR + w_s*SCNR and SENSE cells the SCNR, with the
+        # clutter from channel.clutter_returns on the same links
+        cfg, dep, budget, geom = desk
+        m, _ = assoc.mask(dep, cfg, budget)
+        q = assoc.link_quality(dep, cfg, budget, m, geom)
+        n0 = cfg.noise_power_w()
+        p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
+        cells = {assoc.KIND_JOINT: 0, assoc.KIND_SCNR: 0}
+        cluttered = 0
+        for k in dep.ue_indices(ServiceType.SENSE, ServiceType.JCAS):
+            rows = np.flatnonzero(m[:, k] == 1)
+            pc, _ = channel.clutter_returns(geom, dep, cfg, rows, np.full(rows.size, k),
+                                            budget.distance_m[rows, k])
+            snr, scnr = p_r_w[rows, k] / n0, p_r_w[rows, k] / (pc + n0)
+            if dep.ue_service[k] == ServiceType.JCAS:
+                kind, expect = assoc.KIND_JOINT, cfg.w_c * snr + cfg.w_s * scnr
+            else:
+                kind, expect = assoc.KIND_SCNR, scnr
+            np.testing.assert_allclose(q.S[rows, k], expect, rtol=1e-12)
+            assert np.all(q.kind[rows, k] == kind)
+            cells[kind] += rows.size
+            cluttered += int(np.count_nonzero(pc > 0))
+        # both kinds occur, and clutter separates the SCNR from the SNR
+        assert min(cells.values()) > 0 and cluttered > 0
 
     def test_masked_cells_zero(self, desk):
         cfg, dep, budget, geom = desk

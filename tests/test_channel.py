@@ -64,40 +64,48 @@ class TestLinkBudget:
         cfg = SystemConfig(L=5, K=2, X=2, tau_p=2, seed=3)
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
-        assert channel.received_power_dbm(budget, 2, 1) == budget.rssi_dbm[2, 1]
+        np.testing.assert_array_equal(budget.p_r_dbm, budget.rssi_dbm)
 
     def test_plain_arithmetic(self):
         # P_t 30 dBm over a 90 dB loss
         assert channel.rssi_dbm(30.0, 90.0) == -60.0
 
 
+def colored_draws(R, beta, rng, n):
+    """n draws sqrt(beta) R^(1/2) w, w ~ CN(0, I): the fading rule of the SER
+    Monte-Carlo, with the square root from `channel.correlation_sqrt`."""
+    w = rng.standard_normal((n, R.shape[0])) + 1j * rng.standard_normal((n, R.shape[0]))
+    return math.sqrt(beta) * (w / math.sqrt(2.0)) @ channel.correlation_sqrt(R).T
+
+
 class TestFading:
+    R = channel.local_scattering_correlation(4, 0.7, 15.0)
+
     def test_sample_covariance_matches_r(self):
-        rng = rng_stream(42, "fading")
-        h = channel.draw_channel(np.eye(4), 1.0, rng, size=100000)
-        emp = (h.conj().T @ h) / h.shape[0]
-        assert np.linalg.norm(emp - np.eye(4)) / np.linalg.norm(np.eye(4)) < 0.02
+        h = colored_draws(self.R, 1.0, rng_stream(42, "fading"), 100000)
+        emp = (h.T @ h.conj()) / h.shape[0]
+        assert np.linalg.norm(emp - self.R) / np.linalg.norm(self.R) < 0.02
 
     def test_mean_energy_is_beta_n(self):
-        h = channel.draw_channel(np.eye(3), 2.0, rng_stream(7, "fading"), size=100000)
+        h = colored_draws(self.R, 2.0, rng_stream(7, "fading"), 100000)
         energy = float((np.abs(h) ** 2).sum(axis=1).mean())
-        assert abs(energy - 6.0) / 6.0 < 0.02
+        assert abs(energy - 8.0) / 8.0 < 0.02
 
     def test_zero_beta_gives_zero(self):
-        h = channel.draw_channel(np.eye(3), 0.0, rng_stream(1, "fading"))
+        h = colored_draws(np.eye(3), 0.0, rng_stream(1, "fading"), 1)
         assert np.all(h == 0)
+        assert np.all(channel.correlation_sqrt(np.zeros((3, 3))) == 0)
 
     def test_rank_one_correlation_confines_draws(self):
+        # the eigenvalue-dust clamp keeps draws exactly in the span of v
         v = np.array([1.0, 1j, -1.0]) / math.sqrt(3)
-        R = np.outer(v, v.conj())
-        h = channel.draw_channel(R, 1.0, rng_stream(3, "fading"), size=100)
+        h = colored_draws(np.outer(v, v.conj()), 1.0, rng_stream(3, "fading"), 100)
         residual = h - np.outer(h @ v.conj(), v)
         assert np.abs(residual).max() < 1e-10
 
     def test_non_psd_rejected(self):
-        R = np.diag([1.0, -0.5])
         with pytest.raises(ValueError, match="PSD"):
-            channel.draw_channel(R, 1.0, rng_stream(1, "fading"))
+            channel.correlation_sqrt(np.diag([1.0, -0.5]))
 
     def test_stacked_correlation_and_square_root(self):
         angles = np.array([[0.4, -1.1], [2.0, 0.0]])
@@ -179,7 +187,8 @@ class TestPilotsAndEstimation:
         # the error power is the MMSE g - p tau g^2 / (p tau g + s2)
         rng = rng_stream(9, "fading")
         g, p, tau, s2, n = 1.0, 1.0, 4, 0.5, 100000
-        h = channel.draw_channel(np.eye(1), g, rng, size=n)[:, None, :]
+        h = math.sqrt(g / 2.0) * (rng.standard_normal((n, 1, 1))
+                                  + 1j * rng.standard_normal((n, 1, 1)))
         y = channel.pilot_rx(h, p, tau, [0], s2, rng)
         filt = channel.mmse_estimate(np.full((n, 1, 1, 1), g), p, tau, [0], s2)
         est = (filt @ y[..., None])[:, 0, 0, 0]
@@ -285,83 +294,6 @@ class TestUplinkData:
         np.testing.assert_allclose(channel.mr_combine(v, y), [1.0])
 
 
-class TestArrayResponse:
-    def test_broadside_all_ones(self):
-        np.testing.assert_allclose(channel.array_response(0.0, 0.0, 4), np.ones(4))
-
-    def test_endfire_two_elements(self):
-        a = channel.array_response(math.pi / 2, 0.0, 2)
-        np.testing.assert_allclose(a, [1.0, -1.0], atol=1e-12)
-
-    @given(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2),
-           st.integers(1, 16))
-    def test_unit_modulus_and_norm(self, phi, theta, n):
-        a = channel.array_response(phi, theta, n)
-        np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
-        assert np.vdot(a, a).real == pytest.approx(n)
-
-
-class TestEcho:
-    CFG = SystemConfig(seed=1)
-
-    def test_silent_without_target_and_clutter(self):
-        x = np.ones((3, 4), dtype=complex)
-        cfg = SystemConfig(sigma_rcs=0.0, seed=1)
-        y = channel.synth_echo((0, 0), (50, 0), x, cfg, 0.0, 0.0, rng_stream(1, "fading"))
-        np.testing.assert_allclose(y, 0.0, atol=1e-15)
-
-    def test_rank_one_target_return(self):
-        x = (np.arange(8).reshape(2, 4) + 1.0).astype(complex)
-        y = channel.synth_echo((0, 0), (80, 20), x, self.CFG, 0.0, 0.0,
-                               rng_stream(2, "fading"))
-        assert np.linalg.matrix_rank(y, tol=1e-12 * np.abs(y).max()) == 1
-
-    def test_energy_matches_analytic_expectation(self):
-        x = (np.ones((5, 16)) + 0j) / math.sqrt(5)
-        y = channel.synth_echo((0, 0), (60, 30), x, self.CFG, 0.0, 0.0,
-                               rng_stream(5, "fading"), n_trials=100000)
-        emp = float((np.abs(y) ** 2).sum(axis=(1, 2)).mean())
-        d = math.hypot(60, 30)
-        beta2 = float(channel.db_to_lin(-2 * channel.path_loss_db(self.CFG.pathloss, d)))
-        a = channel.array_response(channel.bearing((0, 0), (60, 30)), 0.0, 5)
-        expect = self.CFG.sigma_rcs * beta2 * float((np.abs(a @ x) ** 2).sum()) * 5
-        # MC standard error of a mean of |alpha|^2-driven energies
-        se = expect * math.sqrt(2.0 / 100000)  # |alpha|^2 is exponential: std = mean
-        assert abs(emp - expect) < 3 * se
-
-    def test_swerling_amplitude_constant_within_dwell(self):
-        x = np.ones((2, 6), dtype=complex)
-        y = channel.synth_echo((0, 0), (40, 0), x, self.CFG, 0.0, 0.0,
-                               rng_stream(6, "fading"))
-        ratios = y[0, 1:] / y[0, 0]
-        np.testing.assert_allclose(ratios, 1.0, atol=1e-12)
-
-    def test_needs_symbols(self):
-        with pytest.raises(ValueError):
-            channel.synth_echo((0, 0), (40, 0), np.ones((2, 0)), self.CFG, 0.0, 0.0,
-                               rng_stream(7, "fading"))
-
-
-class TestDfrcCovariance:
-    def test_orthonormal_trace(self):
-        W, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))
-        R, _ = channel.dfrc_covariance(W)
-        assert np.trace(R).real == pytest.approx(3.0)
-
-    def test_single_stream_rank_one(self):
-        w = np.array([[1.0], [1j], [0.5]])
-        R, per = channel.dfrc_covariance(w)
-        assert np.linalg.matrix_rank(R) == 1
-        np.testing.assert_allclose(per[0], R)
-
-    def test_sum_identity_over_random_beamformers(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            W = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-            R, per = channel.dfrc_covariance(W)
-            np.testing.assert_allclose(per.sum(axis=0), R, atol=1e-12 * np.abs(R).max())
-
-
 class TestClutterGeometry:
     def test_counts_and_powers(self):
         cfg = SystemConfig(L=3, K=2, X=2, tau_p=2, seed=4)
@@ -385,7 +317,8 @@ def lobe_oracle(geom, dep, cfg, l, k, link_dist):
     scatterer is within range."""
     diff = dep.scatterer_pos - dep.ap_pos[l]
     ang = np.arctan2(diff[:, 1], diff[:, 0])
-    dphi = np.angle(np.exp(1j * (ang - channel.bearing(dep.ap_pos[l], dep.ue_pos[k]))))
+    to_ue = dep.ue_pos[k] - dep.ap_pos[l]
+    dphi = np.angle(np.exp(1j * (ang - np.arctan2(to_ue[1], to_ue[0]))))
     in_lobe = ((np.abs(dphi) <= channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
                & (geom.dist[l] <= channel.CLUTTER_RANGE_FACTOR * link_dist))
     power = cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm)) * float(

@@ -60,6 +60,28 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 2
 
 
+class TestUnreadableScenario:
+    @staticmethod
+    def _paths(tmp_path):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"L": 100, "note": "caf\xe9"}'.encode("latin-1"))
+        return {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path),
+                "non-utf8": str(latin1)}
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_validate_exit_2(self, tmp_path, capsys, kind):
+        assert cli.main(["validate", self._paths(tmp_path)[kind]]) == 2
+        assert "cannot read scenario file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_associate_exit_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        path = self._paths(tmp_path)[kind]
+        assert cli.main(["associate", "--scenario", path, "--out", str(out)]) == 2
+        assert "cannot read scenario file" in capsys.readouterr().err
+        assert not any(name.endswith(".csv") for name in os.listdir(out))
+
+
 class TestSampleCounts:
     @pytest.mark.parametrize("command,option", [("ser", "--symbols"), ("pd", "--trials"),
                                                 ("netmetrics", "--reps")])
@@ -179,6 +201,15 @@ class TestSweepX:
         lines = (out / "sweep-x_sua.csv").read_text().strip().split("\n")
         assert lines[0] == "x,ideal_gain_db,real_gain_db"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("x_range", ["1:200", "0:3"])
+    def test_range_outside_ap_count_exit_2(self, tmp_path, capsys, x_range):
+        path = small_scenario(tmp_path)  # L = 12
+        out = tmp_path / "out"
+        assert cli.main(["sweep-x", "--scenario", path, "--out", str(out),
+                         "--x-range", x_range]) == 2
+        assert "[1, 11]" in capsys.readouterr().err
+        assert not (out / "sweep-x_sua.csv").exists()
 
 
 class TestNetmetrics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfmimo import association, channel, net_metrics
-from cfmimo.scenario import InfeasibleModelError, SystemConfig, generate_deployment
+from cfmimo.scenario import InfeasibleModelError, SystemConfig, ValidationError, generate_deployment
 
 
 def desk_config(**kw):
@@ -183,9 +183,9 @@ class TestXSweep:
 
     def test_range_validation(self, desk):
         cfg, dep, *_ = desk
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             net_metrics.x_sweep_gain(dep, cfg, [0, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             net_metrics.x_sweep_gain(dep, cfg, [cfg.L])
 
 

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cfmimo import channel
 from cfmimo.scenario import (
     Deployment,
+    PathLossParams,
     ServiceMix,
     ServiceType,
     SystemConfig,
     ValidationError,
     config_from_dict,
     config_to_dict,
-    distance,
     generate_deployment,
     load_scenario,
     save_scenario,
@@ -87,20 +88,29 @@ class TestServiceCounts:
         assert all(c >= 0 for c in counts)
 
 
+def _link_distance(ap, ue, floor=1.0):
+    # link distances are computed once, by channel.link_budget
+    dep = Deployment(ap_pos=np.array([ap], dtype=float), ue_pos=np.array([ue], dtype=float),
+                     ue_service=np.zeros(1, dtype=int), ue_power_dbm=np.zeros(1),
+                     scatterer_pos=np.zeros((0, 2)), scatterer_refl=np.zeros(0))
+    cfg = small_config(L=1, K=1, pathloss=PathLossParams(d0_m=floor))
+    return float(channel.link_budget(dep, cfg).distance_m[0, 0])
+
+
 class TestDistance:
     def test_three_four_five(self):
-        assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+        assert _link_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
 
     def test_clamped_at_floor(self):
-        assert distance((1.0, 1.0), (1.0, 1.0), floor=1.0) == 1.0
+        assert _link_distance((1.0, 1.0), (1.0, 1.0), floor=1.0) == 1.0
 
     def test_diagonal(self):
-        assert distance((0.0, 0.0), (500.0, 500.0)) == pytest.approx(707.1067811865476, rel=1e-14)
+        assert _link_distance((0.0, 0.0), (500.0, 500.0)) == pytest.approx(707.1067811865476, rel=1e-14)
 
     @given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
            st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
     def test_symmetry(self, ax, ay, bx, by):
-        assert distance((ax, ay), (bx, by)) == distance((bx, by), (ax, ay))
+        assert _link_distance((ax, ay), (bx, by)) == _link_distance((bx, by), (ax, ay))
 
 
 class TestDeployment:
