@@ -75,8 +75,11 @@ def _schemes(args):
 def _deployment_state(deployment, cfg):
     """The one link budget and clutter geometry a command builds per deployment.
 
-    The geometry holds four (L, S) arrays: callers that do not need it drop
-    it at once, so it is freed before the output tables are formatted.
+    The geometry buckets the scatterers on a grid, which SUA's short links
+    read. All-link work (the baseline's metrics, its Pd terms and clutter
+    counts) also caches one dense (AP, scatterer) row per AP on it, up to
+    four (L, S) arrays, so callers that are done with it drop it before the
+    output tables are formatted.
     """
     return channel.link_budget(deployment, cfg), channel.clutter_geometry(deployment, cfg.pathloss)
 

@@ -251,6 +251,30 @@ class TestOptimize:
         A, rep = assoc.optimize(S, R, M, 1, 1)  # one UE per AP, one AP per UE
         assert A.sum(axis=0).max() <= 1 and A.sum(axis=1).max() <= 1
 
+    def test_objective_value_matches_column_loop(self):
+        # the column loop the vectorized sum replaced: one np.sum per column,
+        # rows ascending, then the column sums in column order
+        def column_loop(weights, A):
+            total = 0.0
+            for k in range(A.shape[1]):
+                rows = np.flatnonzero(A[:, k] == 1)
+                if rows.size:
+                    total += float(np.sum(weights[rows, k]))
+            return total
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            L, K = rng.integers(1, 40), rng.integers(1, 30)
+            w = rng.random((L, K)) * 10.0 ** rng.uniform(-6, 6, (L, K))
+            A = (rng.random((L, K)) < rng.uniform(0.0, 1.0)).astype(np.int8)
+            assert assoc.objective_value(w, A) == column_loop(w, A)
+        # columns of 8 and more selected rows, where np.sum sums in blocks of
+        # 8, and of more than 128, where it recurses
+        w = rng.random((300, 6))
+        A = (np.arange(300)[:, None] < np.array([1, 7, 8, 9, 130, 300])).astype(np.int8)
+        assert assoc.objective_value(w, A) == column_loop(w, A)
+        assert assoc.objective_value(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
+
     def test_matches_enumeration_exactly(self):
         for seed, n in ((2024, 60), (77, 40)):
             rng = np.random.default_rng(seed)
@@ -390,8 +414,8 @@ def lp_optimum(w, tau_p, X):
     return -float(res.fun)
 
 
-def binding_scenario_instance(seed):
-    cfg = SystemConfig(L=400, K=120, area_side_m=1000.0, tau_p=2, p_threshold_dbm=-80.0,
+def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
+    cfg = SystemConfig(L=L, K=K, area_side_m=area_side_m, tau_p=tau_p, p_threshold_dbm=-80.0,
                        seed=seed)
     dep = generate_deployment(cfg)
     budget = channel.link_budget(dep, cfg)
@@ -416,6 +440,9 @@ class TestOptimizerAtScale:
     @pytest.mark.parametrize("instance", [
         pytest.param(lambda: binding_scenario_instance(1000), id="scenario-1000"),
         pytest.param(lambda: binding_scenario_instance(2000), id="scenario-2000"),
+        pytest.param(lambda: binding_scenario_instance(11, L=1000, K=300, area_side_m=1581.0,
+                                                       tau_p=3),
+                     id="scenario-L1000"),
         *(pytest.param(lambda L=L: random_binding_instance(L, L), id=f"random-L{L}")
           for L in (50, 100, 150, 200)),
     ])
@@ -464,3 +491,19 @@ class TestPipelines:
         cfg, dep, budget, geom = desk
         res = assoc.run_baseline(dep, cfg, budget, geom)
         assert res.A.sum() == cfg.L * cfg.K
+
+    @pytest.mark.parametrize("kw", [dict(seed=1000), dict(seed=1002),
+                                    dict(L=400, K=120, area_side_m=1000.0, seed=11)],
+                             ids=["default-1000", "default-1002", "L400-11"])
+    def test_sua_metrics_equal_baseline_on_unmasked_links(self, kw):
+        # each link's clutter is routed by that link alone, so SUA's masked
+        # evaluation and the baseline's all-link one agree bit for bit
+        cfg = SystemConfig(**kw)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        sua = assoc.run_sua(dep, cfg, budget)
+        base = assoc.run_baseline(dep, cfg, budget)
+        unmasked = sua.mask == 1
+        assert unmasked.any()
+        np.testing.assert_array_equal(sua.quality.S[unmasked], base.quality.S[unmasked])
+        np.testing.assert_array_equal(sua.quality.kind[unmasked], base.quality.kind[unmasked])

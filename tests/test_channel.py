@@ -311,19 +311,36 @@ class TestClutterGeometry:
         assert p == 0.0 and c == 0
 
 
-def lobe_oracle(geom, dep, cfg, l, k, link_dist):
+def lobe_oracle(dep, cfg, l, k, link_dist):
     """The per-link lobe rule the batched kernel replaced: the bearing
     difference wrapped to (-pi, pi] lies within the half-angle, and the
-    scatterer is within range."""
+    scatterer is within range. Distance (floored at d0) and two-way gain are
+    computed here from the positions."""
     diff = dep.scatterer_pos - dep.ap_pos[l]
+    dist = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), cfg.pathloss.d0_m)
+    gain = channel.db_to_lin(-2.0 * channel.path_loss_db(cfg.pathloss, dist))
     ang = np.arctan2(diff[:, 1], diff[:, 0])
     to_ue = dep.ue_pos[k] - dep.ap_pos[l]
     dphi = np.angle(np.exp(1j * (ang - np.arctan2(to_ue[1], to_ue[0]))))
     in_lobe = ((np.abs(dphi) <= channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
-               & (geom.dist[l] <= channel.CLUTTER_RANGE_FACTOR * link_dist))
+               & (dist <= channel.CLUTTER_RANGE_FACTOR * link_dist))
     power = cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm)) * float(
-        np.sum(dep.scatterer_refl[in_lobe] * geom.two_way_gain[l][in_lobe]))
+        np.sum(dep.scatterer_refl[in_lobe] * gain[in_lobe]))
     return power, int(np.count_nonzero(in_lobe))
+
+
+# _DENSE_FRACTION values that send every link through one pass of
+# `clutter_returns`: no sector box holds more than twice the scatterers, and
+# every box holds more than -1 times them.
+ALL_GRID, ALL_DENSE = 2.0, -1.0
+
+
+def routed_returns(route, dep, cfg, *links):
+    """`clutter_returns` on a fresh geometry with the routing fraction `route`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_DENSE_FRACTION", route)
+        return channel.clutter_returns(channel.clutter_geometry(dep, cfg.pathloss), dep, cfg,
+                                       *links)
 
 
 def make_deployment(ap, ue, scat, refl=None):
@@ -348,32 +365,36 @@ class TestClutterReturnsOracle:
            scat=st.lists(st.tuples(coord, st.floats(0.0, 5.0)), max_size=15),
            n_antennas=st.integers(1, 8),
            reach=st.floats(0.3, 3.0),
-           order_seed=st.integers(0, 2 ** 16))
-    def test_matches_per_link_rule(self, ap, ue, scat, n_antennas, reach, order_seed):
+           order_seed=st.integers(0, 2 ** 16),
+           route=st.sampled_from([channel._DENSE_FRACTION, ALL_GRID, ALL_DENSE]))
+    def test_matches_per_link_rule(self, ap, ue, scat, n_antennas, reach, order_seed, route):
         dep = make_deployment(ap, ue, [p for p, _ in scat], [r for _, r in scat])
         cfg = SystemConfig(N=n_antennas)
-        geom = channel.clutter_geometry(dep, cfg.pathloss)
         l_idx, k_idx = np.nonzero(np.ones((dep.L, dep.K), dtype=bool))
         perm = np.random.default_rng(order_seed).permutation(l_idx.size)
         l_idx, k_idx = l_idx[perm], k_idx[perm]
         dist = np.array([reach * link_distance(dep, cfg, l, k) for l, k in zip(l_idx, k_idx)])
-        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
+        power, count = routed_returns(route, dep, cfg, l_idx, k_idx, dist)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
         for i, (l, k) in enumerate(zip(l_idx, k_idx)):
-            p_ref, c_ref = lobe_oracle(geom, dep, cfg, l, k, dist[i])
+            p_ref, c_ref = lobe_oracle(dep, cfg, l, k, dist[i])
             assert count[i] == c_ref
             assert power[i] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
-            assert channel.clutter_return(geom, dep, cfg, l, k, dist[i]) == (power[i], count[i])
+            if route == channel._DENSE_FRACTION:
+                assert channel.clutter_return(geom, dep, cfg, l, k, dist[i]) == (power[i], count[i])
 
     def check_counts(self, dep, cfg, links, expected):
-        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        """Counts equal `expected` and the oracle's through the default
+        routing, the grid pass alone and the dense pass alone."""
         l_idx, k_idx, dist = (np.array(v) for v in zip(*links))
-        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
-        np.testing.assert_array_equal(count, expected)
-        for i, (l, k, d) in enumerate(links):
-            p_ref, c_ref = lobe_oracle(geom, dep, cfg, l, k, d)
-            assert count[i] == c_ref
-            assert power[i] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
-            assert (power[i] > 0) == (count[i] > 0)
+        for route in (channel._DENSE_FRACTION, ALL_GRID, ALL_DENSE):
+            power, count = routed_returns(route, dep, cfg, l_idx, k_idx, dist)
+            np.testing.assert_array_equal(count, expected)
+            for i, (l, k, d) in enumerate(links):
+                p_ref, c_ref = lobe_oracle(dep, cfg, l, k, d)
+                assert count[i] == c_ref
+                assert power[i] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
+                assert (power[i] > 0) == (count[i] > 0)
 
     def test_scatterer_on_ap(self):
         # a scatterer on top of its AP has bearing 0, at the clamped distance d0
@@ -396,8 +417,7 @@ class TestClutterReturnsOracle:
         dep = make_deployment([[0.0, 0.0]], [[10.0, 0.0]],
                               [[12.0, 0.0], [np.nextafter(12.0, 13.0), 0.0]])
         cfg = SystemConfig(N=4)
-        geom = channel.clutter_geometry(dep, cfg.pathloss)
-        assert geom.dist[0, 0] == 12.0
+        assert float(np.hypot(*(dep.scatterer_pos[0] - dep.ap_pos[0]))) == 12.0
         self.check_counts(dep, cfg, [(0, 0, 10.0)], [1])
 
     def test_one_antenna_half_angle_two_radians(self):
@@ -425,13 +445,80 @@ class TestClutterReturnsOracle:
     def test_block_size_does_not_change_results(self, monkeypatch):
         cfg = SystemConfig(L=20, K=8, N=5, tau_p=5, tau_c=200, X=3, area_side_m=250.0, seed=7)
         dep = generate_deployment(cfg)
-        geom = channel.clutter_geometry(dep, cfg.pathloss)
         budget = channel.link_budget(dep, cfg)
         l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
-        args = (geom, dep, cfg, l_idx, k_idx, budget.distance_m[l_idx, k_idx])
-        whole = channel.clutter_returns(*args)
+        args = (dep, cfg, l_idx, k_idx, budget.distance_m[l_idx, k_idx])
+        whole = routed_returns(channel._DENSE_FRACTION, *args)
         assert whole[1].sum() > 0
-        for block in (1, 3 * geom.dist.shape[1] + 1):
+        n_scat = dep.scatterer_pos.shape[0]
+        for block in (1, 7, 3 * n_scat + 1):
             monkeypatch.setattr(channel, "_LOBE_TESTS_PER_BLOCK", block)
-            for got, want in zip(channel.clutter_returns(*args), whole):
+            monkeypatch.setattr(channel, "_GRID_TESTS_PER_BLOCK", block)
+            monkeypatch.setattr(channel, "_LINKS_PER_CHUNK", block)
+            for got, want in zip(routed_returns(channel._DENSE_FRACTION, *args), whole):
                 np.testing.assert_array_equal(got, want)
+
+    def test_link_result_independent_of_the_other_links(self):
+        # each link is routed by its own sector, so a shuffled subset of the
+        # links gets bit-identical results to the all-link call
+        cfg = SystemConfig(L=60, K=20, area_side_m=400.0, seed=5)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
+        dist = budget.distance_m[l_idx, k_idx]
+        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
+        n_cand = channel._sector_cells(
+            geom, dep.ap_pos[l_idx], *channel._bearing(*(dep.ue_pos[k_idx] - dep.ap_pos[l_idx]).T),
+            channel.CLUTTER_RANGE_FACTOR * dist, channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)[-1]
+        routed_dense = n_cand > channel._DENSE_FRACTION * dep.scatterer_pos.shape[0]
+        assert routed_dense.any() and not routed_dense.all()
+        sub = np.random.default_rng(0).permutation(l_idx.size)[:l_idx.size // 3]
+        fresh = channel.clutter_geometry(dep, cfg.pathloss)
+        p_sub, c_sub = channel.clutter_returns(fresh, dep, cfg, l_idx[sub], k_idx[sub], dist[sub])
+        np.testing.assert_array_equal(p_sub, power[sub])
+        np.testing.assert_array_equal(c_sub, count[sub])
+
+    def test_scatterer_on_cell_border_sector_edge_and_range_edge(self):
+        # APs on an 80 m square give a 20 m cell from (0, 0); the scatterers
+        # sit on cell borders, one on the lobe's range edge and one on the
+        # corner where the sector edge meets the range edge
+        half = channel.BEAM_HALF_ANGLE_FACTOR / 4
+        corner = 24.0 * np.array([math.cos(half), math.sin(half)])
+        scat = [[0.0, 0.0], [20.0, 0.0], [24.0, 0.0], [20.0, 20.0], corner, [80.0, 80.0]]
+        dep = make_deployment([[0.0, 0.0], [80.0, 0.0], [0.0, 80.0], [80.0, 80.0]],
+                              [[20.0, 0.0], [40.0, 40.0]], scat)
+        cfg = SystemConfig(N=4)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        assert geom.cell_m == 20.0 and list(geom.origin) == [0.0, 0.0]
+        expected = [lobe_oracle(dep, cfg, 0, 0, 20.0)[1], lobe_oracle(dep, cfg, 3, 1, 56.6)[1]]
+        assert expected[0] >= 3  # the AP's own, the border and the range-edge scatterer
+        self.check_counts(dep, cfg, [(0, 0, 20.0), (3, 1, 56.6)], expected)
+
+    def test_sector_box_larger_than_the_area(self):
+        rng = np.random.default_rng(4)
+        dep = make_deployment([[50.0, 50.0], [0.0, 0.0]], [[60.0, 55.0], [-1.0, 0.5]],
+                              rng.uniform(0.0, 100.0, (40, 2)))
+        cfg = SystemConfig(N=1)
+        links = [(0, 0, 1e4), (1, 0, 1e3), (1, 1, 5e3), (0, 1, 2e6)]
+        self.check_counts(dep, cfg, links, [lobe_oracle(dep, cfg, *link)[1] for link in links])
+
+    def test_single_cell(self):
+        dep = make_deployment([[0.0, 0.0], [1000.0, 1000.0]], [[500.0, 500.0]],
+                              [[500.0, 500.0], [500.5, 500.2], [499.8, 500.9]])
+        cfg = SystemConfig(N=1)
+        assert channel.clutter_geometry(dep, cfg.pathloss).shape == (1, 1)
+        self.check_counts(dep, cfg, [(0, 0, 710.0), (1, 0, 710.0), (0, 0, 10.0)], [3, 3, 0])
+
+    @pytest.mark.parametrize("ue", [[0.0, 10.0], [0.0, -10.0], [10.0, 0.0], [-10.0, 0.0]])
+    def test_one_antenna_ue_on_an_axis(self, ue):
+        # half-angle 2 rad: the cone holds the two axis directions beside the
+        # UE's, not the one opposite it
+        angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+        scat = np.concatenate([r * np.column_stack([np.cos(angles), np.sin(angles)])
+                               for r in (5.0, 11.9, 12.1)])
+        dep = make_deployment([[0.0, 0.0]], [ue], scat)
+        cfg = SystemConfig(N=1)
+        expected = lobe_oracle(dep, cfg, 0, 0, 10.0)[1]
+        assert expected == 2 * 15  # 15 of 24 bearings lie within 2 rad, at two radii
+        self.check_counts(dep, cfg, [(0, 0, 10.0)], [expected])

@@ -116,6 +116,39 @@ class TestDeploymentStateBuiltOnce:
         assert calls == {"link_budget": 1, "clutter_geometry": 1}
 
 
+class TestDenseClutterRows:
+    """The dense (AP, scatterer) rows of the clutter geometry are built only
+    for links that need them, and at most once per AP."""
+
+    def built_rows(self, tmp_path, monkeypatch, argv, **kw):
+        from cfmimo import channel
+
+        built = []
+
+        def counted(geom, deployment, aps, _fn=channel._dense_rows):
+            built.extend(np.asarray(aps).tolist())
+            return _fn(geom, deployment, aps)
+        monkeypatch.setattr(channel, "_dense_rows", counted)
+        path = tmp_path / "scenario.json"
+        save_scenario(SystemConfig(**kw), str(path))
+        assert cli.main([*argv, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        return built
+
+    def test_sua_builds_no_dense_row(self, tmp_path, monkeypatch):
+        built = self.built_rows(tmp_path, monkeypatch, ["associate", "--scheme", "sua"],
+                                L=400, K=120, area_side_m=1000.0, seed=11)
+        assert built == []
+
+    @pytest.mark.parametrize("argv, kw", [
+        (["associate", "--scheme", "both"], dict(L=400, K=120, area_side_m=1000.0, seed=11)),
+        (["netmetrics", "--reps", "2"], dict(seed=1000)),
+    ], ids=["associate-L400", "netmetrics-L100"])
+    def test_each_row_built_at_most_once(self, tmp_path, monkeypatch, argv, kw):
+        built = self.built_rows(tmp_path, monkeypatch, argv, **kw)
+        assert len(built) > 0
+        assert len(built) == len(set(built))
+
+
 class TestAssociate:
     def test_writes_outputs(self, tmp_path):
         path = small_scenario(tmp_path)
