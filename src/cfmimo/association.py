@@ -28,22 +28,11 @@ def mask(deployment: Deployment, config: SystemConfig,
     return mask_links(budget.p_r_dbm, config.p_threshold_dbm), budget.rssi_dbm
 
 
-KIND_MASKED = 0
-KIND_SNR = 1
-KIND_SCNR = 2
-KIND_JOINT = 3
-
-
-@dataclass
-class LinkQuality:
-    S: np.ndarray              # (L, K) linear link-quality metric, 0 where masked
-    kind: np.ndarray           # (L, K) metric tag per cell
-
-
 def link_quality(deployment: Deployment, config: SystemConfig,
                  budget: channel.LinkBudget, mask_m: np.ndarray | None,
-                 geom: channel.ClutterGeometry | None = None) -> LinkQuality:
-    """SNR / SCNR / weighted-joint metric per link, in linear scale.
+                 geom: channel.ClutterGeometry | None = None) -> np.ndarray:
+    """SNR / SCNR / weighted-joint metric per link, in linear scale: the
+    (L, K) array S, 0 on every link not evaluated.
 
     With a mask given, clutter is evaluated only on unmasked cells (the
     sparsity that drives the pipeline's complexity advantage); mask_m=None
@@ -59,20 +48,16 @@ def link_quality(deployment: Deployment, config: SystemConfig,
     snr = p_r_w / n0
 
     S = np.zeros((L, K))
-    kind = np.full((L, K), KIND_MASKED, dtype=np.int8)
-
     svc = np.asarray(deployment.ue_service)[None, :]
     com = evaluate & (svc == ServiceType.COM)
     S[com] = snr[com]
-    kind[com] = KIND_SNR
     l_idx, k_idx = np.nonzero(evaluate & (svc != ServiceType.COM))
     pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                     budget.distance_m[l_idx, k_idx])
     scnr = p_r_w[l_idx, k_idx] / (pc + n0)
     sense = svc[0, k_idx] == ServiceType.SENSE
     S[l_idx, k_idx] = np.where(sense, scnr, config.w_c * snr[l_idx, k_idx] + config.w_s * scnr)
-    kind[l_idx, k_idx] = np.where(sense, KIND_SCNR, KIND_JOINT)
-    return LinkQuality(S=S, kind=kind)
+    return S
 
 
 def priorities(S: np.ndarray) -> np.ndarray:
@@ -107,8 +92,6 @@ def served_counts(A: np.ndarray):
 @dataclass
 class OptimizerReport:
     objective: float
-    psi: float
-    method: str
     integral: bool
 
 
@@ -261,8 +244,6 @@ def optimize(S, R, M, tau_p: int, X: int):
     A = _solve_flow(w, M, tau_p, X)
     report = OptimizerReport(
         objective=objective_value(w, A),
-        psi=sparsity_psi(M),
-        method="flow-exact",
         integral=bool(((A == 0) | (A == 1)).all()),
     )
     return A, report
@@ -336,9 +317,8 @@ def association_csv(S, R, A, M) -> str:
 
 @dataclass
 class AssociationResult:
-    scheme: str
     mask: np.ndarray
-    quality: LinkQuality
+    S: np.ndarray
     prio: np.ndarray
     A: np.ndarray
     report: OptimizerReport | None
@@ -352,10 +332,10 @@ def run_sua(deployment: Deployment, config: SystemConfig,
     if geom is None:
         geom = channel.clutter_geometry(deployment, config.pathloss)
     m, _ = mask(deployment, config, budget)
-    quality = link_quality(deployment, config, budget, m, geom)
-    prio = priorities(quality.S)
-    A, report = optimize(quality.S, prio, m, config.tau_p, config.X)
-    return AssociationResult("sua", m, quality, prio, A, report)
+    S = link_quality(deployment, config, budget, m, geom)
+    prio = priorities(S)
+    A, report = optimize(S, prio, m, config.tau_p, config.X)
+    return AssociationResult(m, S, prio, A, report)
 
 
 def run_baseline(deployment: Deployment, config: SystemConfig,
@@ -366,8 +346,8 @@ def run_baseline(deployment: Deployment, config: SystemConfig,
         budget = channel.link_budget(deployment, config)
     if geom is None:
         geom = channel.clutter_geometry(deployment, config.pathloss)
-    quality = link_quality(deployment, config, budget, None, geom)
+    S = link_quality(deployment, config, budget, None, geom)
     A = baseline_all_to_all(deployment.L, deployment.K)
-    prio = priorities(quality.S)
+    prio = priorities(S)
     all_mask = np.ones_like(A)
-    return AssociationResult("baseline", all_mask, quality, prio, A, None)
+    return AssociationResult(all_mask, S, prio, A, None)

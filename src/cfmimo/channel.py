@@ -49,7 +49,6 @@ class LinkBudget:
     """
 
     distance_m: np.ndarray   # (L, K)
-    shadow_db: np.ndarray    # (L, K)
     pl_db: np.ndarray        # (L, K)
     rssi_dbm: np.ndarray     # (L, K)
     gain_lin: np.ndarray     # (L, K) linear channel gain 10^(-PL/10)
@@ -66,7 +65,7 @@ def link_budget(deployment: Deployment, config: SystemConfig) -> LinkBudget:
     shadow = rng.normal(0.0, config.pathloss.shadow_sigma_db, size=d.shape)
     pl = path_loss_db(config.pathloss, d, shadow)
     rs = rssi_dbm(config.p_t_dbm, pl)
-    return LinkBudget(distance_m=d, shadow_db=shadow, pl_db=pl, rssi_dbm=rs, gain_lin=db_to_lin(-pl))
+    return LinkBudget(distance_m=d, pl_db=pl, rssi_dbm=rs, gain_lin=db_to_lin(-pl))
 
 
 # --- spatial correlation ----------------------------------------------------
@@ -87,13 +86,13 @@ def local_scattering_correlation(n_antennas: int, nominal_angle_rad,
     return taps[..., idx[:, None] - idx[None, :] + n_antennas - 1]
 
 
-def correlation_sqrt(R: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     """Hermitian square root of R, or of each matrix of a stack (..., N, N).
 
-    Eigenvalues below -tol are rejected, tiny negatives clamped.
+    Eigenvalues below -1e-10 are rejected, tiny negatives clamped.
     """
     vals, vecs = np.linalg.eigh(R)
-    if np.min(vals) < -tol:
+    if np.min(vals) < -1e-10:
         raise ValueError(f"correlation matrix is not PSD (min eigenvalue {np.min(vals):.3e})")
     # eigenvalue dust would leak sqrt(eps)-sized components into null directions
     vals = np.where(vals < np.max(vals, axis=-1, keepdims=True) * 1e-14, 0.0, vals)

@@ -58,13 +58,10 @@ def atomic_write(path: str, text: str):
 
 
 def _load_config(args) -> SystemConfig:
-    if getattr(args, "scenario", None):
-        cfg = load_scenario(args.scenario)
-    else:
-        cfg = SystemConfig()
-        cfg.validate()
+    cfg = load_scenario(args.scenario) if getattr(args, "scenario", None) else SystemConfig()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    cfg.validate()
     return cfg
 
 
@@ -111,12 +108,12 @@ def cmd_associate(args) -> int:
     del budget, geom
     tables = {}
     for scheme, res in results.items():
-        csv = association.association_csv(res.quality.S, res.prio, res.A, res.mask)
+        csv = association.association_csv(res.S, res.prio, res.A, res.mask)
         atomic_write(os.path.join(args.out, f"associate_{scheme}.csv"), csv)
         tables[f"association_{scheme}"] = csv
         per_ap, per_ue, active = association.served_counts(res.A)
         psi = association.sparsity_psi(res.mask)
-        obj = res.report.objective if res.report else float((res.quality.S * res.prio * res.A).sum())
+        obj = res.report.objective if res.report else float((res.S * res.prio * res.A).sum())
         print(f"{scheme}: psi={psi:.4f} objective={obj:.6g} active_aps={active} "
               f"max_ues_per_ap={int(per_ap.max())} max_aps_per_ue={int(per_ue.max())}")
     rep = report.build_report("associate", cfg, cfg.seed, tables)

@@ -95,8 +95,9 @@ def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int)
     return min(max(total / constel.M, 0.0), 1.0)
 
 
-def wilson_halfwidth(errors: int, n: int, z: float = 1.959963984540054) -> float:
+def wilson_halfwidth(errors: int, n: int) -> float:
     """Half-width of the 95% Wilson score interval."""
+    z = 1.959963984540054
     if n == 0:
         return 0.0
     p = errors / n

@@ -52,8 +52,6 @@ def energy_total(A, model: EnergyModel) -> float:
 class ClutterReport:
     links: list            # (ap_id, ue_id, count) over selected links
     mean: float
-    min: int
-    max: int
 
 
 def clutter_counts(deployment: Deployment, config: SystemConfig, A,
@@ -69,9 +67,7 @@ def clutter_counts(deployment: Deployment, config: SystemConfig, A,
     _, counts = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                         budget.distance_m[l_idx, k_idx])
     links = list(zip(l_idx.tolist(), k_idx.tolist(), counts.tolist()))
-    if counts.size == 0:
-        return ClutterReport(links, 0.0, 0, 0)
-    return ClutterReport(links, float(counts.mean()), int(counts.min()), int(counts.max()))
+    return ClutterReport(links, float(counts.mean()) if counts.size else 0.0)
 
 
 @dataclass
@@ -79,49 +75,34 @@ class RuntimeResult:
     sua_s: float
     baseline_s: float
     reps: int
-    sua_samples: list
-    baseline_samples: list
 
 
 def association_runtime(deployment: Deployment, config: SystemConfig,
                         reps: int = 20, budget: channel.LinkBudget | None = None,
                         geom: channel.ClutterGeometry | None = None) -> RuntimeResult:
-    """Median wall-clock of the SUA pipeline vs the baseline's full evaluation.
+    """Median wall-clock of `association.run_sua` against `association.run_baseline`.
 
     Both schemes share one link budget and clutter geometry, built here unless
-    passed; the timed region covers per-link metric evaluation and
-    scheme-specific logic (mask -> metrics -> priorities -> optimize for SUA;
-    all-link metrics plus allocation bookkeeping for the baseline).
+    passed, so the timed region covers each scheme's per-link metric
+    evaluation and its own logic (mask -> metrics -> priorities -> optimize
+    for SUA; all-link metrics, priorities and the all-ones matrix for the
+    baseline). Each scheme runs once untimed first.
     """
     if budget is None:
         budget = channel.link_budget(deployment, config)
     if geom is None:
         geom = channel.clutter_geometry(deployment, config.pathloss)
-
-    def sua_once():
-        m, _ = association.mask(deployment, config, budget)
-        q = association.link_quality(deployment, config, budget, m, geom)
-        prio = association.priorities(q.S)
-        association.optimize(q.S, prio, m, config.tau_p, config.X)
-
-    def baseline_once():
-        q = association.link_quality(deployment, config, budget, None, geom)
-        A = association.baseline_all_to_all(deployment.L, deployment.K)
-        association.served_counts(A)
-        return q, A
-
-    sua_once()
-    baseline_once()
-    sua_samples, base_samples = [], []
+    runs = (association.run_sua, association.run_baseline)
+    for run in runs:
+        run(deployment, config, budget, geom)
+    samples = ([], [])
     for _ in range(reps):
-        t0 = time.perf_counter()
-        sua_once()
-        sua_samples.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        baseline_once()
-        base_samples.append(time.perf_counter() - t0)
-    return RuntimeResult(float(np.median(sua_samples)), float(np.median(base_samples)),
-                         reps, sua_samples, base_samples)
+        for run, times in zip(runs, samples):
+            t0 = time.perf_counter()
+            run(deployment, config, budget, geom)
+            times.append(time.perf_counter() - t0)
+    sua_s, baseline_s = (float(np.median(times)) for times in samples)
+    return RuntimeResult(sua_s, baseline_s, reps)
 
 
 @dataclass

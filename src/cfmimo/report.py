@@ -8,17 +8,6 @@ from dataclasses import dataclass
 
 from cfmimo.scenario import SystemConfig, config_to_dict
 
-TABLE_SCHEMAS = {
-    "association": "association.v1",
-    "ser": "ser.v1",
-    "pd": "pd.v1",
-    "gain": "gain.v1",
-    "delay": "delay.v1",
-    "energy": "energy.v1",
-    "clutter": "clutter.v1",
-    "runtime": "runtime.v1",
-}
-
 
 def _canonical(value):
     """Floats rendered at 17 significant digits so digests are platform-stable."""
@@ -68,9 +57,7 @@ def build_report(experiment: str, config: SystemConfig, seed: int,
         raise ValueError("refusing to build an empty report")
     named = {}
     for name, csv_payload in tables.items():
-        base = name.split("_")[0]
-        schema = TABLE_SCHEMAS.get(base, f"{base}.v1")
-        named[name] = {"schema": schema, "csv": csv_payload}
+        named[name] = {"schema": f"{name.split('_')[0]}.v1", "csv": csv_payload}
     return MetricReport(
         experiment=experiment,
         digest=config_digest(config, seed),

@@ -138,6 +138,8 @@ class SystemConfig:
             raise ValidationError(f"require 0 < tau_p <= tau_c, got tau_p={self.tau_p}, tau_c={self.tau_c}")
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.w_c < 0 or self.w_s < 0 or abs(self.w_c + self.w_s - 1.0) > 1e-12:
             raise ValidationError(f"weights must be >= 0 and sum to 1, got w_c={self.w_c}, w_s={self.w_s}")
         if not self.area_side_m > 0:

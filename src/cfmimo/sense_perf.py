@@ -167,22 +167,14 @@ def rician_pdf(z, m: float, sigma_phi2: float):
     return float(out[0]) if np.asarray(z).ndim == 0 else out
 
 
-@dataclass
-class DetectionConfig:
-    p_fa: float
-    sigma_phi2: float  # clutter + noise power
-
-    def validate(self):
-        if not (0.0 < self.p_fa < 1.0):
-            raise ValueError(f"p_fa must be in (0, 1), got {self.p_fa}")
-        if not self.sigma_phi2 > 0:
-            raise ValueError(f"sigma_phi2 must be > 0, got {self.sigma_phi2}")
-
-
-def detection_threshold(cfg: DetectionConfig) -> float:
-    """Envelope threshold eta = sigma_phi sqrt(-ln P_FA)."""
-    cfg.validate()
-    return math.sqrt(cfg.sigma_phi2) * math.sqrt(-math.log(cfg.p_fa))
+def detection_threshold(p_fa: float, sigma_phi2: float) -> float:
+    """Envelope threshold eta = sigma_phi sqrt(-ln P_FA) at clutter + noise
+    power sigma_phi2."""
+    if not (0.0 < p_fa < 1.0):
+        raise ValueError(f"p_fa must be in (0, 1), got {p_fa}")
+    if not sigma_phi2 > 0:
+        raise ValueError(f"sigma_phi2 must be > 0, got {sigma_phi2}")
+    return math.sqrt(sigma_phi2) * math.sqrt(-math.log(p_fa))
 
 
 def pd_single(scnr: float, p_fa: float) -> float:
@@ -194,14 +186,12 @@ def pd_single(scnr: float, p_fa: float) -> float:
 
 # --- Monte-Carlo chains -------------------------------------------------------
 
-def false_alarm_monte_carlo(p_fa: float, n_trials: int, seed: int,
-                            sigma_phi2: float = 1.0) -> float:
-    """Empirical false-alarm rate of the envelope detector under H0."""
-    cfg = DetectionConfig(p_fa=p_fa, sigma_phi2=sigma_phi2)
-    eta = detection_threshold(cfg)
+def false_alarm_monte_carlo(p_fa: float, n_trials: int, seed: int) -> float:
+    """Empirical false-alarm rate of the envelope detector under H0, at unit
+    clutter + noise power."""
+    eta = detection_threshold(p_fa, 1.0)
     rng = rng_stream(seed, "mc", 90001)
-    u = math.sqrt(sigma_phi2 / 2.0) * (rng.standard_normal(n_trials)
-                                       + 1j * rng.standard_normal(n_trials))
+    u = math.sqrt(0.5) * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
     return float(np.count_nonzero(np.abs(u) > eta)) / n_trials
 
 
@@ -212,8 +202,7 @@ def pd_chain_monte_carlo(scnr: float, p_fa: float, n_trials: int, seed: int,
     The target amplitude is held at the value realizing the requested SCNR
     (random phase per trial) so the run is comparable against the closed form.
     """
-    cfg = DetectionConfig(p_fa=p_fa, sigma_phi2=1.0)
-    eta = detection_threshold(cfg)
+    eta = detection_threshold(p_fa, 1.0)
     rng = rng_stream(seed, "mc", 91000 + stream_tag)
     phase = np.exp(2j * math.pi * rng.random(n_trials))
     noise = math.sqrt(0.5) * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
@@ -301,7 +290,7 @@ def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
 
 def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
                    scnr_grid_db, n_trials: int, seed: int,
-                   scale_ref: dict | None = None, amplitude: str = "fixed",
+                   scale_ref: dict | None = None,
                    budget: channel.LinkBudget | None = None,
                    geom: channel.ClutterGeometry | None = None):
     """Detection curves for sensing and JCAS UEs under each association of
@@ -314,16 +303,13 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     association equals the grid value: scale_ref from `pd_scale_ref`, or when
     absent from the first association of `assocs`. The deployment's link
     budget and clutter geometry are built here unless passed.
-    Per (UE, grid point) the target phases (with amplitude="swerling1" the
-    target amplitudes, redrawn per dwell) and the unit noise come from one
+    Per (UE, grid point) the target phases and the unit noise come from one
     stream rng_stream(seed, "mc", 92000, k, gi), and every scheme's detector
     sees those same draws, scaled to its own serving set.
 
     Returns (points, scale_ref); points holds each scheme's per-UE points and
     then its aggregates, schemes in the order of `assocs`.
     """
-    if amplitude not in ("fixed", "swerling1"):
-        raise ValueError(f"unknown amplitude mode {amplitude!r}")
     terms = {scheme: _sensing_link_terms(deployment, config, A, budget, geom)
              for scheme, A in assocs.items()}
 
@@ -337,18 +323,14 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
         for gi, scnr_db in enumerate(grid):
             scale = scale_ref[k][float(scnr_db)]
             rng = rng_stream(seed, "mc", 92000, k, gi)
-            if amplitude == "fixed":
-                amp = np.exp(2j * math.pi * rng.random(n_trials))
-            else:
-                amp = (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-                amp /= math.sqrt(2.0)
+            phase = np.exp(2j * math.pi * rng.random(n_trials))
             unit_noise = rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
             for scheme, by_ue in terms.items():
                 _, echo, sp2 = by_ue[k]
                 sig_tot = float(sp2.sum())
-                eta = detection_threshold(DetectionConfig(config.p_fa, sig_tot))
+                eta = detection_threshold(config.p_fa, sig_tot)
                 m_tot = float(np.sqrt(scale * echo).sum())
-                u = amp * m_tot + math.sqrt(sig_tot / 2.0) * unit_noise
+                u = phase * m_tot + math.sqrt(sig_tot / 2.0) * unit_noise
                 rate = float(np.count_nonzero(np.abs(u) > eta)) / n_trials
                 formula = pd_single(effective_scnr(echo, sp2, scale), config.p_fa)
                 points[scheme].append(PdPoint(scheme, str(k), float(scnr_db), formula, rate,

@@ -289,8 +289,8 @@ def test_c9_determinism(tmp_path):
             if f1.read() != f2.read():
                 diffs.append(name)
                 identical = False
-    d1 = json.loads(open(os.path.join(out1, "combined_report.json")).read())["digest"]
-    d2 = json.loads(open(os.path.join(out2, "combined_report.json")).read())["digest"]
+    d1, d2 = (json.loads((tmp_path / out / "combined_report.json").read_text())["digest"]
+              for out in ("r1", "r2"))
     ok = identical and d1 == d2
     _report("C9 determinism", ok,
             f"{len(names)} files byte-identical across reruns"

@@ -57,7 +57,7 @@ class TestLinkBudget:
         dep = generate_deployment(cfg)
         a = channel.link_budget(dep, cfg)
         b = channel.link_budget(dep, cfg)
-        np.testing.assert_array_equal(a.shadow_db, b.shadow_db)
+        np.testing.assert_array_equal(a.pl_db, b.pl_db)
         np.testing.assert_array_equal(a.rssi_dbm, b.rssi_dbm)
 
     def test_received_power_equals_rssi(self):

@@ -60,6 +60,25 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 2
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["associate", "ser", "pd", "netmetrics"])
+    def test_scenario_seed_exit_2(self, tmp_path, capsys, command):
+        doc = config_to_dict(SystemConfig(L=12, K=5, X=2, tau_p=3))
+        doc["seed"] = -3
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_seed_option_exit_2(self, tmp_path, capsys):
+        path = small_scenario(tmp_path)
+        assert cli.main(["associate", "--scenario", path, "--seed", "-1",
+                         "--out", str(tmp_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
 class TestUnreadableScenario:
     @staticmethod
     def _paths(tmp_path):

@@ -97,7 +97,7 @@ class TestClutterCounts:
         dep = generate_deployment(cfg)
         A = np.ones((cfg.L, cfg.K), dtype=int)
         rep = net_metrics.clutter_counts(dep, cfg, A)
-        assert rep.mean == 0.0 and rep.max == 0
+        assert rep.mean == 0.0 and {c for *_, c in rep.links} == {0}
 
     def test_counts_nonnegative_integers(self, desk):
         cfg, dep, budget, geom, sua, _ = desk
@@ -121,10 +121,10 @@ class TestRuntime:
     def test_sua_evaluates_fewer_links_at_desk_scale(self, desk):
         # at L=20, K=8 both pipelines take well under a millisecond, and the
         # optimizer's fixed per-call work outweighs the links SUA skips; the
-        # scalability shows in the link count
+        # scalability shows in the link count (S > 0 on the evaluated links)
         *_, sua, base = desk
-        n_sua = np.count_nonzero(sua.quality.kind != association.KIND_MASKED)
-        n_base = np.count_nonzero(base.quality.kind != association.KIND_MASKED)
+        n_sua = np.count_nonzero(sua.S)
+        n_base = np.count_nonzero(base.S)
         assert 0 < n_sua < n_base
 
     def test_sua_faster_at_default_scale(self):
@@ -140,10 +140,12 @@ class TestRuntime:
         assert rt.sua_s < 0.01 and rt.baseline_s < 0.01
 
     def test_measurement_stability(self, desk):
+        # the reported median shrugs off a preempted sample: three
+        # measurements agree within a factor of 4 (on a shared 2-CPU host,
+        # 1600 repetitions of this body gave at most 3.1)
         cfg, dep, *_ = desk
-        rt = net_metrics.association_runtime(dep, cfg, reps=20)
-        samples = np.array(rt.sua_samples)
-        assert samples.std() / samples.mean() < 0.5
+        medians = [net_metrics.association_runtime(dep, cfg, reps=20).sua_s for _ in range(3)]
+        assert max(medians) < 4.0 * min(medians)
 
 
 class TestXSweep:
@@ -196,7 +198,7 @@ class TestCsvWriters:
         assert "sua,0,1e-07" in text
 
     def test_runtime_csv(self):
-        rt = net_metrics.RuntimeResult(0.001, 0.002, 5, [], [])
+        rt = net_metrics.RuntimeResult(0.001, 0.002, 5)
         text = net_metrics.runtime_csv(rt)
         assert "sua,0.001,5" in text and "baseline,0.002,5" in text
 

@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,6 +19,7 @@ from cfmimo.scenario import (
     config_to_dict,
     generate_deployment,
     load_scenario,
+    rng_stream,
     save_scenario,
     service_counts,
 )
@@ -28,6 +30,15 @@ def small_config(**kw):
                 clutter_density_per_km2=200.0, seed=5)
     base.update(kw)
     return SystemConfig(**base)
+
+
+# scenario keys: every config field name, nested ones too, or any short text
+JSON_KEYS = st.sampled_from(sorted(f.name for cls in (SystemConfig, PathLossParams, ServiceMix)
+                                   for f in fields(cls))) | st.text(max_size=5)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=8)
 
 
 class TestValidation:
@@ -192,6 +203,16 @@ class TestScenarioFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             load_scenario(str(path))
+
+    @given(st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=6))
+    @example({"seed": -1})
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_object_loads_or_is_rejected(self, data):
+        try:
+            cfg = config_from_dict(data)
+        except ValidationError:
+            return
+        rng_stream(cfg.seed, "deployment")
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -124,30 +124,28 @@ class TestEnvelopePdfs:
 
 class TestThreshold:
     def test_inverse_identity(self):
-        cfg = sense_perf.DetectionConfig(p_fa=math.exp(-1.0), sigma_phi2=1.0)
-        assert sense_perf.detection_threshold(cfg) == pytest.approx(1.0, rel=1e-14)
+        assert sense_perf.detection_threshold(math.exp(-1.0), 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_known_value(self):
-        cfg = sense_perf.DetectionConfig(p_fa=0.01, sigma_phi2=1.0)
-        assert sense_perf.detection_threshold(cfg) == pytest.approx(2.145966026289347, rel=1e-13)
+        assert sense_perf.detection_threshold(0.01, 1.0) == pytest.approx(2.145966026289347,
+                                                                       rel=1e-13)
 
     def test_scales_linearly_in_sigma(self):
-        base = sense_perf.detection_threshold(sense_perf.DetectionConfig(0.05, 1.0))
-        scaled = sense_perf.detection_threshold(sense_perf.DetectionConfig(0.05, 9.0))
+        base = sense_perf.detection_threshold(0.05, 1.0)
+        scaled = sense_perf.detection_threshold(0.05, 9.0)
         assert scaled == pytest.approx(3.0 * base, rel=1e-14)
 
     def test_round_trip_recovers_pfa(self):
         for pfa in (0.3, 0.01, 1e-4):
             for s2 in (0.5, 1.0, 4.0):
-                cfg = sense_perf.DetectionConfig(p_fa=pfa, sigma_phi2=s2)
-                eta = sense_perf.detection_threshold(cfg)
+                eta = sense_perf.detection_threshold(pfa, s2)
                 assert abs(math.exp(-eta * eta / s2) - pfa) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sense_perf.detection_threshold(sense_perf.DetectionConfig(0.0, 1.0))
+            sense_perf.detection_threshold(0.0, 1.0)
         with pytest.raises(ValueError):
-            sense_perf.detection_threshold(sense_perf.DetectionConfig(0.1, 0.0))
+            sense_perf.detection_threshold(0.1, 0.0)
 
     def test_false_alarm_rate_matches_target(self):
         for pfa in (0.1, 0.01):
@@ -211,33 +209,22 @@ class TestPdMonteCarlo:
         for p in pts:
             assert abs(p.pd_mc - p.pd_formula) < 2e-2
 
-    def test_swerling_mode_runs(self):
-        cfg, dep, A = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [10.0], 20000, cfg.seed,
-                                           amplitude="swerling1")
-        agg = [p for p in pts if p.ue == "aggregate"][0]
-        assert 0.0 < agg.pd_mc < 1.0
-
     # detections out of 2000 trials per (UE, SCNR) at 0, 5 and 10 dB, stream
     # seed 9, UEs 0, 1, 3 in turn; recorded when each scheme drew its own trials
     PINNED_DETECTIONS = {
-        ("fixed", "sua"): [167, 731, 1888, 179, 766, 1880, 156, 752, 1864],
-        ("fixed", "baseline"): [18, 12, 18, 189, 821, 1910, 137, 643, 1779],
-        ("swerling1", "sua"): [196, 645, 1285, 198, 706, 1327, 195, 623, 1301],
-        ("swerling1", "baseline"): [20, 14, 22, 217, 737, 1351, 167, 547, 1243],
+        "sua": [167, 731, 1888, 179, 766, 1880, 156, 752, 1864],
+        "baseline": [18, 12, 18, 189, 821, 1910, 137, 643, 1779],
     }
 
-    @pytest.mark.parametrize("amplitude", ["fixed", "swerling1"])
-    def test_pinned_detection_counts(self, amplitude):
+    def test_pinned_detection_counts(self):
         from cfmimo import association
         cfg, dep, A = self._scenario()
         assocs = {"sua": A, "baseline": association.baseline_all_to_all(dep.L, dep.K)}
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, [0.0, 5.0, 10.0], 2000, 9,
-                                           amplitude=amplitude)
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, [0.0, 5.0, 10.0], 2000, 9)
         assert [p.scheme for p in pts] == ["sua"] * 12 + ["baseline"] * 12
         for scheme in assocs:
             got = [p.pd_mc for p in pts if p.scheme == scheme and p.ue != "aggregate"]
-            assert got == [c / 2000 for c in self.PINNED_DETECTIONS[amplitude, scheme]], scheme
+            assert got == [c / 2000 for c in self.PINNED_DETECTIONS[scheme]], scheme
 
     def test_shared_draws_equal_one_scheme_calls(self):
         from cfmimo import association
