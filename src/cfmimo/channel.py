@@ -1,5 +1,8 @@
-"""Propagation, spatial correlation, pilot-based MMSE estimation, uplink data and
-MR combining, and the clutter returns inside each link's sensing lobe."""
+"""Propagation, spatial correlation, pilot transmission and MMSE estimation,
+and the clutter returns inside each link's sensing lobe.
+
+Uplink data and MR combining have no per-AP form here: `comm_perf` draws the
+combined outputs directly from their sufficient statistics."""
 
 from __future__ import annotations
 
@@ -51,21 +54,26 @@ class LinkBudget:
     distance_m: np.ndarray   # (L, K)
     pl_db: np.ndarray        # (L, K)
     rssi_dbm: np.ndarray     # (L, K)
-    gain_lin: np.ndarray     # (L, K) linear channel gain 10^(-PL/10)
 
     @property
     def p_r_dbm(self) -> np.ndarray:
         return self.rssi_dbm
 
+    @property
+    def gain_lin(self) -> np.ndarray:
+        """(L, K) linear channel gain 10^(-PL/10)."""
+        return db_to_lin(-self.pl_db)
+
 
 def link_budget(deployment: Deployment, config: SystemConfig) -> LinkBudget:
-    diff = deployment.ap_pos[:, None, :] - deployment.ue_pos[None, :, :]
-    d = np.maximum(np.linalg.norm(diff, axis=2), config.pathloss.d0_m)
+    ap, ue = deployment.ap_pos, deployment.ue_pos
+    dx = ap[:, None, 0] - ue[None, :, 0]
+    dy = ap[:, None, 1] - ue[None, :, 1]
+    d = np.maximum(_distance(dx, dy), config.pathloss.d0_m)
     rng = rng_stream(config.seed, "shadow")
     shadow = rng.normal(0.0, config.pathloss.shadow_sigma_db, size=d.shape)
     pl = path_loss_db(config.pathloss, d, shadow)
-    rs = rssi_dbm(config.p_t_dbm, pl)
-    return LinkBudget(distance_m=d, pl_db=pl, rssi_dbm=rs, gain_lin=db_to_lin(-pl))
+    return LinkBudget(distance_m=d, pl_db=pl, rssi_dbm=rssi_dbm(config.p_t_dbm, pl))
 
 
 # --- spatial correlation ----------------------------------------------------
@@ -137,9 +145,10 @@ def pilot_rx(h, p, tau_p: int, pilots, sigma2: float, rng: np.random.Generator):
     """Pilot observation y_{l,t(k)} of every AP, as seen by every UE k.
 
     h has shape (L, K, N), p the K pilot powers (or a scalar), pilots the K
-    pilot sequences. Noise is drawn once per pilot group, groups in order of
-    first use, each as the real parts of an (L, N) block then the imaginary
-    parts. Returns (L, K, N); UEs sharing a pilot see the same observation.
+    pilot sequences. Each group's signal is the sum over its own members, in
+    UE order. Noise is drawn once per pilot group, groups in order of first
+    use, each as the real parts of an (L, N) block then the imaginary parts.
+    Returns (L, K, N); UEs sharing a pilot see the same observation.
     """
     h = np.asarray(h, dtype=complex)
     L, K, n = h.shape
@@ -147,19 +156,20 @@ def pilot_rx(h, p, tau_p: int, pilots, sigma2: float, rng: np.random.Generator):
     if np.any(p < 0):
         raise ValueError("pilot power must be >= 0")
     slot, member = _pilot_groups(pilots)
-    y = np.einsum("lkn,kt->ltn", h, np.sqrt(tau_p * p)[:, None] * member)
+    h = h * np.sqrt(tau_p * p)[:, None]
+    y = np.stack([h[:, slot == t].sum(axis=1) for t in range(member.shape[1])], axis=1)
     noise = rng.standard_normal((member.shape[1], 2, L, n))
     y += math.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1]).transpose(1, 0, 2)
     return y[:, slot]
 
 
-def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues=None) -> np.ndarray:
-    """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for every link,
-    or only for the links to the UEs `ues`.
+def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
+    """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for the links
+    to the UEs `ues`, shape (L, len(ues), N, N).
 
     R holds the channel correlations (large-scale gain included), shape
     (L, K, N, N); p the K pilot powers; pilots the K pilot sequences. Psi
-    sums over all K UEs either way. The estimate of h_lk is filt[l, k] @
+    sums over all K UEs. The estimate of h_lk is filt[l, k] @
     y_{l,t(k)} (see `pilot_rx`); its error covariance is
     R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
     """
@@ -169,8 +179,7 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues=None) -> np.ndarr
     slot, member = _pilot_groups(pilots)
     psi = np.einsum("lkmn,kt->ltmn", R, tau_p * p[:, None] * member)
     psi += sigma2 * np.eye(n)
-    if ues is not None:
-        R, p, slot = R[:, ues], p[ues], slot[ues]
+    R, p, slot = R[:, ues], p[ues], slot[ues]
     try:
         # R and Psi are Hermitian, so R Psi^-1 = (Psi^-1 R)^H
         filt = np.linalg.solve(psi[:, slot], R)
@@ -206,45 +215,6 @@ def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:
                 break
         pilots[k] = pilot
     return pilots
-
-
-# --- uplink data and MR combining --------------------------------------------
-
-def ul_data_rx(h_by_ap: np.ndarray, symbols: np.ndarray, sigma2: float,
-               rng: np.random.Generator):
-    """Received uplink data y_l = sum_k h_lk s_k + n_l for every AP.
-
-    h_by_ap has shape (L, K, N); symbols (K,) or (K, S). Returns (L, N) or
-    (L, N, S); the noise is drawn as all real parts, then all imaginary parts.
-    """
-    h = np.swapaxes(np.asarray(h_by_ap, dtype=complex), 1, 2)
-    symbols = np.asarray(symbols, dtype=complex)
-    L, n, K = h.shape
-    if n > 1 and symbols.ndim == 2 and symbols.shape[1] > 1:
-        # one (L N, K) @ (K, S) product on a contiguous copy in place of L small
-        # ones; numpy takes a single antenna row or a single symbol column
-        # through matrix-vector kernels that round differently, so those keep
-        # the per-AP product
-        y = (np.ascontiguousarray(h).reshape(L * n, K) @ symbols).reshape(L, n, -1)
-    else:
-        y = h @ symbols
-    noise = np.empty(y.shape)  # one reused buffer bounds the peak memory of a large S
-    for part in (y.real, y.imag):
-        rng.standard_normal(out=noise)
-        noise *= math.sqrt(sigma2 / 2.0)
-        part += noise
-    return y
-
-
-def mr_combine(combiners, y_by_ap):
-    """MR outputs z_k = sum_l v_lk^H y_l for every UE.
-
-    combiners has shape (L, K, N) and is zero where AP l does not serve UE k,
-    so each sum runs over the UE's serving set; y_by_ap is (L, N) or
-    (L, N, S). Returns (K,) or (K, S).
-    """
-    return np.tensordot(np.conjugate(combiners), np.asarray(y_by_ap, dtype=complex),
-                        axes=([0, 2], [0, 1]))
 
 
 # --- sensing: clutter geometry and lobe returns ------------------------------

@@ -186,28 +186,38 @@ def pd_single(scnr: float, p_fa: float) -> float:
 
 # --- Monte-Carlo chains -------------------------------------------------------
 
+def _detection_rate(m: float, sigma2: float, eta: float, noise: np.ndarray) -> float:
+    """Fraction of trials whose envelope |m + sqrt(sigma2/2) (nr + j ni)|
+    exceeds eta; noise holds the unit normals (nr, ni), shape (2, trials).
+
+    The target phase is not drawn: for circular Gaussian noise, |e^{j theta} m + n|
+    has the law of |m + n|. With a = sqrt(sigma2/2) the test reads
+    (nr + m/a)^2 + ni^2 > (eta/a)^2.
+    """
+    a = math.sqrt(sigma2 / 2.0)
+    nr, ni = noise
+    return float(np.count_nonzero((nr + m / a) ** 2 + ni * ni > (eta / a) ** 2)) / nr.size
+
+
 def false_alarm_monte_carlo(p_fa: float, n_trials: int, seed: int) -> float:
     """Empirical false-alarm rate of the envelope detector under H0, at unit
     clutter + noise power."""
-    eta = detection_threshold(p_fa, 1.0)
     rng = rng_stream(seed, "mc", 90001)
-    u = math.sqrt(0.5) * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-    return float(np.count_nonzero(np.abs(u) > eta)) / n_trials
+    return _detection_rate(0.0, 1.0, detection_threshold(p_fa, 1.0),
+                           rng.standard_normal((2, n_trials)))
 
 
 def pd_chain_monte_carlo(scnr: float, p_fa: float, n_trials: int, seed: int,
                          stream_tag: int = 0) -> float:
-    """Empirical detection rate of the matched-envelope chain at a given SCNR.
+    """Empirical detection rate of the matched-envelope chain at a given SCNR,
+    at unit clutter + noise power.
 
     The target amplitude is held at the value realizing the requested SCNR
-    (random phase per trial) so the run is comparable against the closed form.
+    so the run is comparable against the closed form.
     """
-    eta = detection_threshold(p_fa, 1.0)
     rng = rng_stream(seed, "mc", 91000 + stream_tag)
-    phase = np.exp(2j * math.pi * rng.random(n_trials))
-    noise = math.sqrt(0.5) * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-    u = math.sqrt(scnr) * phase + noise
-    return float(np.count_nonzero(np.abs(u) > eta)) / n_trials
+    return _detection_rate(math.sqrt(scnr), 1.0, detection_threshold(p_fa, 1.0),
+                           rng.standard_normal((2, n_trials)))
 
 
 @dataclass
@@ -303,9 +313,11 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     association equals the grid value: scale_ref from `pd_scale_ref`, or when
     absent from the first association of `assocs`. The deployment's link
     budget and clutter geometry are built here unless passed.
-    Per (UE, grid point) the target phases and the unit noise come from one
-    stream rng_stream(seed, "mc", 92000, k, gi), and every scheme's detector
-    sees those same draws, scaled to its own serving set.
+    Per (UE, grid point) one pair of unit normals per trial comes from the
+    stream rng_stream(seed, "mc", 92000, k, gi), all real parts then all
+    imaginary parts, and every scheme's detector sees those same draws,
+    scaled to its own serving set. No target phase is drawn (see
+    `_detection_rate`).
 
     Returns (points, scale_ref); points holds each scheme's per-UE points and
     then its aggregates, schemes in the order of `assocs`.
@@ -322,16 +334,12 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     for k in sorted(next(iter(terms.values()))):
         for gi, scnr_db in enumerate(grid):
             scale = scale_ref[k][float(scnr_db)]
-            rng = rng_stream(seed, "mc", 92000, k, gi)
-            phase = np.exp(2j * math.pi * rng.random(n_trials))
-            unit_noise = rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
+            noise = rng_stream(seed, "mc", 92000, k, gi).standard_normal((2, n_trials))
             for scheme, by_ue in terms.items():
                 _, echo, sp2 = by_ue[k]
                 sig_tot = float(sp2.sum())
-                eta = detection_threshold(config.p_fa, sig_tot)
-                m_tot = float(np.sqrt(scale * echo).sum())
-                u = phase * m_tot + math.sqrt(sig_tot / 2.0) * unit_noise
-                rate = float(np.count_nonzero(np.abs(u) > eta)) / n_trials
+                rate = _detection_rate(float(np.sqrt(scale * echo).sum()), sig_tot,
+                                       detection_threshold(config.p_fa, sig_tot), noise)
                 formula = pd_single(effective_scnr(echo, sp2, scale), config.p_fa)
                 points[scheme].append(PdPoint(scheme, str(k), float(scnr_db), formula, rate,
                                               n_trials, config.p_fa))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmimo import channel
+from cfmimo import association, channel, comm_perf
+from cfmimo.comm_perf import QPSK
 from cfmimo.scenario import (
     Deployment,
     PathLossParams,
+    ServiceType,
     SystemConfig,
     generate_deployment,
     rng_stream,
@@ -156,14 +158,28 @@ class TestPilotsAndEstimation:
             np.testing.assert_array_equal(y[:, k], re + 1j * im)
         np.testing.assert_array_equal(y[:, 2], y[:, 0])
 
+    @pytest.mark.parametrize("tau_p,n", [(1, 1), (1, 4), (3, 1), (4, 5), (10, 5)])
+    def test_group_sums_equal_membership_einsum(self, tau_p, n):
+        # the all-UE product with the 0/1 group-membership matrix, to 1e-14 of
+        # the summed magnitudes (the sums run in another order)
+        rng = np.random.default_rng(tau_p * 10 + n)
+        h = rng.standard_normal((7, 12, n)) + 1j * rng.standard_normal((7, 12, n))
+        p, pilots = rng.random(12) + 0.1, rng.integers(0, tau_p, 12)
+        y = channel.pilot_rx(h, p, tau_p, pilots, 0.0, rng_stream(1, "noise"))
+        slot, member = channel._pilot_groups(pilots)
+        weights = np.sqrt(tau_p * p)[:, None] * member
+        ref = np.einsum("lkn,kt->ltn", h, weights)[:, slot]
+        scale = np.einsum("lkn,kt->ltn", np.abs(h), weights)[:, slot]
+        assert np.all(np.abs(y - ref) <= 1e-14 * scale)
+
     def test_perfect_estimation_limit(self):
         h = np.array([0.3 - 0.2j, 1.1j])
         y = channel.pilot_rx(_stack(h), 1.0, 16, [0], 0.0, rng_stream(4, "noise"))
-        filt = channel.mmse_estimate(np.eye(2)[None, None], 1.0, 16, [0], 1e-14)
+        filt = channel.mmse_estimate(np.eye(2)[None, None], 1.0, 16, [0], 1e-14, [0])
         np.testing.assert_allclose(filt[0, 0] @ y[0, 0], h, atol=1e-5)
 
     def test_no_information_limit(self):
-        filt = channel.mmse_estimate(np.eye(2)[None, None], 0.0, 8, [0], 1.0)
+        filt = channel.mmse_estimate(np.eye(2)[None, None], 0.0, 8, [0], 1.0, [0])
         np.testing.assert_allclose(filt[0, 0] @ np.ones(2), 0.0)
 
     def test_matches_generic_lmmse_oracle(self):
@@ -174,7 +190,7 @@ class TestPilotsAndEstimation:
                       for a in (0.3, -0.9, 1.2)])
         p, tau, s2 = np.array([0.7, 1.3, 0.4]), 6, 0.4
         y = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        filt = channel.mmse_estimate(R[None], p, tau, [2, 2, 0], s2)
+        filt = channel.mmse_estimate(R[None], p, tau, [2, 2, 0], s2, [0, 1, 2])
         c_yy = tau * (p[0] * R[0] + p[1] * R[1]) + s2 * np.eye(3)
         for k in (0, 1):
             oracle = math.sqrt(p[k] * tau) * R[k] @ np.linalg.solve(c_yy, y)
@@ -190,7 +206,7 @@ class TestPilotsAndEstimation:
         h = math.sqrt(g / 2.0) * (rng.standard_normal((n, 1, 1))
                                   + 1j * rng.standard_normal((n, 1, 1)))
         y = channel.pilot_rx(h, p, tau, [0], s2, rng)
-        filt = channel.mmse_estimate(np.full((n, 1, 1, 1), g), p, tau, [0], s2)
+        filt = channel.mmse_estimate(np.full((n, 1, 1, 1), g), p, tau, [0], s2, [0])
         est = (filt @ y[..., None])[:, 0, 0, 0]
         err = h[:, 0, 0] - est
         corr = abs(np.mean(est.conj() * err)) / math.sqrt(
@@ -248,10 +264,41 @@ class TestPilotsAndEstimation:
                                 for g, a in ((0.8, 0.3), (1.5, -0.9), (0.4, 1.2), (1.1, 2.0))])
                       for _ in range(2)])
         p, pilots = np.array([0.7, 1.3, 0.4, 0.9]), [1, 0, 1, 2]
-        full = channel.mmse_estimate(R, p, 4, pilots, 0.3)
+        full = channel.mmse_estimate(R, p, 4, pilots, 0.3, np.arange(4))
         ues = np.array([1, 3])
         np.testing.assert_array_equal(channel.mmse_estimate(R, p, 4, pilots, 0.3, ues),
                                       full[:, ues])
+
+
+# The per-AP uplink data path, each AP's received data with per-antenna noise
+# then MR combining: the oracle of `comm_perf.ser_monte_carlo`, which draws
+# the combined outputs directly.
+
+def _ul_data_rx(h_by_ap, symbols, sigma2, rng):
+    """Received uplink data y_l = sum_k h_lk s_k + n_l for every AP.
+
+    h_by_ap has shape (L, K, N); symbols (K,) or (K, S). Returns (L, N) or
+    (L, N, S); the noise is drawn as all real parts, then all imaginary parts.
+    """
+    h = np.swapaxes(np.asarray(h_by_ap, dtype=complex), 1, 2)
+    symbols = np.asarray(symbols, dtype=complex)
+    L, n, K = h.shape
+    if n > 1 and symbols.ndim == 2 and symbols.shape[1] > 1:
+        # numpy takes a single antenna row or a single symbol column through
+        # matrix-vector kernels that round differently, so those keep the
+        # per-AP product
+        y = (np.ascontiguousarray(h).reshape(L * n, K) @ symbols).reshape(L, n, -1)
+    else:
+        y = h @ symbols
+    y.real += math.sqrt(sigma2 / 2.0) * rng.standard_normal(y.shape)
+    y.imag += math.sqrt(sigma2 / 2.0) * rng.standard_normal(y.shape)
+    return y
+
+
+def _mr_combine(combiners, y_by_ap):
+    """MR outputs z_k = sum_l v_lk^H y_l over the APs where combiners is nonzero."""
+    return np.tensordot(np.conjugate(combiners), np.asarray(y_by_ap, dtype=complex),
+                        axes=([0, 2], [0, 1]))
 
 
 class TestUplinkData:
@@ -261,37 +308,146 @@ class TestUplinkData:
         rng = np.random.default_rng(n)
         h = rng.standard_normal((6, 7, n)) + 1j * rng.standard_normal((6, 7, n))
         s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        y = channel.ul_data_rx(h, s, 0.0, rng_stream(1, "noise"))
+        y = _ul_data_rx(h, s, 0.0, rng_stream(1, "noise"))
         np.testing.assert_array_equal(y, np.swapaxes(h, 1, 2) @ s)
 
     def test_single_ue_perfect_csi_no_noise(self):
         h = np.zeros((2, 1, 3), dtype=complex)
         h[0, 0] = np.array([1.0, 1j, 2.0])
         h[1, 0] = np.array([0.5, -1.0, 1j])
-        y = channel.ul_data_rx(h, np.array([[0.7 + 0.1j]]), 0.0, rng_stream(1, "noise"))
-        out = channel.mr_combine(h, y)
+        y = _ul_data_rx(h, np.array([[0.7 + 0.1j]]), 0.0, rng_stream(1, "noise"))
+        out = _mr_combine(h, y)
         expect = float(np.vdot(h, h).real) * (0.7 + 0.1j)
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(expect)
 
     def test_zero_channel_only_noise(self):
         h = np.zeros((1, 1, 2), dtype=complex)
-        out = channel.ul_data_rx(h, np.array([1.0]), 1.0, rng_stream(2, "noise"))
+        out = _ul_data_rx(h, np.array([1.0]), 1.0, rng_stream(2, "noise"))
         assert np.all(np.isfinite(out))
 
     def test_orthogonal_channels_no_cross_interference(self):
         h = np.zeros((1, 2, 2), dtype=complex)
         h[0, 0] = np.array([1.0, 0.0])
         h[0, 1] = np.array([0.0, 1.0])
-        y = channel.ul_data_rx(h, np.array([1.0, 1.0]), 0.0, rng_stream(3, "noise"))
-        z = channel.mr_combine(h, y)
+        y = _ul_data_rx(h, np.array([1.0, 1.0]), 0.0, rng_stream(3, "noise"))
+        z = _mr_combine(h, y)
         np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-12)  # no leakage between UEs
 
     def test_combining_runs_over_the_serving_set(self):
         # a zero combiner row drops that AP from the UE's sum
         y = np.array([[1.0, 2.0], [10.0, 20.0]], dtype=complex)
         v = np.array([[[1.0, 0.0]], [[0.0, 0.0]]], dtype=complex)
-        np.testing.assert_allclose(channel.mr_combine(v, y), [1.0])
+        np.testing.assert_allclose(_mr_combine(v, y), [1.0])
+
+
+def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, gain_ref,
+                       perfect_csi):
+    """Symbol errors per SNR point of the per-AP data path: each AP's received
+    data, its noise drawn per antenna, MR-combined over the serving sets.
+
+    Fading, pilot noise and symbols are drawn as `comm_perf.ser_monte_carlo`
+    draws them, so only the data noise differs between the two paths.
+    """
+    A = np.asarray(A) == 1
+    K, N = dep.K, cfg.N
+    g = channel.link_budget(dep, cfg).gain_lin / gain_ref
+    p_lin = channel.dbm_to_watts(dep.ue_power_dbm)
+    p_rel = p_lin / float(np.median(p_lin))
+    data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
+    aps = np.flatnonzero(A[:, data_ues].any(axis=1))
+    pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)}, K, cfg.tau_p)
+    C, C_sqrt = channel.link_correlations(dep, cfg, aps)
+    sqrt_g = np.sqrt(g[aps])[..., None]
+    serves = A[np.ix_(aps, data_ues)][..., None]
+    amp_tx = np.sqrt(p_rel[data_ues])[:, None]
+    sym_per_block = max(1, cfg.tau_c - cfg.tau_p)
+    counts = []
+    for gi, snr_db in enumerate(snr_db_grid):
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        if not perfect_csi:
+            filt = channel.mmse_estimate(g[aps][..., None, None] * C, p_rel, cfg.tau_p, pilots,
+                                         sigma2, data_ues) * serves[..., None]
+        errors = 0
+        for block, done in enumerate(range(0, n_symbols, sym_per_block)):
+            nsym = min(sym_per_block, n_symbols - done)
+            rng = rng_stream(seed, "mc", gi, block)
+            w = rng.standard_normal((aps.size, K, N)) + 1j * rng.standard_normal((aps.size, K, N))
+            w /= math.sqrt(2.0)
+            h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
+            if perfect_csi:
+                h_hat = serves * h[:, data_ues]
+            else:
+                y_p = channel.pilot_rx(h, p_rel, cfg.tau_p, pilots, sigma2, rng)
+                h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
+            idx = rng.integers(0, constel.M, (data_ues.size, nsym))
+            z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues] * amp_tx, constel.points[idx],
+                                               sigma2, rng))
+            gain = amp_tx * np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real[:, None]
+            det = np.argmin(np.abs(z[..., None] - gain[..., None] * constel.points) ** 2, axis=-1)
+            errors += int(np.count_nonzero(det != idx))
+        counts.append(errors)
+    return counts
+
+
+class TestCombinedDomainSer:
+    """`comm_perf.ser_monte_carlo` draws the MR outputs' noise in the combined
+    domain; on the same fading, pilot and symbol draws its error counts agree
+    with the per-AP path's within binomial bounds."""
+
+    GRID = [-5.0, 0.0, 5.0, 10.0]
+    N_SYMBOLS = 1500
+
+    @staticmethod
+    def _cases(model):
+        for seed in (3, 4, 5):
+            cfg = SystemConfig(L=12, K=5, N=2, tau_p=3, tau_c=40, X=2, area_side_m=150.0,
+                               clutter_density_per_km2=400.0, seed=seed,
+                               correlation_model=model)
+            dep = generate_deployment(cfg)
+            A = association.run_sua(dep, cfg).A
+            gain_ref = float(np.median(channel.link_budget(dep, cfg).gain_lin[A == 1]))
+            for scheme_A in (A, association.baseline_all_to_all(dep.L, dep.K)):
+                yield cfg, dep, scheme_A, gain_ref
+
+    @pytest.mark.parametrize("model", ["identity", "local_scattering"])
+    @pytest.mark.parametrize("perfect_csi", [False, True])
+    def test_error_counts_agree_with_per_ap_path(self, model, perfect_csi):
+        diff_sum, var_sum = 0.0, 0.0
+        for cfg, dep, A, gain_ref in self._cases(model):
+            n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
+            pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS,
+                                            cfg.seed, gain_ref, perfect_csi=perfect_csi)
+            new = [round(p.ser_mc * n_tot) for p in pts]
+            old = _ser_errors_per_ap(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS, cfg.seed,
+                                     gain_ref, perfect_csi)
+            for a, b in zip(new, old):
+                # both counts are sums of the same per-symbol error
+                # probabilities given the draws, with independent noise
+                p_bar = (a + b) / (2.0 * n_tot)
+                var = 2.0 * n_tot * p_bar * (1.0 - p_bar)
+                assert abs(a - b) <= 4.5 * math.sqrt(var) + 1, (cfg.seed, a, b)
+                diff_sum += a - b
+                var_sum += var
+        # no bias over all points, as a noise power off by a factor would give
+        assert abs(diff_sum) <= 4.0 * math.sqrt(var_sum)
+
+    @pytest.mark.parametrize("model", ["identity", "local_scattering"])
+    def test_same_draws_give_same_noise_free_errors(self, model):
+        # at 300 dB the noise moves no decision, so equal counts show that
+        # both paths decode the same fading, pilot and symbol draws; pilot
+        # contamination and inter-UE leakage leave errors to count
+        total = 0
+        for cfg, dep, A, gain_ref in self._cases(model):
+            n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
+            for perfect_csi in (False, True):
+                pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
+                                                cfg.seed, gain_ref, perfect_csi=perfect_csi)
+                old = _ser_errors_per_ap(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
+                                         cfg.seed, gain_ref, perfect_csi)
+                assert round(pts[0].ser_mc * n_tot) == old[0]
+                total += old[0]
+        assert total > 0
 
 
 class TestClutterGeometry:
