@@ -16,21 +16,18 @@ def mask_links(p_r_dbm: np.ndarray, threshold_dbm: float) -> np.ndarray:
     return (np.asarray(p_r_dbm, dtype=float) >= threshold_dbm).astype(np.int8)
 
 
-def mask(deployment: Deployment, config: SystemConfig,
-         budget: channel.LinkBudget | None = None):
+def mask(deployment: Deployment, config: SystemConfig, budget: channel.LinkBudget):
     """AP masking after initial access.
 
     Returns the L x K mask and the RSSI matrix whose columns are the per-UE
     initial-access measurement vectors.
     """
-    if budget is None:
-        budget = channel.link_budget(deployment, config)
     return mask_links(budget.p_r_dbm, config.p_threshold_dbm), budget.rssi_dbm
 
 
 def link_quality(deployment: Deployment, config: SystemConfig,
                  budget: channel.LinkBudget, mask_m: np.ndarray | None,
-                 geom: channel.ClutterGeometry | None = None) -> np.ndarray:
+                 geom: channel.ClutterGeometry) -> np.ndarray:
     """SNR / SCNR / weighted-joint metric per link, in linear scale: the
     (L, K) array S, 0 on every link not evaluated.
 
@@ -40,8 +37,6 @@ def link_quality(deployment: Deployment, config: SystemConfig,
     """
     L, K = budget.p_r_dbm.shape
     evaluate = np.ones((L, K), dtype=bool) if mask_m is None else (np.asarray(mask_m) == 1)
-    if geom is None:
-        geom = channel.clutter_geometry(deployment, config.pathloss)
 
     n0 = config.noise_power_w()
     p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
@@ -327,6 +322,8 @@ class AssociationResult:
 def run_sua(deployment: Deployment, config: SystemConfig,
             budget: channel.LinkBudget | None = None,
             geom: channel.ClutterGeometry | None = None) -> AssociationResult:
+    # The one function that builds the state left out: the benchmark's sua_ms
+    # times run_sua(deployment, config), that build included.
     if budget is None:
         budget = channel.link_budget(deployment, config)
     if geom is None:
@@ -338,16 +335,9 @@ def run_sua(deployment: Deployment, config: SystemConfig,
     return AssociationResult(m, S, prio, A, report)
 
 
-def run_baseline(deployment: Deployment, config: SystemConfig,
-                 budget: channel.LinkBudget | None = None,
-                 geom: channel.ClutterGeometry | None = None) -> AssociationResult:
+def run_baseline(deployment: Deployment, config: SystemConfig, budget: channel.LinkBudget,
+                 geom: channel.ClutterGeometry) -> AssociationResult:
     """All-to-all evaluation: metrics for every link, every AP serves every UE."""
-    if budget is None:
-        budget = channel.link_budget(deployment, config)
-    if geom is None:
-        geom = channel.clutter_geometry(deployment, config.pathloss)
     S = link_quality(deployment, config, budget, None, geom)
     A = baseline_all_to_all(deployment.L, deployment.K)
-    prio = priorities(S)
-    all_mask = np.ones_like(A)
-    return AssociationResult(all_mask, S, prio, A, None)
+    return AssociationResult(np.ones_like(A), S, priorities(S), A, None)

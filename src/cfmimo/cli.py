@@ -137,7 +137,7 @@ def cmd_ser(args) -> int:
     for scheme in schemes:
         pts = comm_perf.ser_monte_carlo(
             deployment, cfg, assocs[scheme], constel, grid, args.symbols,
-            cfg.seed, perfect_csi=args.perfect_csi, gain_ref=gain_ref, budget=budget)
+            cfg.seed, gain_ref, budget, perfect_csi=args.perfect_csi)
         by_scheme[scheme] = {constel.name.lower(): pts}
     csv = comm_perf.ser_csv(by_scheme)
     for scheme in schemes:
@@ -165,7 +165,7 @@ def cmd_pd(args) -> int:
         deployment, cfg, assocs["sua"], grid, budget, geom)
     all_points, _ = sense_perf.pd_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, grid, args.trials, cfg.seed,
-        scale_ref=scale_ref, budget=budget, geom=geom)
+        budget, geom, scale_ref=scale_ref)
     for scheme in schemes:
         atomic_write(os.path.join(args.out, f"pd_{scheme}.csv"),
                      sense_perf.pd_csv([p for p in all_points if p.scheme == scheme]))
@@ -210,8 +210,7 @@ def cmd_netmetrics(args) -> int:
     for name, csv in tables.items():
         atomic_write(os.path.join(args.out, f"netmetrics_{name}.csv"), csv)
     # wall-clock measurement: not reproducible run-to-run, kept out of the report
-    rt = net_metrics.association_runtime(deployment, cfg, reps=args.reps,
-                                         budget=budget, geom=geom)
+    rt = net_metrics.association_runtime(deployment, cfg, budget, geom, reps=args.reps)
     atomic_write(os.path.join(args.out, "netmetrics_runtime.csv"),
                  net_metrics.runtime_csv(rt))
     rep = report.build_report("netmetrics", cfg, cfg.seed, tables)
@@ -226,8 +225,13 @@ def cmd_report(args) -> int:
     reports = []
     for name in sorted(os.listdir(args.out)):
         if name.endswith("_report.json") and name != "combined_report.json":
-            with open(os.path.join(args.out, name), encoding="utf-8") as fh:
-                reports.append(report.parse_report(fh.read()))
+            path = os.path.join(args.out, name)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    reports.append(report.parse_report(fh.read()))
+            except (OSError, ValueError) as e:  # unreadable, not UTF-8 or malformed
+                print(f"cannot read report {path}: {e}", file=sys.stderr)
+                return EXIT_VALIDATION
     if not reports:
         print("no experiment reports found", file=sys.stderr)
         return EXIT_INFEASIBLE

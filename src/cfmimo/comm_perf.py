@@ -150,35 +150,32 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
 
 def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Constellation,
                     snr_db_grid, n_symbols: int, seed: int, gain_ref: float,
-                    perfect_csi: bool = False, budget: channel.LinkBudget | None = None):
+                    budget: channel.LinkBudget, perfect_csi: bool = False):
     """Uplink SER of communication and JCAS UEs under a given association.
 
     Estimated channels (MMSE with the scheme's pilot reuse), MR combining over
     each UE's serving set, ML detection.  snr_db is the per-symbol receive SNR
     of a reference link with gain `gain_ref`; the same reference must be
-    reused across schemes to put them on one axis.  The deployment's link
-    budget is built here unless passed.
+    reused across schemes to put them on one axis.
 
     Every UE sends pilots (sensing UEs contend for sequences too); only
     communication and JCAS UEs carry uplink data. The MR outputs are drawn in
-    the combined domain: with V the stacked estimates of the data UEs, zero
-    off their serving sets, z = V^H H s + V^H n, and V^H n is complex normal
-    with covariance sigma2 V^H V, so its K_data outputs per symbol are drawn
-    in place of the per-AP noise they reduce (Bjornson, Hoydis & Sanguinetti,
-    "Massive MIMO Networks", 2017, ch. 4).
+    the combined domain: with v_k the stacked estimate of data UE k, zero off
+    its serving set, UE k's output is v_k^H H s + v_k^H n, and its decision
+    reads only that output, whose noise is complex normal with variance
+    sigma2 |v_k|^2 (Bjornson, Hoydis & Sanguinetti, "Massive MIMO Networks",
+    2017, ch. 4).
 
     Each coherence block of tau_c - tau_p symbols draws from its own stream
     rng_stream(seed, "mc", snr_index, block), in this order: the fading of
     every link from a serving AP to every UE (real parts, then imaginary
     parts); with estimated CSI, the pilot noise of each pilot group in order
-    of first use (see `channel.pilot_rx`); the data symbols; the combined
+    of first use (see `channel.pilot_rx`); the data symbols; the output
     noise, a (K_data, symbols) block of real parts, then one of imaginary
-    parts.
+    parts, each UE's row scaled to its own variance.
     """
     A = np.asarray(A) == 1
     K, N = deployment.K, config.N
-    if budget is None:
-        budget = channel.link_budget(deployment, config)
     g = budget.gain_lin / gain_ref
 
     p_lin = channel.dbm_to_watts(deployment.ue_power_dbm)
@@ -220,19 +217,15 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
                 y_p = channel.pilot_rx(h, p_rel, config.tau_p, pilots, sigma2, rng)
                 h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
             idx = rng.integers(0, constel.M, (data_ues.size, nsym))
-            # V^H [V, H diag(amp)] in one product: the Gram matrix and the
-            # effective channel G, each (K_data, K_data)
+            # with V = [v_k]: G = V^H H diag(amp), (K_data, K_data), and |v_k|^2
             V = h_hat.transpose(0, 2, 1).reshape(-1, data_ues.size)
             H = (h[:, data_ues] * amp_tx[:, None]).transpose(0, 2, 1).reshape(-1, data_ues.size)
-            gram, G = np.split(V.conj().T @ np.concatenate([V, H], axis=1), 2, axis=1)
-            # the Hermitian square root, as the Gram matrix is singular when two
-            # co-pilot UEs share one serving AP; scaled to a unit largest
-            # diagonal so the absolute PSD tolerance holds at any gain
-            scale = float(gram.diagonal().real.max()) or 1.0
-            mix = math.sqrt(scale * sigma2 / 2.0) * channel.correlation_sqrt(gram / scale)
+            G = V.conj().T @ H
+            v_norm2 = (V.real ** 2 + V.imag ** 2).sum(axis=0)
             noise = rng.standard_normal((2, data_ues.size, nsym))
-            z = G @ constel.points[idx] + mix @ (noise[0] + 1j * noise[1])
-            gain = (amp_tx * gram.diagonal().real)[:, None]
+            z = G @ constel.points[idx] \
+                + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * (noise[0] + 1j * noise[1])
+            gain = (amp_tx * v_norm2)[:, None]
             det = np.argmin(np.abs(z[..., None] - gain[..., None] * constel.points) ** 2, axis=-1)
             errors += int(np.count_nonzero(det != idx))
 

@@ -55,15 +55,9 @@ class ClutterReport:
 
 
 def clutter_counts(deployment: Deployment, config: SystemConfig, A,
-                   geom: channel.ClutterGeometry | None = None,
-                   budget: channel.LinkBudget | None = None) -> ClutterReport:
+                   geom: channel.ClutterGeometry, budget: channel.LinkBudget) -> ClutterReport:
     """Lobe scatterer counts for every selected link (same rule as clutter power)."""
-    A = np.asarray(A)
-    if geom is None:
-        geom = channel.clutter_geometry(deployment, config.pathloss)
-    if budget is None:
-        budget = channel.link_budget(deployment, config)
-    l_idx, k_idx = np.nonzero(A == 1)
+    l_idx, k_idx = np.nonzero(np.asarray(A) == 1)
     _, counts = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                         budget.distance_m[l_idx, k_idx])
     links = list(zip(l_idx.tolist(), k_idx.tolist(), counts.tolist()))
@@ -78,20 +72,16 @@ class RuntimeResult:
 
 
 def association_runtime(deployment: Deployment, config: SystemConfig,
-                        reps: int = 20, budget: channel.LinkBudget | None = None,
-                        geom: channel.ClutterGeometry | None = None) -> RuntimeResult:
+                        budget: channel.LinkBudget, geom: channel.ClutterGeometry,
+                        reps: int = 20) -> RuntimeResult:
     """Median wall-clock of `association.run_sua` against `association.run_baseline`.
 
-    Both schemes share one link budget and clutter geometry, built here unless
-    passed, so the timed region covers each scheme's per-link metric
-    evaluation and its own logic (mask -> metrics -> priorities -> optimize
-    for SUA; all-link metrics, priorities and the all-ones matrix for the
-    baseline). Each scheme runs once untimed first.
+    Both schemes share the given link budget and clutter geometry, so the
+    timed region covers each scheme's per-link metric evaluation and its own
+    logic (mask -> metrics -> priorities -> optimize for SUA; all-link
+    metrics, priorities and the all-ones matrix for the baseline). Each
+    scheme runs once untimed first.
     """
-    if budget is None:
-        budget = channel.link_budget(deployment, config)
-    if geom is None:
-        geom = channel.clutter_geometry(deployment, config.pathloss)
     runs = (association.run_sua, association.run_baseline)
     for run in runs:
         run(deployment, config, budget, geom)

@@ -66,14 +66,23 @@ def build_report(experiment: str, config: SystemConfig, seed: int,
     )
 
 
+_REPORT_KEYS = {"experiment": str, "digest": str, "seed": int, "tables": dict}
+
+
 def parse_report(text: str) -> MetricReport:
-    doc = json.loads(text)
-    return MetricReport(
-        experiment=doc["experiment"],
-        digest=doc["digest"],
-        seed=int(doc["seed"]),
-        tables=doc["tables"],
-    )
+    """Read one report; a malformed one raises ValueError saying what is wrong."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    for key, kind in _REPORT_KEYS.items():
+        if key not in doc:
+            raise ValueError(f"missing key {key!r}")
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            raise ValueError(f"{key} must be a {kind.__name__}, got {doc[key]!r}")
+    return MetricReport(**{key: doc[key] for key in _REPORT_KEYS})
 
 
 def merge_reports(reports: list[MetricReport]) -> MetricReport:

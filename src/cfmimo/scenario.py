@@ -121,7 +121,6 @@ class SystemConfig:
     pathloss: PathLossParams = field(default_factory=PathLossParams)
     noise_figure_db: float = 7.0
     clutter_density_per_km2: float = 1100.0
-    sigma_rcs: float = 1.0            # target RCS variance
     sigma_c2: float = 1e8             # per-scatterer clutter power scale
     p_fa: float = 1e-2
     correlation_model: str = "identity"   # "identity" or "local_scattering"
@@ -150,8 +149,8 @@ class SystemConfig:
             raise ValidationError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if self.clutter_density_per_km2 < 0:
             raise ValidationError(f"clutter_density_per_km2 must be >= 0, got {self.clutter_density_per_km2}")
-        if self.sigma_rcs < 0 or self.sigma_c2 < 0:
-            raise ValidationError("sigma_rcs and sigma_c2 must be >= 0")
+        if self.sigma_c2 < 0:
+            raise ValidationError(f"sigma_c2 must be >= 0, got {self.sigma_c2}")
         if self.correlation_model not in ("identity", "local_scattering"):
             raise ValidationError(f"unknown correlation_model {self.correlation_model!r}")
         if isinstance(self.p_k_dbm, (list, tuple)) and len(self.p_k_dbm) != self.K:

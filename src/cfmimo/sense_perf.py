@@ -242,17 +242,13 @@ def pd_csv(points: list[PdPoint]) -> str:
 
 
 def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,
-                        budget: channel.LinkBudget | None = None,
-                        geom: channel.ClutterGeometry | None = None):
-    """Per sensing/JCAS UE: serving APs with echo strength and clutter level.
+                        budget: channel.LinkBudget, geom: channel.ClutterGeometry):
+    """Per sensing/JCAS UE: echo strength and clutter level of each serving AP,
+    APs ascending.
 
     Echo strength is the two-way link gain; the clutter+noise power per AP is
     normalized to unit thermal noise, so sigma_phi2 = 1 + clutter/noise.
     """
-    if budget is None:
-        budget = channel.link_budget(deployment, config)
-    if geom is None:
-        geom = channel.clutter_geometry(deployment, config.pathloss)
     ues = deployment.ue_indices(ServiceType.SENSE, ServiceType.JCAS)
     served = np.asarray(A)[:, ues].T == 1
     n_serving = served.sum(axis=1)
@@ -267,8 +263,8 @@ def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,
     echo = channel.db_to_lin(-2.0 * budget.pl_db[l_idx, k_idx])
     sig_phi2 = 1.0 + pc / config.noise_power_w()
     cuts = np.cumsum(n_serving)[:-1]
-    return {int(k): (serving, e, sp2) for k, serving, e, sp2 in
-            zip(ues, np.split(l_idx, cuts), np.split(echo, cuts), np.split(sig_phi2, cuts))}
+    return {int(k): (e, sp2) for k, e, sp2 in
+            zip(ues, np.split(echo, cuts), np.split(sig_phi2, cuts))}
 
 
 def effective_scnr(echo, sigma_phi2, scale: float) -> float:
@@ -283,15 +279,14 @@ def effective_scnr(echo, sigma_phi2, scale: float) -> float:
 
 def _scale_ref(terms: dict, grid) -> dict:
     scale_ref = {}
-    for k, (_, echo, sp2) in terms.items():
+    for k, (echo, sp2) in terms.items():
         unit = effective_scnr(echo, sp2, 1.0)
         scale_ref[k] = {float(s): 10.0 ** (s / 10.0) / unit for s in grid}
     return scale_ref
 
 
 def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
-                 budget: channel.LinkBudget | None = None,
-                 geom: channel.ClutterGeometry | None = None) -> dict:
+                 budget: channel.LinkBudget, geom: channel.ClutterGeometry) -> dict:
     """Per sensing/JCAS UE and grid value, the echo scale that puts the UE's
     aggregate SCNR under association A at that value: {k: {scnr_db: scale}}."""
     return _scale_ref(_sensing_link_terms(deployment, config, A, budget, geom),
@@ -299,10 +294,8 @@ def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
 
 
 def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
-                   scnr_grid_db, n_trials: int, seed: int,
-                   scale_ref: dict | None = None,
-                   budget: channel.LinkBudget | None = None,
-                   geom: channel.ClutterGeometry | None = None):
+                   scnr_grid_db, n_trials: int, seed: int, budget: channel.LinkBudget,
+                   geom: channel.ClutterGeometry, scale_ref: dict | None = None):
     """Detection curves for sensing and JCAS UEs under each association of
     `assocs`, a mapping from scheme name to association matrix.
 
@@ -311,8 +304,7 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     across the serving set and the envelope is thresholded at the P_FA point.
     The grid is calibrated so the aggregate SCNR under the reference
     association equals the grid value: scale_ref from `pd_scale_ref`, or when
-    absent from the first association of `assocs`. The deployment's link
-    budget and clutter geometry are built here unless passed.
+    absent from the first association of `assocs`.
     Per (UE, grid point) one pair of unit normals per trial comes from the
     stream rng_stream(seed, "mc", 92000, k, gi), all real parts then all
     imaginary parts, and every scheme's detector sees those same draws,
@@ -336,7 +328,7 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
             scale = scale_ref[k][float(scnr_db)]
             noise = rng_stream(seed, "mc", 92000, k, gi).standard_normal((2, n_trials))
             for scheme, by_ue in terms.items():
-                _, echo, sp2 = by_ue[k]
+                echo, sp2 = by_ue[k]
                 sig_tot = float(sp2.sum())
                 rate = _detection_rate(float(np.sqrt(scale * echo).sum()), sig_tot,
                                        detection_threshold(config.p_fa, sig_tot), noise)

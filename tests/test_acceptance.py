@@ -128,11 +128,13 @@ def test_c4_detection_chain():
 
     cfg = desk_config()
     dep = generate_deployment(cfg)
-    sua = assoc.run_sua(dep, cfg)
-    base = assoc.run_baseline(dep, cfg)
+    budget = channel.link_budget(dep, cfg)
+    geom = channel.clutter_geometry(dep, cfg.pathloss)
+    sua = assoc.run_sua(dep, cfg, budget, geom)
+    base = assoc.run_baseline(dep, cfg, budget, geom)
     grid = np.arange(0.0, 15.1, 2.5)
     pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": sua.A, "baseline": base.A}, grid,
-                                       100000, cfg.seed)
+                                       100000, cfg.seed, budget, geom)
     mc_s = {(p.ue, p.scnr_db): p.pd_mc for p in pts if p.scheme == "sua"}
     mc_b = {(p.ue, p.scnr_db): p.pd_mc for p in pts if p.scheme == "baseline"}
     ordering = all(mc_s[key] >= mc_b[key] for key in mc_s)
@@ -161,18 +163,19 @@ def test_c5_symbol_error_rate():
     # interference floor at high SNR), and the scheme ordering
     cfg = desk_config()
     dep = generate_deployment(cfg)
-    sua = assoc.run_sua(dep, cfg)
-    base = assoc.run_baseline(dep, cfg)
     budget = channel.link_budget(dep, cfg)
+    geom = channel.clutter_geometry(dep, cfg.pathloss)
+    sua = assoc.run_sua(dep, cfg, budget, geom)
+    base = assoc.run_baseline(dep, cfg, budget, geom)
     gain_ref = float(np.median(budget.gain_lin[sua.A == 1]))
     grid = np.arange(-16.0, -5.0, 2.0)
     worst_ld = 0.0
     order_ok = True
     for constel in (comm_perf.QPSK, comm_perf.BPSK):
         pts_s = comm_perf.ser_monte_carlo(dep, cfg, sua.A, constel, grid, 50000,
-                                          cfg.seed, gain_ref=gain_ref)
+                                          cfg.seed, gain_ref, budget)
         pts_b = comm_perf.ser_monte_carlo(dep, cfg, base.A, constel, grid, 50000,
-                                          cfg.seed, gain_ref=gain_ref)
+                                          cfg.seed, gain_ref, budget)
         order_ok &= all(a.ser_mc <= b.ser_mc for a, b in zip(pts_s, pts_b))
         if constel is comm_perf.QPSK:
             for p in pts_s:
@@ -233,7 +236,7 @@ def test_c7_network_orderings():
     e_b = net_metrics.energy_total(base.A, model)
     c_s = net_metrics.clutter_counts(dep, cfg, sua.A, geom, budget).mean
     c_b = net_metrics.clutter_counts(dep, cfg, base.A, geom, budget).mean
-    rt = net_metrics.association_runtime(dep, cfg, reps=20)
+    rt = net_metrics.association_runtime(dep, cfg, budget, geom, reps=20)
 
     elapsed = time.perf_counter() - t0
     ok = (d_s < d_b and e_s < e_b and c_s < c_b and rt.sua_s < rt.baseline_s

@@ -410,7 +410,7 @@ def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
     dep = generate_deployment(cfg)
     budget = channel.link_budget(dep, cfg)
     m, _ = assoc.mask(dep, cfg, budget)
-    S = assoc.link_quality(dep, cfg, budget, m)
+    S = assoc.link_quality(dep, cfg, budget, m, channel.clutter_geometry(dep, cfg.pathloss))
     return S, assoc.priorities(S), m, cfg.tau_p, cfg.X
 
 
@@ -491,8 +491,9 @@ class TestPipelines:
         cfg = SystemConfig(**kw)
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
-        sua = assoc.run_sua(dep, cfg, budget)
-        base = assoc.run_baseline(dep, cfg, budget)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        sua = assoc.run_sua(dep, cfg, budget, geom)
+        base = assoc.run_baseline(dep, cfg, budget, geom)
         unmasked = sua.mask == 1
         assert unmasked.any()
         np.testing.assert_array_equal(sua.S[unmasked], base.S[unmasked])

@@ -405,19 +405,20 @@ class TestCombinedDomainSer:
                                clutter_density_per_km2=400.0, seed=seed,
                                correlation_model=model)
             dep = generate_deployment(cfg)
-            A = association.run_sua(dep, cfg).A
-            gain_ref = float(np.median(channel.link_budget(dep, cfg).gain_lin[A == 1]))
+            budget = channel.link_budget(dep, cfg)
+            A = association.run_sua(dep, cfg, budget).A
+            gain_ref = float(np.median(budget.gain_lin[A == 1]))
             for scheme_A in (A, association.baseline_all_to_all(dep.L, dep.K)):
-                yield cfg, dep, scheme_A, gain_ref
+                yield cfg, dep, scheme_A, gain_ref, budget
 
     @pytest.mark.parametrize("model", ["identity", "local_scattering"])
     @pytest.mark.parametrize("perfect_csi", [False, True])
     def test_error_counts_agree_with_per_ap_path(self, model, perfect_csi):
         diff_sum, var_sum = 0.0, 0.0
-        for cfg, dep, A, gain_ref in self._cases(model):
+        for cfg, dep, A, gain_ref, budget in self._cases(model):
             n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
             pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS,
-                                            cfg.seed, gain_ref, perfect_csi=perfect_csi)
+                                            cfg.seed, gain_ref, budget, perfect_csi=perfect_csi)
             new = [round(p.ser_mc * n_tot) for p in pts]
             old = _ser_errors_per_ap(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS, cfg.seed,
                                      gain_ref, perfect_csi)
@@ -438,11 +439,12 @@ class TestCombinedDomainSer:
         # both paths decode the same fading, pilot and symbol draws; pilot
         # contamination and inter-UE leakage leave errors to count
         total = 0
-        for cfg, dep, A, gain_ref in self._cases(model):
+        for cfg, dep, A, gain_ref, budget in self._cases(model):
             n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
             for perfect_csi in (False, True):
                 pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
-                                                cfg.seed, gain_ref, perfect_csi=perfect_csi)
+                                                cfg.seed, gain_ref, budget,
+                                                perfect_csi=perfect_csi)
                 old = _ser_errors_per_ap(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
                                          cfg.seed, gain_ref, perfect_csi)
                 assert round(pts[0].ser_mc * n_tot) == old[0]

@@ -59,6 +59,17 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 2
 
+    def test_removed_sigma_rcs_key_exit_2(self, tmp_path, capsys):
+        # the target RCS variance was a field that nothing read; a scenario
+        # that still sets it is rejected like any other unknown key
+        doc = config_to_dict(SystemConfig())
+        doc["sigma_rcs"] = 1.0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert "sigma_rcs" in capsys.readouterr().err
+
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", ["associate", "ser", "pd", "netmetrics"])
@@ -119,6 +130,8 @@ class TestDeploymentStateBuiltOnce:
         ["associate"],
         ["ser", "--snr", "0:10:10", "--symbols", "200"],
         ["pd", "--snr", "0:10:10", "--trials", "200"],
+        ["pd", "--scheme", "baseline", "--snr", "0:10:10", "--trials", "200"],
+        ["ser", "--scheme", "baseline", "--snr", "0:10:10", "--symbols", "200"],
         ["netmetrics", "--reps", "1"],
     ])
     def test_one_link_budget_and_geometry(self, tmp_path, monkeypatch, argv):
@@ -300,6 +313,30 @@ class TestReportCommand:
         other_dir.mkdir()
         other = small_scenario(other_dir, seed=99)
         assert cli.main(["report", "--scenario", other, "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{not json", "not valid JSON"),
+        ("[]", "JSON object"),
+        ('{"experiment": "ser", "seed": 3, "tables": {}}', "'digest'"),
+        ('{"experiment": "ser", "digest": "d", "seed": "3", "tables": {}}', "seed"),
+    ], ids=["not-json", "list", "missing-key", "string-seed"])
+    def test_malformed_report_exit_2(self, tmp_path, capsys, text, problem):
+        path = small_scenario(tmp_path)
+        out = tmp_path / "out"
+        cli.main(["sweep-x", "--scenario", path, "--out", str(out), "--x-range", "1:4"])
+        (out / "ser_report.json").write_text(text)
+        capsys.readouterr()
+        assert cli.main(["report", "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "ser_report.json" in err and problem in err
+        assert not (out / "combined_report.json").exists()
+
+    def test_unreadable_report_exit_2(self, tmp_path, capsys):
+        path = small_scenario(tmp_path)
+        out = tmp_path / "out"
+        (out / "ser_report.json").mkdir(parents=True)
+        assert cli.main(["report", "--scenario", path, "--out", str(out)]) == 2
+        assert "ser_report.json" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -96,7 +96,8 @@ class TestClutterCounts:
         cfg = desk_config(clutter_density_per_km2=0.0)
         dep = generate_deployment(cfg)
         A = np.ones((cfg.L, cfg.K), dtype=int)
-        rep = net_metrics.clutter_counts(dep, cfg, A)
+        rep = net_metrics.clutter_counts(dep, cfg, A, channel.clutter_geometry(dep, cfg.pathloss),
+                                         channel.link_budget(dep, cfg))
         assert rep.mean == 0.0 and {c for *_, c in rep.links} == {0}
 
     def test_counts_nonnegative_integers(self, desk):
@@ -129,22 +130,26 @@ class TestRuntime:
 
     def test_sua_faster_at_default_scale(self):
         cfg = SystemConfig(seed=1)  # L=100, K=30
-        rt = net_metrics.association_runtime(generate_deployment(cfg), cfg, reps=10)
+        dep = generate_deployment(cfg)
+        rt = net_metrics.association_runtime(dep, cfg, channel.link_budget(dep, cfg),
+                                             channel.clutter_geometry(dep, cfg.pathloss), reps=10)
         assert rt.sua_s < rt.baseline_s
 
     def test_tiny_scenario_quick(self):
         cfg = SystemConfig(L=2, K=1, N=2, tau_p=1, X=1, area_side_m=100.0,
                            clutter_density_per_km2=100.0, seed=2)
         dep = generate_deployment(cfg)
-        rt = net_metrics.association_runtime(dep, cfg, reps=5)
+        rt = net_metrics.association_runtime(dep, cfg, channel.link_budget(dep, cfg),
+                                             channel.clutter_geometry(dep, cfg.pathloss), reps=5)
         assert rt.sua_s < 0.01 and rt.baseline_s < 0.01
 
     def test_measurement_stability(self, desk):
         # the reported median shrugs off a preempted sample: three
         # measurements agree within a factor of 4 (on a shared 2-CPU host,
         # 1600 repetitions of this body gave at most 3.1)
-        cfg, dep, *_ = desk
-        medians = [net_metrics.association_runtime(dep, cfg, reps=20).sua_s for _ in range(3)]
+        cfg, dep, budget, geom, *_ = desk
+        medians = [net_metrics.association_runtime(dep, cfg, budget, geom, reps=20).sua_s
+                   for _ in range(3)]
         assert max(medians) < 4.0 * min(medians)
 
 

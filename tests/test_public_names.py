@@ -2,7 +2,7 @@
 
 Uses are counted in the package, in the acceptance tests and in the benchmark
 scripts; unit tests do not count, so code that only they need shows up here.
-Three rules:
+Four rules:
 
 - Every public top-level function, class and constant is named outside its
   own definition: as a name, an attribute, an imported name or a whole string
@@ -12,6 +12,9 @@ Three rules:
 - Every defaulted parameter of a function or method is passed by some call of
   a function of that name: by keyword, by position, or through `*args` or
   `**kwargs`.
+- The per-deployment state is built once and passed down: outside
+  `association.run_sua`, no function defaults a `budget` or `geom`
+  parameter.
 
 Names are matched by spelling alone, so a field or parameter that shares its
 name with something in use (`.max`, `.kind`, `"psi"`) passes unseen.
@@ -92,6 +95,16 @@ def _functions(tree):
             yield fn, int(id(fn) in methods)
 
 
+def _defaulted(fn):
+    """(position, name) of each defaulted parameter of fn; keyword-only ones
+    at position infinity."""
+    args = fn.args
+    params = args.posonlyargs + args.args
+    out = [(i, a.arg) for i, a in enumerate(params)][len(params) - len(args.defaults):]
+    return out + [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
 def unpassed_parameters():
     """(function, parameter) of each defaulted parameter that no call passes."""
     positional = collections.defaultdict(int)  # callee name -> most positionals passed
@@ -108,12 +121,7 @@ def unpassed_parameters():
     out = []
     for path in PACKAGE:
         for fn, first in _functions(TREES[path]):
-            args = fn.args
-            params = args.posonlyargs + args.args
-            defaulted = [(i, a.arg) for i, a in enumerate(params)][len(params) - len(args.defaults):]
-            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                          if d is not None]
-            for i, arg in defaulted:
+            for i, arg in _defaulted(fn):
                 kws = keywords[fn.name]
                 if arg not in kws and None not in kws and positional[fn.name] <= i - first:
                     out.append((fn.name, arg))
@@ -130,3 +138,19 @@ def test_every_dataclass_field_is_read():
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters() == []
+
+
+def defaulted_state_parameters():
+    """(module, function, parameter) of each defaulted `budget` or `geom`
+    parameter outside `association.run_sua`, whose default is kept because the
+    benchmark times run_sua(deployment, config)."""
+    out = []
+    for path in PACKAGE:
+        for fn, _ in _functions(TREES[path]):
+            out += [(path.stem, fn.name, arg) for _, arg in _defaulted(fn)
+                    if arg in ("budget", "geom") and (path.stem, fn.name) != ("association", "run_sua")]
+    return out
+
+
+def test_deployment_state_is_passed_down():
+    assert defaulted_state_parameters() == []

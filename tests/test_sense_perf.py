@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from cfmimo import sense_perf
+from cfmimo import channel, sense_perf
 from cfmimo.scenario import SystemConfig, generate_deployment
 
 
@@ -213,22 +213,25 @@ class TestPdFormulas:
 
 class TestPdMonteCarlo:
     def _scenario(self):
+        """The configuration, deployment, SUA's association and the
+        deployment's (link budget, clutter geometry)."""
         cfg = SystemConfig(L=10, K=4, N=4, tau_p=3, X=2, area_side_m=200.0, seed=7)
         dep = generate_deployment(cfg)
         from cfmimo import association
-        res = association.run_sua(dep, cfg)
-        return cfg, dep, res.A
+        state = channel.link_budget(dep, cfg), channel.clutter_geometry(dep, cfg.pathloss)
+        return cfg, dep, association.run_sua(dep, cfg, *state).A, state
 
     def test_saturation_at_high_scnr(self):
-        cfg, dep, A = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [25.0], 100000, cfg.seed)
+        cfg, dep, A, state = self._scenario()
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [25.0], 100000, cfg.seed,
+                                           *state)
         agg = [p for p in pts if p.ue == "aggregate"][0]
         assert agg.pd_mc > 0.99
 
     def test_formula_tracks_mc(self):
-        cfg, dep, A = self._scenario()
+        cfg, dep, A, state = self._scenario()
         pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, np.arange(0, 15.1, 5.0),
-                                           100000, cfg.seed)
+                                           100000, cfg.seed, *state)
         for p in pts:
             assert abs(p.pd_mc - p.pd_formula) < 2e-2
 
@@ -241,9 +244,9 @@ class TestPdMonteCarlo:
 
     def test_pinned_detection_counts(self):
         from cfmimo import association
-        cfg, dep, A = self._scenario()
+        cfg, dep, A, state = self._scenario()
         assocs = {"sua": A, "baseline": association.baseline_all_to_all(dep.L, dep.K)}
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, [0.0, 5.0, 10.0], 2000, 9)
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, [0.0, 5.0, 10.0], 2000, 9, *state)
         assert [p.scheme for p in pts] == ["sua"] * 12 + ["baseline"] * 12
         for scheme in assocs:
             got = [p.pd_mc for p in pts if p.scheme == scheme and p.ue != "aggregate"]
@@ -251,21 +254,21 @@ class TestPdMonteCarlo:
 
     def test_shared_draws_equal_one_scheme_calls(self):
         from cfmimo import association
-        cfg, dep, A = self._scenario()
+        cfg, dep, A, state = self._scenario()
         B = association.baseline_all_to_all(dep.L, dep.K)
         grid = [0.0, 7.5]
         both, ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A, "baseline": B}, grid,
-                                              1000, 4)
-        sua, sua_ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, grid, 1000, 4)
-        base, _ = sense_perf.pd_monte_carlo(dep, cfg, {"baseline": B}, grid, 1000, 4,
+                                              1000, 4, *state)
+        sua, sua_ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, grid, 1000, 4, *state)
+        base, _ = sense_perf.pd_monte_carlo(dep, cfg, {"baseline": B}, grid, 1000, 4, *state,
                                             scale_ref=ref)
-        assert ref == sua_ref == sense_perf.pd_scale_ref(dep, cfg, A, grid)
+        assert ref == sua_ref == sense_perf.pd_scale_ref(dep, cfg, A, grid, *state)
         assert both == sua + base
 
     def test_deterministic(self):
-        cfg, dep, A = self._scenario()
-        a, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed)
-        b, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed)
+        cfg, dep, A, state = self._scenario()
+        a, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed, *state)
+        b, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed, *state)
         assert [p.pd_mc for p in a] == [p.pd_mc for p in b]
 
     def test_csv_format(self):
