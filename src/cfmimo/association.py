@@ -16,7 +16,7 @@ def mask_links(p_r_dbm: np.ndarray, threshold_dbm: float) -> np.ndarray:
     return (np.asarray(p_r_dbm, dtype=float) >= threshold_dbm).astype(np.int8)
 
 
-def mask(deployment: Deployment, config: SystemConfig, budget: channel.LinkBudget):
+def mask(config: SystemConfig, budget: channel.LinkBudget):
     """AP masking after initial access.
 
     Returns the L x K mask and the RSSI matrix whose columns are the per-UE
@@ -328,7 +328,7 @@ def run_sua(deployment: Deployment, config: SystemConfig,
         budget = channel.link_budget(deployment, config)
     if geom is None:
         geom = channel.clutter_geometry(deployment, config.pathloss)
-    m, _ = mask(deployment, config, budget)
+    m, _ = mask(config, budget)
     S = link_quality(deployment, config, budget, m, geom)
     prio = priorities(S)
     A, report = optimize(S, prio, m, config.tau_p, config.X)

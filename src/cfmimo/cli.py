@@ -22,9 +22,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
+MAX_GRID_POINTS = 10_000
+# |value| of a dB grid: 10^(+-30) keeps every power ratio, SNR and noise
+# variance of the Monte-Carlo stages well inside floating-point range
+MAX_GRID_DB = 300.0
+
 
 def parse_range(text: str) -> np.ndarray:
-    """Parse 'a:step:b' (inclusive) or 'a:b' with unit step."""
+    """Parse 'a:step:b' (inclusive) or 'a:b' with unit step: finite bounds and
+    step, step > 0, b >= a and at most MAX_GRID_POINTS points."""
     parts = text.split(":")
     try:
         if len(parts) == 2:
@@ -36,10 +42,23 @@ def parse_range(text: str) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise ValidationError(f"bad range {text!r}, expected a:step:b") from None
+    if not all(map(math.isfinite, (a, step, b))):
+        raise ValidationError(f"bad range {text!r}: bounds and step must be finite")
     if step <= 0 or b < a:
         raise ValidationError(f"bad range {text!r}: need step > 0 and b >= a")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return a + step * np.arange(n)
+    last = (b - a) / step + 1e-9  # index of the last point, before rounding down
+    if not last < MAX_GRID_POINTS:
+        raise ValidationError(f"bad range {text!r}: more than {MAX_GRID_POINTS} points")
+    return a + step * np.arange(math.floor(last) + 1)
+
+
+def parse_db_range(text: str) -> np.ndarray:
+    """`parse_range` for a grid in dB, whose values lie within +-MAX_GRID_DB."""
+    grid = parse_range(text)
+    if np.abs(grid).max() > MAX_GRID_DB:
+        raise ValidationError(f"bad range {text!r}: dB values must lie within "
+                              f"+-{MAX_GRID_DB:g}")
+    return grid
 
 
 def positive_int(text: str) -> int:
@@ -128,16 +147,13 @@ def cmd_ser(args) -> int:
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
     del geom
-    sel = budget.gain_lin[np.asarray(assocs["sua"]) == 1]
-    gain_ref = float(np.median(sel)) if sel.size else 1.0
-
-    grid = parse_range(args.snr)
+    grid = parse_db_range(args.snr)
     constel = comm_perf.constellation(args.mod)
     by_scheme = {}
     for scheme in schemes:
         pts = comm_perf.ser_monte_carlo(
             deployment, cfg, assocs[scheme], constel, grid, args.symbols,
-            cfg.seed, gain_ref, budget, perfect_csi=args.perfect_csi)
+            cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
         by_scheme[scheme] = {constel.name.lower(): pts}
     csv = comm_perf.ser_csv(by_scheme)
     for scheme in schemes:
@@ -159,13 +175,10 @@ def cmd_pd(args) -> int:
     schemes = _schemes(args)
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
-    grid = parse_range(args.snr)
-    # the grid is calibrated on SUA's aggregate SCNR, whichever schemes run
-    scale_ref = None if schemes[0] == "sua" else sense_perf.pd_scale_ref(
-        deployment, cfg, assocs["sua"], grid, budget, geom)
+    grid = parse_db_range(args.snr)
     all_points, _ = sense_perf.pd_monte_carlo(
-        deployment, cfg, {s: assocs[s] for s in schemes}, grid, args.trials, cfg.seed,
-        budget, geom, scale_ref=scale_ref)
+        deployment, cfg, {s: assocs[s] for s in schemes}, assocs["sua"], grid, args.trials,
+        cfg.seed, budget, geom)
     for scheme in schemes:
         atomic_write(os.path.join(args.out, f"pd_{scheme}.csv"),
                      sense_perf.pd_csv([p for p in all_points if p.scheme == scheme]))
@@ -178,9 +191,10 @@ def cmd_pd(args) -> int:
 
 def cmd_sweep_x(args) -> int:
     cfg = _load_config(args)
-    deployment = generate_deployment(cfg)
-    xs = [int(v) for v in parse_range(args.x_range)]
-    points = net_metrics.x_sweep_gain(deployment, cfg, xs)
+    xs = parse_range(args.x_range)
+    if np.any(xs != np.round(xs)):
+        raise ValidationError(f"x range {args.x_range!r} must hold whole AP counts")
+    points = net_metrics.x_sweep_gain(cfg.L, cfg.K, xs)
     knee = net_metrics.detect_knee(points)
     csv = net_metrics.gain_csv(points)
     atomic_write(os.path.join(args.out, "sweep-x_sua.csv"), csv)
@@ -270,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ser", help="symbol error rate, theory and Monte-Carlo")
     common(p)
-    p.add_argument("--snr", default="0:2:20", help="SNR grid a:step:b in dB")
+    p.add_argument("--snr", default="0:2:20",
+                   help="SNR grid a:step:b in dB: the SNR of a link with the median "
+                        "gain over SUA's serving links, for every scheme")
     p.add_argument("--mod", choices=("bpsk", "qpsk"), default="qpsk")
     p.add_argument("--symbols", type=positive_int, default=100000)
     p.add_argument("--perfect-csi", action="store_true")
@@ -278,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pd", help="probability of detection, formula and Monte-Carlo")
     common(p)
-    p.add_argument("--snr", default="0:2.5:15", help="SCNR grid a:step:b in dB")
+    p.add_argument("--snr", default="0:2.5:15",
+                   help="SCNR grid a:step:b in dB: each UE's aggregate SCNR under SUA, "
+                        "for every scheme")
     p.add_argument("--trials", type=positive_int, default=100000)
     p.add_argument("--pfa", type=float, default=None)
     p.set_defaults(func=cmd_pd)

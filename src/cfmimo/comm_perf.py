@@ -1,4 +1,9 @@
-"""Communication performance: closed-form and Monte-Carlo symbol error rates."""
+"""Communication performance: closed-form and Monte-Carlo symbol error rates.
+
+The Monte-Carlo SNR grid is the SNR of a link with the median gain over the
+serving links of a reference association; `cfmimo ser` passes SUA's, so
+every scheme is drawn on SUA's axis.
+"""
 
 from __future__ import annotations
 
@@ -149,14 +154,15 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
 # --- scenario-level Monte-Carlo -----------------------------------------------
 
 def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Constellation,
-                    snr_db_grid, n_symbols: int, seed: int, gain_ref: float,
+                    snr_db_grid, n_symbols: int, seed: int, reference,
                     budget: channel.LinkBudget, perfect_csi: bool = False):
     """Uplink SER of communication and JCAS UEs under a given association.
 
     Estimated channels (MMSE with the scheme's pilot reuse), MR combining over
-    each UE's serving set, ML detection.  snr_db is the per-symbol receive SNR
-    of a reference link with gain `gain_ref`; the same reference must be
-    reused across schemes to put them on one axis.
+    each UE's serving set, ML detection, every UE at unit transmit power.
+    snr_db is the per-symbol receive SNR of a link whose gain is the median
+    `budget.gain_lin` over the serving links of the association `reference`;
+    passing the same reference to every scheme puts them on one axis.
 
     Every UE sends pilots (sensing UEs contend for sequences too); only
     communication and JCAS UEs carry uplink data. The MR outputs are drawn in
@@ -176,15 +182,17 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
     """
     A = np.asarray(A) == 1
     K, N = deployment.K, config.N
-    g = budget.gain_lin / gain_ref
-
-    p_lin = channel.dbm_to_watts(deployment.ue_power_dbm)
-    p_rel = p_lin / float(np.median(p_lin))
-
     data_ues = deployment.ue_indices(ServiceType.COM, ServiceType.JCAS)
+    if data_ues.size == 0:
+        raise InfeasibleModelError("no communication or JCAS UE carries uplink data")
     for k in data_ues:
         if not A[:, k].any():
             raise InfeasibleModelError(f"UE {k} has an empty serving set")
+    ref_gains = budget.gain_lin[np.asarray(reference) == 1]
+    if ref_gains.size == 0:
+        raise InfeasibleModelError("the reference association serves no link to "
+                                   "calibrate the SNR axis on")
+    g = budget.gain_lin / float(np.median(ref_gains))
     aps = np.flatnonzero(A[:, data_ues].any(axis=1))
     pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)},
                                    K, config.tau_p)
@@ -194,7 +202,6 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
     R = None if perfect_csi else g[aps][..., None, None] * C
     del C  # only R and the square roots are used from here on
     serves = A[np.ix_(aps, data_ues)][..., None]
-    amp_tx = np.sqrt(p_rel[data_ues])
     sym_per_block = max(1, config.tau_c - config.tau_p)
 
     points = []
@@ -202,7 +209,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
         sigma2 = 10.0 ** (-float(snr_db) / 10.0)
         if R is not None:
             filt = None  # release the previous point's filters before building these
-            filt = channel.mmse_estimate(R, p_rel, config.tau_p, pilots, sigma2, data_ues)
+            filt = channel.mmse_estimate(R, 1.0, config.tau_p, pilots, sigma2, data_ues)
             filt *= serves[..., None]
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
@@ -214,25 +221,25 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
             if R is None:
                 h_hat = serves * h[:, data_ues]
             else:
-                y_p = channel.pilot_rx(h, p_rel, config.tau_p, pilots, sigma2, rng)
+                y_p = channel.pilot_rx(h, 1.0, config.tau_p, pilots, sigma2, rng)
                 h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
             idx = rng.integers(0, constel.M, (data_ues.size, nsym))
-            # with V = [v_k]: G = V^H H diag(amp), (K_data, K_data), and |v_k|^2
+            # with V = [v_k]: G = V^H H, (K_data, K_data), and |v_k|^2
             V = h_hat.transpose(0, 2, 1).reshape(-1, data_ues.size)
-            H = (h[:, data_ues] * amp_tx[:, None]).transpose(0, 2, 1).reshape(-1, data_ues.size)
+            H = h[:, data_ues].transpose(0, 2, 1).reshape(-1, data_ues.size)
             G = V.conj().T @ H
             v_norm2 = (V.real ** 2 + V.imag ** 2).sum(axis=0)
             noise = rng.standard_normal((2, data_ues.size, nsym))
             z = G @ constel.points[idx] \
                 + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * (noise[0] + 1j * noise[1])
-            gain = (amp_tx * v_norm2)[:, None]
-            det = np.argmin(np.abs(z[..., None] - gain[..., None] * constel.points) ** 2, axis=-1)
+            det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
+                            axis=-1)
             errors += int(np.count_nonzero(det != idx))
 
         c2 = residual_error_power(sigma2, K, config.tau_p, config.X)
         theory = float(np.mean([
             ser_theory(constel,
-                       effective_alpha(p_rel[k], config.tau_p, g[A[:, k], k], sigma2, config.X),
+                       effective_alpha(1.0, config.tau_p, g[A[:, k], k], sigma2, config.X),
                        sigma2, c2, N)
             for k in data_ues
         ]))

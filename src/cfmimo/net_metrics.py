@@ -110,8 +110,8 @@ class GainPoint:
 RESIDUAL_LEAKAGE = 0.7
 
 
-def x_sweep_gain(deployment: Deployment, config: SystemConfig, x_range) -> list[GainPoint]:
-    """Processing gain versus the per-UE AP budget.
+def x_sweep_gain(L: int, K: int, x_range) -> list[GainPoint]:
+    """Processing gain versus the per-UE AP budget x, for L APs and K UEs.
 
     Ideal gain is coherent combining of x equal-quality links, 10 log10(x).
     Real gain applies the same combining to x equal-quality branches whose
@@ -121,10 +121,10 @@ def x_sweep_gain(deployment: Deployment, config: SystemConfig, x_range) -> list[
     normalized to x = 1.
     """
     xs = sorted(int(x) for x in x_range)
-    if xs[0] < 1 or xs[-1] > deployment.L - 1:
+    if xs[0] < 1 or xs[-1] > L - 1:
         raise ValidationError(f"x range {xs[0]}:{xs[-1]} must lie within [1, L-1] = "
-                              f"[1, {deployment.L - 1}]")
-    load_rate = (deployment.K - 1) / deployment.L
+                              f"[1, {L - 1}]")
+    load_rate = (K - 1) / L
     points = []
     base = 1.0 / (1.0 + RESIDUAL_LEAKAGE * load_rate)
     for x in xs:

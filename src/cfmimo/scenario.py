@@ -52,11 +52,9 @@ def _check_types(obj, where: str = ""):
         v = getattr(obj, f.name)
         if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValidationError(f"{where}{f.name} must be an integer, got {v!r}")
-        if f.type.startswith("float"):
-            for x in (v if f.type == "float | list" and isinstance(v, (list, tuple)) else [v]):
-                if (isinstance(x, bool) or not isinstance(x, numbers.Real)
-                        or not math.isfinite(x)):
-                    raise ValidationError(f"{where}{f.name} must be a finite number, got {x!r}")
+        if f.type == "float" and (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                                  or not math.isfinite(v)):
+            raise ValidationError(f"{where}{f.name} must be a finite number, got {v!r}")
 
 
 @dataclass
@@ -113,7 +111,6 @@ class SystemConfig:
     bandwidth_hz: float = 20e6
     area_side_m: float = 500.0
     p_t_dbm: float = 36.0             # AP transmit power
-    p_k_dbm: float | list = 20.0      # UE uplink power, scalar or per-UE list
     p_threshold_dbm: float = -65.0    # masking threshold
     w_c: float = 0.4
     w_s: float = 0.6
@@ -153,15 +150,8 @@ class SystemConfig:
             raise ValidationError(f"sigma_c2 must be >= 0, got {self.sigma_c2}")
         if self.correlation_model not in ("identity", "local_scattering"):
             raise ValidationError(f"unknown correlation_model {self.correlation_model!r}")
-        if isinstance(self.p_k_dbm, (list, tuple)) and len(self.p_k_dbm) != self.K:
-            raise ValidationError(f"p_k_dbm list must have length K={self.K}, got {len(self.p_k_dbm)}")
         self.service_mix.validate()
         self.pathloss.validate()
-
-    def ue_power_dbm(self) -> np.ndarray:
-        if isinstance(self.p_k_dbm, (list, tuple)):
-            return np.asarray(self.p_k_dbm, dtype=float)
-        return np.full(self.K, float(self.p_k_dbm))
 
     def noise_power_dbm(self) -> float:
         """Thermal noise floor: -174 dBm/Hz + 10 log10(B) + noise figure."""
@@ -178,7 +168,6 @@ class Deployment:
     ap_pos: np.ndarray         # (L, 2) meters
     ue_pos: np.ndarray         # (K, 2) meters
     ue_service: np.ndarray     # (K,) ServiceType values
-    ue_power_dbm: np.ndarray   # (K,)
     scatterer_pos: np.ndarray  # (S, 2) meters
     scatterer_refl: np.ndarray # (S,) reflectivity >= 0
 
@@ -230,7 +219,6 @@ def generate_deployment(config: SystemConfig) -> Deployment:
         ap_pos=ap_pos,
         ue_pos=ue_pos,
         ue_service=labels,
-        ue_power_dbm=config.ue_power_dbm(),
         scatterer_pos=scatterer_pos,
         scatterer_refl=scatterer_refl,
     )

@@ -1,6 +1,10 @@
 """Sensing performance: Bessel and Marcum Q functions, envelope densities, the
 envelope detector's threshold, and closed-form and Monte-Carlo detection
-probability."""
+probability.
+
+The Monte-Carlo SCNR grid is each UE's aggregate SCNR under a reference
+association; `cfmimo pd` passes SUA's, so every scheme is drawn on SUA's axis.
+"""
 
 from __future__ import annotations
 
@@ -243,105 +247,78 @@ def pd_csv(points: list[PdPoint]) -> str:
 
 def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,
                         budget: channel.LinkBudget, geom: channel.ClutterGeometry):
-    """Per sensing/JCAS UE: echo strength and clutter level of each serving AP,
-    APs ascending.
+    """The sensing and JCAS UEs, ascending, and per UE two sums over its
+    serving APs: the echo amplitudes and the clutter+noise powers.
 
-    Echo strength is the two-way link gain; the clutter+noise power per AP is
-    normalized to unit thermal noise, so sigma_phi2 = 1 + clutter/noise.
+    A link's echo amplitude is its one-way gain, the square root of its
+    two-way gain; its clutter+noise power is normalized to unit thermal
+    noise, 1 + clutter/noise. The envelope detector reads only these sums.
     """
     ues = deployment.ue_indices(ServiceType.SENSE, ServiceType.JCAS)
+    if ues.size == 0:
+        raise InfeasibleModelError("no sensing or JCAS UE to detect")
     served = np.asarray(A)[:, ues].T == 1
     n_serving = served.sum(axis=1)
     if np.any(n_serving == 0):
         raise InfeasibleModelError(
             f"sensing UE {ues[np.argmin(n_serving)]} has an empty serving set")
-    # links grouped by UE, each UE's serving APs in ascending order
     col, l_idx = np.nonzero(served)
     k_idx = ues[col]
     pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                     budget.distance_m[l_idx, k_idx])
-    echo = channel.db_to_lin(-2.0 * budget.pl_db[l_idx, k_idx])
-    sig_phi2 = 1.0 + pc / config.noise_power_w()
-    cuts = np.cumsum(n_serving)[:-1]
-    return {int(k): (e, sp2) for k, e, sp2 in
-            zip(ues, np.split(echo, cuts), np.split(sig_phi2, cuts))}
+    amp = np.bincount(col, budget.gain_lin[l_idx, k_idx], ues.size)
+    sig = np.bincount(col, 1.0 + pc / config.noise_power_w(), ues.size)
+    return ues, amp, sig
 
 
-def effective_scnr(echo, sigma_phi2, scale: float) -> float:
-    """Aggregate SCNR of the unweighted cross-AP sum of matched outputs.
-
-    The serving APs' per-AP amplitudes add coherently while their clutter+noise
-    powers add in the denominator: (sum_l m_l)^2 / sum_l sigma_l^2.
-    """
-    m = np.sqrt(scale * np.asarray(echo, dtype=float))
-    return float(m.sum() ** 2 / np.asarray(sigma_phi2, dtype=float).sum())
-
-
-def _scale_ref(terms: dict, grid) -> dict:
-    scale_ref = {}
-    for k, (echo, sp2) in terms.items():
-        unit = effective_scnr(echo, sp2, 1.0)
-        scale_ref[k] = {float(s): 10.0 ** (s / 10.0) / unit for s in grid}
-    return scale_ref
-
-
-def pd_scale_ref(deployment: Deployment, config: SystemConfig, A, scnr_grid_db,
-                 budget: channel.LinkBudget, geom: channel.ClutterGeometry) -> dict:
-    """Per sensing/JCAS UE and grid value, the echo scale that puts the UE's
-    aggregate SCNR under association A at that value: {k: {scnr_db: scale}}."""
-    return _scale_ref(_sensing_link_terms(deployment, config, A, budget, geom),
-                      np.atleast_1d(np.asarray(scnr_grid_db, dtype=float)))
-
-
-def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
+def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict, reference,
                    scnr_grid_db, n_trials: int, seed: int, budget: channel.LinkBudget,
-                   geom: channel.ClutterGeometry, scale_ref: dict | None = None):
+                   geom: channel.ClutterGeometry):
     """Detection curves for sensing and JCAS UEs under each association of
     `assocs`, a mapping from scheme name to association matrix.
 
     Each serving AP contributes a matched-filter output with the link's echo
-    strength and its own clutter+noise floor; outputs are summed unweighted
+    amplitude and its own clutter+noise floor; outputs are summed unweighted
     across the serving set and the envelope is thresholded at the P_FA point.
-    The grid is calibrated so the aggregate SCNR under the reference
-    association equals the grid value: scale_ref from `pd_scale_ref`, or when
-    absent from the first association of `assocs`.
+    With amp and sig a UE's sums from `_sensing_link_terms`, its detector
+    sees the amplitude sqrt(scale) amp in noise of power sig, and
+    pd_formula = pd_single(scale amp^2 / sig).
+    The grid is each UE's aggregate SCNR under the association `reference`:
+    the echo scale of UE k at grid value g is 10^(g/10) sig_k / amp_k^2, with
+    the sums taken under `reference`.
     Per (UE, grid point) one pair of unit normals per trial comes from the
     stream rng_stream(seed, "mc", 92000, k, gi), all real parts then all
     imaginary parts, and every scheme's detector sees those same draws,
     scaled to its own serving set. No target phase is drawn (see
     `_detection_rate`).
 
-    Returns (points, scale_ref); points holds each scheme's per-UE points and
-    then its aggregates, schemes in the order of `assocs`.
+    Returns (points, scale); points holds each scheme's per-UE points and then
+    its aggregates, schemes in the order of `assocs`; scale is the
+    (UEs, grid) array of echo scales.
     """
-    terms = {scheme: _sensing_link_terms(deployment, config, A, budget, geom)
-             for scheme, A in assocs.items()}
-
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
-    if scale_ref is None:
-        scale_ref = _scale_ref(next(iter(terms.values())), grid)
+    ues, amp_ref, sig_ref = _sensing_link_terms(deployment, config, reference, budget, geom)
+    scale = (sig_ref / amp_ref ** 2)[:, None] * 10.0 ** (grid / 10.0)
+    sums = [_sensing_link_terms(deployment, config, A, budget, geom)[1:]
+            for A in assocs.values()]
 
-    points = {scheme: [] for scheme in terms}
-    agg_rows = {scheme: {} for scheme in terms}  # gi -> [(formula, rate)] over UEs
-    for k in sorted(next(iter(terms.values()))):
-        for gi, scnr_db in enumerate(grid):
-            scale = scale_ref[k][float(scnr_db)]
+    # (scheme, grid point, UE): each aggregate is then a mean over a contiguous row
+    formula = np.empty((len(sums), grid.size, ues.size))
+    rate = np.empty_like(formula)
+    for i, k in enumerate(ues):
+        for gi in range(grid.size):
             noise = rng_stream(seed, "mc", 92000, k, gi).standard_normal((2, n_trials))
-            for scheme, by_ue in terms.items():
-                echo, sp2 = by_ue[k]
-                sig_tot = float(sp2.sum())
-                rate = _detection_rate(float(np.sqrt(scale * echo).sum()), sig_tot,
-                                       detection_threshold(config.p_fa, sig_tot), noise)
-                formula = pd_single(effective_scnr(echo, sp2, scale), config.p_fa)
-                points[scheme].append(PdPoint(scheme, str(k), float(scnr_db), formula, rate,
-                                              n_trials, config.p_fa))
-                agg_rows[scheme].setdefault(gi, []).append((formula, rate))
+            for si, (amp, sig) in enumerate(sums):
+                rate[si, gi, i] = _detection_rate(math.sqrt(scale[i, gi]) * amp[i], sig[i],
+                                                  detection_threshold(config.p_fa, sig[i]), noise)
+                formula[si, gi, i] = pd_single(scale[i, gi] * amp[i] ** 2 / sig[i], config.p_fa)
 
-    out = []
-    for scheme, scheme_points in points.items():
-        out += scheme_points
-        for gi, rows in sorted(agg_rows[scheme].items()):
-            out.append(PdPoint(scheme, "aggregate", float(grid[gi]),
-                               float(np.mean([r[0] for r in rows])),
-                               float(np.mean([r[1] for r in rows])), n_trials, config.p_fa))
-    return out, scale_ref
+    points = []
+    for si, scheme in enumerate(assocs):
+        points += [PdPoint(scheme, str(k), float(g), float(formula[si, gi, i]),
+                           float(rate[si, gi, i]), n_trials, config.p_fa)
+                   for i, k in enumerate(ues) for gi, g in enumerate(grid)]
+        points += [PdPoint(scheme, "aggregate", float(g), float(f), float(r), n_trials,
+                           config.p_fa)
+                   for g, f, r in zip(grid, formula[si].mean(axis=1), rate[si].mean(axis=1))]
+    return points, scale

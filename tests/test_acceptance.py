@@ -133,8 +133,8 @@ def test_c4_detection_chain():
     sua = assoc.run_sua(dep, cfg, budget, geom)
     base = assoc.run_baseline(dep, cfg, budget, geom)
     grid = np.arange(0.0, 15.1, 2.5)
-    pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": sua.A, "baseline": base.A}, grid,
-                                       100000, cfg.seed, budget, geom)
+    pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": sua.A, "baseline": base.A}, sua.A,
+                                       grid, 100000, cfg.seed, budget, geom)
     mc_s = {(p.ue, p.scnr_db): p.pd_mc for p in pts if p.scheme == "sua"}
     mc_b = {(p.ue, p.scnr_db): p.pd_mc for p in pts if p.scheme == "baseline"}
     ordering = all(mc_s[key] >= mc_b[key] for key in mc_s)
@@ -167,15 +167,14 @@ def test_c5_symbol_error_rate():
     geom = channel.clutter_geometry(dep, cfg.pathloss)
     sua = assoc.run_sua(dep, cfg, budget, geom)
     base = assoc.run_baseline(dep, cfg, budget, geom)
-    gain_ref = float(np.median(budget.gain_lin[sua.A == 1]))
     grid = np.arange(-16.0, -5.0, 2.0)
     worst_ld = 0.0
     order_ok = True
     for constel in (comm_perf.QPSK, comm_perf.BPSK):
         pts_s = comm_perf.ser_monte_carlo(dep, cfg, sua.A, constel, grid, 50000,
-                                          cfg.seed, gain_ref, budget)
+                                          cfg.seed, sua.A, budget)
         pts_b = comm_perf.ser_monte_carlo(dep, cfg, base.A, constel, grid, 50000,
-                                          cfg.seed, gain_ref, budget)
+                                          cfg.seed, sua.A, budget)
         order_ok &= all(a.ser_mc <= b.ser_mc for a, b in zip(pts_s, pts_b))
         if constel is comm_perf.QPSK:
             for p in pts_s:
@@ -250,8 +249,7 @@ def test_c7_network_orderings():
 
 def test_c8_x_sweep_knee():
     cfg = SystemConfig()
-    dep = generate_deployment(cfg)
-    pts = net_metrics.x_sweep_gain(dep, cfg, range(1, 11))
+    pts = net_metrics.x_sweep_gain(cfg.L, cfg.K, range(1, 11))
     knee = net_metrics.detect_knee(pts)
     marg = [b.real_gain_db - a.real_gain_db for a, b in zip(pts, pts[1:])]
     tail = marg[knee - 1:]

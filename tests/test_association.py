@@ -43,7 +43,7 @@ class TestMask:
 
     def test_returns_initial_access_rssi(self, desk):
         cfg, dep, budget, _ = desk
-        m, rssi = assoc.mask(dep, cfg, budget)
+        m, rssi = assoc.mask(cfg, budget)
         np.testing.assert_array_equal(rssi, budget.rssi_dbm)
         assert m.shape == (cfg.L, cfg.K)
 
@@ -53,7 +53,7 @@ class TestLinkQuality:
         # JCAS cells hold w_c*SNR + w_s*SCNR and SENSE cells the SCNR, with the
         # clutter from channel.clutter_returns on the same links
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(dep, cfg, budget)
+        m, _ = assoc.mask(cfg, budget)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
         p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
@@ -75,13 +75,13 @@ class TestLinkQuality:
     def test_masked_cells_zero(self, desk):
         # S > 0 exactly on the evaluated links: the unmasked ones, or all
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(dep, cfg, budget)
+        m, _ = assoc.mask(cfg, budget)
         np.testing.assert_array_equal(assoc.link_quality(dep, cfg, budget, m, geom) > 0, m == 1)
         assert np.all(assoc.link_quality(dep, cfg, budget, None, geom) > 0)
 
     def test_com_cells_are_snr(self, desk):
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(dep, cfg, budget)
+        m, _ = assoc.mask(cfg, budget)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
         p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
@@ -94,7 +94,7 @@ class TestLinkQuality:
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
         geom = channel.clutter_geometry(dep, cfg.pathloss)
-        m, _ = assoc.mask(dep, cfg, budget)
+        m, _ = assoc.mask(cfg, budget)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
         p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
@@ -104,7 +104,7 @@ class TestLinkQuality:
 
     def test_nonnegative_everywhere(self, desk):
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(dep, cfg, budget)
+        m, _ = assoc.mask(cfg, budget)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         assert np.all(S >= 0)
 
@@ -409,7 +409,7 @@ def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
                        seed=seed)
     dep = generate_deployment(cfg)
     budget = channel.link_budget(dep, cfg)
-    m, _ = assoc.mask(dep, cfg, budget)
+    m, _ = assoc.mask(cfg, budget)
     S = assoc.link_quality(dep, cfg, budget, m, channel.clutter_geometry(dep, cfg.pathloss))
     return S, assoc.priorities(S), m, cfg.tau_p, cfg.X
 

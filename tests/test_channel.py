@@ -341,32 +341,32 @@ class TestUplinkData:
         np.testing.assert_allclose(_mr_combine(v, y), [1.0])
 
 
-def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, gain_ref,
+def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, reference,
                        perfect_csi):
     """Symbol errors per SNR point of the per-AP data path: each AP's received
     data, its noise drawn per antenna, MR-combined over the serving sets.
 
     Fading, pilot noise and symbols are drawn as `comm_perf.ser_monte_carlo`
-    draws them, so only the data noise differs between the two paths.
+    draws them, at unit UE power and on the SNR axis of the median gain over
+    the serving links of `reference`, so only the data noise differs between
+    the two paths.
     """
     A = np.asarray(A) == 1
     K, N = dep.K, cfg.N
-    g = channel.link_budget(dep, cfg).gain_lin / gain_ref
-    p_lin = channel.dbm_to_watts(dep.ue_power_dbm)
-    p_rel = p_lin / float(np.median(p_lin))
+    gain = channel.link_budget(dep, cfg).gain_lin
+    g = gain / float(np.median(gain[np.asarray(reference) == 1]))
     data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
     aps = np.flatnonzero(A[:, data_ues].any(axis=1))
     pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)}, K, cfg.tau_p)
     C, C_sqrt = channel.link_correlations(dep, cfg, aps)
     sqrt_g = np.sqrt(g[aps])[..., None]
     serves = A[np.ix_(aps, data_ues)][..., None]
-    amp_tx = np.sqrt(p_rel[data_ues])[:, None]
     sym_per_block = max(1, cfg.tau_c - cfg.tau_p)
     counts = []
     for gi, snr_db in enumerate(snr_db_grid):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         if not perfect_csi:
-            filt = channel.mmse_estimate(g[aps][..., None, None] * C, p_rel, cfg.tau_p, pilots,
+            filt = channel.mmse_estimate(g[aps][..., None, None] * C, 1.0, cfg.tau_p, pilots,
                                          sigma2, data_ues) * serves[..., None]
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
@@ -378,13 +378,13 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, gain_
             if perfect_csi:
                 h_hat = serves * h[:, data_ues]
             else:
-                y_p = channel.pilot_rx(h, p_rel, cfg.tau_p, pilots, sigma2, rng)
+                y_p = channel.pilot_rx(h, 1.0, cfg.tau_p, pilots, sigma2, rng)
                 h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
             idx = rng.integers(0, constel.M, (data_ues.size, nsym))
-            z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues] * amp_tx, constel.points[idx],
-                                               sigma2, rng))
-            gain = amp_tx * np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real[:, None]
-            det = np.argmin(np.abs(z[..., None] - gain[..., None] * constel.points) ** 2, axis=-1)
+            z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues], constel.points[idx], sigma2, rng))
+            v_norm2 = np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real
+            det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
+                            axis=-1)
             errors += int(np.count_nonzero(det != idx))
         counts.append(errors)
     return counts
@@ -406,22 +406,21 @@ class TestCombinedDomainSer:
                                correlation_model=model)
             dep = generate_deployment(cfg)
             budget = channel.link_budget(dep, cfg)
-            A = association.run_sua(dep, cfg, budget).A
-            gain_ref = float(np.median(budget.gain_lin[A == 1]))
-            for scheme_A in (A, association.baseline_all_to_all(dep.L, dep.K)):
-                yield cfg, dep, scheme_A, gain_ref, budget
+            sua = association.run_sua(dep, cfg, budget).A
+            for A in (sua, association.baseline_all_to_all(dep.L, dep.K)):
+                yield cfg, dep, A, sua, budget
 
     @pytest.mark.parametrize("model", ["identity", "local_scattering"])
     @pytest.mark.parametrize("perfect_csi", [False, True])
     def test_error_counts_agree_with_per_ap_path(self, model, perfect_csi):
         diff_sum, var_sum = 0.0, 0.0
-        for cfg, dep, A, gain_ref, budget in self._cases(model):
+        for cfg, dep, A, sua, budget in self._cases(model):
             n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
             pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS,
-                                            cfg.seed, gain_ref, budget, perfect_csi=perfect_csi)
+                                            cfg.seed, sua, budget, perfect_csi=perfect_csi)
             new = [round(p.ser_mc * n_tot) for p in pts]
             old = _ser_errors_per_ap(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS, cfg.seed,
-                                     gain_ref, perfect_csi)
+                                     sua, perfect_csi)
             for a, b in zip(new, old):
                 # both counts are sums of the same per-symbol error
                 # probabilities given the draws, with independent noise
@@ -439,14 +438,13 @@ class TestCombinedDomainSer:
         # both paths decode the same fading, pilot and symbol draws; pilot
         # contamination and inter-UE leakage leave errors to count
         total = 0
-        for cfg, dep, A, gain_ref, budget in self._cases(model):
+        for cfg, dep, A, sua, budget in self._cases(model):
             n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
             for perfect_csi in (False, True):
                 pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
-                                                cfg.seed, gain_ref, budget,
-                                                perfect_csi=perfect_csi)
+                                                cfg.seed, sua, budget, perfect_csi=perfect_csi)
                 old = _ser_errors_per_ap(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
-                                         cfg.seed, gain_ref, perfect_csi)
+                                         cfg.seed, sua, perfect_csi)
                 assert round(pts[0].ser_mc * n_tot) == old[0]
                 total += old[0]
         assert total > 0
@@ -505,7 +503,7 @@ def make_deployment(ap, ue, scat, refl=None):
     ap, ue = np.asarray(ap, dtype=float), np.asarray(ue, dtype=float)
     scat = np.asarray(scat, dtype=float).reshape(-1, 2)
     return Deployment(ap_pos=ap, ue_pos=ue, ue_service=np.zeros(len(ue), dtype=int),
-                      ue_power_dbm=np.zeros(len(ue)), scatterer_pos=scat,
+                      scatterer_pos=scat,
                       scatterer_refl=np.ones(len(scat)) if refl is None else np.asarray(refl))
 
 

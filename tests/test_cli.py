@@ -4,8 +4,17 @@ import os
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from cfmimo import cli
-from cfmimo.scenario import SystemConfig, ValidationError, config_to_dict, save_scenario
+from cfmimo.scenario import (
+    ServiceMix,
+    SystemConfig,
+    ValidationError,
+    config_to_dict,
+    save_scenario,
+)
 
 
 def small_scenario(tmp_path, **kw):
@@ -33,6 +42,33 @@ class TestParseRange:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValidationError):
             cli.parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["nan:1:5", "0:1:inf", "0:inf:5", "-inf:3", "0:nan:1"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            cli.parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["0:1e-300:1", "0:1:10000", "-1e308:1e308"])
+    def test_rejects_oversized_grid(self, bad):
+        with pytest.raises(ValidationError, match="10000 points"):
+            cli.parse_range(bad)
+
+    def test_largest_grid_accepted(self):
+        assert cli.parse_range("1:10000").size == cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("argv", [
+        ["ser", "--snr", "nan:1:5"],
+        ["ser", "--snr", "0:1:inf"],
+        ["ser", "--snr", "0:1e-300:1"],
+        ["ser", "--snr=-1e300:-1e300"],
+        ["pd", "--snr", "0:inf:5"],
+        ["pd", "--snr", "400:400"],
+    ])
+    def test_bad_grid_exit_2(self, tmp_path, capsys, argv):
+        path = small_scenario(tmp_path)
+        assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert "bad range" in capsys.readouterr().err
+        assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
 
 class TestValidateCommand:
@@ -218,6 +254,18 @@ class TestSer:
                        "--snr", "0:5:10", "--symbols", "1000"])
         assert rc == 3
 
+    @pytest.mark.parametrize("command, mix, cause", [
+        ("ser", ServiceMix(0.0, 1.0, 0.0), "no communication or JCAS UE"),
+        ("pd", ServiceMix(1.0, 0.0, 0.0), "no sensing or JCAS UE"),
+    ])
+    def test_no_ue_of_the_measured_kind_exit_3(self, tmp_path, capsys, command, mix, cause):
+        path = small_scenario(tmp_path, service_mix=mix)
+        out = tmp_path / "out"
+        assert cli.main([command, "--scenario", path, "--out", str(out), "--snr", "0:5:10",
+                         "--symbols" if command == "ser" else "--trials", "100"]) == 3
+        assert cause in capsys.readouterr().err
+        assert not any(name.endswith(".csv") for name in os.listdir(out))
+
 
 class TestPd:
     def test_runs_and_writes(self, tmp_path):
@@ -274,6 +322,14 @@ class TestSweepX:
         assert cli.main(["sweep-x", "--scenario", path, "--out", str(out),
                          "--x-range", x_range]) == 2
         assert "[1, 11]" in capsys.readouterr().err
+        assert not (out / "sweep-x_sua.csv").exists()
+
+    @pytest.mark.parametrize("x_range", ["1.5:3", "1:0.5:3", "1e300:1e300"])
+    def test_non_integer_or_huge_x_exit_2(self, tmp_path, x_range):
+        path = small_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep-x", "--scenario", path, "--out", str(out),
+                         "--x-range", x_range]) == 2
         assert not (out / "sweep-x_sua.csv").exists()
 
 
@@ -369,3 +425,64 @@ class TestDeterminism:
         a = (tmp_path / "a" / "associate_sua.csv").read_text()
         b = (tmp_path / "b" / "associate_sua.csv").read_text()
         assert a != b
+
+
+# --- any argv: exit 0, 2 or 3, never a traceback ---------------------------------
+
+RANGE_PARTS = ["0", "1", "3", "5", "-5", "2.5", "300", "-300", "301", "1e300", "-1e300",
+               "1e-300", "nan", "inf", "-inf", "x", ""]
+COUNTS = ["-3", "0", "1", "6", "two"]
+
+
+def _option(name, values):
+    """Either nothing or `name=value` for one of values."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [f"{name}={v}"]))
+
+
+def _given(name, values):
+    return st.sampled_from(values).map(lambda v: [f"{name}={v}"])
+
+
+_RANGE = st.lists(st.sampled_from(RANGE_PARTS), min_size=1, max_size=4).map(":".join)
+_SCHEME = _option("--scheme", ["sua", "baseline", "both", "all"])
+# sample counts are always given: their defaults run 100000 samples
+_ARGS = {
+    "associate": st.tuples(_SCHEME),
+    "ser": st.tuples(_SCHEME, _RANGE.map(lambda r: [f"--snr={r}"]), _given("--symbols", COUNTS),
+                     _option("--mod", ["bpsk", "qpsk", "8psk"]),
+                     st.sampled_from([[], ["--perfect-csi"]])),
+    "pd": st.tuples(_SCHEME, _RANGE.map(lambda r: [f"--snr={r}"]), _given("--trials", COUNTS),
+                    _option("--pfa", ["0", "1", "1e-300", "0.01", "nan", "-1"])),
+    "sweep-x": st.tuples(_RANGE.map(lambda r: [f"--x-range={r}"])),
+    "netmetrics": st.tuples(_given("--reps", COUNTS)),
+    "report": st.tuples(),
+}
+_COMMAND = st.sampled_from(sorted(_ARGS)).flatmap(
+    lambda c: st.tuples(st.just(c), _option("--seed", ["-1", "0", "3", "1000"]), _ARGS[c]))
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as e:  # argparse rejects the arguments
+        return e.code
+
+
+class TestAnyArgv:
+    """Every subcommand on a desk-scale scenario with tiny sample counts: each
+    drawn argv, malformed ranges, counts and options included, returns 0, 2
+    or 3 and raises nothing else. Two commands share an output directory, so
+    `report` also meets what an earlier command wrote."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(runs=st.lists(_COMMAND, min_size=1, max_size=2),
+           service_mix=st.sampled_from([ServiceMix(), ServiceMix(0.0, 1.0, 0.0)]))
+    def test_exit_code_is_0_2_or_3(self, tmp_path_factory, runs, service_mix):
+        work = tmp_path_factory.mktemp("argv")
+        scenario = small_scenario(work, L=10, K=4, service_mix=service_mix)
+        for command, seed, args in runs:
+            argv = [command, "--scenario", scenario, "--out", str(work / "out"), *seed,
+                    *(a for arg in args for a in arg)]
+            assert _exit_code(argv) in (0, 2, 3), argv
+        assert _exit_code(["validate", scenario]) == 0

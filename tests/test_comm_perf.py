@@ -183,13 +183,6 @@ class TestSerTheory:
         # one mode remains: c^2 = sigma2 K / (tau_p X)
         assert comm_perf.residual_error_power(0.5, 30, 10, 5) == pytest.approx(0.5 * 30 / 50)
 
-def _gain_ref_and_budget(dep, cfg, A):
-    """The SNR axis reference, the median channel gain over the serving links
-    of A, and the link budget it is read from."""
-    budget = channel.link_budget(dep, cfg)
-    return float(np.median(budget.gain_lin[np.asarray(A) == 1])), budget
-
-
 class TestSerMonteCarlo:
     def test_awgn_bpsk_matches_q_function(self):
         pts = comm_perf.ser_awgn_mc(BPSK, [0.0, 4.0, 8.0], 100000, 99)
@@ -214,17 +207,17 @@ class TestSerMonteCarlo:
         budget = channel.link_budget(dep, cfg)
         for k in range(2):
             A[np.argmax(budget.gain_lin[:, k]), k] = 1
-        pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [300.0], 2000, cfg.seed,
-                                        *_gain_ref_and_budget(dep, cfg, A), perfect_csi=True)
+        pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [300.0], 2000, cfg.seed, A, budget,
+                                        perfect_csi=True)
         assert pts[0].ser_mc == 0.0
 
     def test_empty_serving_set_raises(self):
         cfg = SystemConfig(L=3, K=2, N=2, tau_p=2, tau_c=40, X=1,
                            area_side_m=150.0, clutter_density_per_km2=0.0, seed=2)
         dep = generate_deployment(cfg)
+        A = np.zeros((3, 2), dtype=np.int8)
         with pytest.raises(InfeasibleModelError):
-            comm_perf.ser_monte_carlo(dep, cfg, np.zeros((3, 2), dtype=np.int8),
-                                      QPSK, [10.0], 1000, cfg.seed, 1.0,
+            comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [10.0], 1000, cfg.seed, A,
                                       channel.link_budget(dep, cfg))
 
     def test_deterministic_given_seed(self):
@@ -232,9 +225,9 @@ class TestSerMonteCarlo:
                            area_side_m=150.0, seed=3)
         dep = generate_deployment(cfg)
         A = np.ones((4, 2), dtype=np.int8)
-        axis = _gain_ref_and_budget(dep, cfg, A)
-        a = comm_perf.ser_monte_carlo(dep, cfg, A, BPSK, [0.0], 2000, 11, *axis)
-        b = comm_perf.ser_monte_carlo(dep, cfg, A, BPSK, [0.0], 2000, 11, *axis)
+        budget = channel.link_budget(dep, cfg)
+        a = comm_perf.ser_monte_carlo(dep, cfg, A, BPSK, [0.0], 2000, 11, A, budget)
+        b = comm_perf.ser_monte_carlo(dep, cfg, A, BPSK, [0.0], 2000, 11, A, budget)
         assert a[0].ser_mc == b[0].ser_mc
 
 
@@ -254,7 +247,7 @@ class TestSerMonteCarlo:
             cfg, dep, assocs = self._pinned_scenario(N=1, correlation_model=model)
             for scheme, A in assocs.items():
                 ser[model, scheme] = [p.ser_mc for p in comm_perf.ser_monte_carlo(
-                    dep, cfg, A, QPSK, [0.0, 10.0], 2000, 21, *_gain_ref_and_budget(dep, cfg, A))]
+                    dep, cfg, A, QPSK, [0.0, 10.0], 2000, 21, A, channel.link_budget(dep, cfg))]
         for scheme in ("sua", "baseline"):
             assert ser["identity", scheme] == ser["local_scattering", scheme]
 
@@ -276,8 +269,9 @@ class TestSerMonteCarlo:
         cfg, dep, assocs = self._pinned_scenario(correlation_model=model)
         for scheme, A in assocs.items():
             for perfect in (False, True):
-                pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [0.0, 10.0], 2000, 21,
-                                                *_gain_ref_and_budget(dep, cfg, A),
+                # each scheme's axis is calibrated on its own serving links
+                pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [0.0, 10.0], 2000, 21, A,
+                                                channel.link_budget(dep, cfg),
                                                 perfect_csi=perfect)
                 expect = self.PINNED_ERRORS[model, scheme, perfect]
                 assert [p.ser_mc for p in pts] == [e / 6000 for e in expect], (scheme, perfect)

@@ -155,45 +155,43 @@ class TestRuntime:
 
 class TestXSweep:
     def test_normalization_at_one(self, desk):
-        cfg, dep, *_ = desk
-        pts = net_metrics.x_sweep_gain(dep, cfg, [1, 2, 3])
+        cfg, *_ = desk
+        pts = net_metrics.x_sweep_gain(cfg.L, cfg.K, [1, 2, 3])
         assert pts[0].ideal_gain_db == 0.0
         assert pts[0].real_gain_db == 0.0
 
     def test_ideal_is_log10(self, desk):
-        cfg, dep, *_ = desk
-        pts = net_metrics.x_sweep_gain(dep, cfg, range(1, 11))
+        cfg, *_ = desk
+        pts = net_metrics.x_sweep_gain(cfg.L, cfg.K, range(1, 11))
         for p in pts:
             assert p.ideal_gain_db == pytest.approx(10.0 * math.log10(p.x), rel=1e-14)
 
     def test_real_never_exceeds_ideal(self, desk):
-        cfg, dep, *_ = desk
-        pts = net_metrics.x_sweep_gain(dep, cfg, range(1, 11))
+        cfg, *_ = desk
+        pts = net_metrics.x_sweep_gain(cfg.L, cfg.K, range(1, 11))
         for p in pts:
             assert p.real_gain_db <= p.ideal_gain_db + 1e-12
 
     def test_knee_at_paper_scale(self):
         cfg = SystemConfig(seed=1)
-        dep = generate_deployment(cfg)
-        pts = net_metrics.x_sweep_gain(dep, cfg, range(1, 11))
+        pts = net_metrics.x_sweep_gain(cfg.L, cfg.K, range(1, 11))
         knee = net_metrics.detect_knee(pts)
         assert knee == 5
 
     def test_marginals_nonincreasing_beyond_knee(self):
         cfg = SystemConfig(seed=1)
-        dep = generate_deployment(cfg)
-        pts = net_metrics.x_sweep_gain(dep, cfg, range(1, 11))
+        pts = net_metrics.x_sweep_gain(cfg.L, cfg.K, range(1, 11))
         knee = net_metrics.detect_knee(pts)
         marg = [b.real_gain_db - a.real_gain_db for a, b in zip(pts, pts[1:])]
         tail = marg[knee - 1:]
         assert all(m2 <= m1 + 1e-12 for m1, m2 in zip(tail, tail[1:]))
 
     def test_range_validation(self, desk):
-        cfg, dep, *_ = desk
+        cfg, *_ = desk
         with pytest.raises(ValidationError):
-            net_metrics.x_sweep_gain(dep, cfg, [0, 1])
+            net_metrics.x_sweep_gain(cfg.L, cfg.K, [0, 1])
         with pytest.raises(ValidationError):
-            net_metrics.x_sweep_gain(dep, cfg, [cfg.L])
+            net_metrics.x_sweep_gain(cfg.L, cfg.K, [cfg.L])
 
 
 class TestCsvWriters:

@@ -2,7 +2,7 @@
 
 Uses are counted in the package, in the acceptance tests and in the benchmark
 scripts; unit tests do not count, so code that only they need shows up here.
-Four rules:
+Five rules:
 
 - Every public top-level function, class and constant is named outside its
   own definition: as a name, an attribute, an imported name or a whole string
@@ -15,6 +15,7 @@ Four rules:
 - The per-deployment state is built once and passed down: outside
   `association.run_sua`, no function defaults a `budget` or `geom`
   parameter.
+- Every parameter of a package function is read in that function's body.
 
 Names are matched by spelling alone, so a field or parameter that shares its
 name with something in use (`.max`, `.kind`, `"psi"`) passes unseen.
@@ -154,3 +155,22 @@ def defaulted_state_parameters():
 
 def test_deployment_state_is_passed_down():
     assert defaulted_state_parameters() == []
+
+
+def unread_parameters():
+    """(module, function, parameter) of each parameter of a package function
+    that its body, nested functions included, never reads."""
+    out = []
+    for path in PACKAGE:
+        for fn, _ in _functions(TREES[path]):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs \
+                + [a for a in (args.vararg, args.kwarg) if a is not None]
+            reads = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            out += [(path.stem, fn.name, a.arg) for a in params if a.arg not in reads]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -60,7 +60,6 @@ class TestValidation:
         ("K", True),
         ("area_side_m", float("inf")),   # float fields must be finite
         ("p_threshold_dbm", float("nan")),
-        ("p_k_dbm", [20.0] * 29 + [float("nan")]),
     ])
     def test_invariants_rejected(self, field, value):
         cfg = SystemConfig(**{field: value})
@@ -69,11 +68,6 @@ class TestValidation:
 
     def test_bad_mix_rejected(self):
         cfg = SystemConfig(service_mix=ServiceMix(0.5, 0.5, 0.5))
-        with pytest.raises(ValidationError):
-            cfg.validate()
-
-    def test_per_ue_power_length(self):
-        cfg = small_config(p_k_dbm=[20.0, 20.0])
         with pytest.raises(ValidationError):
             cfg.validate()
 
@@ -102,7 +96,7 @@ class TestServiceCounts:
 def _link_distance(ap, ue, floor=1.0):
     # link distances are computed once, by channel.link_budget
     dep = Deployment(ap_pos=np.array([ap], dtype=float), ue_pos=np.array([ue], dtype=float),
-                     ue_service=np.zeros(1, dtype=int), ue_power_dbm=np.zeros(1),
+                     ue_service=np.zeros(1, dtype=int),
                      scatterer_pos=np.zeros((0, 2)), scatterer_refl=np.zeros(0))
     cfg = small_config(L=1, K=1, pathloss=PathLossParams(d0_m=floor))
     return float(channel.link_budget(dep, cfg).distance_m[0, 0])

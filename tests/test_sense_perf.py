@@ -196,19 +196,24 @@ class TestPdFormulas:
         assert abs(mc - sense_perf.pd_single(scnr, 1e-2)) < 2e-3
 
     def test_aggregate_reduces_to_single(self):
-        # one serving AP: the aggregate SCNR is that link's scale * echo / sigma_phi2
-        assert sense_perf.effective_scnr([3.0], [1.5], 2.0) == pytest.approx(4.0, rel=1e-15)
-
-    def test_aggregate_zero_contribution_no_change(self):
-        # an AP with no echo and no clutter+noise leaves the aggregate unchanged
-        assert sense_perf.effective_scnr([3.0, 0.0], [1.5, 0.0], 2.0) == pytest.approx(
-            sense_perf.effective_scnr([3.0], [1.5], 2.0), rel=1e-14)
-
-    def test_aggregate_monotone(self):
-        # a stronger echo at one serving AP never lowers the aggregate Pd
-        vals = [sense_perf.pd_single(sense_perf.effective_scnr([1.0, s], [1.0, 1.0], 1.0), 0.01)
-                for s in np.arange(0, 8, 0.5)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+        # one serving AP per UE: the sums are that link's echo amplitude, the
+        # square root of its two-way gain, and its clutter+noise power
+        # 1 + clutter/noise
+        cfg = SystemConfig(L=10, K=4, N=4, tau_p=3, X=2, area_side_m=200.0, seed=7)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        A = np.zeros((cfg.L, cfg.K), dtype=np.int8)
+        best = np.argmax(budget.gain_lin, axis=0)
+        A[best, np.arange(cfg.K)] = 1
+        ues, amp, sig = sense_perf._sensing_link_terms(dep, cfg, A, budget, geom)
+        assert ues.size > 0
+        for k, a, s in zip(ues, amp, sig):
+            l = best[k]
+            two_way = channel.db_to_lin(-2.0 * budget.pl_db[l, k])
+            pc, _ = channel.clutter_return(geom, dep, cfg, l, k, budget.distance_m[l, k])
+            assert a == pytest.approx(math.sqrt(two_way), rel=1e-14)
+            assert s == pytest.approx(1.0 + pc / cfg.noise_power_w(), rel=1e-14)
 
 
 class TestPdMonteCarlo:
@@ -223,17 +228,31 @@ class TestPdMonteCarlo:
 
     def test_saturation_at_high_scnr(self):
         cfg, dep, A, state = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [25.0], 100000, cfg.seed,
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, A, [25.0], 100000, cfg.seed,
                                            *state)
         agg = [p for p in pts if p.ue == "aggregate"][0]
         assert agg.pd_mc > 0.99
 
     def test_formula_tracks_mc(self):
         cfg, dep, A, state = self._scenario()
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, np.arange(0, 15.1, 5.0),
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, A, np.arange(0, 15.1, 5.0),
                                            100000, cfg.seed, *state)
         for p in pts:
             assert abs(p.pd_mc - p.pd_formula) < 2e-2
+
+    def test_formula_at_own_reference_is_grid_value(self):
+        # calibrated on its own association, every UE's aggregate SCNR is the
+        # grid value, so its formula is the single-link Pd there
+        from cfmimo import association
+        cfg, dep, A, state = self._scenario()
+        grid = [-5.0, 0.0, 7.5, 15.0]
+        for B in (A, association.baseline_all_to_all(dep.L, dep.K)):
+            pts, _ = sense_perf.pd_monte_carlo(dep, cfg, {"s": B}, B, grid, 10, cfg.seed, *state)
+            ue_pts = [p for p in pts if p.ue != "aggregate"]
+            assert len(ue_pts) == 3 * len(grid)
+            for p in ue_pts:
+                want = sense_perf.pd_single(10.0 ** (p.scnr_db / 10.0), cfg.p_fa)
+                assert p.pd_formula == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     # detections out of 2000 trials per (UE, SCNR) at 0, 5 and 10 dB, stream
     # seed 9, UEs 0, 1, 3 in turn; one pair of normals per trial, no phase draw
@@ -246,7 +265,8 @@ class TestPdMonteCarlo:
         from cfmimo import association
         cfg, dep, A, state = self._scenario()
         assocs = {"sua": A, "baseline": association.baseline_all_to_all(dep.L, dep.K)}
-        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, [0.0, 5.0, 10.0], 2000, 9, *state)
+        pts, _ = sense_perf.pd_monte_carlo(dep, cfg, assocs, A, [0.0, 5.0, 10.0], 2000, 9,
+                                           *state)
         assert [p.scheme for p in pts] == ["sua"] * 12 + ["baseline"] * 12
         for scheme in assocs:
             got = [p.pd_mc for p in pts if p.scheme == scheme and p.ue != "aggregate"]
@@ -257,18 +277,20 @@ class TestPdMonteCarlo:
         cfg, dep, A, state = self._scenario()
         B = association.baseline_all_to_all(dep.L, dep.K)
         grid = [0.0, 7.5]
-        both, ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A, "baseline": B}, grid,
-                                              1000, 4, *state)
-        sua, sua_ref = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, grid, 1000, 4, *state)
-        base, _ = sense_perf.pd_monte_carlo(dep, cfg, {"baseline": B}, grid, 1000, 4, *state,
-                                            scale_ref=ref)
-        assert ref == sua_ref == sense_perf.pd_scale_ref(dep, cfg, A, grid, *state)
+        both, scale = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A, "baseline": B}, A, grid,
+                                                1000, 4, *state)
+        sua, sua_scale = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, A, grid, 1000, 4,
+                                                   *state)
+        base, base_scale = sense_perf.pd_monte_carlo(dep, cfg, {"baseline": B}, A, grid,
+                                                     1000, 4, *state)
+        np.testing.assert_array_equal(scale, sua_scale)
+        np.testing.assert_array_equal(scale, base_scale)
         assert both == sua + base
 
     def test_deterministic(self):
         cfg, dep, A, state = self._scenario()
-        a, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed, *state)
-        b, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, [5.0], 5000, cfg.seed, *state)
+        a, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, A, [5.0], 5000, cfg.seed, *state)
+        b, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A}, A, [5.0], 5000, cfg.seed, *state)
         assert [p.pd_mc for p in a] == [p.pd_mc for p in b]
 
     def test_csv_format(self):
