@@ -113,12 +113,12 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
     """Unit-gain correlation C_lk of the links from APs `aps` to every UE, and
     its square root, each shaped (len(aps), K, N, N).
 
-    The identity model returns one read-only identity broadcast to that shape,
-    and None for the square root, which is the identity too.
+    The identity model returns None for both: C_lk = I, so each link's
+    correlation is its gain alone (see `mmse_estimate`).
     """
     N = config.N
     if config.correlation_model == "identity":
-        return np.broadcast_to(np.eye(N, dtype=complex), (len(aps), deployment.K, N, N)), None
+        return None, None
     diff = deployment.ue_pos[None, :, :] - deployment.ap_pos[aps, None, :]
     C = local_scattering_correlation(N, np.arctan2(diff[..., 1], diff[..., 0]),
                                      config.angular_spread_deg)
@@ -172,11 +172,19 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
     sums over all K UEs. The estimate of h_lk is filt[l, k] @
     y_{l,t(k)} (see `pilot_rx`); its error covariance is
     R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
+
+    Under the identity model R_lk = g_lk I, and R is the (L, K) array of the
+    gains g_lk. The filters are then the (L, len(ues)) scalars
+    sqrt(p_k tau_p) g_lk / (tau_p sum_{i: t(i)=t(k)} p_i g_li + sigma2).
     """
     R = np.asarray(R)
-    K, n = R.shape[1], R.shape[-1]
+    K = R.shape[1]
     p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
     slot, member = _pilot_groups(pilots)
+    if R.ndim == 2:
+        psi = R @ (tau_p * p[:, None] * member) + sigma2
+        return R[:, ues] / psi[:, slot[ues]] * np.sqrt(p[ues] * tau_p)
+    n = R.shape[-1]
     psi = np.einsum("lkmn,kt->ltmn", R, tau_p * p[:, None] * member)
     psi += sigma2 * np.eye(n)
     R, p, slot = R[:, ues], p[ues], slot[ues]

@@ -199,7 +199,10 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
 
     C, C_sqrt = channel.link_correlations(deployment, config, aps)
     sqrt_g = np.sqrt(g[aps])[..., None]
-    R = None if perfect_csi else g[aps][..., None, None] * C
+    if perfect_csi:
+        R = None
+    else:
+        R = g[aps] if C is None else g[aps][..., None, None] * C
     del C  # only R and the square roots are used from here on
     serves = A[np.ix_(aps, data_ues)][..., None]
     sym_per_block = max(1, config.tau_c - config.tau_p)
@@ -210,7 +213,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
         if R is not None:
             filt = None  # release the previous point's filters before building these
             filt = channel.mmse_estimate(R, 1.0, config.tau_p, pilots, sigma2, data_ues)
-            filt *= serves[..., None]
+            filt *= serves[..., 0] if C_sqrt is None else serves[..., None]
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
             nsym = min(sym_per_block, n_symbols - done)
@@ -222,7 +225,8 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
                 h_hat = serves * h[:, data_ues]
             else:
                 y_p = channel.pilot_rx(h, 1.0, config.tau_p, pilots, sigma2, rng)
-                h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
+                y_p = y_p[:, data_ues]
+                h_hat = filt[..., None] * y_p if C_sqrt is None else (filt @ y_p[..., None])[..., 0]
             idx = rng.integers(0, constel.M, (data_ues.size, nsym))
             # with V = [v_k]: G = V^H H, (K_data, K_data), and |v_k|^2
             V = h_hat.transpose(0, 2, 1).reshape(-1, data_ues.size)

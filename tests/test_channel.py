@@ -259,6 +259,16 @@ class TestPilotsAndEstimation:
         np.testing.assert_array_equal(channel.assign_pilots({}, 4, 3), [0, 1, 2, 0])
         np.testing.assert_array_equal(channel.assign_pilots({0: [1], 1: [1]}, 2, 1), [0, 0])
 
+    def test_identity_scalars_equal_solve_with_identity(self):
+        rng = np.random.default_rng(12)
+        g = 10.0 ** rng.uniform(-3, 2, (6, 7))
+        p, pilots, ues = rng.uniform(0.2, 2.0, 7), [0, 2, 0, 1, 2, 0, 3], [1, 2, 4, 6]
+        scalar = channel.mmse_estimate(g, p, 4, pilots, 0.3, ues)
+        full = channel.mmse_estimate(g[..., None, None] * np.eye(3), p, 4, pilots, 0.3, ues)
+        assert scalar.shape == (6, 4)
+        np.testing.assert_allclose(full, scalar[..., None, None] * np.eye(3), rtol=1e-15,
+                                   atol=0.0)
+
     def test_filters_for_selected_ues_equal_full_solve(self):
         R = np.stack([np.stack([g * channel.local_scattering_correlation(3, a, 12.0)
                                 for g, a in ((0.8, 0.3), (1.5, -0.9), (0.4, 1.2), (1.1, 2.0))])
@@ -366,8 +376,11 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
     for gi, snr_db in enumerate(snr_db_grid):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         if not perfect_csi:
-            filt = channel.mmse_estimate(g[aps][..., None, None] * C, 1.0, cfg.tau_p, pilots,
-                                         sigma2, data_ues) * serves[..., None]
+            R = g[aps] if C is None else g[aps][..., None, None] * C
+            filt = channel.mmse_estimate(R, 1.0, cfg.tau_p, pilots, sigma2, data_ues)
+            if C is None:
+                filt = filt[..., None, None] * np.eye(N)
+            filt *= serves[..., None]
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
             nsym = min(sym_per_block, n_symbols - done)
