@@ -6,6 +6,7 @@ combined outputs directly from their sufficient statistics."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,9 +60,9 @@ class LinkBudget:
     def p_r_dbm(self) -> np.ndarray:
         return self.rssi_dbm
 
-    @property
+    @functools.cached_property
     def gain_lin(self) -> np.ndarray:
-        """(L, K) linear channel gain 10^(-PL/10)."""
+        """(L, K) linear channel gain 10^(-PL/10), computed on first read."""
         return db_to_lin(-self.pl_db)
 
 
@@ -133,34 +134,37 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
 # estimates h_lk = sqrt(p_k tau_p) R_lk Psi_lt^-1 y_lt with
 # Psi_lt = tau_p sum_{i: t(i)=t} p_i R_li + sigma2 I.
 
-def _pilot_groups(pilots) -> tuple[np.ndarray, np.ndarray]:
-    """Each UE's pilot group, groups numbered in order of first use, and the
-    (K, groups) membership matrix."""
-    order: dict[int, int] = {}
-    slot = np.array([order.setdefault(int(t), len(order)) for t in np.ravel(pilots)], dtype=int)
-    return slot, slot[:, None] == np.arange(len(order))
+def _pilot_sums(weight, x) -> np.ndarray:
+    """sum_k weight[t, k] x[..., k, :] for every pilot t, shape (..., tau_p, M),
+    of a complex x (..., K, M) and the real (tau_p, K) weights; the real and
+    imaginary parts ride through one real product."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (weight @ x.view(float)).view(complex)
 
 
-def pilot_rx(h, p, tau_p: int, pilots, sigma2: float, rng: np.random.Generator):
-    """Pilot observation y_{l,t(k)} of every AP, as seen by every UE k.
+def pilot_rx(h, p, tau_p: int, pilots, noise, sigma2s) -> np.ndarray:
+    """Pilot observations y_tl = sum_{i: t(i)=t} sqrt(tau_p p_i) h_li + n_tl of
+    every pilot t at every AP l, at each noise variance of `sigma2s`.
 
     h has shape (L, K, N), p the K pilot powers (or a scalar), pilots the K
-    pilot sequences. Each group's signal is the sum over its own members, in
-    UE order. Noise is drawn once per pilot group, groups in order of first
-    use, each as the real parts of an (L, N) block then the imaginary parts.
-    Returns (L, K, N); UEs sharing a pilot see the same observation.
+    pilot indices in [0, tau_p). noise holds (tau_p, L, N) complex normals
+    whose real and imaginary parts are standard normal; at variance sigma2,
+    n_tl = sqrt(sigma2 / 2) noise[t, l]. The signal sums are one product with
+    the (tau_p, K) matrix of the weights sqrt(tau_p p_i) of each pilot's
+    members, shared by every variance. Returns (len(sigma2s), tau_p, L, N);
+    UE k reads row t(k).
     """
     h = np.asarray(h, dtype=complex)
     L, K, n = h.shape
     p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
     if np.any(p < 0):
         raise ValueError("pilot power must be >= 0")
-    slot, member = _pilot_groups(pilots)
-    h = h * np.sqrt(tau_p * p)[:, None]
-    y = np.stack([h[:, slot == t].sum(axis=1) for t in range(member.shape[1])], axis=1)
-    noise = rng.standard_normal((member.shape[1], 2, L, n))
-    y += math.sqrt(sigma2 / 2.0) * (noise[:, 0] + 1j * noise[:, 1]).transpose(1, 0, 2)
-    return y[:, slot]
+    pilots = np.asarray(pilots, dtype=np.intp)
+    if np.any((pilots < 0) | (pilots >= tau_p)):
+        raise ValueError(f"pilot indices must lie in [0, {tau_p})")
+    weight = np.sqrt(tau_p * p) * (pilots == np.arange(tau_p)[:, None])
+    y = _pilot_sums(weight, h.transpose(1, 0, 2).reshape(K, -1)).reshape(tau_p, L, n)
+    return np.stack([y + math.sqrt(s2 / 2.0) * noise for s2 in np.ravel(sigma2s)])
 
 
 def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
@@ -168,9 +172,9 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
     to the UEs `ues`, shape (L, len(ues), N, N).
 
     R holds the channel correlations (large-scale gain included), shape
-    (L, K, N, N); p the K pilot powers; pilots the K pilot sequences. Psi
-    sums over all K UEs. The estimate of h_lk is filt[l, k] @
-    y_{l,t(k)} (see `pilot_rx`); its error covariance is
+    (L, K, N, N); p the K pilot powers; pilots the K pilot indices in
+    [0, tau_p). Psi sums over all K UEs. The estimate of h_lk is
+    filt[l, k] @ y_{l,t(k)} (see `pilot_rx`); its error covariance is
     R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
 
     Under the identity model R_lk = g_lk I, and R is the (L, K) array of the
@@ -180,14 +184,16 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
     R = np.asarray(R)
     K = R.shape[1]
     p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
-    slot, member = _pilot_groups(pilots)
+    pilots = np.asarray(pilots, dtype=np.intp)
+    weight = tau_p * p * (pilots == np.arange(tau_p)[:, None])
+    slot = pilots[ues]
     if R.ndim == 2:
-        psi = R @ (tau_p * p[:, None] * member) + sigma2
-        return R[:, ues] / psi[:, slot[ues]] * np.sqrt(p[ues] * tau_p)
-    n = R.shape[-1]
-    psi = np.einsum("lkmn,kt->ltmn", R, tau_p * p[:, None] * member)
+        psi = R @ weight.T + sigma2
+        return R[:, ues] / psi[:, slot] * np.sqrt(p[ues] * tau_p)
+    L, n = R.shape[0], R.shape[-1]
+    psi = _pilot_sums(weight, R.reshape(L, K, -1)).reshape(L, tau_p, n, n)
     psi += sigma2 * np.eye(n)
-    R, p, slot = R[:, ues], p[ues], slot[ues]
+    R, p = R[:, ues], p[ues]
     try:
         # R and Psi are Hermitian, so R Psi^-1 = (Psi^-1 R)^H
         filt = np.linalg.solve(psi[:, slot], R)
@@ -223,6 +229,15 @@ def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:
                 break
         pilots[k] = pilot
     return pilots
+
+
+def pilot_collisions(A, pilots) -> int:
+    """Number of UE pairs that use the same pilot and share a serving AP in
+    the (L, K) association A."""
+    served = (np.asarray(A) == 1).astype(float)
+    pilots = np.asarray(pilots)
+    shares = np.triu(served.T @ served > 0, 1)
+    return int(np.count_nonzero(shares & (pilots[:, None] == pilots[None, :])))
 
 
 # --- sensing: clutter geometry and lobe returns ------------------------------

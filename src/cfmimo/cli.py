@@ -149,20 +149,20 @@ def cmd_ser(args) -> int:
     del geom
     grid = parse_db_range(args.snr)
     constel = comm_perf.constellation(args.mod)
-    by_scheme = {}
-    for scheme in schemes:
-        pts = comm_perf.ser_monte_carlo(
-            deployment, cfg, assocs[scheme], constel, grid, args.symbols,
-            cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
-        by_scheme[scheme] = {constel.name.lower(): pts}
+    pts = comm_perf.ser_monte_carlo(
+        deployment, cfg, {s: assocs[s] for s in schemes}, constel, grid, args.symbols,
+        cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
+    n = len(grid)
+    by_scheme = {s: {constel.name.lower(): pts[i * n:(i + 1) * n]} for i, s in enumerate(schemes)}
     csv = comm_perf.ser_csv(by_scheme)
     for scheme in schemes:
         single = comm_perf.ser_csv({scheme: by_scheme[scheme]})
         atomic_write(os.path.join(args.out, f"ser_{scheme}.csv"), single)
     rep = report.build_report("ser", cfg, cfg.seed, {"ser": csv})
     atomic_write(os.path.join(args.out, "ser_report.json"), rep.to_json())
+    collisions = " ".join(f"{s}={pts[i * n].pilot_collisions}" for i, s in enumerate(schemes))
     print(f"ser: {len(grid)} SNR points x {len(schemes)} scheme(s), "
-          f"{args.symbols} symbols/point -> {args.out}")
+          f"{args.symbols} symbols/point, pilot collisions {collisions} -> {args.out}")
     return EXIT_OK
 
 

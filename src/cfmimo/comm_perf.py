@@ -100,33 +100,59 @@ def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int)
     return min(max(total / constel.M, 0.0), 1.0)
 
 
+Z95 = 1.959963984540054
+
+
 def wilson_halfwidth(errors: int, n: int) -> float:
     """Half-width of the 95% Wilson score interval."""
-    z = 1.959963984540054
     if n == 0:
         return 0.0
     p = errors / n
-    denom = 1.0 + z * z / n
-    return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    denom = 1.0 + Z95 * Z95 / n
+    return Z95 * math.sqrt(p * (1.0 - p) / n + Z95 * Z95 / (4.0 * n * n)) / denom
+
+
+def clustered_halfwidth(clusters: int, n: int, n_sq: int, e: int, e_sq: int, en: int) -> float:
+    """Half-width of the 95% cluster-robust interval of an error rate,
+    Z sqrt(C/(C-1) sum_c (e_c - p n_c)^2) / sum_c n_c with p = sum e_c / sum n_c,
+    from integer sums over the C clusters: n = sum n_c, n_sq = sum n_c^2,
+    e = sum e_c, e_sq = sum e_c^2 and en = sum e_c n_c. NaN below two clusters.
+    """
+    if clusters < 2:
+        return math.nan
+    n, n_sq, e, e_sq, en = (int(v) for v in (n, n_sq, e, e_sq, en))
+    # n^2 sum_c (e_c - p n_c)^2, exact in integers
+    spread = e_sq * n * n - 2 * e * n * en + e * e * n_sq
+    return Z95 * math.sqrt(clusters / (clusters - 1) * spread) / (n * n)
 
 
 @dataclass
 class SerPoint:
+    """One Monte-Carlo SER point. ci95 is the Wilson half-width of independent
+    symbols, so it is conditional on the drawn channels. ci95_clustered is
+    the cluster-robust half-width with one cluster per coherence block, which
+    holds every data UE's symbols of one fading draw, so it also covers the
+    fading. pilot_collisions counts the UE pairs that share a pilot and a
+    serving AP (see `channel.pilot_collisions`)."""
+
     snr_db: float
     ser_theory: float
     ser_mc: float
     mc_symbols: int
     ci95: float
+    ci95_clustered: float
+    pilot_collisions: int
 
 
 def ser_csv(points_by_scheme: dict[str, dict[str, list[SerPoint]]]) -> str:
-    lines = ["scheme,modulation,snr_db,ser_theory,ser_mc,ci95,n_symbols"]
+    lines = ["scheme,modulation,snr_db,ser_theory,ser_mc,ci95,ci95_clustered,n_symbols"]
     for scheme in sorted(points_by_scheme):
         for mod in sorted(points_by_scheme[scheme]):
             for p in points_by_scheme[scheme][mod]:
                 lines.append(
                     f"{scheme},{mod},{repr(float(p.snr_db))},{repr(float(p.ser_theory))},"
-                    f"{repr(float(p.ser_mc))},{repr(float(p.ci95))},{p.mc_symbols}"
+                    f"{repr(float(p.ser_mc))},{repr(float(p.ci95))},"
+                    f"{repr(float(p.ci95_clustered))},{p.mc_symbols}"
                 )
     return "\n".join(lines) + "\n"
 
@@ -134,7 +160,8 @@ def ser_csv(points_by_scheme: dict[str, dict[str, list[SerPoint]]]) -> str:
 # --- link-level AWGN reference ------------------------------------------------
 
 def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
-    """Single-link, perfect-CSI, unit-channel Monte-Carlo SER (textbook AWGN)."""
+    """Single-link, perfect-CSI, unit-channel Monte-Carlo SER (textbook AWGN).
+    Every symbol is its own cluster."""
     out = []
     for i, snr_db in enumerate(np.atleast_1d(snr_db_grid)):
         sigma2 = 10.0 ** (-float(snr_db) / 10.0)
@@ -147,22 +174,54 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
         det = np.argmin(np.abs(y[:, None] - constel.points[None, :]) ** 2, axis=1)
         errors = int(np.count_nonzero(det != idx))
         out.append(SerPoint(float(snr_db), math.nan, errors / n_symbols, n_symbols,
-                            wilson_halfwidth(errors, n_symbols)))
+                            wilson_halfwidth(errors, n_symbols),
+                            clustered_halfwidth(n_symbols, n_symbols, n_symbols,
+                                                errors, errors, errors), 0))
     return out
 
 
 # --- scenario-level Monte-Carlo -----------------------------------------------
 
-def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Constellation,
-                    snr_db_grid, n_symbols: int, seed: int, reference,
+# Stream tag of the SER coherence blocks, apart from `ser_awgn_mc`'s 1000 + i
+# and the Pd streams 9xxxx
+SER_BLOCK_STREAM = 93000
+# Bytes of local-scattering MMSE filters held at once: the (scheme, SNR
+# point) pairs run in passes over the blocks, each pass holding the filters
+# of the pairs that fit in this many bytes (at least one pair). At L=100,
+# K=30 a pass holds about one all-AP stack of (K_data, L, N, N) filters.
+_FILTER_BYTES = 1 << 20
+
+
+@dataclass
+class _SchemeLinks:
+    """The per-call state of one scheme: the APs that serve a data UE, their
+    positions among the call's APs, which data UE each of them serves, the
+    pilots and the pilot collisions."""
+
+    aps: np.ndarray
+    pos: np.ndarray
+    serves: np.ndarray      # (K_data, len(aps)) bool
+    pilots: np.ndarray
+    collisions: int
+
+
+def _unit_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex normals whose real and imaginary parts are standard normal,
+    drawn entry by entry, real part first."""
+    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+
+
+def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
+                    constel: Constellation, snr_db_grid, n_symbols: int, seed: int, reference,
                     budget: channel.LinkBudget, perfect_csi: bool = False):
-    """Uplink SER of communication and JCAS UEs under a given association.
+    """Uplink SER of communication and JCAS UEs under each association of
+    `assocs`, a mapping from scheme name to association matrix.
 
     Estimated channels (MMSE with the scheme's pilot reuse), MR combining over
     each UE's serving set, ML detection, every UE at unit transmit power.
     snr_db is the per-symbol receive SNR of a link whose gain is the median
-    `budget.gain_lin` over the serving links of the association `reference`;
-    passing the same reference to every scheme puts them on one axis.
+    `budget.gain_lin` over the serving links of the association `reference`,
+    so every scheme is drawn on one axis.
 
     Every UE sends pilots (sensing UEs contend for sequences too); only
     communication and JCAS UEs carry uplink data. The MR outputs are drawn in
@@ -172,85 +231,163 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, A, constel: Co
     sigma2 |v_k|^2 (Bjornson, Hoydis & Sanguinetti, "Massive MIMO Networks",
     2017, ch. 4).
 
-    Each coherence block of tau_c - tau_p symbols draws from its own stream
-    rng_stream(seed, "mc", snr_index, block), in this order: the fading of
-    every link from a serving AP to every UE (real parts, then imaginary
-    parts); with estimated CSI, the pilot noise of each pilot group in order
-    of first use (see `channel.pilot_rx`); the data symbols; the output
-    noise, a (K_data, symbols) block of real parts, then one of imaginary
-    parts, each UE's row scaled to its own variance.
+    Coherence block b of tau_c - tau_p symbols draws from its own stream
+    rng_stream(seed, "mc", SER_BLOCK_STREAM, b), and every scheme, SNR point
+    and CSI mode reads the same draws (common random numbers). In this order
+    a block draws the unit fading (L, K, N) of every link from all L APs;
+    the unit pilot noise (tau_p, L, N), indexed by pilot value (see
+    `channel.pilot_rx`); the symbols (K_data, symbols); the unit output noise
+    (K_data, symbols). Each noise and fading entry is one complex normal,
+    drawn as its real part then its imaginary part (`_unit_complex`), and
+    each SNR point only scales these draws. A pass over the blocks covers a
+    run of (scheme, SNR point) pairs, scheme-major, whose local-scattering
+    MMSE filters fit in _FILTER_BYTES; under the identity model, and with
+    perfect CSI, one pass covers every pair.
+
+    Returns a flat list of SerPoint: each scheme's points in grid order,
+    schemes in the order of `assocs`.
     """
-    A = np.asarray(A) == 1
-    K, N = deployment.K, config.N
+    if n_symbols < 1:
+        raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
+    K, L, N, tau_p = deployment.K, deployment.L, config.N, config.tau_p
     data_ues = deployment.ue_indices(ServiceType.COM, ServiceType.JCAS)
     if data_ues.size == 0:
         raise InfeasibleModelError("no communication or JCAS UE carries uplink data")
-    for k in data_ues:
-        if not A[:, k].any():
-            raise InfeasibleModelError(f"UE {k} has an empty serving set")
     ref_gains = budget.gain_lin[np.asarray(reference) == 1]
     if ref_gains.size == 0:
         raise InfeasibleModelError("the reference association serves no link to "
                                    "calibrate the SNR axis on")
     g = budget.gain_lin / float(np.median(ref_gains))
-    aps = np.flatnonzero(A[:, data_ues].any(axis=1))
-    pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)},
-                                   K, config.tau_p)
+    grid = np.atleast_1d(np.asarray(snr_db_grid, dtype=float))
+    sigma2s = 10.0 ** (-grid / 10.0)
 
+    served = [np.asarray(A) == 1 for A in assocs.values()]
+    for A in served:
+        unserved = data_ues[~A[:, data_ues].any(axis=0)]
+        if unserved.size:
+            raise InfeasibleModelError(f"UE {unserved[0]} has an empty serving set")
+    aps = np.flatnonzero(np.any([A[:, data_ues].any(axis=1) for A in served], axis=0))
+    schemes = []
+    for A in served:
+        s_aps = np.flatnonzero(A[:, data_ues].any(axis=1))
+        pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)}, K, tau_p)
+        schemes.append(_SchemeLinks(s_aps, np.searchsorted(aps, s_aps),
+                                    A[np.ix_(s_aps, data_ues)].T, pilots,
+                                    channel.pilot_collisions(A, pilots)))
     C, C_sqrt = channel.link_correlations(deployment, config, aps)
-    sqrt_g = np.sqrt(g[aps])[..., None]
-    if perfect_csi:
-        R = None
+    sqrt_g = np.sqrt(g[aps] / 2.0)[..., None]
+    if C is None:
+        R = g[aps]
     else:
-        R = g[aps] if C is None else g[aps][..., None, None] * C
-    del C  # only R and the square roots are used from here on
-    serves = A[np.ix_(aps, data_ues)][..., None]
+        # scaled in place: from here on C holds the correlations R_lk = g_lk C_lk
+        C *= g[aps][..., None, None]
+        R = C
+
+    # passes over the blocks, each a map from scheme to its SNR points in the
+    # pass, whose local-scattering filters fit in _FILTER_BYTES
+    passes, held = [{}], 0
+    for si, s in enumerate(schemes):
+        size = 0 if perfect_csi or C is None else C[0, 0].nbytes * s.serves.size
+        for gi in range(grid.size):
+            if passes[-1] and held + size > _FILTER_BYTES:
+                passes.append({})
+                held = 0
+            passes[-1].setdefault(si, []).append(gi)
+            held += size
+
     sym_per_block = max(1, config.tau_c - config.tau_p)
-
-    points = []
-    for gi, snr_db in enumerate(np.atleast_1d(snr_db_grid)):
-        sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-        if R is not None:
-            filt = None  # release the previous point's filters before building these
-            filt = channel.mmse_estimate(R, 1.0, config.tau_p, pilots, sigma2, data_ues)
-            filt *= serves[..., 0] if C_sqrt is None else serves[..., None]
-        errors = 0
-        for block, done in enumerate(range(0, n_symbols, sym_per_block)):
-            nsym = min(sym_per_block, n_symbols - done)
-            rng = rng_stream(seed, "mc", gi, block)
-            w = rng.standard_normal((aps.size, K, N)) + 1j * rng.standard_normal((aps.size, K, N))
-            w /= math.sqrt(2.0)
+    starts = range(0, n_symbols, sym_per_block)
+    n_data = data_ues.size
+    # per (scheme, SNR point): sum e_b, sum e_b^2 and sum n_b e_b over the
+    # blocks, e_b errors out of the n_b symbols of all data UEs in block b
+    tally = np.zeros((len(schemes), grid.size, 3), dtype=np.int64)
+    for run in passes:
+        filt = {} if perfect_csi else {
+            si: _scheme_filters(R, schemes[si], sigma2s[gis], tau_p, data_ues)
+            for si, gis in run.items()}
+        for block, start in enumerate(starts):
+            nsym = min(sym_per_block, n_symbols - start)
+            rng = rng_stream(seed, "mc", SER_BLOCK_STREAM, block)
+            w = _unit_complex(rng, (L, K, N))[aps]
+            pilot_noise = _unit_complex(rng, (tau_p, L, N))
+            idx = rng.integers(0, constel.M, (n_data, nsym))
+            out_noise = _unit_complex(rng, (n_data, nsym))
             h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
-            if R is None:
-                h_hat = serves * h[:, data_ues]
-            else:
-                y_p = channel.pilot_rx(h, 1.0, config.tau_p, pilots, sigma2, rng)
-                y_p = y_p[:, data_ues]
-                h_hat = filt[..., None] * y_p if C_sqrt is None else (filt @ y_p[..., None])[..., 0]
-            idx = rng.integers(0, constel.M, (data_ues.size, nsym))
-            # with V = [v_k]: G = V^H H, (K_data, K_data), and |v_k|^2
-            V = h_hat.transpose(0, 2, 1).reshape(-1, data_ues.size)
-            H = h[:, data_ues].transpose(0, 2, 1).reshape(-1, data_ues.size)
-            G = V.conj().T @ H
-            v_norm2 = (V.real ** 2 + V.imag ** 2).sum(axis=0)
-            noise = rng.standard_normal((2, data_ues.size, nsym))
-            z = G @ constel.points[idx] \
-                + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * (noise[0] + 1j * noise[1])
-            det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
-                            axis=-1)
-            errors += int(np.count_nonzero(det != idx))
+            for si, gis in run.items():
+                e = _block_errors(schemes[si], filt.get(si), h, pilot_noise, idx, out_noise,
+                                  constel, sigma2s[gis], data_ues, tau_p)
+                tally[si, gis] += np.stack([e, e * e, nsym * n_data * e], axis=1)
+        # the next pass builds its filters without the last block's draws
+        del filt, w, h, pilot_noise, out_noise
 
-        c2 = residual_error_power(sigma2, K, config.tau_p, config.X)
-        theory = float(np.mean([
-            ser_theory(constel,
-                       effective_alpha(1.0, config.tau_p, g[A[:, k], k], sigma2, config.X),
-                       sigma2, c2, N)
-            for k in data_ues
-        ]))
-        n_tot = n_symbols * data_ues.size
-        points.append(SerPoint(float(snr_db), theory, errors / n_tot, n_symbols,
-                               wilson_halfwidth(errors, n_tot)))
+    sizes = np.diff([*starts, n_symbols])
+    n_tot = n_symbols * n_data
+    clusters = (sizes.size, n_tot, n_data * n_data * int(sizes @ sizes))
+    points = []
+    for si, (s, A) in enumerate(zip(schemes, served)):
+        for gi, (snr_db, sigma2) in enumerate(zip(grid, sigma2s)):
+            c2 = residual_error_power(sigma2, K, tau_p, config.X)
+            theory = float(np.mean([
+                ser_theory(constel, effective_alpha(1.0, tau_p, g[A[:, k], k], sigma2, config.X),
+                           sigma2, c2, N)
+                for k in data_ues
+            ]))
+            errors = int(tally[si, gi, 0])
+            points.append(SerPoint(float(snr_db), theory, errors / n_tot, n_symbols,
+                                   wilson_halfwidth(errors, n_tot),
+                                   clustered_halfwidth(*clusters, *tally[si, gi]),
+                                   s.collisions))
     return points
+
+
+def _scheme_filters(R, s: _SchemeLinks, sigma2s, tau_p: int, data_ues) -> list:
+    """The MMSE filters of scheme s at each noise variance of `sigma2s`, zero
+    off its serving links, as UE-major views (K_data, APs[, N, N]); R holds
+    the correlations of the call's APs (see `channel.mmse_estimate`)."""
+    R_s = R[s.pos] if s.pos.size < R.shape[0] else R
+    filters = []
+    for sigma2 in sigma2s:
+        f = np.swapaxes(channel.mmse_estimate(R_s, 1.0, tau_p, s.pilots, sigma2, data_ues), 0, 1)
+        f *= s.serves.reshape(s.serves.shape + (1,) * (f.ndim - 2))
+        filters.append(f)
+    return filters
+
+
+def _block_errors(s: _SchemeLinks, filters, h, pilot_noise, idx, out_noise,
+                  constel: Constellation, sigma2s, data_ues, tau_p: int) -> np.ndarray:
+    """Symbol errors of one scheme in one coherence block at each noise
+    variance of `sigma2s`, from the block's draws (see `ser_monte_carlo`): h
+    holds the channels (APs, K, N) from the call's APs, idx the symbols.
+    `filters` holds the scheme's MMSE filters at each variance, or is None
+    for perfect CSI."""
+    h_s = h[s.pos]
+    H = h_s.transpose(1, 0, 2)[data_ues]
+    x = constel.points[idx]
+    if filters is None:
+        Gx, v_norm2 = _combined_signal(s.serves[..., None] * H, H, x)
+    else:
+        y_p = channel.pilot_rx(h_s, 1.0, tau_p, s.pilots, pilot_noise[:, s.aps],
+                               sigma2s)[:, s.pilots[data_ues]]
+    errors = np.zeros(len(sigma2s), dtype=np.int64)
+    for j, sigma2 in enumerate(sigma2s):
+        if filters is not None:
+            f, y = filters[j], y_p[j]
+            h_hat = f[..., None] * y if f.ndim == 2 else (f @ y[..., None])[..., 0]
+            Gx, v_norm2 = _combined_signal(h_hat, H, x)
+        z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
+        det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
+                        axis=-1)
+        errors[j] = np.count_nonzero(det != idx)
+    return errors
+
+
+def _combined_signal(h_hat, H, x):
+    """Noise-free MR outputs G x and |v_k|^2, with G = V^H H: the estimates
+    h_hat and channels H of the data UEs are UE-major, (K_data, L, N), so
+    row k of each, flattened, is v_k or h_k stacked over the APs."""
+    V = h_hat.reshape(h_hat.shape[0], -1)
+    G = V.conj() @ H.reshape(V.shape).T
+    return G @ x, (V.real ** 2 + V.imag ** 2).sum(axis=1)
 
 
 # --- decision-metric statistics -------------------------------------------------

@@ -171,10 +171,9 @@ def test_c5_symbol_error_rate():
     worst_ld = 0.0
     order_ok = True
     for constel in (comm_perf.QPSK, comm_perf.BPSK):
-        pts_s = comm_perf.ser_monte_carlo(dep, cfg, sua.A, constel, grid, 50000,
-                                          cfg.seed, sua.A, budget)
-        pts_b = comm_perf.ser_monte_carlo(dep, cfg, base.A, constel, grid, 50000,
-                                          cfg.seed, sua.A, budget)
+        pts = comm_perf.ser_monte_carlo(dep, cfg, {"sua": sua.A, "baseline": base.A}, constel,
+                                        grid, 50000, cfg.seed, sua.A, budget)
+        pts_s, pts_b = pts[:grid.size], pts[grid.size:]
         order_ok &= all(a.ser_mc <= b.ser_mc for a, b in zip(pts_s, pts_b))
         if constel is comm_perf.QPSK:
             for p in pts_s:

@@ -130,51 +130,59 @@ def _stack(*hs):
     return np.array(hs, dtype=complex)[None]
 
 
+def _unit_noise(tau_p, L, n, seed=1):
+    """(tau_p, L, n) complex normals with standard normal parts, as `pilot_rx` takes."""
+    re, im = rng_stream(seed, "noise").standard_normal((2, tau_p, L, n))
+    return re + 1j * im
+
+
 class TestPilotsAndEstimation:
     def test_single_ue_noise_free(self):
         h = np.array([1.0 + 1j, 2.0, -1j])
-        y = channel.pilot_rx(_stack(h), 2.0, 4, [0], 0.0, rng_stream(1, "noise"))
-        np.testing.assert_allclose(y[0, 0], math.sqrt(8.0) * h, atol=1e-14)
+        y = channel.pilot_rx(_stack(h), 2.0, 4, [0], _unit_noise(4, 1, 3), [0.0])
+        assert y.shape == (1, 4, 1, 3)
+        np.testing.assert_allclose(y[0, 0, 0], math.sqrt(8.0) * h, atol=1e-14)
+        np.testing.assert_array_equal(y[0, 1:], 0.0)  # unused pilots hold no signal
 
     def test_zero_power_pure_noise(self):
-        y = channel.pilot_rx(_stack(np.ones(3)), 0.0, 4, [0], 1.0, rng_stream(2, "noise"))
-        assert np.all(np.isfinite(y)) and np.any(y != 0)
+        y = channel.pilot_rx(_stack(np.ones(3)), 0.0, 4, [0], _unit_noise(4, 1, 3, 2), [1.0])
+        assert np.all(np.isfinite(y)) and np.all(y != 0)
 
     def test_copilot_linearity(self):
         h1 = np.array([1.0, 2.0 + 1j])
         h2 = np.array([-1j, 0.5])
         h3 = np.array([4.0, 4.0j])
-        y = channel.pilot_rx(_stack(h1, h2, h3), 1.0, 9, [1, 1, 0], 0.0,
-                             rng_stream(3, "noise"))
-        np.testing.assert_allclose(y[0, 0], 3.0 * (h1 + h2), atol=1e-14)
-        np.testing.assert_allclose(y[0, 1], y[0, 0])
-        np.testing.assert_allclose(y[0, 2], 3.0 * h3, atol=1e-14)  # other pilot: no mixing
+        y = channel.pilot_rx(_stack(h1, h2, h3), 1.0, 9, [1, 1, 0], _unit_noise(9, 1, 2, 3),
+                             [0.0])[0]
+        np.testing.assert_allclose(y[1, 0], 3.0 * (h1 + h2), atol=1e-14)
+        np.testing.assert_allclose(y[0, 0], 3.0 * h3, atol=1e-14)  # other pilot: no mixing
 
-    def test_noise_drawn_per_group_in_order_of_first_use(self):
-        y = channel.pilot_rx(np.zeros((2, 3, 2)), 1.0, 4, [5, 2, 5], 2.0, rng_stream(8, "noise"))
-        rng = rng_stream(8, "noise")
-        for k in (0, 1):  # pilot 5 is used first, then pilot 2
-            re, im = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-            np.testing.assert_array_equal(y[:, k], re + 1j * im)
-        np.testing.assert_array_equal(y[:, 2], y[:, 0])
+    def test_noise_indexed_by_pilot_value(self):
+        # pilot t at AP l reads noise[t, l] whatever the UE order, scaled to
+        # each variance
+        noise = _unit_noise(6, 2, 2, 8)
+        y = channel.pilot_rx(np.zeros((2, 3, 2)), 1.0, 6, [5, 2, 5], noise, [2.0, 0.5])
+        np.testing.assert_array_equal(y[0], noise)
+        np.testing.assert_array_equal(y[1], 0.5 * noise)
+        with pytest.raises(ValueError, match="pilot indices"):
+            channel.pilot_rx(np.zeros((2, 3, 2)), 1.0, 5, [5, 2, 5], noise, [1.0])
 
     @pytest.mark.parametrize("tau_p,n", [(1, 1), (1, 4), (3, 1), (4, 5), (10, 5)])
     def test_group_sums_equal_membership_einsum(self, tau_p, n):
-        # the all-UE product with the 0/1 group-membership matrix, to 1e-14 of
-        # the summed magnitudes (the sums run in another order)
+        # the per-pilot sums with the 0/1 pilot-membership matrix, to 1e-14 of
+        # the summed magnitudes (the sums may run in another order)
         rng = np.random.default_rng(tau_p * 10 + n)
         h = rng.standard_normal((7, 12, n)) + 1j * rng.standard_normal((7, 12, n))
         p, pilots = rng.random(12) + 0.1, rng.integers(0, tau_p, 12)
-        y = channel.pilot_rx(h, p, tau_p, pilots, 0.0, rng_stream(1, "noise"))
-        slot, member = channel._pilot_groups(pilots)
-        weights = np.sqrt(tau_p * p)[:, None] * member
-        ref = np.einsum("lkn,kt->ltn", h, weights)[:, slot]
-        scale = np.einsum("lkn,kt->ltn", np.abs(h), weights)[:, slot]
+        y = channel.pilot_rx(h, p, tau_p, pilots, _unit_noise(tau_p, 7, n), [0.0])[0]
+        weights = np.sqrt(tau_p * p)[:, None] * (pilots[:, None] == np.arange(tau_p))
+        ref = np.einsum("lkn,kt->tln", h, weights)
+        scale = np.einsum("lkn,kt->tln", np.abs(h), weights)
         assert np.all(np.abs(y - ref) <= 1e-14 * scale)
 
     def test_perfect_estimation_limit(self):
         h = np.array([0.3 - 0.2j, 1.1j])
-        y = channel.pilot_rx(_stack(h), 1.0, 16, [0], 0.0, rng_stream(4, "noise"))
+        y = channel.pilot_rx(_stack(h), 1.0, 16, [0], _unit_noise(16, 1, 2, 4), [0.0])[0]
         filt = channel.mmse_estimate(np.eye(2)[None, None], 1.0, 16, [0], 1e-14, [0])
         np.testing.assert_allclose(filt[0, 0] @ y[0, 0], h, atol=1e-5)
 
@@ -205,9 +213,10 @@ class TestPilotsAndEstimation:
         g, p, tau, s2, n = 1.0, 1.0, 4, 0.5, 100000
         h = math.sqrt(g / 2.0) * (rng.standard_normal((n, 1, 1))
                                   + 1j * rng.standard_normal((n, 1, 1)))
-        y = channel.pilot_rx(h, p, tau, [0], s2, rng)
+        noise = rng.standard_normal((tau, n, 1)) + 1j * rng.standard_normal((tau, n, 1))
+        y = channel.pilot_rx(h, p, tau, [0], noise, [s2])[0]
         filt = channel.mmse_estimate(np.full((n, 1, 1, 1), g), p, tau, [0], s2, [0])
-        est = (filt @ y[..., None])[:, 0, 0, 0]
+        est = (filt[:, 0] @ y[0, :, :, None])[:, 0, 0]
         err = h[:, 0, 0] - est
         corr = abs(np.mean(est.conj() * err)) / math.sqrt(
             np.mean(np.abs(est) ** 2) * np.mean(np.abs(err) ** 2))
@@ -258,6 +267,26 @@ class TestPilotsAndEstimation:
         assert channel.assign_pilots({}, 0, 3).shape == (0,)
         np.testing.assert_array_equal(channel.assign_pilots({}, 4, 3), [0, 1, 2, 0])
         np.testing.assert_array_equal(channel.assign_pilots({0: [1], 1: [1]}, 2, 1), [0, 0])
+
+    def test_pilot_fallback_keeps_round_robin(self):
+        # three UEs at one AP and two pilots: UE 2 finds both taken and keeps
+        # 2 mod 2; UE 3, alone at AP 1, is free to take its own 3 mod 2
+        serving = {0: [0], 1: [0], 2: [0], 3: [1]}
+        pilots = channel.assign_pilots(serving, 4, 2)
+        np.testing.assert_array_equal(pilots, [0, 1, 0, 1])
+        A = np.array([[1, 1, 1, 0], [0, 0, 0, 1]])
+        assert channel.pilot_collisions(A, pilots) == 1  # only (0, 2) share an AP
+        # five UEs at one AP and three pilots: UEs 3 and 4 fall back to 0 and 1
+        pilots = channel.assign_pilots({k: [0] for k in range(5)}, 5, 3)
+        np.testing.assert_array_equal(pilots, [0, 1, 2, 0, 1])
+        assert channel.pilot_collisions(np.ones((1, 5)), pilots) == 2
+
+    def test_pilot_collisions_count_pairs_once(self):
+        # UEs 0 and 1 share two APs and one pilot: one pair
+        A = np.array([[1, 1, 0], [1, 1, 1]])
+        assert channel.pilot_collisions(A, [0, 0, 1]) == 1
+        assert channel.pilot_collisions(A, [0, 0, 0]) == 3
+        assert channel.pilot_collisions(np.eye(3), [0, 0, 0]) == 0  # no shared AP
 
     def test_identity_scalars_equal_solve_with_identity(self):
         rng = np.random.default_rng(12)
@@ -356,24 +385,23 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
     """Symbol errors per SNR point of the per-AP data path: each AP's received
     data, its noise drawn per antenna, MR-combined over the serving sets.
 
-    Fading, pilot noise and symbols are drawn as `comm_perf.ser_monte_carlo`
-    draws them, at unit UE power and on the SNR axis of the median gain over
-    the serving links of `reference`, so only the data noise differs between
-    the two paths.
+    Fading, pilot noise and symbols are drawn from the block streams of
+    `comm_perf.ser_monte_carlo`, at unit UE power and on the SNR axis of the
+    median gain over the serving links of `reference`, so only the data
+    noise differs between the two paths.
     """
     A = np.asarray(A) == 1
-    K, N = dep.K, cfg.N
+    K, L, N = dep.K, dep.L, cfg.N
     gain = channel.link_budget(dep, cfg).gain_lin
     g = gain / float(np.median(gain[np.asarray(reference) == 1]))
     data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
     aps = np.flatnonzero(A[:, data_ues].any(axis=1))
     pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)}, K, cfg.tau_p)
     C, C_sqrt = channel.link_correlations(dep, cfg, aps)
-    sqrt_g = np.sqrt(g[aps])[..., None]
     serves = A[np.ix_(aps, data_ues)][..., None]
     sym_per_block = max(1, cfg.tau_c - cfg.tau_p)
     counts = []
-    for gi, snr_db in enumerate(snr_db_grid):
+    for snr_db in snr_db_grid:
         sigma2 = 10.0 ** (-snr_db / 10.0)
         if not perfect_csi:
             R = g[aps] if C is None else g[aps][..., None, None] * C
@@ -384,16 +412,18 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
             nsym = min(sym_per_block, n_symbols - done)
-            rng = rng_stream(seed, "mc", gi, block)
-            w = rng.standard_normal((aps.size, K, N)) + 1j * rng.standard_normal((aps.size, K, N))
-            w /= math.sqrt(2.0)
-            h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
+            rng = rng_stream(seed, "mc", comm_perf.SER_BLOCK_STREAM, block)
+            # each entry a complex normal drawn real part first
+            w = rng.standard_normal((L, K, N, 2)) @ [1.0, 1j]
+            h = np.sqrt(g[aps] / 2.0)[..., None] * (
+                w[aps] if C_sqrt is None else (C_sqrt @ w[aps][..., None])[..., 0])
+            pilot_noise = (rng.standard_normal((cfg.tau_p, L, N, 2)) @ [1.0, 1j])[:, aps]
+            idx = rng.integers(0, constel.M, (data_ues.size, nsym))
             if perfect_csi:
                 h_hat = serves * h[:, data_ues]
             else:
-                y_p = channel.pilot_rx(h, 1.0, cfg.tau_p, pilots, sigma2, rng)
-                h_hat = (filt @ y_p[:, data_ues, :, None])[..., 0]
-            idx = rng.integers(0, constel.M, (data_ues.size, nsym))
+                y_p = channel.pilot_rx(h, 1.0, cfg.tau_p, pilots, pilot_noise, [sigma2])[0]
+                h_hat = (filt @ y_p[pilots[data_ues]].transpose(1, 0, 2)[..., None])[..., 0]
             z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues], constel.points[idx], sigma2, rng))
             v_norm2 = np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real
             det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
@@ -429,8 +459,9 @@ class TestCombinedDomainSer:
         diff_sum, var_sum = 0.0, 0.0
         for cfg, dep, A, sua, budget in self._cases(model):
             n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
-            pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS,
-                                            cfg.seed, sua, budget, perfect_csi=perfect_csi)
+            pts = comm_perf.ser_monte_carlo(dep, cfg, {"scheme": A}, QPSK, self.GRID,
+                                            self.N_SYMBOLS, cfg.seed, sua, budget,
+                                            perfect_csi=perfect_csi)
             new = [round(p.ser_mc * n_tot) for p in pts]
             old = _ser_errors_per_ap(dep, cfg, A, QPSK, self.GRID, self.N_SYMBOLS, cfg.seed,
                                      sua, perfect_csi)
@@ -454,8 +485,9 @@ class TestCombinedDomainSer:
         for cfg, dep, A, sua, budget in self._cases(model):
             n_tot = self.N_SYMBOLS * dep.ue_indices(ServiceType.COM, ServiceType.JCAS).size
             for perfect_csi in (False, True):
-                pts = comm_perf.ser_monte_carlo(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
-                                                cfg.seed, sua, budget, perfect_csi=perfect_csi)
+                pts = comm_perf.ser_monte_carlo(dep, cfg, {"scheme": A}, QPSK, [300.0],
+                                                self.N_SYMBOLS, cfg.seed, sua, budget,
+                                                perfect_csi=perfect_csi)
                 old = _ser_errors_per_ap(dep, cfg, A, QPSK, [300.0], self.N_SYMBOLS,
                                          cfg.seed, sua, perfect_csi)
                 assert round(pts[0].ser_mc * n_tot) == old[0]

@@ -183,6 +183,21 @@ class TestDeploymentStateBuiltOnce:
         assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"link_budget": 1, "clutter_geometry": 1}
 
+    def test_ser_both_schemes_one_monte_carlo_call(self, tmp_path, monkeypatch):
+        # both schemes share one call, so the correlations are built once
+        from cfmimo import channel, comm_perf
+
+        calls = {"ser_monte_carlo": 0, "link_correlations": 0}
+        for mod, name in ((comm_perf, "ser_monte_carlo"), (channel, "link_correlations")):
+            def counted(*a, _fn=getattr(mod, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(mod, name, counted)
+        path = small_scenario(tmp_path)
+        assert cli.main(["ser", "--scheme", "both", "--snr", "0:10:10", "--symbols", "200",
+                         "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"ser_monte_carlo": 1, "link_correlations": 1}
+
 
 class TestDenseClutterRows:
     """The dense (AP, scatterer) rows of the clutter geometry are built only
@@ -287,6 +302,18 @@ class TestPd:
         rows = (out / "pd_sua.csv").read_text().strip().split("\n")[1:]
         formulas = [float(row.split(",")[3]) for row in rows]
         assert formulas and all(0.0 <= f <= 1.0 for f in formulas)
+
+
+class TestPilotCollisions:
+    def test_ser_prints_collisions_per_scheme(self, tmp_path, capsys):
+        # the paper-default deployment at seed 1000 with two pilots: SUA
+        # leaves 6 co-pilot pairs on a shared AP, all-to-all makes every
+        # co-pilot pair share one
+        path = tmp_path / "scenario.json"
+        save_scenario(SystemConfig(tau_p=2, seed=1000), str(path))
+        assert cli.main(["ser", "--snr", "0:10:10", "--symbols", "20", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert "pilot collisions sua=6 baseline=210 " in capsys.readouterr().out
 
 
 class TestSchemeOutputs:
