@@ -88,6 +88,7 @@ def served_counts(A: np.ndarray):
 class OptimizerReport:
     objective: float
     integral: bool
+    repairs: int        # augmenting paths run; 0 when the relaxation fits
 
 
 def objective_value(weights: np.ndarray, A: np.ndarray) -> float:
@@ -134,41 +135,43 @@ def _column_top_selection(w: np.ndarray, M: np.ndarray, X: int) -> np.ndarray:
     return A
 
 
-def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> np.ndarray:
-    """Exact max-weight b-matching by successive shortest augmenting paths.
+def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.ndarray, int]:
+    """Exact max-weight b-matching: the per-UE relaxation, repaired by
+    successive shortest paths.  Returns it and the number of paths run.
 
-    The per-UE capacitated relaxation (drop AP capacities, keep per-UE top-X)
-    upper-bounds the optimum; when it happens to satisfy the AP capacities it
-    is returned directly.  Otherwise the full min-cost-flow search runs on the
-    masked bipartite graph with unit capacity per link, so flows are integral
-    by construction.  Each augmenting path comes from a vectorized
-    label-correcting search over the eligible links; ties between equal-cost
-    paths are broken by index, so results are deterministic.
+    The relaxation (each UE's top X, AP capacities dropped) is returned when
+    it fits.  Otherwise it is the starting pseudoflow of a min-cost flow on
+    the eligible links, the source and sink merged (bypassing every link
+    costs 0).  AP potentials 0, and a full UE's minus its smallest selected
+    weight (else 0), give every residual arc a reduced cost >= 0.  Each path
+    starts at an AP with spare capacity or at a UE holding a link (which
+    drops it) and ends at the nearest overfilled AP, moving one unit of
+    overload; so exactly D = sum_l max(0, load_l - tau_p) paths run, each
+    from a vectorized label-correcting search.  A parent is set only on a
+    strict improvement and equal costs go to the lower index.
     """
-    L, K = w.shape
     A = _column_top_selection(w, M, X)
-    if A.sum(axis=1).max(initial=0) <= tau_p:
-        return A
+    row_used = A.sum(axis=1)
+    D = int(np.maximum(row_used - tau_p, 0).sum())
+    if D == 0:
+        return A, 0
 
-    A = np.zeros((L, K), dtype=np.int8)
     # Eligible links as a flat edge list grouped by UE, APs ascending within a
     # UE; only UEs with at least one edge take part, renumbered u = 0..U-1.
     e_k, e_l = np.nonzero(((M == 1) & (w > 0)).T)
-    if e_k.size == 0:
-        return A
     e_w = w[e_l, e_k]
+    used = A[e_l, e_k] == 1             # edge carries flow, i.e. a_lk = 1
     _, starts, e_u = np.unique(e_k, return_index=True, return_inverse=True)
-    U, E = starts.size, e_k.size
-    used = np.zeros(E, dtype=bool)      # edge carries flow, i.e. a_lk = 1
-    row_used = np.zeros(L, dtype=int)
-    col_used = np.zeros(U, dtype=int)
+    L, U, E = w.shape[0], starts.size, e_k.size
+    col_used = np.add.reduceat(used.astype(int), starts)
+    theta = np.minimum.reduceat(np.where(used, e_w, np.inf), starts)
+    pi_ue = np.where(col_used == X, -theta, 0.0)
     pi_ap = np.zeros(L)
-    pi_ue = -np.maximum.reduceat(e_w, starts)
-    pi_t = pi_ue.min()
 
-    for _ in range(L * K + 1):
-        # Label-correcting shortest paths on the residual graph: source -> AP
-        # with spare capacity -> open edge -> UE -> used edge back -> AP ...
+    for _ in range(D):
+        # Label-correcting shortest paths on the residual graph from the
+        # source, which reaches the APs with spare capacity and the UEs
+        # holding a link, along open edges AP -> UE and used edges UE -> AP.
         # Reduced costs are clipped at 0 against rounding.  A parent is set
         # only on a strict improvement, so zero-cost cycles cannot make the
         # parent pointers cyclic.
@@ -178,10 +181,10 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> np.ndarray:
         rev_l, rev_u = e_l[rev], e_u[rev]
         rc_rev = np.maximum(0.0, e_w[rev] + pi_ue[rev_u] - pi_ap[rev_l])
         dist_ap = np.where(row_used < tau_p, np.maximum(0.0, -pi_ap), np.inf)
+        dist_ue = np.where(col_used > 0, np.maximum(0.0, -pi_ue), np.inf)
         parent_ap = np.full(L, -1)      # edge into each AP; -1 = source
-        dist_ue = np.full(U, np.inf)
-        parent_ue = np.full(U, -1)      # edge into each UE
-        for _ in range(L + K + 2):
+        parent_ue = np.full(U, -1)      # edge into each UE; -1 = source
+        for _ in range(L + U + 2):
             cand = dist_ap[e_l] + rc_fwd
             best = np.minimum.reduceat(cand, starts)
             gain = best < dist_ue
@@ -201,32 +204,26 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> np.ndarray:
             parent_ap[gain] = first[gain]
             dist_ap[gain] = best[gain]
 
-        d_sink = np.where(col_used < X, dist_ue + np.maximum(0.0, pi_ue - pi_t), np.inf)
-        u = int(np.argmin(d_sink))
-        dist_t = d_sink[u]
-        if dist_t == np.inf:
-            break
-
-        # The augmenting path back from the sink, and its true (unreduced) cost.
-        e = parent_ue[u]
+        # Every overfilled AP holds a link of a source UE, so it is reached.
+        sink = int(np.argmin(np.where(row_used > tau_p, dist_ap, np.inf)))
+        e = parent_ap[sink]
         path = [e]
-        true_cost = -e_w[e]
-        while parent_ap[e_l[e]] >= 0:
-            e = parent_ap[e_l[e]]
-            true_cost += e_w[e]
-            path.append(e)
+        while parent_ue[e_u[e]] >= 0:
             e = parent_ue[e_u[e]]
-            true_cost -= e_w[e]
             path.append(e)
-        if true_cost >= 0.0:
-            break
+            if parent_ap[e_l[e]] < 0:
+                row_used[e_l[e]] += 1   # an AP with spare capacity takes a UE
+                break
+            e = parent_ap[e_l[e]]
+            path.append(e)
+        else:
+            col_used[e_u[e]] -= 1       # a UE drops this link
         used[path] = ~used[path]
-        row_used[e_l[e]] += 1
-        col_used[u] += 1
-        pi_ap += np.minimum(dist_ap, dist_t)
-        pi_ue += np.minimum(dist_ue, dist_t)
-    A[e_l[used], e_k[used]] = 1
-    return A
+        row_used[sink] -= 1
+        pi_ap += np.minimum(dist_ap, dist_ap[sink])
+        pi_ue += np.minimum(dist_ue, dist_ap[sink])
+    A[e_l, e_k] = used                  # every link A holds is eligible
+    return A, D
 
 
 def optimize(S, R, M, tau_p: int, X: int):
@@ -236,10 +233,11 @@ def optimize(S, R, M, tau_p: int, X: int):
     per AP, at most X APs per UE, and a <= M elementwise.
     """
     w, M = _check_instance(S, R, M, tau_p, X)
-    A = _solve_flow(w, M, tau_p, X)
+    A, repairs = _solve_flow(w, M, tau_p, X)
     report = OptimizerReport(
         objective=objective_value(w, A),
         integral=bool(((A == 0) | (A == 1)).all()),
+        repairs=repairs,
     )
     return A, report
 

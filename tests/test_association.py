@@ -365,6 +365,47 @@ class TestOptimize:
             assert assoc.check_feasible(A1, M, tau_p, X)
             assert rep.objective == assoc.enumeration_objective(S, R, M, tau_p, X)
 
+    def test_fitting_relaxation_returned_as_is(self):
+        # capacities loose enough for every UE's top X: the relaxation is the
+        # optimum, returned without a repair
+        rng = np.random.default_rng(41)
+        fits = 0
+        for _ in range(60):
+            S, R, M, tau_p, X = random_instance(rng, tau_max=5)
+            w, _ = assoc._check_instance(S, R, M, tau_p, X)
+            top = assoc._column_top_selection(w, M, X)
+            if top.sum(axis=1).max(initial=0) > tau_p:
+                continue
+            fits += 1
+            A, rep = assoc.optimize(S, R, M, tau_p, X)
+            np.testing.assert_array_equal(A, top)
+            assert A.dtype == top.dtype and rep.repairs == 0
+        assert fits >= 20
+
+    def test_binding_exact_over_twenty_decades(self):
+        # weights from 1e-10 to 1e10, as S*R spans in the binding scenario,
+        # on instances whose relaxation overfills an AP: one repair per unit
+        # of overload, and the enumerated optimum to rounding
+        rng = np.random.default_rng(2006)
+        binding = 0
+        for _ in range(40):
+            L, K = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            tau_p, X = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            M = (rng.random((L, K)) < rng.uniform(0.5, 1.0)).astype(np.int8)
+            S = 10.0 ** rng.uniform(-10.0, 10.0, (L, K)) * M
+            R = np.ones((L, K))
+            w, _ = assoc._check_instance(S, R, M, tau_p, X)
+            load = assoc._column_top_selection(w, M, X).sum(axis=1)
+            if load.max(initial=0) <= tau_p:
+                continue
+            binding += 1
+            A, rep = assoc.optimize(S, R, M, tau_p, X)
+            assert assoc.check_feasible(A, M, tau_p, X)
+            assert rep.repairs == np.maximum(load - tau_p, 0).sum()
+            best = assoc.enumeration_objective(S, R, M, tau_p, X)
+            assert rep.objective == pytest.approx(best, rel=1e-12, abs=0.0)
+        assert binding >= 20
+
     def test_tied_top_selection_pinned(self):
         # equal weights go to the lower row; ineligible cells (masked or zero
         # weight) are never picked. Expected selections recorded from the
@@ -414,13 +455,13 @@ def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
     return S, assoc.priorities(S), m, cfg.tau_p, cfg.X
 
 
-def random_binding_instance(L, seed):
+def random_binding_instance(L, seed, tau_p=1, X=3):
     # K * X links wanted against L * tau_p AP slots: capacities bind
     rng = np.random.default_rng(seed)
     K = L // 2
     M = (rng.random((L, K)) < rng.uniform(0.05, 0.2)).astype(np.int8)
     S = rng.random((L, K)) * M
-    return S, assoc.priorities(S), M, 1, 3
+    return S, assoc.priorities(S), M, tau_p, X
 
 
 class TestOptimizerAtScale:
@@ -430,18 +471,27 @@ class TestOptimizerAtScale:
     @pytest.mark.parametrize("instance", [
         pytest.param(lambda: binding_scenario_instance(1000), id="scenario-1000"),
         pytest.param(lambda: binding_scenario_instance(2000), id="scenario-2000"),
-        pytest.param(lambda: binding_scenario_instance(11, L=1000, K=300, area_side_m=1581.0,
-                                                       tau_p=3),
-                     id="scenario-L1000"),
+        # the assoc-binding benchmark deployments
+        *(pytest.param(lambda seed=seed: binding_scenario_instance(seed), id=f"scenario-{seed}")
+          for seed in range(3000, 3004)),
+        *(pytest.param(lambda seed=seed: binding_scenario_instance(seed, L=1000, K=300,
+                                                                   area_side_m=1581.0, tau_p=3),
+                       id=name)
+          for seed, name in ((11, "scenario-L1000"), (12, "scenario-L1000-12"))),
         *(pytest.param(lambda L=L: random_binding_instance(L, L), id=f"random-L{L}")
           for L in (50, 100, 150, 200)),
+        *(pytest.param(lambda L=L, t=t, x=x: random_binding_instance(L, L + 7, t, x),
+                       id=f"random-L{L}-tau{t}-X{x}")
+          for L, t, x in ((60, 2, 3), (100, 2, 5), (120, 3, 6), (200, 2, 4))),
     ])
     def test_matches_lp_optimum(self, instance):
         S, R, M, tau_p, X = instance()
         w, _ = assoc._check_instance(S, R, M, tau_p, X)
-        assert assoc._column_top_selection(w, M, X).sum(axis=1).max() > tau_p
+        load = assoc._column_top_selection(w, M, X).sum(axis=1)
+        assert load.max() > tau_p
         A, rep = assoc.optimize(S, R, M, tau_p, X)
         assert assoc.check_feasible(A, M, tau_p, X)
+        assert rep.repairs == np.maximum(load - tau_p, 0).sum()
         best = lp_optimum(w, tau_p, X)
         assert abs(rep.objective - best) <= 1e-9 * best
 

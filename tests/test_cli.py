@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfmimo import cli
+from cfmimo import association, cli
 from cfmimo.scenario import (
     ServiceMix,
     SystemConfig,
     ValidationError,
     config_to_dict,
+    generate_deployment,
     save_scenario,
 )
 
@@ -248,6 +249,27 @@ class TestAssociate:
         assert cli.main(["associate", "--scenario", path, "--out", str(out),
                          "--scheme", "sua"]) == 0
         assert not (out / "associate_baseline.csv").exists()
+
+
+    @pytest.mark.parametrize("kw, binds", [
+        (dict(seed=1000), False),
+        (dict(L=40, K=12, area_side_m=316.0, tau_p=2, p_threshold_dbm=-80.0, seed=3000), True),
+    ], ids=["default", "binding"])
+    def test_prints_repairs(self, tmp_path, capsys, kw, binds):
+        # the SUA line counts the optimizer's augmenting paths: the AP
+        # overload of the per-UE relaxation, 0 where it fits
+        cfg = SystemConfig(**kw)
+        path = tmp_path / "scenario.json"
+        save_scenario(cfg, str(path))
+        assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                         "--scheme", "sua"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        res = association.run_sua(generate_deployment(cfg), cfg)
+        w, _ = association._check_instance(res.S, res.prio, res.mask, cfg.tau_p, cfg.X)
+        load = association._column_top_selection(w, res.mask, cfg.X).sum(axis=1)
+        overload = int(np.maximum(load - cfg.tau_p, 0).sum())
+        assert line.startswith("sua: ") and line.endswith(f" repairs={overload}")
+        assert (overload > 0) == binds
 
 
 class TestSer:
