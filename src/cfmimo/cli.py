@@ -177,7 +177,7 @@ def cmd_pd(args) -> int:
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
     grid = parse_db_range(args.snr)
-    all_points, _ = sense_perf.pd_monte_carlo(
+    all_points, scale = sense_perf.pd_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, assocs["sua"], grid, args.trials,
         cfg.seed, budget, geom)
     for scheme in schemes:
@@ -185,8 +185,10 @@ def cmd_pd(args) -> int:
                      sense_perf.pd_csv([p for p in all_points if p.scheme == scheme]))
     rep = report.build_report("pd", cfg, cfg.seed, {"pd": sense_perf.pd_csv(all_points)})
     atomic_write(os.path.join(args.out, "pd_report.json"), rep.to_json())
+    # one draw per sensing UE, read by every SCNR point and scheme
     print(f"pd: {len(grid)} SCNR points x {len(schemes)} scheme(s), "
-          f"{args.trials} trials/point -> {args.out}")
+          f"{args.trials} trials/point, {scale.shape[0] * args.trials} normal pairs drawn "
+          f"-> {args.out}")
     return EXIT_OK
 
 

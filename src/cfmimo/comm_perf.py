@@ -73,31 +73,38 @@ def residual_error_power(sigma2: float, K: int, tau_p: int, X: int) -> float:
     return sigma2 * K / (tau_p * X)
 
 
-def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int) -> float:
+def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int):
     """Closed-form SER, clamped to [0, 1]: the union bound
     sum_{i != j} PEP(i -> j) / M over the ordered symbol pairs.
 
     With D = 2 (sigma2 + c2) and s_l = alpha_l |s_i - s_j|^2, PEP(i -> j) is
     the two-exponential Q approximation averaged over the fading,
     MGF(-1/(4D)) / 12 + MGF(-1/(3D)) / 4 with MGF(t) = prod_l (1 - t s_l)^-N.
-    All pairs and links are one array expression; the pair terms are then
-    added in (i, j) order, one after the other.
+    alphas holds the links on its last axis; a zero alpha multiplies the MGF
+    by exactly 1, so UEs with fewer links are zero-padded into one
+    (UEs, links) array and each gets its own SER. The MGF is evaluated once
+    per distinct pair distance; the pair terms are then added in (i, j)
+    order, one after the other. Returns a float for one UE's 1-D alphas,
+    else an array over the leading axes.
     """
     pts = constel.points
     i, j = np.nonzero(~np.eye(constel.M, dtype=bool))
-    d2 = np.abs(pts[i] - pts[j]) ** 2
-    link_sums = np.atleast_1d(np.asarray(alphas, dtype=float))[None, :] * d2[:, None]
+    d2, pair = np.unique(np.abs(pts[i] - pts[j]) ** 2, return_inverse=True)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    link_sums = alphas[None] * d2.reshape((-1,) + (1,) * alphas.ndim)
     D = 2.0 * (sigma2 + c2)
     mgf = []
     for t in (-1.0 / (4.0 * D), -1.0 / (3.0 * D)):
         terms = 1.0 - t * link_sums
         if np.any(terms <= 0.0):
             raise ValueError("MGF evaluated beyond its pole (1 - t*s <= 0)")
-        mgf.append(np.prod(terms ** (-float(N)), axis=1))
+        mgf.append(np.prod(terms ** (-float(N)), axis=-1))
+    pep = mgf[0] / 12.0 + mgf[1] / 4.0
     total = 0.0
-    for pep in (mgf[0] / 12.0 + mgf[1] / 4.0).tolist():
-        total += pep
-    return min(max(total / constel.M, 0.0), 1.0)
+    for d in pair:
+        total = total + pep[d]
+    ser = np.clip(total / constel.M, 0.0, 1.0)
+    return float(ser) if alphas.ndim == 1 else ser
 
 
 Z95 = 1.959963984540054
@@ -325,19 +332,25 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     clusters = (sizes.size, n_tot, n_data * n_data * int(sizes @ sizes))
     points = []
     for si, (s, A) in enumerate(zip(schemes, served)):
+        betas = _padded_link_gains(g[:, data_ues].T, A[:, data_ues].T)
         for gi, (snr_db, sigma2) in enumerate(zip(grid, sigma2s)):
             c2 = residual_error_power(sigma2, K, tau_p, config.X)
-            theory = float(np.mean([
-                ser_theory(constel, effective_alpha(1.0, tau_p, g[A[:, k], k], sigma2, config.X),
-                           sigma2, c2, N)
-                for k in data_ues
-            ]))
+            theory = float(np.mean(ser_theory(
+                constel, effective_alpha(1.0, tau_p, betas, sigma2, config.X), sigma2, c2, N)))
             errors = int(tally[si, gi, 0])
             points.append(SerPoint(float(snr_db), theory, errors / n_tot, n_symbols,
                                    wilson_halfwidth(errors, n_tot),
                                    clustered_halfwidth(*clusters, *tally[si, gi]),
                                    s.collisions))
     return points
+
+
+def _padded_link_gains(gains, served) -> np.ndarray:
+    """Each row's served gains in column order, left-aligned and zero-padded
+    to the largest serving set: (UEs, max links served)."""
+    order = np.argsort(~served, axis=1, kind="stable")[:, :served.sum(axis=1).max()]
+    return np.where(np.take_along_axis(served, order, 1),
+                    np.take_along_axis(gains, order, 1), 0.0)
 
 
 def _scheme_filters(R, s: _SchemeLinks, sigma2s, tau_p: int, data_ues) -> list:

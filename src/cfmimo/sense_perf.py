@@ -190,25 +190,33 @@ def pd_single(scnr: float, p_fa: float) -> float:
 
 # --- Monte-Carlo chains -------------------------------------------------------
 
-def _detection_rate(m: float, sigma2: float, eta: float, noise: np.ndarray) -> float:
-    """Fraction of trials whose envelope |m + sqrt(sigma2/2) (nr + j ni)|
-    exceeds eta; noise holds the unit normals (nr, ni), shape (2, trials).
+def _detection_rate(m, sigma2, eta, noise: np.ndarray) -> np.ndarray:
+    """Per (m, sigma2, eta) pair, the fraction of trials whose envelope
+    |m + sqrt(sigma2/2) (nr + j ni)| exceeds eta; m, sigma2 and eta broadcast
+    to the pairs' shape, and every pair reads the same draw, the unit normals
+    (nr, ni) of noise, shape (2, trials).
 
     The target phase is not drawn: for circular Gaussian noise, |e^{j theta} m + n|
-    has the law of |m + n|. With a = sqrt(sigma2/2) the test reads
-    (nr + m/a)^2 + ni^2 > (eta/a)^2.
+    has the law of |m + n|. With a = sqrt(sigma2/2) each pair's test reads
+    (nr + m/a)^2 + ni^2 > (eta/a)^2 per trial; ni^2 is formed once for all
+    pairs, so each pair's count equals that of a call for it alone.
     """
-    a = math.sqrt(sigma2 / 2.0)
+    m, sigma2, eta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (m, sigma2, eta)))
     nr, ni = noise
-    return float(np.count_nonzero((nr + m / a) ** 2 + ni * ni > (eta / a) ** 2)) / nr.size
+    ni2 = ni * ni
+    counts = np.empty(m.shape)
+    for idx in np.ndindex(m.shape):
+        a = math.sqrt(sigma2[idx] / 2.0)
+        counts[idx] = np.count_nonzero((nr + m[idx] / a) ** 2 + ni2 > (eta[idx] / a) ** 2)
+    return counts / nr.size
 
 
 def false_alarm_monte_carlo(p_fa: float, n_trials: int, seed: int) -> float:
     """Empirical false-alarm rate of the envelope detector under H0, at unit
     clutter + noise power."""
     rng = rng_stream(seed, "mc", 90001)
-    return _detection_rate(0.0, 1.0, detection_threshold(p_fa, 1.0),
-                           rng.standard_normal((2, n_trials)))
+    return float(_detection_rate(0.0, 1.0, detection_threshold(p_fa, 1.0),
+                                 rng.standard_normal((2, n_trials))))
 
 
 def pd_chain_monte_carlo(scnr: float, p_fa: float, n_trials: int, seed: int,
@@ -220,8 +228,8 @@ def pd_chain_monte_carlo(scnr: float, p_fa: float, n_trials: int, seed: int,
     so the run is comparable against the closed form.
     """
     rng = rng_stream(seed, "mc", 91000 + stream_tag)
-    return _detection_rate(math.sqrt(scnr), 1.0, detection_threshold(p_fa, 1.0),
-                           rng.standard_normal((2, n_trials)))
+    return float(_detection_rate(math.sqrt(scnr), 1.0, detection_threshold(p_fa, 1.0),
+                                 rng.standard_normal((2, n_trials))))
 
 
 @dataclass
@@ -286,10 +294,12 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict, r
     The grid is each UE's aggregate SCNR under the association `reference`:
     the echo scale of UE k at grid value g is 10^(g/10) sig_k / amp_k^2, with
     the sums taken under `reference`.
-    Per (UE, grid point) one pair of unit normals per trial comes from the
-    stream rng_stream(seed, "mc", 92000, k, gi), all real parts then all
-    imaginary parts, and every scheme's detector sees those same draws,
-    scaled to its own serving set. No target phase is drawn (see
+    Per UE one pair of unit normals per trial comes from the stream
+    rng_stream(seed, "mc", 92000, k), all real parts then all imaginary
+    parts, one (2, n_trials) draw. Every (scheme, grid point) of that UE
+    reads this same draw (common random numbers), scaled to the scheme's
+    serving set and the point's echo scale, so each point keeps its marginal
+    law and draws stay independent across UEs. No target phase is drawn (see
     `_detection_rate`).
 
     Returns (points, scale); points holds each scheme's per-UE points and then
@@ -299,19 +309,22 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict, r
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
     ues, amp_ref, sig_ref = _sensing_link_terms(deployment, config, reference, budget, geom)
     scale = (sig_ref / amp_ref ** 2)[:, None] * 10.0 ** (grid / 10.0)
-    sums = [_sensing_link_terms(deployment, config, A, budget, geom)[1:]
-            for A in assocs.values()]
+    # (scheme, UE) sums of each association
+    amp, sig = np.array([_sensing_link_terms(deployment, config, A, budget, geom)[1:]
+                         for A in assocs.values()]).transpose(1, 0, 2)
+    eta = np.array([[detection_threshold(config.p_fa, s) for s in row] for row in sig])
 
     # (scheme, grid point, UE): each aggregate is then a mean over a contiguous row
-    formula = np.empty((len(sums), grid.size, ues.size))
+    formula = np.empty((len(assocs), grid.size, ues.size))
     rate = np.empty_like(formula)
     for i, k in enumerate(ues):
-        for gi in range(grid.size):
-            noise = rng_stream(seed, "mc", 92000, k, gi).standard_normal((2, n_trials))
-            for si, (amp, sig) in enumerate(sums):
-                rate[si, gi, i] = _detection_rate(math.sqrt(scale[i, gi]) * amp[i], sig[i],
-                                                  detection_threshold(config.p_fa, sig[i]), noise)
-                formula[si, gi, i] = pd_single(scale[i, gi] * amp[i] ** 2 / sig[i], config.p_fa)
+        noise = rng_stream(seed, "mc", 92000, k).standard_normal((2, n_trials))
+        rate[..., i] = _detection_rate(np.sqrt(scale[i]) * amp[:, i, None], sig[:, i, None],
+                                       eta[:, i, None], noise)
+        for si in range(len(assocs)):
+            for gi in range(grid.size):
+                formula[si, gi, i] = pd_single(scale[i, gi] * amp[si, i] ** 2 / sig[si, i],
+                                               config.p_fa)
 
     points = []
     for si, scheme in enumerate(assocs):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from cfmimo import association, cli
 from cfmimo.scenario import (
     ServiceMix,
+    ServiceType,
     SystemConfig,
     ValidationError,
     config_to_dict,
     generate_deployment,
+    load_scenario,
     save_scenario,
 )
 
@@ -314,6 +316,19 @@ class TestPd:
         text = (out / "pd_sua.csv").read_text()
         assert text.startswith("scheme,ue_id,scnr_db")
         assert "aggregate" in text
+
+    @pytest.mark.parametrize("scheme", ["both", "sua"])
+    def test_prints_normal_pairs_drawn(self, tmp_path, capsys, scheme):
+        # one (2, trials) draw per sensing or JCAS UE, whatever the grid and
+        # the schemes
+        path = small_scenario(tmp_path)
+        ues = generate_deployment(load_scenario(path)).ue_indices(ServiceType.SENSE,
+                                                                   ServiceType.JCAS)
+        assert ues.size > 0
+        assert cli.main(["pd", "--scenario", path, "--out", str(tmp_path / "out"),
+                         "--scheme", scheme, "--snr", "0:5:15", "--trials", "300"]) == 0
+        assert f", 300 trials/point, {ues.size * 300} normal pairs drawn -> " \
+            in capsys.readouterr().out
 
     def test_tiny_false_alarm_rate_exit_0(self, tmp_path):
         # a threshold of sqrt(-2 ln 1e-300) = 37.2 and SCNRs near 28 dB put the

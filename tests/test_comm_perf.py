@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from cfmimo import association as assoc
 from cfmimo import channel, comm_perf
 from cfmimo.comm_perf import BPSK, QPSK
-from cfmimo.scenario import InfeasibleModelError, SystemConfig, generate_deployment, rng_stream
+from cfmimo.scenario import (
+    InfeasibleModelError,
+    ServiceType,
+    SystemConfig,
+    generate_deployment,
+    rng_stream,
+)
 
 
 class TestQFunctions:
@@ -179,6 +185,24 @@ class TestSerTheory:
         with pytest.raises(ValueError, match="pole"):
             comm_perf.ser_theory(QPSK, np.array([100.0]), -2.0, 0.0, 1)
 
+    def test_zero_padded_rows_equal_per_ue_calls(self):
+        # a zero alpha multiplies the MGF by exactly 1, so each zero-padded
+        # row reads as the UE's own links alone
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            n = rng.integers(1, 9, int(rng.integers(1, 7)))
+            rows = [rng.random(k) * 10 ** rng.uniform(-3, 3) for k in n]
+            padded = np.zeros((n.size, n.max()))
+            for row, alphas in zip(padded, rows):
+                row[:alphas.size] = alphas
+            sigma2, c2 = 10 ** rng.uniform(-4, 2), 10 ** rng.uniform(-5, 1)
+            constel, N = (BPSK, QPSK)[trial % 2], int(rng.integers(1, 9))
+            got = comm_perf.ser_theory(constel, padded, sigma2, c2, N)
+            assert got.shape == (n.size,)
+            for value, alphas in zip(got, rows):
+                assert value == pytest.approx(
+                    self._ser_theory_pair_loop(constel, alphas, sigma2, c2, N), rel=1e-12)
+
     def test_residual_error_modes(self):
         # one mode remains: c^2 = sigma2 K / (tau_p X)
         assert comm_perf.residual_error_power(0.5, 30, 10, 5) == pytest.approx(0.5 * 30 / 50)
@@ -296,6 +320,35 @@ class TestSerMonteCarlo:
         both = run(assocs)
         assert both == run({"sua": assocs["sua"]}) + run({"baseline": assocs["baseline"]})
         assert [p.snr_db for p in both] == [0.0, 10.0, 0.0, 10.0]
+
+    @pytest.mark.parametrize("constel", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    @pytest.mark.parametrize("paper_default", [False, True], ids=["pinned", "default"])
+    def test_theory_column_equals_per_ue_scalar_form(self, constel, paper_default):
+        # the column is the mean over data UEs of the closed form on each
+        # UE's own serving links, the SNR axis set by SUA's median link gain
+        if paper_default:
+            cfg = SystemConfig(seed=1000)
+            dep = generate_deployment(cfg)
+            assocs = {"sua": assoc.run_sua(dep, cfg).A,
+                      "baseline": assoc.baseline_all_to_all(dep.L, dep.K)}
+        else:
+            cfg, dep, assocs = self._pinned_scenario()
+        budget = channel.link_budget(dep, cfg)
+        grid = [-5.0, 0.0, 10.0]
+        pts = comm_perf.ser_monte_carlo(dep, cfg, assocs, constel, grid, 5, 21,
+                                        assocs["sua"], budget)
+        g = budget.gain_lin / np.median(budget.gain_lin[assocs["sua"] == 1])
+        data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
+        want = []
+        for A in assocs.values():
+            for snr_db in grid:
+                sigma2 = 10.0 ** (-snr_db / 10.0)
+                c2 = comm_perf.residual_error_power(sigma2, cfg.K, cfg.tau_p, cfg.X)
+                want.append(np.mean([TestSerTheory._ser_theory_pair_loop(
+                    constel, comm_perf.effective_alpha(1.0, cfg.tau_p, g[A[:, k] == 1, k],
+                                                       sigma2, cfg.X), sigma2, c2, cfg.N)
+                    for k in data_ues]))
+        assert [p.ser_theory for p in pts] == pytest.approx(want, rel=1e-12)
 
     def test_clustered_interval_covers_the_seed_spread(self):
         # desk scenario, 40 Monte-Carlo seeds of 2000 symbols (11 coherence

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from cfmimo import channel, sense_perf
-from cfmimo.scenario import SystemConfig, generate_deployment
+from cfmimo.scenario import ServiceType, SystemConfig, generate_deployment, rng_stream
 
 
 def i0_series_20_terms(x):
@@ -157,10 +157,12 @@ class TestDetectionKernel:
     def test_equals_envelope_test_at_zero_phase(self):
         rng = np.random.default_rng(12)
         noise = rng.standard_normal((2, 50000))
-        for m, s2, eta in ((0.0, 1.0, 1.2), (1.5, 2.0, 2.1), (4.0, 0.7, 3.5)):
+        pairs = ((0.0, 1.0, 1.2), (1.5, 2.0, 2.1), (4.0, 0.7, 3.5))
+        rates = sense_perf._detection_rate(*zip(*pairs), noise)
+        for (m, s2, eta), rate in zip(pairs, rates):
             u = m + math.sqrt(s2 / 2.0) * (noise[0] + 1j * noise[1])
             expect = float(np.count_nonzero(np.abs(u) > eta)) / noise.shape[1]
-            assert sense_perf._detection_rate(m, s2, eta, noise) == expect
+            assert rate == expect
 
     def test_phase_free_rate_matches_random_phase_rate(self):
         # |e^{j theta} m + n| and |m + n| have one law for circular n
@@ -255,10 +257,11 @@ class TestPdMonteCarlo:
                 assert p.pd_formula == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     # detections out of 2000 trials per (UE, SCNR) at 0, 5 and 10 dB, stream
-    # seed 9, UEs 0, 1, 3 in turn; one pair of normals per trial, no phase draw
+    # seed 9, UEs 0, 1, 3 in turn; one draw of one pair of normals per trial
+    # per UE, read by every SCNR point and scheme, no phase draw
     PINNED_DETECTIONS = {
-        "sua": [172, 752, 1898, 177, 739, 1880, 168, 709, 1882],
-        "baseline": [19, 18, 22, 195, 789, 1909, 141, 612, 1806],
+        "sua": [183, 759, 1910, 162, 734, 1875, 179, 745, 1889],
+        "baseline": [18, 18, 19, 173, 786, 1910, 159, 645, 1825],
     }
 
     def test_pinned_detection_counts(self):
@@ -286,6 +289,35 @@ class TestPdMonteCarlo:
         np.testing.assert_array_equal(scale, sua_scale)
         np.testing.assert_array_equal(scale, base_scale)
         assert both == sua + base
+
+    def test_shared_draws_equal_one_point_calls(self):
+        from cfmimo import association
+        cfg, dep, A, state = self._scenario()
+        assocs = {"sua": A, "baseline": association.baseline_all_to_all(dep.L, dep.K)}
+        grid = [-2.5, 0.0, 7.5, 12.0]
+        full, scale = sense_perf.pd_monte_carlo(dep, cfg, assocs, A, grid, 1000, 4, *state)
+        for gi, g in enumerate(grid):
+            one, one_scale = sense_perf.pd_monte_carlo(dep, cfg, assocs, A, [g], 1000, 4,
+                                                       *state)
+            np.testing.assert_array_equal(one_scale[:, 0], scale[:, gi])
+            assert one == [p for p in full if p.scnr_db == g]
+
+    def test_one_stream_per_sensing_ue(self, monkeypatch):
+        from cfmimo import association
+        cfg, dep, A, state = self._scenario()
+        opened = []
+
+        def counting_stream(*key):
+            opened.append(key)
+            return rng_stream(*key)
+
+        monkeypatch.setattr(sense_perf, "rng_stream", counting_stream)
+        assocs = {"sua": A, "baseline": association.baseline_all_to_all(dep.L, dep.K)}
+        pts, scale = sense_perf.pd_monte_carlo(dep, cfg, assocs, A, [0.0, 5.0, 10.0], 200, 9,
+                                               *state)
+        ues = dep.ue_indices(ServiceType.SENSE, ServiceType.JCAS)
+        assert opened == [(9, "mc", 92000, k) for k in ues]
+        assert scale.shape == (ues.size, 3)
 
     def test_deterministic(self):
         cfg, dep, A, state = self._scenario()
