@@ -95,6 +95,11 @@ def local_scattering_correlation(n_antennas: int, nominal_angle_rad,
     return taps[..., idx[:, None] - idx[None, :] + n_antennas - 1]
 
 
+def _dust(vals) -> np.ndarray:
+    """Where PSD eigenvalues (..., N) are below 1e-14 of their matrix's largest."""
+    return vals < np.max(vals, axis=-1, keepdims=True) * 1e-14
+
+
 def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     """Hermitian square root of R, or of each matrix of a stack (..., N, N).
 
@@ -104,7 +109,7 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     if np.min(vals) < -1e-10:
         raise ValueError(f"correlation matrix is not PSD (min eigenvalue {np.min(vals):.3e})")
     # eigenvalue dust would leak sqrt(eps)-sized components into null directions
-    vals = np.where(vals < np.max(vals, axis=-1, keepdims=True) * 1e-14, 0.0, vals)
+    vals[_dust(vals)] = 0.0
     half = vecs * np.sqrt(vals)[..., None, :]
     np.conjugate(vecs, out=vecs)
     return half @ np.swapaxes(vecs, -1, -2)
@@ -132,7 +137,7 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
 # ch. 3-4: UE k sends pilot sequence t(k) with power p_k over tau_p channel
 # uses; AP l observes y_lt = sum_{i: t(i)=t} sqrt(tau_p p_i) h_li + n_lt and
 # estimates h_lk = sqrt(p_k tau_p) R_lk Psi_lt^-1 y_lt with
-# Psi_lt = tau_p sum_{i: t(i)=t} p_i R_li + sigma2 I.
+# Psi_lt = Q_lt + sigma2 I, Q_lt = tau_p sum_{i: t(i)=t} p_i R_li.
 
 def _pilot_sums(weight, x) -> np.ndarray:
     """sum_k weight[t, k] x[..., k, :] for every pilot t, shape (..., tau_p, M),
@@ -167,9 +172,33 @@ def pilot_rx(h, p, tau_p: int, pilots, noise, sigma2s) -> np.ndarray:
     return np.stack([y + math.sqrt(s2 / 2.0) * noise for s2 in np.ravel(sigma2s)])
 
 
+def mmse_factors(R, p, tau_p: int, pilots, ues):
+    """Noise-free factors of the filters of `mmse_estimate` (same arguments).
+
+    From Q_lt = U_lt diag(lam_lt) U_lt^H, the filter at any sigma2 is
+    sqrt(p_k tau_p) R_lk Psi_lt^-1 = B_lk diag(1 / (lam_lt + sigma2)) U_lt^H
+    with B_lk = sqrt(p_k tau_p) R_lk U_lt, t = t(k). Eigenvalues that `_dust`
+    flags are zeroed, and the eigenvectors of zero eigenvalues dropped (zero
+    columns of U): in exact arithmetic R_lk u = 0 on the null space of Q_lt.
+    Returns B (L, len(ues), N, N), U (L, tau_p, N, N) and lam (L, tau_p, N).
+    """
+    R = np.asarray(R)
+    L, K, n = R.shape[0], R.shape[1], R.shape[-1]
+    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
+    pilots = np.asarray(pilots, dtype=np.intp)
+    weight = tau_p * p * (pilots == np.arange(tau_p)[:, None])
+    q = _pilot_sums(weight, R.reshape(L, K, -1)).reshape(L, tau_p, n, n)
+    lam, U = np.linalg.eigh(q)
+    lam[_dust(lam)] = 0.0
+    U *= lam[..., None, :] > 0
+    B = R[:, ues] @ U[:, pilots[ues]]
+    B *= np.sqrt(p[ues] * tau_p)[:, None, None]
+    return B, U, lam
+
+
 def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
     """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for the links
-    to the UEs `ues`, shape (L, len(ues), N, N).
+    to the UEs `ues`, shape (L, len(ues), N, N), formed from `mmse_factors`.
 
     R holds the channel correlations (large-scale gain included), shape
     (L, K, N, N); p the K pilot powers; pilots the K pilot indices in
@@ -190,18 +219,9 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
     if R.ndim == 2:
         psi = R @ weight.T + sigma2
         return R[:, ues] / psi[:, slot] * np.sqrt(p[ues] * tau_p)
-    L, n = R.shape[0], R.shape[-1]
-    psi = _pilot_sums(weight, R.reshape(L, K, -1)).reshape(L, tau_p, n, n)
-    psi += sigma2 * np.eye(n)
-    R, p = R[:, ues], p[ues]
-    try:
-        # R and Psi are Hermitian, so R Psi^-1 = (Psi^-1 R)^H
-        filt = np.linalg.solve(psi[:, slot], R)
-    except np.linalg.LinAlgError as e:
-        raise ValueError("pilot observation covariance is singular") from e
-    np.conjugate(filt, out=filt)
-    filt *= np.sqrt(p * tau_p)[:, None, None]
-    return np.swapaxes(filt, -1, -2)
+    B, U, lam = mmse_factors(R, p, tau_p, pilots, ues)
+    B /= (lam[:, slot] + sigma2)[..., None, :]
+    return B @ np.swapaxes(U[:, slot], -1, -2).conj()
 
 
 def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:

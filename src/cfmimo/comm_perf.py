@@ -192,11 +192,6 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
 # Stream tag of the SER coherence blocks, apart from `ser_awgn_mc`'s 1000 + i
 # and the Pd streams 9xxxx
 SER_BLOCK_STREAM = 93000
-# Bytes of local-scattering MMSE filters held at once: the (scheme, SNR
-# point) pairs run in passes over the blocks, each pass holding the filters
-# of the pairs that fit in this many bytes (at least one pair). At L=100,
-# K=30 a pass holds about one all-AP stack of (K_data, L, N, N) filters.
-_FILTER_BYTES = 1 << 20
 
 
 @dataclass
@@ -246,10 +241,11 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     `channel.pilot_rx`); the symbols (K_data, symbols); the unit output noise
     (K_data, symbols). Each noise and fading entry is one complex normal,
     drawn as its real part then its imaginary part (`_unit_complex`), and
-    each SNR point only scales these draws. A pass over the blocks covers a
-    run of (scheme, SNR point) pairs, scheme-major, whose local-scattering
-    MMSE filters fit in _FILTER_BYTES; under the identity model, and with
-    perfect CSI, one pass covers every pair.
+    each SNR point only scales these draws, so each block is drawn once.
+    Under local scattering each scheme's filters are the noise-free factors
+    of `channel.mmse_factors`, built once: a block rotates the pilot
+    observations by U^H, and each SNR point scales them by
+    diag(1 / (lam + sigma2)) and multiplies by B.
 
     Returns a flat list of SerPoint: each scheme's points in grid order,
     schemes in the order of `assocs`.
@@ -283,49 +279,29 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
                                     channel.pilot_collisions(A, pilots)))
     C, C_sqrt = channel.link_correlations(deployment, config, aps)
     sqrt_g = np.sqrt(g[aps] / 2.0)[..., None]
-    if C is None:
-        R = g[aps]
-    else:
-        # scaled in place: from here on C holds the correlations R_lk = g_lk C_lk
-        C *= g[aps][..., None, None]
-        R = C
-
-    # passes over the blocks, each a map from scheme to its SNR points in the
-    # pass, whose local-scattering filters fit in _FILTER_BYTES
-    passes, held = [{}], 0
-    for si, s in enumerate(schemes):
-        size = 0 if perfect_csi or C is None else C[0, 0].nbytes * s.serves.size
-        for gi in range(grid.size):
-            if passes[-1] and held + size > _FILTER_BYTES:
-                passes.append({})
-                held = 0
-            passes[-1].setdefault(si, []).append(gi)
-            held += size
+    # under local scattering C is scaled in place into the correlations g_lk C_lk
+    R = g[aps] if C is None else np.multiply(C, g[aps][..., None, None], out=C)
 
     sym_per_block = max(1, config.tau_c - config.tau_p)
     starts = range(0, n_symbols, sym_per_block)
     n_data = data_ues.size
+    filters = [None if perfect_csi else _scheme_filters(R, s, sigma2s, tau_p, data_ues)
+               for s in schemes]
     # per (scheme, SNR point): sum e_b, sum e_b^2 and sum n_b e_b over the
     # blocks, e_b errors out of the n_b symbols of all data UEs in block b
     tally = np.zeros((len(schemes), grid.size, 3), dtype=np.int64)
-    for run in passes:
-        filt = {} if perfect_csi else {
-            si: _scheme_filters(R, schemes[si], sigma2s[gis], tau_p, data_ues)
-            for si, gis in run.items()}
-        for block, start in enumerate(starts):
-            nsym = min(sym_per_block, n_symbols - start)
-            rng = rng_stream(seed, "mc", SER_BLOCK_STREAM, block)
-            w = _unit_complex(rng, (L, K, N))[aps]
-            pilot_noise = _unit_complex(rng, (tau_p, L, N))
-            idx = rng.integers(0, constel.M, (n_data, nsym))
-            out_noise = _unit_complex(rng, (n_data, nsym))
-            h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
-            for si, gis in run.items():
-                e = _block_errors(schemes[si], filt.get(si), h, pilot_noise, idx, out_noise,
-                                  constel, sigma2s[gis], data_ues, tau_p)
-                tally[si, gis] += np.stack([e, e * e, nsym * n_data * e], axis=1)
-        # the next pass builds its filters without the last block's draws
-        del filt, w, h, pilot_noise, out_noise
+    for block, start in enumerate(starts):
+        nsym = min(sym_per_block, n_symbols - start)
+        rng = rng_stream(seed, "mc", SER_BLOCK_STREAM, block)
+        w = _unit_complex(rng, (L, K, N))[aps]
+        pilot_noise = _unit_complex(rng, (tau_p, L, N))
+        idx = rng.integers(0, constel.M, (n_data, nsym))
+        out_noise = _unit_complex(rng, (n_data, nsym))
+        h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
+        for si, s in enumerate(schemes):
+            e = _block_errors(s, filters[si], h, pilot_noise, idx, out_noise, constel, sigma2s,
+                              data_ues, tau_p)
+            tally[si] += np.stack([e, e * e, nsym * n_data * e], axis=1)
 
     sizes = np.diff([*starts, n_symbols])
     n_tot = n_symbols * n_data
@@ -353,17 +329,18 @@ def _padded_link_gains(gains, served) -> np.ndarray:
                     np.take_along_axis(gains, order, 1), 0.0)
 
 
-def _scheme_filters(R, s: _SchemeLinks, sigma2s, tau_p: int, data_ues) -> list:
-    """The MMSE filters of scheme s at each noise variance of `sigma2s`, zero
-    off its serving links, as UE-major views (K_data, APs[, N, N]); R holds
-    the correlations of the call's APs (see `channel.mmse_estimate`)."""
+def _scheme_filters(R, s: _SchemeLinks, sigma2s, tau_p: int, data_ues):
+    """Scheme s's MMSE filters, zero off its links: at each variance of `sigma2s`
+    (K_data, APs), or under local scattering the factors B (K_data, APs, N, N),
+    U^H (tau_p, APs, N, N) and lam (K_data, APs, N) of `channel.mmse_factors`."""
     R_s = R[s.pos] if s.pos.size < R.shape[0] else R
-    filters = []
-    for sigma2 in sigma2s:
-        f = np.swapaxes(channel.mmse_estimate(R_s, 1.0, tau_p, s.pilots, sigma2, data_ues), 0, 1)
-        f *= s.serves.reshape(s.serves.shape + (1,) * (f.ndim - 2))
-        filters.append(f)
-    return filters
+    if R.ndim == 2:
+        return np.stack([channel.mmse_estimate(R_s, 1.0, tau_p, s.pilots, sigma2, data_ues).T
+                         for sigma2 in sigma2s]) * s.serves
+    B, U, lam = channel.mmse_factors(R_s, 1.0, tau_p, s.pilots, data_ues)
+    B[~s.serves.T] = 0.0
+    return (np.swapaxes(B, 0, 1), np.swapaxes(U, -1, -2).conj().transpose(1, 0, 2, 3),
+            lam.transpose(1, 0, 2)[s.pilots[data_ues]])
 
 
 def _block_errors(s: _SchemeLinks, filters, h, pilot_noise, idx, out_noise,
@@ -371,22 +348,27 @@ def _block_errors(s: _SchemeLinks, filters, h, pilot_noise, idx, out_noise,
     """Symbol errors of one scheme in one coherence block at each noise
     variance of `sigma2s`, from the block's draws (see `ser_monte_carlo`): h
     holds the channels (APs, K, N) from the call's APs, idx the symbols.
-    `filters` holds the scheme's MMSE filters at each variance, or is None
-    for perfect CSI."""
+    `filters` holds the scheme's MMSE filters (see `_scheme_filters`), or is
+    None for perfect CSI."""
     h_s = h[s.pos]
     H = h_s.transpose(1, 0, 2)[data_ues]
     x = constel.points[idx]
     if filters is None:
         Gx, v_norm2 = _combined_signal(s.serves[..., None] * H, H, x)
     else:
-        y_p = channel.pilot_rx(h_s, 1.0, tau_p, s.pilots, pilot_noise[:, s.aps],
-                               sigma2s)[:, s.pilots[data_ues]]
+        y_p = channel.pilot_rx(h_s, 1.0, tau_p, s.pilots, pilot_noise[:, s.aps], sigma2s)
+        if isinstance(filters, tuple):
+            B, U_h, lam = filters
+            # each (pilot, AP) observation in the eigenbasis of its Q
+            y_p = (U_h @ y_p[..., None])[..., 0]
+        y_p = y_p[:, s.pilots[data_ues]]
     errors = np.zeros(len(sigma2s), dtype=np.int64)
     for j, sigma2 in enumerate(sigma2s):
-        if filters is not None:
-            f, y = filters[j], y_p[j]
-            h_hat = f[..., None] * y if f.ndim == 2 else (f @ y[..., None])[..., 0]
-            Gx, v_norm2 = _combined_signal(h_hat, H, x)
+        if isinstance(filters, tuple):
+            Gx, v_norm2 = _combined_signal((B @ (y_p[j] / (lam + sigma2))[..., None])[..., 0],
+                                           H, x)
+        elif filters is not None:
+            Gx, v_norm2 = _combined_signal(filters[j][..., None] * y_p[j], H, x)
         z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
         det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
                         axis=-1)

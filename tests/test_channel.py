@@ -192,19 +192,37 @@ class TestPilotsAndEstimation:
 
     def test_matches_generic_lmmse_oracle(self):
         # independent route: h_hat = C_hy C_yy^-1 y with the observation model,
-        # including a contaminating co-pilot UE and one on another pilot
+        # including a contaminating co-pilot UE and one on another pilot. One
+        # factorization serves every noise variance, applied as the SER
+        # Monte-Carlo applies it: y rotated by U^H, scaled, times B
         rng = rng_stream(5, "fading")
         R = np.stack([0.8 * channel.local_scattering_correlation(3, a, 15.0)
                       for a in (0.3, -0.9, 1.2)])
-        p, tau, s2 = np.array([0.7, 1.3, 0.4]), 6, 0.4
+        p, tau, pilots = np.array([0.7, 1.3, 0.4]), 6, np.array([2, 2, 0])
         y = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        filt = channel.mmse_estimate(R[None], p, tau, [2, 2, 0], s2, [0, 1, 2])
-        c_yy = tau * (p[0] * R[0] + p[1] * R[1]) + s2 * np.eye(3)
-        for k in (0, 1):
-            oracle = math.sqrt(p[k] * tau) * R[k] @ np.linalg.solve(c_yy, y)
-            np.testing.assert_allclose(filt[0, k] @ y, oracle, atol=1e-10)
-        alone = math.sqrt(p[2] * tau) * R[2] @ np.linalg.solve(tau * p[2] * R[2] + s2 * np.eye(3), y)
-        np.testing.assert_allclose(filt[0, 2] @ y, alone, atol=1e-10)
+        B, U, lam = channel.mmse_factors(R[None], p, tau, pilots, [0, 1, 2])
+        for s2 in (1e-3, 0.3, 10.0):
+            filt = channel.mmse_estimate(R[None], p, tau, pilots, s2, [0, 1, 2])
+            for k in range(3):
+                co = pilots == pilots[k]
+                c_yy = tau * np.tensordot(p * co, R, 1) + s2 * np.eye(3)
+                oracle = math.sqrt(p[k] * tau) * R[k] @ np.linalg.solve(c_yy, y)
+                t = pilots[k]
+                factored = B[0, k] @ (U[0, t].conj().T @ y / (lam[0, t] + s2))
+                np.testing.assert_allclose(filt[0, k] @ y, oracle, atol=1e-10)
+                np.testing.assert_allclose(factored, oracle, atol=1e-10)
+
+    def test_rank_one_correlation_at_vanishing_noise(self):
+        # R = g a a^H: Q has one nonzero eigenvalue tau p g |a|^2 and three of
+        # rounding dust, whose directions the filter drops; what remains is
+        # the closed form s g a a^H / (tau p g |a|^2 + sigma2), s = sqrt(p tau)
+        a = np.exp(1j * math.pi * np.arange(4) * math.sin(0.7))
+        g, p, tau, s2 = 0.37, 1.3, 5, 1e-30
+        R = g * np.outer(a, a.conj())
+        filt = channel.mmse_estimate(R[None, None], p, tau, [3], s2, [0])[0, 0]
+        assert np.all(np.isfinite(filt))
+        closed = math.sqrt(p * tau) * R / (tau * p * g * np.vdot(a, a).real + s2)
+        np.testing.assert_allclose(filt, closed, rtol=0, atol=1e-13 * np.abs(closed).max())
 
     def test_mmse_orthogonality_empirical(self):
         # the estimate the pipeline forms is uncorrelated with its error, and

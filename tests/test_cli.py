@@ -201,6 +201,30 @@ class TestDeploymentStateBuiltOnce:
                          "--scenario", path, "--out", str(tmp_path / "out")]) == 0
         assert calls == {"ser_monte_carlo": 1, "link_correlations": 1}
 
+    def test_local_scattering_draws_each_block_once(self, tmp_path, monkeypatch):
+        # every scheme, SNR point and CSI mode reads one draw per block, and
+        # each scheme's MMSE factors serve all its SNR points
+        from cfmimo import channel, comm_perf
+
+        opened, factored = [], []
+
+        def stream(*a, _fn=comm_perf.rng_stream):
+            opened.append(a)
+            return _fn(*a)
+
+        def factors(*a, _fn=channel.mmse_factors):
+            factored.append(a)
+            return _fn(*a)
+        monkeypatch.setattr(comm_perf, "rng_stream", stream)
+        monkeypatch.setattr(channel, "mmse_factors", factors)
+        path = tmp_path / "scenario.json"
+        save_scenario(SystemConfig(correlation_model="local_scattering", seed=3000), str(path))
+        assert cli.main(["ser", "--snr", "0:5:10", "--symbols", "570", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        blocks = [a[3] for a in opened if a[1:3] == ("mc", comm_perf.SER_BLOCK_STREAM)]
+        assert blocks == [0, 1, 2]
+        assert len(factored) == 2
+
 
 class TestDenseClutterRows:
     """The dense (AP, scatterer) rows of the clutter geometry are built only
@@ -292,6 +316,20 @@ class TestSer:
         rc = cli.main(["ser", "--scenario", path, "--out", str(out),
                        "--snr", "0:5:10", "--symbols", "1000"])
         assert rc == 3
+
+    def test_rank_deficient_pilot_covariance_exit_0(self, tmp_path):
+        # with no angular spread each link's correlation has rank one, so at
+        # 300 dB the pilot observation covariance is singular to working
+        # precision; the filters drop its null directions
+        path = tmp_path / "scenario.json"
+        save_scenario(SystemConfig(correlation_model="local_scattering",
+                                   angular_spread_deg=0.0), str(path))
+        out = tmp_path / "out"
+        assert cli.main(["ser", "--scenario", str(path), "--out", str(out),
+                         "--snr", "300:1:300", "--symbols", "570"]) == 0
+        for scheme in ("sua", "baseline"):
+            row = (out / f"ser_{scheme}.csv").read_text().splitlines()[1].split(",")
+            assert 0.0 < float(row[4]) < 0.1
 
     @pytest.mark.parametrize("command, mix, cause", [
         ("ser", ServiceMix(0.0, 1.0, 0.0), "no communication or JCAS UE"),

@@ -303,14 +303,9 @@ class TestSerMonteCarlo:
 
     @pytest.mark.parametrize("model", ["identity", "local_scattering"])
     @pytest.mark.parametrize("perfect", [False, True])
-    @pytest.mark.parametrize("filter_bytes", [None, 1])
-    def test_mapping_call_equals_single_scheme_calls(self, monkeypatch, model, perfect,
-                                                      filter_bytes):
+    def test_mapping_call_equals_single_scheme_calls(self, model, perfect):
         # every scheme reads the same block draws, so a scheme's points do not
-        # depend on which other schemes share the call, nor on how many passes
-        # over the blocks the filters take
-        if filter_bytes is not None:
-            monkeypatch.setattr(comm_perf, "_FILTER_BYTES", filter_bytes)
+        # depend on which other schemes share the call
         cfg, dep, assocs = self._pinned_scenario(correlation_model=model)
         budget = channel.link_budget(dep, cfg)
 
