@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfmimo import channel
-from cfmimo.scenario import Deployment, ServiceType, SystemConfig
+from cfmimo.scenario import Deployment, InfeasibleModelError, ServiceType, SystemConfig
 
 
 def mask_links(p_r_dbm: np.ndarray, threshold_dbm: float) -> np.ndarray:
@@ -82,6 +82,22 @@ def served_counts(A: np.ndarray):
     per_ap = A.sum(axis=1)
     per_ue = A.sum(axis=0)
     return per_ap, per_ue, int(np.count_nonzero(per_ap >= 1))
+
+
+def serving_links(A, ues):
+    """The serving links of the UEs `ues` in the (L, K) association A, grouped
+    by UE in the order of `ues` with APs ascending: two arrays, each link's
+    position in `ues` and its AP.
+
+    Every association consumer reads a UE's serving set from here, so this is
+    the one coverage check: it names the first UE of `ues` that no AP serves.
+    """
+    ues = np.asarray(ues)
+    ue, ap = np.nonzero(np.asarray(A)[:, ues].T == 1)
+    n_links = np.bincount(ue, minlength=ues.size)
+    if np.any(n_links == 0):
+        raise InfeasibleModelError(f"UE {ues[np.argmin(n_links)]} has an empty serving set")
+    return ue, ap
 
 
 @dataclass

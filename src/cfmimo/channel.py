@@ -224,20 +224,19 @@ def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
     return B @ np.swapaxes(U[:, slot], -1, -2).conj()
 
 
-def assign_pilots(serving_sets, K: int, tau_p: int) -> np.ndarray:
-    """Round-robin pilots, avoiding collisions among UEs served by a common AP.
+def assign_pilots(A, tau_p: int) -> np.ndarray:
+    """Round-robin pilots, avoiding collisions among UEs served by a common AP
+    in the (L, K) association A.
 
-    serving_sets maps UE index -> iterable of serving AP indices (empty sets
-    allowed). UE k, in index order, takes the first of the pilots k, k+1, ...
-    (mod tau_p) that no earlier UE sharing an AP with it uses. With each AP
-    serving at most tau_p UEs a collision-free choice usually exists; if
-    every pilot is taken the round-robin default k mod tau_p stands.
+    UE k, in index order, takes the first of the pilots k, k+1, ... (mod
+    tau_p) that no earlier UE sharing an AP with it uses; a UE with no
+    serving AP shares none. With each AP serving at most tau_p UEs a
+    collision-free choice usually exists; if every pilot is taken the
+    round-robin default k mod tau_p stands.
     """
-    sets = [np.asarray(list(serving_sets.get(k, ())), dtype=np.intp) for k in range(K)]
-    aps = np.concatenate([np.zeros(0, dtype=np.intp), *sets])
-    member = np.zeros((K, aps.max() + 1 if aps.size else 0))
-    member[np.repeat(np.arange(K), [s.size for s in sets]), aps] = 1.0
-    shares_ap = member @ member.T > 0
+    served = (np.asarray(A) == 1).astype(float)
+    shares_ap = served.T @ served > 0
+    K = shares_ap.shape[0]
     pilots = np.full(K, -1, dtype=int)
     for k in range(K):
         used = set(pilots[:k][shares_ap[k, :k]].tolist())

@@ -212,12 +212,11 @@ def cmd_netmetrics(args) -> int:
     deployment = generate_deployment(cfg)
     budget, geom = _deployment_state(deployment, cfg)
     assocs = _association_matrices(deployment, cfg, ("sua", "baseline"), budget, geom)
-    model = net_metrics.EnergyModel()
     delays, energies, clutters = {}, {}, {}
     for scheme, A in assocs.items():
-        delays[scheme] = net_metrics.transmission_delay(deployment, A)
+        delays[scheme] = net_metrics.transmission_delay(budget, A)
         _, _, active = association.served_counts(A)
-        energies[scheme] = (active, net_metrics.energy_total(A, model))
+        energies[scheme] = (active, net_metrics.energy_total(A))
         clutters[scheme] = net_metrics.clutter_counts(deployment, cfg, A, geom, budget)
     tables = {
         "delay": net_metrics.delay_csv(delays),

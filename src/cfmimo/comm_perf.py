@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfmimo import channel
+from cfmimo import association, channel
 from cfmimo.scenario import (
     Deployment,
     InfeasibleModelError,
@@ -265,15 +265,12 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     sigma2s = 10.0 ** (-grid / 10.0)
 
     served = [np.asarray(A) == 1 for A in assocs.values()]
-    for A in served:
-        unserved = data_ues[~A[:, data_ues].any(axis=0)]
-        if unserved.size:
-            raise InfeasibleModelError(f"UE {unserved[0]} has an empty serving set")
-    aps = np.flatnonzero(np.any([A[:, data_ues].any(axis=1) for A in served], axis=0))
+    links = [association.serving_links(A, data_ues) for A in served]
+    aps = np.unique(np.concatenate([ap for _, ap in links]))
     schemes = []
-    for A in served:
-        s_aps = np.flatnonzero(A[:, data_ues].any(axis=1))
-        pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)}, K, tau_p)
+    for A, (_, ap) in zip(served, links):
+        s_aps = np.unique(ap)
+        pilots = channel.assign_pilots(A, tau_p)
         schemes.append(_SchemeLinks(s_aps, np.searchsorted(aps, s_aps),
                                     A[np.ix_(s_aps, data_ues)].T, pilots,
                                     channel.pilot_collisions(A, pilots)))
@@ -307,8 +304,8 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     n_tot = n_symbols * n_data
     clusters = (sizes.size, n_tot, n_data * n_data * int(sizes @ sizes))
     points = []
-    for si, (s, A) in enumerate(zip(schemes, served)):
-        betas = _padded_link_gains(g[:, data_ues].T, A[:, data_ues].T)
+    for si, (s, (ue, ap)) in enumerate(zip(schemes, links)):
+        betas = _padded_link_gains(ue, g[ap, data_ues[ue]])
         for gi, (snr_db, sigma2) in enumerate(zip(grid, sigma2s)):
             c2 = residual_error_power(sigma2, K, tau_p, config.X)
             theory = float(np.mean(ser_theory(
@@ -321,12 +318,15 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     return points
 
 
-def _padded_link_gains(gains, served) -> np.ndarray:
-    """Each row's served gains in column order, left-aligned and zero-padded
-    to the largest serving set: (UEs, max links served)."""
-    order = np.argsort(~served, axis=1, kind="stable")[:, :served.sum(axis=1).max()]
-    return np.where(np.take_along_axis(served, order, 1),
-                    np.take_along_axis(gains, order, 1), 0.0)
+def _padded_link_gains(ue, gains) -> np.ndarray:
+    """Each UE's serving-link gains, from a link list grouped by UE as
+    `association.serving_links` returns it (ue the UE of each link, gains
+    its gain), left-aligned in link order and zero-padded to the largest
+    serving set: (UEs, max links served)."""
+    n_links = np.bincount(ue)
+    out = np.zeros((n_links.size, n_links.max()))
+    out[ue, np.arange(ue.size) - (np.cumsum(n_links) - n_links)[ue]] = gains
+    return out
 
 
 def _scheme_filters(R, s: _SchemeLinks, sigma2s, tau_p: int, data_ues):

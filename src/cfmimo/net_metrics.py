@@ -9,43 +9,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfmimo import association, channel
-from cfmimo.scenario import Deployment, InfeasibleModelError, SystemConfig, ValidationError
+from cfmimo.scenario import Deployment, SystemConfig, ValidationError
 
 
-@dataclass
-class EnergyModel:
-    p_static_w: float = 2.0     # per active AP
-    p_per_link_w: float = 0.2   # per served UE at an AP
-    t_slot_s: float = 1e-3
-
-    def validate(self):
-        if self.p_static_w < 0 or self.p_per_link_w < 0 or self.t_slot_s < 0:
-            raise ValueError("energy model parameters must be >= 0")
+# slot energy model: a static cost per active AP plus a cost per served UE
+P_STATIC_W = 2.0
+P_PER_LINK_W = 0.2
+T_SLOT_S = 1e-3
 
 
-def transmission_delay(deployment: Deployment, A) -> np.ndarray:
-    """Mean propagation delay (s) over each UE's serving links."""
-    A = np.asarray(A)
-    diff = deployment.ap_pos[:, None, :] - deployment.ue_pos[None, :, :]
-    d = np.linalg.norm(diff, axis=2)
-    out = np.empty(deployment.K)
-    for k in range(deployment.K):
-        rows = np.flatnonzero(A[:, k] == 1)
-        if rows.size == 0:
-            raise InfeasibleModelError(f"UE {k} has an empty serving set")
-        out[k] = float(np.mean(d[rows, k])) / channel.SPEED_OF_LIGHT
-    return out
+def transmission_delay(budget: channel.LinkBudget, A) -> np.ndarray:
+    """Mean propagation delay (s) over each UE's serving links, from the link
+    budget's AP-UE distances (floored at the path-loss reference d0)."""
+    ue, ap = association.serving_links(A, np.arange(budget.distance_m.shape[1]))
+    return np.bincount(ue, budget.distance_m[ap, ue]) / np.bincount(ue) / channel.SPEED_OF_LIGHT
 
 
-def energy_total(A, model: EnergyModel) -> float:
+def energy_total(A) -> float:
     """Slot energy: active APs pay the static cost plus a per-served-UE cost."""
-    model.validate()
-    A = np.asarray(A)
-    per_ap = A.sum(axis=1)
+    per_ap = np.asarray(A).sum(axis=1)
     active = per_ap >= 1
-    power = float(np.count_nonzero(active)) * model.p_static_w \
-        + float(per_ap[active].sum()) * model.p_per_link_w
-    return power * model.t_slot_s
+    power = float(np.count_nonzero(active)) * P_STATIC_W \
+        + float(per_ap[active].sum()) * P_PER_LINK_W
+    return power * T_SLOT_S
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfmimo import channel
+from cfmimo import association, channel
 from cfmimo.scenario import Deployment, InfeasibleModelError, ServiceType, SystemConfig, rng_stream
 
 _SERIES_CUTOFF = 30.0
@@ -265,12 +265,7 @@ def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,
     ues = deployment.ue_indices(ServiceType.SENSE, ServiceType.JCAS)
     if ues.size == 0:
         raise InfeasibleModelError("no sensing or JCAS UE to detect")
-    served = np.asarray(A)[:, ues].T == 1
-    n_serving = served.sum(axis=1)
-    if np.any(n_serving == 0):
-        raise InfeasibleModelError(
-            f"sensing UE {ues[np.argmin(n_serving)]} has an empty serving set")
-    col, l_idx = np.nonzero(served)
+    col, l_idx = association.serving_links(A, ues)
     k_idx = ues[col]
     pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                     budget.distance_m[l_idx, k_idx])

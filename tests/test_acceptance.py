@@ -227,11 +227,10 @@ def test_c7_network_orderings():
     sua = assoc.run_sua(dep, cfg, budget, geom)
     base = assoc.run_baseline(dep, cfg, budget, geom)
 
-    d_s = float(np.mean(net_metrics.transmission_delay(dep, sua.A)))
-    d_b = float(np.mean(net_metrics.transmission_delay(dep, base.A)))
-    model = net_metrics.EnergyModel()
-    e_s = net_metrics.energy_total(sua.A, model)
-    e_b = net_metrics.energy_total(base.A, model)
+    d_s = float(np.mean(net_metrics.transmission_delay(budget, sua.A)))
+    d_b = float(np.mean(net_metrics.transmission_delay(budget, base.A)))
+    e_s = net_metrics.energy_total(sua.A)
+    e_b = net_metrics.energy_total(base.A)
     c_s = net_metrics.clutter_counts(dep, cfg, sua.A, geom, budget).mean
     c_b = net_metrics.clutter_counts(dep, cfg, base.A, geom, budget).mean
     rt = net_metrics.association_runtime(dep, cfg, budget, geom, reps=20)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cfmimo import association as assoc
 from cfmimo import channel
-from cfmimo.scenario import ServiceType, SystemConfig, generate_deployment
+from cfmimo.scenario import InfeasibleModelError, ServiceType, SystemConfig, generate_deployment
 
 
 def desk_config(**kw):
@@ -207,6 +207,29 @@ class TestPsiAndCounts:
         assert np.all(per_ap == 30)  # every AP serves all 30 UEs
         assert np.all(per_ue == 100)
         assert active == 100
+
+
+class TestServingLinks:
+    # 4 APs x 5 UEs: UE 1 and UE 3 are unserved
+    A = np.array([[0, 0, 1, 0, 1],
+                  [1, 0, 0, 0, 1],
+                  [0, 0, 1, 0, 0],
+                  [1, 0, 1, 0, 0]], dtype=np.int8)
+
+    def test_grouped_by_ue_in_given_order_aps_ascending(self):
+        ue, ap = assoc.serving_links(self.A, np.array([4, 0, 2]))
+        np.testing.assert_array_equal(ue, [0, 0, 1, 1, 2, 2, 2])
+        np.testing.assert_array_equal(ap, [0, 1, 1, 3, 0, 2, 3])
+
+    def test_no_ues_no_links(self):
+        ue, ap = assoc.serving_links(self.A, np.array([], dtype=int))
+        assert ue.size == 0 and ap.size == 0
+
+    @pytest.mark.parametrize("ues, first", [([0, 1, 2, 3], 1), ([4, 3, 1], 3), ([2, 1], 1)])
+    def test_names_first_unserved_ue(self, ues, first):
+        with pytest.raises(InfeasibleModelError,
+                           match=f"^UE {first} has an empty serving set$"):
+            assoc.serving_links(self.A, np.array(ues))
 
 
 def random_instance(rng, l_max=6, k_max=5, tau_max=3, x_max=2):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cfmimo import association, channel, comm_perf
 from cfmimo.comm_perf import QPSK
@@ -243,8 +244,8 @@ class TestPilotsAndEstimation:
         assert np.mean(np.abs(err) ** 2) == pytest.approx(mmse, rel=0.03)
 
     def test_pilot_assignment_round_robin_and_collision_free(self):
-        serving = {0: [0], 1: [0], 2: [0], 3: [1]}
-        pilots = channel.assign_pilots(serving, 4, 3)
+        A = np.array([[1, 1, 1, 0], [0, 0, 0, 1]])
+        pilots = channel.assign_pilots(A, 3)
         assert len(set(pilots[:3])) == 3  # UEs sharing AP 0 get distinct pilots
         assert pilots[3] == 0  # round-robin default
 
@@ -271,31 +272,30 @@ class TestPilotsAndEstimation:
         return pilots
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 12).flatmap(lambda K: st.tuples(
-        st.just(K),
-        st.dictionaries(st.integers(0, max(K - 1, 0)),
-                        st.lists(st.integers(0, 7), max_size=5), max_size=K),
-        st.integers(1, 5))))
-    def test_pilot_assignment_equals_per_ap_loops(self, case):
-        K, serving, tau_p = case
-        np.testing.assert_array_equal(channel.assign_pilots(serving, K, tau_p),
+    @given(arrays(np.int8, st.tuples(st.integers(0, 8), st.integers(0, 12)),
+                  elements=st.integers(0, 1)),
+           st.integers(1, 5))
+    def test_pilot_assignment_equals_per_ap_loops(self, A, tau_p):
+        K = A.shape[1]
+        serving = {k: np.flatnonzero(A[:, k]) for k in range(K)}
+        np.testing.assert_array_equal(channel.assign_pilots(A, tau_p),
                                       self._assign_pilots_per_ap_loops(serving, K, tau_p))
 
     def test_pilot_assignment_edge_cases(self):
-        assert channel.assign_pilots({}, 0, 3).shape == (0,)
-        np.testing.assert_array_equal(channel.assign_pilots({}, 4, 3), [0, 1, 2, 0])
-        np.testing.assert_array_equal(channel.assign_pilots({0: [1], 1: [1]}, 2, 1), [0, 0])
+        assert channel.assign_pilots(np.zeros((3, 0)), 3).shape == (0,)  # K = 0
+        np.testing.assert_array_equal(channel.assign_pilots(np.zeros((0, 4)), 3),  # L = 0
+                                      [0, 1, 2, 0])
+        np.testing.assert_array_equal(channel.assign_pilots([[0, 0], [1, 1]], 1), [0, 0])
 
     def test_pilot_fallback_keeps_round_robin(self):
         # three UEs at one AP and two pilots: UE 2 finds both taken and keeps
         # 2 mod 2; UE 3, alone at AP 1, is free to take its own 3 mod 2
-        serving = {0: [0], 1: [0], 2: [0], 3: [1]}
-        pilots = channel.assign_pilots(serving, 4, 2)
-        np.testing.assert_array_equal(pilots, [0, 1, 0, 1])
         A = np.array([[1, 1, 1, 0], [0, 0, 0, 1]])
+        pilots = channel.assign_pilots(A, 2)
+        np.testing.assert_array_equal(pilots, [0, 1, 0, 1])
         assert channel.pilot_collisions(A, pilots) == 1  # only (0, 2) share an AP
         # five UEs at one AP and three pilots: UEs 3 and 4 fall back to 0 and 1
-        pilots = channel.assign_pilots({k: [0] for k in range(5)}, 5, 3)
+        pilots = channel.assign_pilots(np.ones((1, 5)), 3)
         np.testing.assert_array_equal(pilots, [0, 1, 2, 0, 1])
         assert channel.pilot_collisions(np.ones((1, 5)), pilots) == 2
 
@@ -414,7 +414,7 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
     g = gain / float(np.median(gain[np.asarray(reference) == 1]))
     data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
     aps = np.flatnonzero(A[:, data_ues].any(axis=1))
-    pilots = channel.assign_pilots({k: np.flatnonzero(A[:, k]) for k in range(K)}, K, cfg.tau_p)
+    pilots = channel.assign_pilots(A, cfg.tau_p)
     C, C_sqrt = channel.link_correlations(dep, cfg, aps)
     serves = A[np.ix_(aps, data_ues)][..., None]
     sym_per_block = max(1, cfg.tau_c - cfg.tau_p)

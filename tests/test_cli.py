@@ -344,6 +344,28 @@ class TestSer:
         assert not any(name.endswith(".csv") for name in os.listdir(out))
 
 
+class TestCoverage:
+    # the default scenario at seed 1001 leaves COM UE 15 unserved by SUA, and
+    # at seed 1013 SENSE UE 25; each command requires coverage of the UEs it
+    # measures only
+    ARGS = {"ser": ["--snr", "0:10:10", "--symbols", "100"],
+            "pd": ["--snr", "0:10:10", "--trials", "100"],
+            "netmetrics": ["--reps", "1"]}
+
+    @pytest.mark.parametrize("command, seed, unserved", [
+        ("ser", 1001, 15), ("pd", 1013, 25), ("netmetrics", 1001, 15),
+        ("netmetrics", 1013, 25), ("pd", 1001, None), ("ser", 1013, None),
+    ])
+    def test_exit_3_names_the_unserved_ue(self, tmp_path, capsys, command, seed, unserved):
+        rc = cli.main([command, "--seed", str(seed), "--out", str(tmp_path)] + self.ARGS[command])
+        if unserved is None:
+            assert rc == 0
+        else:
+            assert rc == 3
+            assert capsys.readouterr().err == \
+                f"infeasible model: UE {unserved} has an empty serving set\n"
+
+
 class TestPd:
     def test_runs_and_writes(self, tmp_path):
         path = small_scenario(tmp_path)

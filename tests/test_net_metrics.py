@@ -32,8 +32,26 @@ class TestDelay:
         dep.ue_pos[0] = [300.0, 0.0]
         A = np.zeros((cfg.L, cfg.K), dtype=int)
         A[0, :] = 1
-        delays = net_metrics.transmission_delay(dep, A)
+        delays = net_metrics.transmission_delay(channel.link_budget(dep, cfg), A)
         assert delays[0] == pytest.approx(1.000692285594456e-06, rel=1e-12)
+
+    def test_matches_per_ue_loop(self, desk):
+        # UE 0 moved to 0.3 m from AP 0, which serves it: that link's distance
+        # is the path-loss reference d0, so with AP 0 alone its delay reads d0/c
+        cfg, *_, sua, _ = desk
+        dep = generate_deployment(cfg)
+        dep.ue_pos[0] = dep.ap_pos[0] + [0.3, 0.0]
+        budget = channel.link_budget(dep, cfg)
+        A = sua.A.copy()
+        A[:, 0] = 0
+        A[[0, 5], 0] = 1
+        want = [np.mean(budget.distance_m[np.flatnonzero(A[:, k]), k]) / channel.SPEED_OF_LIGHT
+                for k in range(cfg.K)]
+        delays = net_metrics.transmission_delay(budget, A)
+        np.testing.assert_allclose(delays, want, rtol=1e-15)
+        A[5, 0] = 0
+        assert net_metrics.transmission_delay(budget, A)[0] == \
+            cfg.pathloss.d0_m / channel.SPEED_OF_LIGHT
 
     def test_adding_nearer_ap_reduces_mean(self, desk):
         cfg, dep, budget, _, sua, _ = desk
@@ -44,51 +62,40 @@ class TestDelay:
         if dists[nearer] < dists[serving].min():
             A2 = sua.A.copy()
             A2[nearer, k] = 1
-            before = net_metrics.transmission_delay(dep, sua.A)[k]
-            after = net_metrics.transmission_delay(dep, A2)[k]
+            before = net_metrics.transmission_delay(budget, sua.A)[k]
+            after = net_metrics.transmission_delay(budget, A2)[k]
             assert after < before
 
     def test_empty_serving_rejected(self, desk):
-        cfg, dep, *_ = desk
-        with pytest.raises(InfeasibleModelError):
-            net_metrics.transmission_delay(dep, np.zeros((cfg.L, cfg.K), dtype=int))
+        cfg, _, budget, *_ = desk
+        with pytest.raises(InfeasibleModelError, match="^UE 0 has an empty serving set$"):
+            net_metrics.transmission_delay(budget, np.zeros((cfg.L, cfg.K), dtype=int))
 
     def test_sua_beats_baseline_per_ue(self, desk):
-        cfg, dep, _, _, sua, base = desk
-        d_s = net_metrics.transmission_delay(dep, sua.A)
-        d_b = net_metrics.transmission_delay(dep, base.A)
+        cfg, _, budget, _, sua, base = desk
+        d_s = net_metrics.transmission_delay(budget, sua.A)
+        d_b = net_metrics.transmission_delay(budget, base.A)
         assert np.all(d_s < d_b)
 
 
 class TestEnergy:
-    MODEL = net_metrics.EnergyModel()
-
     def test_all_zero_association(self):
-        assert net_metrics.energy_total(np.zeros((4, 3), dtype=int), self.MODEL) == 0.0
+        assert net_metrics.energy_total(np.zeros((4, 3), dtype=int)) == 0.0
 
     def test_static_component_linearity(self):
-        A = np.eye(3, dtype=int)
-        base = net_metrics.energy_total(A, net_metrics.EnergyModel(2.0, 0.2, 1e-3))
-        doubled = net_metrics.energy_total(A, net_metrics.EnergyModel(4.0, 0.2, 1e-3))
-        static = 3 * 2.0 * 1e-3
-        assert doubled - base == pytest.approx(static)
+        # three active APs, each serving one UE
+        assert net_metrics.energy_total(np.eye(3, dtype=int)) == (3 * 2.0 + 3 * 0.2) * 1e-3
 
     def test_sua_cheaper_than_baseline(self, desk):
         cfg, dep, _, _, sua, base = desk
-        assert net_metrics.energy_total(sua.A, self.MODEL) <= \
-            net_metrics.energy_total(base.A, self.MODEL)
+        assert net_metrics.energy_total(sua.A) <= net_metrics.energy_total(base.A)
 
     def test_more_ues_cost_more(self):
-        m = self.MODEL
         cfg30 = SystemConfig(seed=1)
         cfg50 = SystemConfig(K=50, seed=1)
-        e30 = net_metrics.energy_total(association.run_sua(generate_deployment(cfg30), cfg30).A, m)
-        e50 = net_metrics.energy_total(association.run_sua(generate_deployment(cfg50), cfg50).A, m)
+        e30 = net_metrics.energy_total(association.run_sua(generate_deployment(cfg30), cfg30).A)
+        e50 = net_metrics.energy_total(association.run_sua(generate_deployment(cfg50), cfg50).A)
         assert e50 > e30
-
-    def test_invalid_model(self):
-        with pytest.raises(ValueError):
-            net_metrics.energy_total(np.eye(2, dtype=int), net_metrics.EnergyModel(-1, 0, 1))
 
 
 class TestClutterCounts:
