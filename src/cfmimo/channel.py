@@ -120,7 +120,7 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
     its square root, each shaped (len(aps), K, N, N).
 
     The identity model returns None for both: C_lk = I, so each link's
-    correlation is its gain alone (see `mmse_estimate`).
+    correlation is its gain alone, and `mmse_estimate` reads the (L, K) gains.
     """
     N = config.N
     if config.correlation_model == "identity":
@@ -131,13 +131,23 @@ def link_correlations(deployment: Deployment, config: SystemConfig, aps):
     return C, correlation_sqrt(C)
 
 
-# --- pilots and MMSE estimation (stacked over APs and UEs) ---------------------
+# --- pilots and MMSE estimation ---------------------------------------------
 #
 # Notation of Bjornson, Hoydis & Sanguinetti, "Massive MIMO Networks" (2017),
-# ch. 3-4: UE k sends pilot sequence t(k) with power p_k over tau_p channel
-# uses; AP l observes y_lt = sum_{i: t(i)=t} sqrt(tau_p p_i) h_li + n_lt and
-# estimates h_lk = sqrt(p_k tau_p) R_lk Psi_lt^-1 y_lt with
-# Psi_lt = Q_lt + sigma2 I, Q_lt = tau_p sum_{i: t(i)=t} p_i R_li.
+# ch. 3-4, at unit pilot power (a UE of power p is the channel sqrt(p) h_lk
+# with correlation p R_lk): UE k sends pilot sequence t(k) over tau_p channel
+# uses; AP l observes y_lt = sum_{i: t(i)=t} sqrt(tau_p) h_li + n_lt and
+# estimates h_lk = sqrt(tau_p) R_lk Psi_lt^-1 y_lt with Psi_lt = Q_lt + sigma2 I,
+# Q_lt = tau_p sum_{i: t(i)=t} R_li.
+
+def _pilot_membership(tau_p: int, pilots) -> np.ndarray:
+    """The (tau_p, K) 0/1 matrix whose entry (t, k) is 1 where UE k sends
+    pilot t, of the K pilot indices `pilots`, each in [0, tau_p)."""
+    pilots = np.asarray(pilots, dtype=np.intp)
+    if np.any((pilots < 0) | (pilots >= tau_p)):
+        raise ValueError(f"pilot indices must lie in [0, {tau_p})")
+    return (pilots == np.arange(tau_p)[:, None]).astype(float)
+
 
 def _pilot_sums(weight, x) -> np.ndarray:
     """sum_k weight[t, k] x[..., k, :] for every pilot t, shape (..., tau_p, M),
@@ -147,81 +157,63 @@ def _pilot_sums(weight, x) -> np.ndarray:
     return (weight @ x.view(float)).view(complex)
 
 
-def pilot_rx(h, p, tau_p: int, pilots, noise, sigma2s) -> np.ndarray:
-    """Pilot observations y_tl = sum_{i: t(i)=t} sqrt(tau_p p_i) h_li + n_tl of
+def pilot_rx(h, tau_p: int, pilots, noise, sigma2s) -> np.ndarray:
+    """Pilot observations y_tl = sum_{i: t(i)=t} sqrt(tau_p) h_li + n_tl of
     every pilot t at every AP l, at each noise variance of `sigma2s`.
 
-    h has shape (L, K, N), p the K pilot powers (or a scalar), pilots the K
-    pilot indices in [0, tau_p). noise holds (tau_p, L, N) complex normals
-    whose real and imaginary parts are standard normal; at variance sigma2,
-    n_tl = sqrt(sigma2 / 2) noise[t, l]. The signal sums are one product with
-    the (tau_p, K) matrix of the weights sqrt(tau_p p_i) of each pilot's
-    members, shared by every variance. Returns (len(sigma2s), tau_p, L, N);
-    UE k reads row t(k).
+    h has shape (L, K, N), pilots the K pilot indices in [0, tau_p). noise
+    holds (tau_p, L, N) complex normals whose real and imaginary parts are
+    standard normal; at variance sigma2, n_tl = sqrt(sigma2 / 2) noise[t, l].
+    The signal sums are one product with the pilot-membership matrix, shared
+    by every variance. Returns (len(sigma2s), tau_p, L, N); UE k reads row t(k).
     """
     h = np.asarray(h, dtype=complex)
     L, K, n = h.shape
-    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
-    if np.any(p < 0):
-        raise ValueError("pilot power must be >= 0")
-    pilots = np.asarray(pilots, dtype=np.intp)
-    if np.any((pilots < 0) | (pilots >= tau_p)):
-        raise ValueError(f"pilot indices must lie in [0, {tau_p})")
-    weight = np.sqrt(tau_p * p) * (pilots == np.arange(tau_p)[:, None])
+    weight = math.sqrt(tau_p) * _pilot_membership(tau_p, pilots)
     y = _pilot_sums(weight, h.transpose(1, 0, 2).reshape(K, -1)).reshape(tau_p, L, n)
     return np.stack([y + math.sqrt(s2 / 2.0) * noise for s2 in np.ravel(sigma2s)])
 
 
-def mmse_factors(R, p, tau_p: int, pilots, ues):
-    """Noise-free factors of the filters of `mmse_estimate` (same arguments).
-
-    From Q_lt = U_lt diag(lam_lt) U_lt^H, the filter at any sigma2 is
-    sqrt(p_k tau_p) R_lk Psi_lt^-1 = B_lk diag(1 / (lam_lt + sigma2)) U_lt^H
-    with B_lk = sqrt(p_k tau_p) R_lk U_lt, t = t(k). Eigenvalues that `_dust`
-    flags are zeroed, and the eigenvectors of zero eigenvalues dropped (zero
-    columns of U): in exact arithmetic R_lk u = 0 on the null space of Q_lt.
-    Returns B (L, len(ues), N, N), U (L, tau_p, N, N) and lam (L, tau_p, N).
-    """
-    R = np.asarray(R)
-    L, K, n = R.shape[0], R.shape[1], R.shape[-1]
-    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
-    pilots = np.asarray(pilots, dtype=np.intp)
-    weight = tau_p * p * (pilots == np.arange(tau_p)[:, None])
-    q = _pilot_sums(weight, R.reshape(L, K, -1)).reshape(L, tau_p, n, n)
-    lam, U = np.linalg.eigh(q)
-    lam[_dust(lam)] = 0.0
-    U *= lam[..., None, :] > 0
-    B = R[:, ues] @ U[:, pilots[ues]]
-    B *= np.sqrt(p[ues] * tau_p)[:, None, None]
-    return B, U, lam
-
-
-def mmse_estimate(R, p, tau_p: int, pilots, sigma2: float, ues) -> np.ndarray:
-    """MMSE estimation filters sqrt(p_k tau_p) R_lk Psi_{l,t(k)}^-1 for the links
-    to the UEs `ues`, shape (L, len(ues), N, N), formed from `mmse_factors`.
+def mmse_estimate(R, tau_p: int, pilots, l_idx, k_idx):
+    """Noise-free factors of the MMSE estimation filters sqrt(tau_p) R_lk
+    Psi_{l,t(k)}^-1 of the links (l_idx[i], k_idx[i]).
 
     R holds the channel correlations (large-scale gain included), shape
-    (L, K, N, N); p the K pilot powers; pilots the K pilot indices in
-    [0, tau_p). Psi sums over all K UEs. The estimate of h_lk is
-    filt[l, k] @ y_{l,t(k)} (see `pilot_rx`); its error covariance is
-    R_lk - sqrt(p_k tau_p) filt[l, k] R_lk.
+    (L, K, N, N); pilots the K pilot indices in [0, tau_p). Psi sums over
+    all K UEs. From Q_lt = U_lt diag(lam_lt) U_lt^H, the filter of link i at
+    any sigma2 is B[i] diag(1 / (lam[i] + sigma2)) U_h[i], with
+    B[i] = sqrt(tau_p) R_lk U_lt, lam[i] = lam_lt and U_h[i] = U_lt^H,
+    t = t(k). Eigenvalues that `_dust` flags are zeroed, and the eigenvectors
+    of zero eigenvalues dropped (zero columns of U): in exact arithmetic
+    R_lk u = 0 on the null space of Q_lt. Returns B, lam and U_h shaped
+    (links, N, N), (links, N) and (links, N, N). The estimate of h_lk is the
+    filter times y_{l,t(k)} (see `pilot_rx`); its error covariance is
+    R_lk - sqrt(tau_p) filter R_lk.
 
     Under the identity model R_lk = g_lk I, and R is the (L, K) array of the
-    gains g_lk. The filters are then the (L, len(ues)) scalars
-    sqrt(p_k tau_p) g_lk / (tau_p sum_{i: t(i)=t(k)} p_i g_li + sigma2).
+    gains g_lk. B and lam are then the (links,) scalars sqrt(tau_p) g_lk and
+    q_{l,t(k)} = tau_p sum_{i: t(i)=t(k)} g_li, and U_h is None.
+
+    Q is formed only at the APs of `l_idx`; when those are all L APs, R is
+    read in place.
     """
     R = np.asarray(R)
-    K = R.shape[1]
-    p = np.broadcast_to(np.asarray(p, dtype=float), (K,))
-    pilots = np.asarray(pilots, dtype=np.intp)
-    weight = tau_p * p * (pilots == np.arange(tau_p)[:, None])
-    slot = pilots[ues]
+    weight = tau_p * _pilot_membership(tau_p, pilots)
+    l_idx, k_idx = np.asarray(l_idx, dtype=np.intp), np.asarray(k_idx, dtype=np.intp)
+    slot = np.asarray(pilots, dtype=np.intp)[k_idx]
+    aps, at = np.unique(l_idx, return_inverse=True)
+    R_aps = R if aps.size == R.shape[0] else R[aps]
     if R.ndim == 2:
-        psi = R @ weight.T + sigma2
-        return R[:, ues] / psi[:, slot] * np.sqrt(p[ues] * tau_p)
-    B, U, lam = mmse_factors(R, p, tau_p, pilots, ues)
-    B /= (lam[:, slot] + sigma2)[..., None, :]
-    return B @ np.swapaxes(U[:, slot], -1, -2).conj()
+        return math.sqrt(tau_p) * R[l_idx, k_idx], (R_aps @ weight.T)[at, slot], None
+    n = R.shape[-1]
+    q = _pilot_sums(weight, R_aps.reshape(aps.size, R.shape[1], -1))
+    lam, U = np.linalg.eigh(q.reshape(aps.size, -1, n, n))
+    lam[_dust(lam)] = 0.0
+    U *= lam[..., None, :] > 0
+    U = U[at, slot]
+    B = R[l_idx, k_idx] @ U
+    B *= math.sqrt(tau_p)
+    return B, lam[at, slot], np.swapaxes(U, -1, -2).conj()
 
 
 def assign_pilots(A, tau_p: int) -> np.ndarray:

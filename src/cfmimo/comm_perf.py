@@ -196,13 +196,18 @@ SER_BLOCK_STREAM = 93000
 
 @dataclass
 class _SchemeLinks:
-    """The per-call state of one scheme: the APs that serve a data UE, their
-    positions among the call's APs, which data UE each of them serves, the
-    pilots and the pilot collisions."""
+    """The per-call state of one scheme: the APs that serve a data UE and their
+    positions among the call's APs; per serving link, the position of its AP
+    among the scheme's APs, its UE, its row of the stacked (data UEs x the
+    scheme's APs) combiners and its row of the stacked (pilots x the scheme's
+    APs) pilot observations; the pilots and the pilot collisions."""
 
     aps: np.ndarray
     pos: np.ndarray
-    serves: np.ndarray      # (K_data, len(aps)) bool
+    link_at: np.ndarray
+    link_ue: np.ndarray
+    link_row: np.ndarray
+    link_obs: np.ndarray
     pilots: np.ndarray
     collisions: int
 
@@ -242,10 +247,10 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     (K_data, symbols). Each noise and fading entry is one complex normal,
     drawn as its real part then its imaginary part (`_unit_complex`), and
     each SNR point only scales these draws, so each block is drawn once.
-    Under local scattering each scheme's filters are the noise-free factors
-    of `channel.mmse_factors`, built once: a block rotates the pilot
-    observations by U^H, and each SNR point scales them by
-    diag(1 / (lam + sigma2)) and multiplies by B.
+    Each scheme's filters are the noise-free factors of
+    `channel.mmse_estimate` on its serving links, built once: per link, a
+    block rotates the pilot observation by U^H (under local scattering), and
+    each SNR point scales it by 1 / (lam + sigma2) and multiplies by B.
 
     Returns a flat list of SerPoint: each scheme's points in grid order,
     schemes in the order of `assocs`.
@@ -268,12 +273,13 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     links = [association.serving_links(A, data_ues) for A in served]
     aps = np.unique(np.concatenate([ap for _, ap in links]))
     schemes = []
-    for A, (_, ap) in zip(served, links):
-        s_aps = np.unique(ap)
+    for A, (ue, ap) in zip(served, links):
+        s_aps, at = np.unique(ap, return_inverse=True)
+        k = data_ues[ue]
         pilots = channel.assign_pilots(A, tau_p)
-        schemes.append(_SchemeLinks(s_aps, np.searchsorted(aps, s_aps),
-                                    A[np.ix_(s_aps, data_ues)].T, pilots,
-                                    channel.pilot_collisions(A, pilots)))
+        schemes.append(_SchemeLinks(s_aps, np.searchsorted(aps, s_aps), at, k,
+                                    ue * s_aps.size + at, pilots[k] * s_aps.size + at,
+                                    pilots, channel.pilot_collisions(A, pilots)))
     C, C_sqrt = channel.link_correlations(deployment, config, aps)
     sqrt_g = np.sqrt(g[aps] / 2.0)[..., None]
     # under local scattering C is scaled in place into the correlations g_lk C_lk
@@ -282,7 +288,8 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     sym_per_block = max(1, config.tau_c - config.tau_p)
     starts = range(0, n_symbols, sym_per_block)
     n_data = data_ues.size
-    filters = [None if perfect_csi else _scheme_filters(R, s, sigma2s, tau_p, data_ues)
+    factors = [None if perfect_csi
+               else channel.mmse_estimate(R, tau_p, s.pilots, s.pos[s.link_at], s.link_ue)
                for s in schemes]
     # per (scheme, SNR point): sum e_b, sum e_b^2 and sum n_b e_b over the
     # blocks, e_b errors out of the n_b symbols of all data UEs in block b
@@ -296,7 +303,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
         out_noise = _unit_complex(rng, (n_data, nsym))
         h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
         for si, s in enumerate(schemes):
-            e = _block_errors(s, filters[si], h, pilot_noise, idx, out_noise, constel, sigma2s,
+            e = _block_errors(s, factors[si], h, pilot_noise, idx, out_noise, constel, sigma2s,
                               data_ues, tau_p)
             tally[si] += np.stack([e, e * e, nsym * n_data * e], axis=1)
 
@@ -329,46 +336,38 @@ def _padded_link_gains(ue, gains) -> np.ndarray:
     return out
 
 
-def _scheme_filters(R, s: _SchemeLinks, sigma2s, tau_p: int, data_ues):
-    """Scheme s's MMSE filters, zero off its links: at each variance of `sigma2s`
-    (K_data, APs), or under local scattering the factors B (K_data, APs, N, N),
-    U^H (tau_p, APs, N, N) and lam (K_data, APs, N) of `channel.mmse_factors`."""
-    R_s = R[s.pos] if s.pos.size < R.shape[0] else R
-    if R.ndim == 2:
-        return np.stack([channel.mmse_estimate(R_s, 1.0, tau_p, s.pilots, sigma2, data_ues).T
-                         for sigma2 in sigma2s]) * s.serves
-    B, U, lam = channel.mmse_factors(R_s, 1.0, tau_p, s.pilots, data_ues)
-    B[~s.serves.T] = 0.0
-    return (np.swapaxes(B, 0, 1), np.swapaxes(U, -1, -2).conj().transpose(1, 0, 2, 3),
-            lam.transpose(1, 0, 2)[s.pilots[data_ues]])
-
-
-def _block_errors(s: _SchemeLinks, filters, h, pilot_noise, idx, out_noise,
+def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
                   constel: Constellation, sigma2s, data_ues, tau_p: int) -> np.ndarray:
     """Symbol errors of one scheme in one coherence block at each noise
     variance of `sigma2s`, from the block's draws (see `ser_monte_carlo`): h
     holds the channels (APs, K, N) from the call's APs, idx the symbols.
-    `filters` holds the scheme's MMSE filters (see `_scheme_filters`), or is
-    None for perfect CSI."""
-    h_s = h[s.pos]
+    `factors` holds the `channel.mmse_estimate` factors of the scheme's
+    serving links, or is None for perfect CSI, where each link's estimate is
+    its channel. The link estimates are scattered into the stacked combiners."""
+    h_s = h if s.pos.size == h.shape[0] else h[s.pos]
     H = h_s.transpose(1, 0, 2)[data_ues]
     x = constel.points[idx]
-    if filters is None:
-        Gx, v_norm2 = _combined_signal(s.serves[..., None] * H, H, x)
+    V = np.zeros((H.shape[0] * H.shape[1], H.shape[2]), dtype=complex)
+    if factors is None:
+        V[s.link_row] = h_s[s.link_at, s.link_ue]
+        Gx, v_norm2 = _combined_signal(V, H, x)
     else:
-        y_p = channel.pilot_rx(h_s, 1.0, tau_p, s.pilots, pilot_noise[:, s.aps], sigma2s)
-        if isinstance(filters, tuple):
-            B, U_h, lam = filters
-            # each (pilot, AP) observation in the eigenbasis of its Q
-            y_p = (U_h @ y_p[..., None])[..., 0]
-        y_p = y_p[:, s.pilots[data_ues]]
+        B, lam, U_h = factors
+        y_p = channel.pilot_rx(h_s, tau_p, s.pilots, pilot_noise[:, s.aps], sigma2s)
+        y_p = y_p.reshape(len(sigma2s), -1, y_p.shape[-1])
     errors = np.zeros(len(sigma2s), dtype=np.int64)
     for j, sigma2 in enumerate(sigma2s):
-        if isinstance(filters, tuple):
-            Gx, v_norm2 = _combined_signal((B @ (y_p[j] / (lam + sigma2))[..., None])[..., 0],
-                                           H, x)
-        elif filters is not None:
-            Gx, v_norm2 = _combined_signal(filters[j][..., None] * y_p[j], H, x)
+        if factors is not None:
+            # each link reads its pilot at its AP, under local scattering in
+            # the eigenbasis of its Q
+            y = y_p[j].take(s.link_obs, axis=0)
+            if U_h is None:
+                V[s.link_row] = (B / (lam + sigma2))[:, None] * y
+            else:
+                y = (U_h @ y[..., None])[..., 0]
+                y /= lam + sigma2
+                V[s.link_row] = (B @ y[..., None])[..., 0]
+            Gx, v_norm2 = _combined_signal(V, H, x)
         z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
         det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
                         axis=-1)
@@ -376,11 +375,12 @@ def _block_errors(s: _SchemeLinks, filters, h, pilot_noise, idx, out_noise,
     return errors
 
 
-def _combined_signal(h_hat, H, x):
-    """Noise-free MR outputs G x and |v_k|^2, with G = V^H H: the estimates
-    h_hat and channels H of the data UEs are UE-major, (K_data, L, N), so
-    row k of each, flattened, is v_k or h_k stacked over the APs."""
-    V = h_hat.reshape(h_hat.shape[0], -1)
+def _combined_signal(V, H, x):
+    """Noise-free MR outputs G x and |v_k|^2, with G = V^H H: the rows of the
+    stacked combiners V (K_data * L, N) and of the channels H (K_data, L, N)
+    of the data UEs are UE-major, so UE k's rows, flattened, are v_k or h_k
+    stacked over the APs."""
+    V = V.reshape(H.shape[0], -1)
     G = V.conj() @ H.reshape(V.shape).T
     return G @ x, (V.real ** 2 + V.imag ** 2).sum(axis=1)
 

@@ -137,23 +137,34 @@ def _unit_noise(tau_p, L, n, seed=1):
     return re + 1j * im
 
 
+def _filters(factors, sigma2):
+    """The filters B diag(1 / (lam + sigma2)) U^H of the factors that
+    `mmse_estimate` returns, one per link; the identity model's scalars
+    B / (lam + sigma2)."""
+    B, lam, U_h = factors
+    if U_h is None:
+        return B / (lam + sigma2)
+    return B / (lam + sigma2)[..., None, :] @ U_h
+
+
 class TestPilotsAndEstimation:
     def test_single_ue_noise_free(self):
+        # pilot power 2: the channel sqrt(2) h
         h = np.array([1.0 + 1j, 2.0, -1j])
-        y = channel.pilot_rx(_stack(h), 2.0, 4, [0], _unit_noise(4, 1, 3), [0.0])
+        y = channel.pilot_rx(_stack(math.sqrt(2.0) * h), 4, [0], _unit_noise(4, 1, 3), [0.0])
         assert y.shape == (1, 4, 1, 3)
         np.testing.assert_allclose(y[0, 0, 0], math.sqrt(8.0) * h, atol=1e-14)
         np.testing.assert_array_equal(y[0, 1:], 0.0)  # unused pilots hold no signal
 
     def test_zero_power_pure_noise(self):
-        y = channel.pilot_rx(_stack(np.ones(3)), 0.0, 4, [0], _unit_noise(4, 1, 3, 2), [1.0])
+        y = channel.pilot_rx(_stack(np.zeros(3)), 4, [0], _unit_noise(4, 1, 3, 2), [1.0])
         assert np.all(np.isfinite(y)) and np.all(y != 0)
 
     def test_copilot_linearity(self):
         h1 = np.array([1.0, 2.0 + 1j])
         h2 = np.array([-1j, 0.5])
         h3 = np.array([4.0, 4.0j])
-        y = channel.pilot_rx(_stack(h1, h2, h3), 1.0, 9, [1, 1, 0], _unit_noise(9, 1, 2, 3),
+        y = channel.pilot_rx(_stack(h1, h2, h3), 9, [1, 1, 0], _unit_noise(9, 1, 2, 3),
                              [0.0])[0]
         np.testing.assert_allclose(y[1, 0], 3.0 * (h1 + h2), atol=1e-14)
         np.testing.assert_allclose(y[0, 0], 3.0 * h3, atol=1e-14)  # other pilot: no mixing
@@ -162,20 +173,30 @@ class TestPilotsAndEstimation:
         # pilot t at AP l reads noise[t, l] whatever the UE order, scaled to
         # each variance
         noise = _unit_noise(6, 2, 2, 8)
-        y = channel.pilot_rx(np.zeros((2, 3, 2)), 1.0, 6, [5, 2, 5], noise, [2.0, 0.5])
+        y = channel.pilot_rx(np.zeros((2, 3, 2)), 6, [5, 2, 5], noise, [2.0, 0.5])
         np.testing.assert_array_equal(y[0], noise)
         np.testing.assert_array_equal(y[1], 0.5 * noise)
         with pytest.raises(ValueError, match="pilot indices"):
-            channel.pilot_rx(np.zeros((2, 3, 2)), 1.0, 5, [5, 2, 5], noise, [1.0])
+            channel.pilot_rx(np.zeros((2, 3, 2)), 5, [5, 2, 5], noise, [1.0])
+
+    @pytest.mark.parametrize("pilots", [[0, -1], [0, 2]])
+    def test_estimator_rejects_pilot_out_of_range(self, pilots):
+        # pilot -1 would otherwise leave its UE out of Q and read the last
+        # pilot's eigenvectors
+        R = np.ones((1, 2, 1, 1)) * channel.local_scattering_correlation(3, 0.4, 10.0)
+        with pytest.raises(ValueError, match=r"pilot indices must lie in \[0, 2\)"):
+            channel.mmse_estimate(R, 2, pilots, [0, 0], [0, 1])
 
     @pytest.mark.parametrize("tau_p,n", [(1, 1), (1, 4), (3, 1), (4, 5), (10, 5)])
     def test_group_sums_equal_membership_einsum(self, tau_p, n):
         # the per-pilot sums with the 0/1 pilot-membership matrix, to 1e-14 of
-        # the summed magnitudes (the sums may run in another order)
+        # the summed magnitudes (the sums may run in another order); UE k's
+        # pilot power p_k is its channel sqrt(p_k) h_k
         rng = np.random.default_rng(tau_p * 10 + n)
         h = rng.standard_normal((7, 12, n)) + 1j * rng.standard_normal((7, 12, n))
         p, pilots = rng.random(12) + 0.1, rng.integers(0, tau_p, 12)
-        y = channel.pilot_rx(h, p, tau_p, pilots, _unit_noise(tau_p, 7, n), [0.0])[0]
+        y = channel.pilot_rx(np.sqrt(p)[:, None] * h, tau_p, pilots, _unit_noise(tau_p, 7, n),
+                             [0.0])[0]
         weights = np.sqrt(tau_p * p)[:, None] * (pilots[:, None] == np.arange(tau_p))
         ref = np.einsum("lkn,kt->tln", h, weights)
         scale = np.einsum("lkn,kt->tln", np.abs(h), weights)
@@ -183,64 +204,69 @@ class TestPilotsAndEstimation:
 
     def test_perfect_estimation_limit(self):
         h = np.array([0.3 - 0.2j, 1.1j])
-        y = channel.pilot_rx(_stack(h), 1.0, 16, [0], _unit_noise(16, 1, 2, 4), [0.0])[0]
-        filt = channel.mmse_estimate(np.eye(2)[None, None], 1.0, 16, [0], 1e-14, [0])
-        np.testing.assert_allclose(filt[0, 0] @ y[0, 0], h, atol=1e-5)
+        y = channel.pilot_rx(_stack(h), 16, [0], _unit_noise(16, 1, 2, 4), [0.0])[0]
+        filt = _filters(channel.mmse_estimate(np.eye(2)[None, None], 16, [0], [0], [0]), 1e-14)
+        np.testing.assert_allclose(filt[0] @ y[0, 0], h, atol=1e-5)
 
     def test_no_information_limit(self):
-        filt = channel.mmse_estimate(np.eye(2)[None, None], 0.0, 8, [0], 1.0, [0])
-        np.testing.assert_allclose(filt[0, 0] @ np.ones(2), 0.0)
+        # pilot power 0: the correlation 0 R
+        filt = _filters(channel.mmse_estimate(0.0 * np.eye(2)[None, None], 8, [0], [0], [0]),
+                        1.0)
+        np.testing.assert_allclose(filt[0] @ np.ones(2), 0.0)
 
     def test_matches_generic_lmmse_oracle(self):
         # independent route: h_hat = C_hy C_yy^-1 y with the observation model,
-        # including a contaminating co-pilot UE and one on another pilot. One
-        # factorization serves every noise variance, applied as the SER
-        # Monte-Carlo applies it: y rotated by U^H, scaled, times B
+        # including a contaminating co-pilot UE and one on another pilot, whose
+        # pilot powers p are folded into the correlations p R. One
+        # factorization serves every noise variance, applied both as the
+        # composed filter and as the SER Monte-Carlo applies it: y rotated by
+        # U^H, scaled, times B
         rng = rng_stream(5, "fading")
-        R = np.stack([0.8 * channel.local_scattering_correlation(3, a, 15.0)
-                      for a in (0.3, -0.9, 1.2)])
         p, tau, pilots = np.array([0.7, 1.3, 0.4]), 6, np.array([2, 2, 0])
+        R = np.stack([pk * 0.8 * channel.local_scattering_correlation(3, a, 15.0)
+                      for pk, a in zip(p, (0.3, -0.9, 1.2))])
         y = (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        B, U, lam = channel.mmse_factors(R[None], p, tau, pilots, [0, 1, 2])
+        factors = channel.mmse_estimate(R[None], tau, pilots, [0, 0, 0], [0, 1, 2])
+        B, lam, U_h = factors
         for s2 in (1e-3, 0.3, 10.0):
-            filt = channel.mmse_estimate(R[None], p, tau, pilots, s2, [0, 1, 2])
+            filt = _filters(factors, s2)
             for k in range(3):
                 co = pilots == pilots[k]
-                c_yy = tau * np.tensordot(p * co, R, 1) + s2 * np.eye(3)
-                oracle = math.sqrt(p[k] * tau) * R[k] @ np.linalg.solve(c_yy, y)
-                t = pilots[k]
-                factored = B[0, k] @ (U[0, t].conj().T @ y / (lam[0, t] + s2))
-                np.testing.assert_allclose(filt[0, k] @ y, oracle, atol=1e-10)
+                c_yy = tau * np.tensordot(co, R, 1) + s2 * np.eye(3)
+                oracle = math.sqrt(tau) * R[k] @ np.linalg.solve(c_yy, y)
+                factored = B[k] @ (U_h[k] @ y / (lam[k] + s2))
+                np.testing.assert_allclose(filt[k] @ y, oracle, atol=1e-10)
                 np.testing.assert_allclose(factored, oracle, atol=1e-10)
 
     def test_rank_one_correlation_at_vanishing_noise(self):
-        # R = g a a^H: Q has one nonzero eigenvalue tau p g |a|^2 and three of
-        # rounding dust, whose directions the filter drops; what remains is
-        # the closed form s g a a^H / (tau p g |a|^2 + sigma2), s = sqrt(p tau)
+        # R = p g a a^H: Q has one nonzero eigenvalue tau p g |a|^2 and three
+        # of rounding dust, whose directions the filter drops; what remains is
+        # the closed form sqrt(tau) R / (tau p g |a|^2 + sigma2)
         a = np.exp(1j * math.pi * np.arange(4) * math.sin(0.7))
         g, p, tau, s2 = 0.37, 1.3, 5, 1e-30
-        R = g * np.outer(a, a.conj())
-        filt = channel.mmse_estimate(R[None, None], p, tau, [3], s2, [0])[0, 0]
+        R = p * g * np.outer(a, a.conj())
+        filt = _filters(channel.mmse_estimate(R[None, None], tau, [3], [0], [0]), s2)[0]
         assert np.all(np.isfinite(filt))
-        closed = math.sqrt(p * tau) * R / (tau * p * g * np.vdot(a, a).real + s2)
+        closed = math.sqrt(tau) * R / (tau * p * g * np.vdot(a, a).real + s2)
         np.testing.assert_allclose(filt, closed, rtol=0, atol=1e-13 * np.abs(closed).max())
 
     def test_mmse_orthogonality_empirical(self):
         # the estimate the pipeline forms is uncorrelated with its error, and
-        # the error power is the MMSE g - p tau g^2 / (p tau g + s2)
+        # the error power is the MMSE g - tau g^2 / (tau g + s2)
         rng = rng_stream(9, "fading")
-        g, p, tau, s2, n = 1.0, 1.0, 4, 0.5, 100000
+        g, tau, s2, n = 1.0, 4, 0.5, 100000
         h = math.sqrt(g / 2.0) * (rng.standard_normal((n, 1, 1))
                                   + 1j * rng.standard_normal((n, 1, 1)))
         noise = rng.standard_normal((tau, n, 1)) + 1j * rng.standard_normal((tau, n, 1))
-        y = channel.pilot_rx(h, p, tau, [0], noise, [s2])[0]
-        filt = channel.mmse_estimate(np.full((n, 1, 1, 1), g), p, tau, [0], s2, [0])
-        est = (filt[:, 0] @ y[0, :, :, None])[:, 0, 0]
+        y = channel.pilot_rx(h, tau, [0], noise, [s2])[0]
+        filt = _filters(channel.mmse_estimate(np.full((n, 1, 1, 1), g), tau, [0], np.arange(n),
+                                              np.zeros(n, dtype=int)), s2)
+        est = (filt @ y[0, :, :, None])[:, 0, 0]
         err = h[:, 0, 0] - est
         corr = abs(np.mean(est.conj() * err)) / math.sqrt(
             np.mean(np.abs(est) ** 2) * np.mean(np.abs(err) ** 2))
         assert corr < 1e-2
-        mmse = g - p * tau * g ** 2 / (p * tau * g + s2)
+        mmse = g - tau * g ** 2 / (tau * g + s2)
         assert np.mean(np.abs(err) ** 2) == pytest.approx(mmse, rel=0.03)
 
     def test_pilot_assignment_round_robin_and_collision_free(self):
@@ -307,24 +333,35 @@ class TestPilotsAndEstimation:
         assert channel.pilot_collisions(np.eye(3), [0, 0, 0]) == 0  # no shared AP
 
     def test_identity_scalars_equal_solve_with_identity(self):
+        # the UEs' pilot powers folded into the gains
         rng = np.random.default_rng(12)
         g = 10.0 ** rng.uniform(-3, 2, (6, 7))
         p, pilots, ues = rng.uniform(0.2, 2.0, 7), [0, 2, 0, 1, 2, 0, 3], [1, 2, 4, 6]
-        scalar = channel.mmse_estimate(g, p, 4, pilots, 0.3, ues)
-        full = channel.mmse_estimate(g[..., None, None] * np.eye(3), p, 4, pilots, 0.3, ues)
-        assert scalar.shape == (6, 4)
+        g = g * p
+        l_idx, k_idx = np.repeat(np.arange(6), 4), np.tile(ues, 6)
+        factors = channel.mmse_estimate(g, 4, pilots, l_idx, k_idx)
+        scalar = _filters(factors, 0.3)
+        full = _filters(channel.mmse_estimate(g[..., None, None] * np.eye(3), 4, pilots, l_idx,
+                                              k_idx), 0.3)
+        assert scalar.shape == (24,) and factors[2] is None
         np.testing.assert_allclose(full, scalar[..., None, None] * np.eye(3), rtol=1e-15,
                                    atol=0.0)
 
     def test_filters_for_selected_ues_equal_full_solve(self):
-        R = np.stack([np.stack([g * channel.local_scattering_correlation(3, a, 12.0)
-                                for g, a in ((0.8, 0.3), (1.5, -0.9), (0.4, 1.2), (1.1, 2.0))])
-                      for _ in range(2)])
+        # each link's factors do not depend on which other links share the
+        # call, also when the call reads the correlations of one AP only;
+        # the pilot powers p are folded into the correlations
         p, pilots = np.array([0.7, 1.3, 0.4, 0.9]), [1, 0, 1, 2]
-        full = channel.mmse_estimate(R, p, 4, pilots, 0.3, np.arange(4))
-        ues = np.array([1, 3])
-        np.testing.assert_array_equal(channel.mmse_estimate(R, p, 4, pilots, 0.3, ues),
-                                      full[:, ues])
+        R = np.stack([np.stack([pk * g * channel.local_scattering_correlation(3, a, 12.0)
+                                for pk, (g, a) in zip(p, ((0.8, 0.3), (1.5, -0.9), (0.4, 1.2),
+                                                          (1.1, 2.0)))])
+                      for _ in range(2)])
+        l_all, k_all = np.repeat(np.arange(2), 4), np.tile(np.arange(4), 2)
+        full = channel.mmse_estimate(R, 4, pilots, l_all, k_all)
+        for links in ([5, 7], [3, 5, 0]):
+            part = channel.mmse_estimate(R, 4, pilots, l_all[links], k_all[links])
+            for a, b in zip(part, full):
+                np.testing.assert_array_equal(a, b[links])
 
 
 # The per-AP uplink data path, each AP's received data with per-antenna noise
@@ -418,15 +455,18 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
     C, C_sqrt = channel.link_correlations(dep, cfg, aps)
     serves = A[np.ix_(aps, data_ues)][..., None]
     sym_per_block = max(1, cfg.tau_c - cfg.tau_p)
+    if not perfect_csi:
+        R = g[aps] if C is None else g[aps][..., None, None] * C
+        l_idx, k_idx = np.repeat(np.arange(aps.size), data_ues.size), np.tile(data_ues, aps.size)
+        factors = channel.mmse_estimate(R, cfg.tau_p, pilots, l_idx, k_idx)
     counts = []
     for snr_db in snr_db_grid:
         sigma2 = 10.0 ** (-snr_db / 10.0)
         if not perfect_csi:
-            R = g[aps] if C is None else g[aps][..., None, None] * C
-            filt = channel.mmse_estimate(R, 1.0, cfg.tau_p, pilots, sigma2, data_ues)
+            filt = _filters(factors, sigma2)
             if C is None:
                 filt = filt[..., None, None] * np.eye(N)
-            filt *= serves[..., None]
+            filt = filt.reshape(aps.size, data_ues.size, N, N) * serves[..., None]
         errors = 0
         for block, done in enumerate(range(0, n_symbols, sym_per_block)):
             nsym = min(sym_per_block, n_symbols - done)
@@ -440,7 +480,7 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
             if perfect_csi:
                 h_hat = serves * h[:, data_ues]
             else:
-                y_p = channel.pilot_rx(h, 1.0, cfg.tau_p, pilots, pilot_noise, [sigma2])[0]
+                y_p = channel.pilot_rx(h, cfg.tau_p, pilots, pilot_noise, [sigma2])[0]
                 h_hat = (filt @ y_p[pilots[data_ues]].transpose(1, 0, 2)[..., None])[..., 0]
             z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues], constel.points[idx], sigma2, rng))
             v_norm2 = np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real

@@ -202,28 +202,41 @@ class TestDeploymentStateBuiltOnce:
         assert calls == {"ser_monte_carlo": 1, "link_correlations": 1}
 
     def test_local_scattering_draws_each_block_once(self, tmp_path, monkeypatch):
-        # every scheme, SNR point and CSI mode reads one draw per block, and
-        # each scheme's MMSE factors serve all its SNR points
-        from cfmimo import channel, comm_perf
+        # every scheme, SNR point and CSI mode reads one draw per block
+        from cfmimo import comm_perf
 
-        opened, factored = [], []
+        opened = []
 
         def stream(*a, _fn=comm_perf.rng_stream):
             opened.append(a)
             return _fn(*a)
-
-        def factors(*a, _fn=channel.mmse_factors):
-            factored.append(a)
-            return _fn(*a)
         monkeypatch.setattr(comm_perf, "rng_stream", stream)
-        monkeypatch.setattr(channel, "mmse_factors", factors)
         path = tmp_path / "scenario.json"
         save_scenario(SystemConfig(correlation_model="local_scattering", seed=3000), str(path))
         assert cli.main(["ser", "--snr", "0:5:10", "--symbols", "570", "--scenario", str(path),
                          "--out", str(tmp_path / "out")]) == 0
         blocks = [a[3] for a in opened if a[1:3] == ("mc", comm_perf.SER_BLOCK_STREAM)]
         assert blocks == [0, 1, 2]
-        assert len(factored) == 2
+
+    @pytest.mark.parametrize("perfect_csi", [False, True], ids=["estimated", "perfect"])
+    @pytest.mark.parametrize("model", ["identity", "local_scattering"])
+    def test_factors_built_once_per_scheme(self, tmp_path, monkeypatch, model, perfect_csi):
+        # each scheme's MMSE factors are built once and serve all three SNR
+        # points; perfect CSI builds none
+        from cfmimo import channel
+
+        factored = []
+
+        def factors(*a, _fn=channel.mmse_estimate):
+            factored.append(a)
+            return _fn(*a)
+        monkeypatch.setattr(channel, "mmse_estimate", factors)
+        path = tmp_path / "scenario.json"
+        save_scenario(SystemConfig(correlation_model=model), str(path))
+        argv = ["ser", "--scheme", "both", "--snr", "0:5:10", "--symbols", "570",
+                "--scenario", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv + ["--perfect-csi"] * perfect_csi) == 0
+        assert len(factored) == (0 if perfect_csi else 2)
 
 
 class TestDenseClutterRows:

@@ -316,6 +316,28 @@ class TestSerMonteCarlo:
         assert both == run({"sua": assocs["sua"]}) + run({"baseline": assocs["baseline"]})
         assert [p.snr_db for p in both] == [0.0, 10.0, 0.0, 10.0]
 
+    @pytest.mark.parametrize("model", ["identity", "local_scattering"])
+    def test_factor_stack_has_one_row_per_serving_link(self, model, monkeypatch):
+        # each scheme's MMSE factors cover exactly its serving links, in the
+        # order of `association.serving_links`
+        cfg, dep, assocs = self._pinned_scenario(correlation_model=model)
+        data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
+        built = []
+
+        def factors(R, tau_p, pilots, l_idx, k_idx, _fn=channel.mmse_estimate):
+            built.append((k_idx, _fn(R, tau_p, pilots, l_idx, k_idx)))
+            return built[-1][1]
+        monkeypatch.setattr(channel, "mmse_estimate", factors)
+        comm_perf.ser_monte_carlo(dep, cfg, assocs, QPSK, [0.0], 60, 21, assocs["sua"],
+                                  channel.link_budget(dep, cfg))
+        assert len(built) == 2
+        for A, (k_idx, (B, lam, U_h)) in zip(assocs.values(), built):
+            ue, _ = assoc.serving_links(A, data_ues)
+            np.testing.assert_array_equal(k_idx, data_ues[ue])
+            assert B.shape[0] == lam.shape[0] == ue.size
+            assert (U_h is None) == (model == "identity")
+        assert built[0][0].size < built[1][0].size  # SUA serves fewer links
+
     @pytest.mark.parametrize("constel", [BPSK, QPSK], ids=["bpsk", "qpsk"])
     @pytest.mark.parametrize("paper_default", [False, True], ids=["pinned", "default"])
     def test_theory_column_equals_per_ue_scalar_form(self, constel, paper_default):
