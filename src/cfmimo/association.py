@@ -104,7 +104,8 @@ def serving_links(A, ues):
 class OptimizerReport:
     objective: float
     integral: bool
-    repairs: int        # augmenting paths run; 0 when the relaxation fits
+    repairs: int        # units of overload routed; 0 when the relaxation fits
+    searches: int       # shortest-path searches run; 0 when the relaxation fits
 
 
 def objective_value(weights: np.ndarray, A: np.ndarray) -> float:
@@ -151,9 +152,10 @@ def _column_top_selection(w: np.ndarray, M: np.ndarray, X: int) -> np.ndarray:
     return A
 
 
-def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.ndarray, int]:
+def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.ndarray, int, int]:
     """Exact max-weight b-matching: the per-UE relaxation, repaired by
-    successive shortest paths.  Returns it and the number of paths run.
+    successive shortest paths.  Returns it, the number of units of overload
+    routed and the number of shortest-path searches run.
 
     The relaxation (each UE's top X, AP capacities dropped) is returned when
     it fits.  Otherwise it is the starting pseudoflow of a min-cost flow on
@@ -161,16 +163,29 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
     costs 0).  AP potentials 0, and a full UE's minus its smallest selected
     weight (else 0), give every residual arc a reduced cost >= 0.  Each path
     starts at an AP with spare capacity or at a UE holding a link (which
-    drops it) and ends at the nearest overfilled AP, moving one unit of
-    overload; so exactly D = sum_l max(0, load_l - tau_p) paths run, each
-    from a vectorized label-correcting search.  A parent is set only on a
-    strict improvement and equal costs go to the lower index.
+    drops it) and ends at an overfilled AP, moving one unit of overload; so
+    exactly D = sum_l max(0, load_l - tau_p) units are routed.
+
+    One vectorized label-correcting search gives the distances from the
+    source and a shortest-path tree (a parent is set only on a strict
+    improvement and equal costs go to the lower index).  The overfilled APs
+    are then visited by distance, equal distances to the lower AP, and one
+    unit is routed along each one's tree path whose APs and UEs no earlier
+    path of this search used.  The potentials shift by min(dist, d_max), d_max
+    the largest distance routed to.  For any cap, dist_j <= dist_i + rc_ij
+    keeps every residual arc's reduced cost >= 0; and the arcs of each routed
+    path are tight with both ends within the cap, so reversing them leaves
+    reduced costs of 0.  Paths sharing no node do not change each other's
+    arcs, so each is a shortest path in the graph the others leave behind
+    (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9).  Under exact
+    weight ties, which of the optimal supports is returned depends on the
+    order the paths are routed in.
     """
     A = _column_top_selection(w, M, X)
     row_used = A.sum(axis=1)
     D = int(np.maximum(row_used - tau_p, 0).sum())
     if D == 0:
-        return A, 0
+        return A, 0, 0
 
     # Eligible links as a flat edge list grouped by UE, APs ascending within a
     # UE; only UEs with at least one edge take part, renumbered u = 0..U-1.
@@ -183,8 +198,11 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
     theta = np.minimum.reduceat(np.where(used, e_w, np.inf), starts)
     pi_ue = np.where(col_used == X, -theta, 0.0)
     pi_ap = np.zeros(L)
+    edge_ap, edge_ue = e_l.tolist(), e_u.tolist()
 
-    for _ in range(D):
+    routed = searches = 0
+    while routed < D:
+        searches += 1
         # Label-correcting shortest paths on the residual graph from the
         # source, which reaches the APs with spare capacity and the UEs
         # holding a link, along open edges AP -> UE and used edges UE -> AP.
@@ -220,26 +238,42 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
             parent_ap[gain] = first[gain]
             dist_ap[gain] = best[gain]
 
-        # Every overfilled AP holds a link of a source UE, so it is reached.
-        sink = int(np.argmin(np.where(row_used > tau_p, dist_ap, np.inf)))
-        e = parent_ap[sink]
-        path = [e]
-        while parent_ue[e_u[e]] >= 0:
-            e = parent_ue[e_u[e]]
-            path.append(e)
-            if parent_ap[e_l[e]] < 0:
-                row_used[e_l[e]] += 1   # an AP with spare capacity takes a UE
-                break
-            e = parent_ap[e_l[e]]
-            path.append(e)
-        else:
-            col_used[e_u[e]] -= 1       # a UE drops this link
-        used[path] = ~used[path]
-        row_used[sink] -= 1
-        pi_ap += np.minimum(dist_ap, dist_ap[sink])
-        pi_ue += np.minimum(dist_ue, dist_ap[sink])
+        # Every overfilled AP holds a link of a source UE, so it is reached;
+        # the nearest is always routed, so every search makes progress.
+        over = np.flatnonzero(row_used > tau_p)
+        sinks = over[np.argsort(dist_ap[over], kind="stable")].tolist()
+        par_ap, par_ue = parent_ap.tolist(), parent_ue.tolist()
+        taken_ap, taken_ue = set(), set()
+        d_max = 0.0
+        for sink in sinks:
+            # the sink's tree path back to the source: its edges, and the APs
+            # and UEs they join, alternating from the sink to the root
+            path, aps, ues = [], [sink], []
+            e = par_ap[sink]
+            while e >= 0:
+                path.append(e)
+                ues.append(edge_ue[e])
+                e = par_ue[ues[-1]]
+                if e >= 0:
+                    path.append(e)
+                    aps.append(edge_ap[e])
+                    e = par_ap[aps[-1]]
+            if not (taken_ap.isdisjoint(aps) and taken_ue.isdisjoint(ues)):
+                continue
+            taken_ap.update(aps)
+            taken_ue.update(ues)
+            if len(aps) > len(ues):
+                row_used[aps[-1]] += 1  # an AP with spare capacity takes a UE
+            else:
+                col_used[ues[-1]] -= 1  # a UE drops a link
+            used[path] = ~used[path]
+            row_used[sink] -= 1
+            d_max = dist_ap[sink]
+            routed += 1
+        pi_ap += np.minimum(dist_ap, d_max)
+        pi_ue += np.minimum(dist_ue, d_max)
     A[e_l, e_k] = used                  # every link A holds is eligible
-    return A, D
+    return A, D, searches
 
 
 def optimize(S, R, M, tau_p: int, X: int):
@@ -249,11 +283,12 @@ def optimize(S, R, M, tau_p: int, X: int):
     per AP, at most X APs per UE, and a <= M elementwise.
     """
     w, M = _check_instance(S, R, M, tau_p, X)
-    A, repairs = _solve_flow(w, M, tau_p, X)
+    A, repairs, searches = _solve_flow(w, M, tau_p, X)
     report = OptimizerReport(
         objective=objective_value(w, A),
         integral=bool(((A == 0) | (A == 1)).all()),
         repairs=repairs,
+        searches=searches,
     )
     return A, report
 

@@ -134,7 +134,8 @@ def cmd_associate(args) -> int:
         psi = association.sparsity_psi(res.mask)
         obj = (res.report.objective if res.report
                else association.objective_value(res.S * res.prio, res.A))
-        repairs = f" repairs={res.report.repairs}" if res.report else ""
+        repairs = (f" searches={res.report.searches} repairs={res.report.repairs}"
+                   if res.report else "")
         print(f"{scheme}: psi={psi:.4f} objective={obj:.6g} active_aps={active} "
               f"max_ues_per_ap={int(per_ap.max())} max_aps_per_ue={int(per_ue.max())}{repairs}")
     rep = report.build_report("associate", cfg, cfg.seed, tables)

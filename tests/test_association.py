@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -478,10 +480,10 @@ def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
     return S, assoc.priorities(S), m, cfg.tau_p, cfg.X
 
 
-def random_binding_instance(L, seed, tau_p=1, X=3):
+def random_binding_instance(L, seed, tau_p=1, X=3, K=None):
     # K * X links wanted against L * tau_p AP slots: capacities bind
     rng = np.random.default_rng(seed)
-    K = L // 2
+    K = L // 2 if K is None else K
     M = (rng.random((L, K)) < rng.uniform(0.05, 0.2)).astype(np.int8)
     S = rng.random((L, K)) * M
     return S, assoc.priorities(S), M, tau_p, X
@@ -506,6 +508,12 @@ class TestOptimizerAtScale:
         *(pytest.param(lambda L=L, t=t, x=x: random_binding_instance(L, L + 7, t, x),
                        id=f"random-L{L}-tau{t}-X{x}")
           for L, t, x in ((60, 2, 3), (100, 2, 5), (120, 3, 6), (200, 2, 4))),
+        # K = 2L: the relaxation overfills the APs by D=1600 units, twice the
+        # L * tau_p = 800 units of flow the optimum can carry
+        pytest.param(lambda: random_binding_instance(200, 207, 4, 6, K=400),
+                     id="random-L200-K400-tau4-X6"),
+        pytest.param(lambda: binding_scenario_instance(11, L=4000, K=1200, area_side_m=3162.0),
+                     id="scenario-L4000"),
     ])
     def test_matches_lp_optimum(self, instance):
         S, R, M, tau_p, X = instance()
@@ -517,6 +525,26 @@ class TestOptimizerAtScale:
         assert rep.repairs == np.maximum(load - tau_p, 0).sum()
         best = lp_optimum(w, tau_p, X)
         assert abs(rep.objective - best) <= 1e-9 * best
+
+    @pytest.mark.parametrize("seed, kw, digest", [
+        (3000, {}, "3a13a5f51e8e7a85d67c231e622d88416827d6b08d7a846ddb6e07975df29265"),
+        (3001, {}, "1f08029524a0e7b0b3d29b4b0e831b5b44094f14649188dd1824ad96708b86b9"),
+        (3002, {}, "fc348f84c883b2f7cf0ec4ef5072462fbd6f982da04215deb87d454173885fce"),
+        (3003, {}, "8227382fdf866f715960a1cf5efbdfcfd814bb72613e19f068995357e4a82d96"),
+        (11, dict(L=1000, K=300, area_side_m=1581.0, tau_p=3),
+         "ced6b4c3b70b851852445f02ff163867095df39b2faf50e9bddd643d4beecb0a"),
+        (12, dict(L=1000, K=300, area_side_m=1581.0, tau_p=3),
+         "42ee5873a32f43e579901afe58bf26a04b5b8de26140413bfdf55bfc949f9ec0"),
+    ], ids=["scenario-3000", "scenario-3001", "scenario-3002", "scenario-3003",
+            "scenario-L1000", "scenario-L1000-12"])
+    def test_support_pinned(self, seed, kw, digest):
+        # sha256 of the int8 support that the solver routing one unit per
+        # search returned; real-valued weights leave no tie, so routing
+        # several units per search must reproduce it exactly
+        S, R, M, tau_p, X = binding_scenario_instance(seed, **kw)
+        A, rep = assoc.optimize(S, R, M, tau_p, X)
+        assert 0 < rep.searches < rep.repairs
+        assert hashlib.sha256(A.tobytes()).hexdigest() == digest
 
 
 class TestCsvDump:

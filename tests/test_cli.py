@@ -295,8 +295,9 @@ class TestAssociate:
         (dict(L=40, K=12, area_side_m=316.0, tau_p=2, p_threshold_dbm=-80.0, seed=3000), True),
     ], ids=["default", "binding"])
     def test_prints_repairs(self, tmp_path, capsys, kw, binds):
-        # the SUA line counts the optimizer's augmenting paths: the AP
-        # overload of the per-UE relaxation, 0 where it fits
+        # the SUA line counts the optimizer's shortest-path searches and the
+        # units of overload they route: the AP overload of the per-UE
+        # relaxation, 0 where it fits; one search routes several units
         cfg = SystemConfig(**kw)
         path = tmp_path / "scenario.json"
         save_scenario(cfg, str(path))
@@ -309,6 +310,8 @@ class TestAssociate:
         overload = int(np.maximum(load - cfg.tau_p, 0).sum())
         assert line.startswith("sua: ") and line.endswith(f" repairs={overload}")
         assert (overload > 0) == binds
+        searches = int(line.split(" searches=")[1].split()[0])
+        assert (0 < searches < overload) if binds else (searches == 0)
 
 
 class TestSer:
