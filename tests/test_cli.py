@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -288,6 +289,34 @@ class TestAssociate:
         assert cli.main(["associate", "--scenario", path, "--out", str(out),
                          "--scheme", "sua"]) == 0
         assert not (out / "associate_baseline.csv").exists()
+
+    BINDING = dict(L=400, K=120, area_side_m=1000.0, tau_p=2, p_threshold_dbm=-80.0, seed=3000)
+
+    @pytest.mark.parametrize("scenario, argv, digests", [
+        (None, [], ("417a45ffe0d96f1f1d2b2c21e4027c685eb5d4e8ccce7503a8ce15e32485f3f8",
+                    "ecc3115e0cba652eca225813d9a39360eaf8323bf5018f2b48e639696662bb5b",
+                    "be0933230a9612c17a00bbb1d481a248fe8a46bbfbe41f9524db4d1463423259")),
+        (None, ["--seed", "1002"],
+         ("b51a1d0f1026c778888d55671cbc38bb69cbaaa855fb8ad2896a646c84504407",
+          "6df83cc13b61bae13b0f087a32e55f2d2ec23ba4b4b415fd8e9df359e4bdac68",
+          "0e3d17bf19aaa40f4a1d3b4159fa8e0d17a08e365f58f695b20b1d6ebab34757")),
+        (BINDING, [], ("663ff0d6d06bffb831522f543c1c2fc193b15f4b01b96d1e8fca7b200021760c",
+                       "bb53b6fac6a06739045f95fb1f364098cb1d52214556691dd9e65d0c1e7f4f73",
+                       "a501282fe13ca6f5e3de16da6bb3be3fd119590c4f571f0d688fb338c973924f")),
+    ], ids=["default-1000", "default-1002", "binding-3000"])
+    def test_outputs_pinned(self, tmp_path, scenario, argv, digests):
+        # sha256 of the SUA table, the baseline table and the report, recorded
+        # from the cell-by-cell CSV writer; the writer that formats only the
+        # non-blank rows must reproduce them byte for byte
+        if scenario is not None:
+            path = tmp_path / "scenario.json"
+            save_scenario(SystemConfig(**scenario), str(path))
+            argv = argv + ["--scenario", str(path)]
+        out = tmp_path / "out"
+        assert cli.main(["associate", "--scheme", "both", "--out", str(out)] + argv) == 0
+        names = ("associate_sua.csv", "associate_baseline.csv", "associate_report.json")
+        got = tuple(hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names)
+        assert got == digests
 
 
     @pytest.mark.parametrize("kw, binds", [
