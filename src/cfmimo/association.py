@@ -144,11 +144,22 @@ def _check_instance(S, R, M, tau_p, X):
 
 def _column_top_selection(w: np.ndarray, M: np.ndarray, X: int) -> np.ndarray:
     """Per column, the (at most) X eligible rows of largest weight; equal
-    weights go to the lower row."""
-    eligible = (M == 1) & (w > 0)
-    order = np.argsort(np.where(eligible, -w, np.inf), axis=0, kind="stable")[:X]
+    weights go to the lower row.
+
+    Only the eligible cells are sorted, by one integer key each that orders
+    them by column, then weight descending (the weight's rank among the
+    distinct eligible weights), then row.
+    """
+    L, K = w.shape
+    cells = np.flatnonzero((M == 1) & (w > 0))
+    levels, level = np.unique(w.ravel()[cells], return_inverse=True)
+    n = levels.size
+    key = np.sort(cells % K * (n * L) + (n - 1 - level) * L + cells // K)
+    rows, cols = key % L, key // (n * L)
+    per_col = np.bincount(cols, minlength=K)
+    top = np.arange(key.size) - (np.cumsum(per_col) - per_col)[cols] < X
     A = np.zeros(w.shape, dtype=np.int8)
-    A[order, np.arange(w.shape[1])] = np.take_along_axis(eligible, order, axis=0)
+    A[rows[top], cols[top]] = 1
     return A
 
 
@@ -336,24 +347,50 @@ def check_feasible(A, M, tau_p: int, X: int) -> bool:
     return not np.any((A == 1) & (M == 0))
 
 
-def association_csv(S, R, A, M) -> str:
-    """Association dump: one row per (AP, UE) link.
+_CSV_AP_BLOCK = 32     # APs formatted together by association_csv
 
-    Formatted one AP at a time from Python lists, so the temporaries stay at
-    one AP's K rows and each AP's rows are kept as a single string.
+
+def association_csv(S, R, A, M) -> str:
+    """Association dump: one row `l,k,s_lk,r_lk,a_lk,masked` per (AP, UE)
+    link, APs in order and each AP's UEs in order; floats as `repr`.
+
+    The cost follows the links that were evaluated, not L*K. A row is blank
+    when s_lk and r_lk are both +0.0 (on the bits, so -0.0 is not blank) and
+    a_lk is 0 or 1: every masked SUA link is. Its text after the AP id is
+    one of four per-UE strings `k,0.0,0.0,a,masked`, built once per call and
+    picked by index. Only the other rows go through `repr`. The APs are
+    formatted in blocks of _CSV_AP_BLOCK, each joined into one string, so the
+    temporaries are bounded by one block's rows, not by the (L, K) table.
     """
     S = np.asarray(S, dtype=float)
     R = np.asarray(R, dtype=float)
     A = np.asarray(A).astype(int)
     masked = (np.asarray(M) == 0).astype(int)
     L, K = S.shape
-    ues = range(K)
-    parts = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"]
-    for l in range(L):
-        rows = map("{},{},{},{},{},{}\n".format, itertools.repeat(l, K), ues,
-                   map(repr, S[l].tolist()), map(repr, R[l].tolist()),
-                   A[l].tolist(), masked[l].tolist())
-        parts.append("".join(rows))
+    header = "ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"
+    if K == 0:
+        return header
+    # row 2*a + masked holds UE k's blank text in column k
+    blank_text = np.array([[f"{k},0.0,0.0,{a},{m}" for k in range(K)]
+                           for a in (0, 1) for m in (0, 1)], dtype=object)
+    ues = np.broadcast_to(np.arange(K), (min(L, _CSV_AP_BLOCK), K))
+    parts = [header]
+    for l0 in range(0, L, _CSV_AP_BLOCK):
+        s, r, a, m = (x[l0:l0 + _CSV_AP_BLOCK] for x in (S, R, A, masked))
+        k = ues[:len(s)]
+        blank = (s.view(np.uint64) | r.view(np.uint64)) == 0
+        blank &= (a == 0) | (a == 1)
+        text = blank_text[np.where(blank, 2 * a + m, 0), k]
+        busy = ~blank
+        text[busy] = np.fromiter(
+            map("{},{!r},{!r},{},{}".format, k[busy].tolist(), s[busy].tolist(),
+                r[busy].tolist(), a[busy].tolist(), m[busy].tolist()),
+            dtype=object, count=int(busy.sum()))
+        block = []
+        for l, row in enumerate(text.tolist(), start=l0):
+            pre = f"{l},"
+            block += (pre, ("\n" + pre).join(row), "\n")
+        parts.append("".join(block))
     return "".join(parts)
 
 

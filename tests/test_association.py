@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfmimo import association as assoc
@@ -569,6 +569,34 @@ class TestCsvDump:
         expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
             f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
             for l in range(7) for k in range(5)]
+        assert assoc.association_csv(S, R, A, M) == "\n".join(expected) + "\n"
+
+    @settings(deadline=None)
+    @given(kind=st.sampled_from(["mixed", "all_blank", "no_blank"]),
+           L=st.integers(0, 2 * assoc._CSV_AP_BLOCK + 3), K=st.integers(0, 6),
+           pool=st.lists(st.floats(), max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cell_by_cell_format_any_table(self, kind, L, K, pool, seed):
+        # a blank row (s and r both +0.0, a in {0, 1}) takes a per-UE string,
+        # every other row goes through repr; -0.0, subnormals, 1/3, 1e16,
+        # nonzero S on masked cells and a_lk outside {0, 1} must all come out
+        # as the cell-by-cell format writes them, across the AP blocks. The
+        # cells are drawn from a seeded generator so that tables of up to
+        # 67 x 6 cells stay within hypothesis's data budget.
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 1e16, *pool])
+        S, R = rng.choice(values, (2, L, K))
+        A = rng.choice([0, 1, 2, -1], (L, K))
+        M = rng.integers(0, 2, (L, K), dtype=np.int8)
+        blank = {"mixed": rng.random((L, K)) < 0.5, "all_blank": np.ones((L, K), bool),
+                 "no_blank": np.zeros((L, K), bool)}[kind]
+        S[blank] = R[blank] = 0.0
+        A[blank] &= 1
+        if kind == "no_blank":
+            zero = (S.view(np.uint64) | R.view(np.uint64)) == 0
+            S[zero & ((A == 0) | (A == 1))] = -0.0
+        expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
+            f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
+            for l in range(L) for k in range(K)]
         assert assoc.association_csv(S, R, A, M) == "\n".join(expected) + "\n"
 
 
