@@ -360,8 +360,7 @@ def association_csv(S, R, A, M) -> str:
     """
     S = np.asarray(S, dtype=float)
     R = np.asarray(R, dtype=float)
-    A = np.asarray(A).astype(int)
-    masked = (np.asarray(M) == 0).astype(int)
+    A, M = np.asarray(A), np.asarray(M)
     L, K = S.shape
     header = "ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"
     if K == 0:
@@ -372,7 +371,9 @@ def association_csv(S, R, A, M) -> str:
     ues = np.broadcast_to(np.arange(K), (min(L, _CSV_AP_BLOCK), K))
     parts = [header]
     for l0 in range(0, L, _CSV_AP_BLOCK):
-        s, r, a, m = (x[l0:l0 + _CSV_AP_BLOCK] for x in (S, R, A, masked))
+        aps = slice(l0, l0 + _CSV_AP_BLOCK)
+        s, r = S[aps], R[aps]
+        a, m = A[aps].astype(int), (M[aps] == 0).astype(int)
         k = ues[:len(s)]
         blank = (s.view(np.uint64) | r.view(np.uint64)) == 0
         blank &= (a == 0) | (a == 1)
