@@ -513,6 +513,71 @@ class TestNetmetrics:
             assert (out / f"netmetrics_{name}.csv").exists()
 
 
+PD_ARGV = ["pd", "--snr", "0:5:15", "--trials", "2000"]
+PD_FILES = ("pd_sua.csv", "pd_baseline.csv", "pd_report.json")
+NET_ARGV = ["netmetrics", "--reps", "1"]
+# netmetrics_runtime.csv holds wall-clock times, so it is not pinned
+NET_FILES = ("netmetrics_delay.csv", "netmetrics_energy.csv", "netmetrics_clutter.csv",
+             "netmetrics_report.json")
+SER_ARGV = ["ser", "--snr", "0:5:10", "--symbols", "570"]
+SER_FILES = ("ser_sua.csv", "ser_baseline.csv", "ser_report.json")
+LOCAL_SCATTERING = dict(correlation_model="local_scattering")
+
+
+class TestOutputsPinned:
+    """sha256 of every reproducible file that pd, netmetrics and ser write on
+    the default scenario, under the identity and the local-scattering model.
+    The clutter lobes reach pd_formula and the clutter counts; the SER writer
+    reaches the SER tables."""
+
+    @pytest.mark.parametrize("argv, scenario, seed, files, digests", [
+        (PD_ARGV, None, 1000, PD_FILES, (
+            "c8b94cf0d6bffa126e8f3feddbdf04ebafc0026c9f3b2bbe14f57190b0ecad90",
+            "524fd5ce85904e9471013bf14e736396af43e144bdb2dafe75ef078d3f2d2d38",
+            "7863dbcd1ab9236eb97944f71186fb3da6e7ac14c3d615da7230c9f1de1a5d58")),
+        (PD_ARGV, None, 1002, PD_FILES, (
+            "0843019aa4dc216999be09976e9e744f34ea30a39d4a39cec6821fbb4c7c248e",
+            "20d412f61b6c9b94ed1c22924b07b50fa30e645f458b40aadd99997b51617412",
+            "dbc5f3f0167bdb5e9b821f55e19bb6eaae99442f23f7b9f27e8dd09c98872593")),
+        (NET_ARGV, None, 1000, NET_FILES, (
+            "2eecd53a9a66410c45d88f17a33d1bd62bc4cdebd130cca327064a58ca41aa51",
+            "618aa80f5ff847bcec97ed46615adb6d656d5b7b2cd2e355b05aae15aeb69a59",
+            "65e53c0bbae0dcfc7f999a8f50c77636d09a7433ae1296034a27645a77902e5f",
+            "1252ca5623f30267c558177defbcf94224410a41dbcce014d7e386e4194d0836")),
+        (NET_ARGV, None, 1002, NET_FILES, (
+            "d169930151ccade912665476aadeb3a2298aa4172018cb803078ada6d833179a",
+            "7874c910697583a92c7ad193b37b452aa05ef269a308cf080c2e1f335b0301fe",
+            "5ce5932d7940597f53cdc14cfc5e0d99364248d277cbab0fdf1cdee19f8e4498",
+            "33ef08a79ac2335ebfbc1b1da00fa7b1667f6f7dc734a508d416105a39283979")),
+        (SER_ARGV, None, 1000, SER_FILES, (
+            "509b3ac47df2f474c75eef94d39b81628217b1f88a7e509e159415235e103e4e",
+            "e6e668079833f4b95547ace61c79f3ee2c7a42da2f4903b8c7ba6a694ecd39f2",
+            "f0674b1ee5bf0f8245dafc220392aa818b75c79dec5398695418c78bc2ca1ff0")),
+        (SER_ARGV, None, 1002, SER_FILES, (
+            "586895db54c581bb6ae7245750c35ee496f55398889f82c40d7db05d2670e267",
+            "906e602e51224d103ec5c0b10b206912e5b9dcc8cb853a4acf60ad4a254b5a5a",
+            "fc908e7a0922b6f4279086c94254b98b4b90f30e9005cec924f010ead3116a4c")),
+        (SER_ARGV, LOCAL_SCATTERING, 1000, SER_FILES, (
+            "d55db1317c42c7d1893f21e88d8d6eacaea311cfe1a035a350475e14a78fbeac",
+            "1e6bff037bc0e77bc9ce9c94da9368819bbbff66dfc376de85ffe1c32f215a10",
+            "aed64e414a3f569e6a215a7e4dbc7f276a60f00ab28f8f9fa61b04d876bdb875")),
+        (SER_ARGV, LOCAL_SCATTERING, 1002, SER_FILES, (
+            "a8579626209091ef5d3e3b2ed5baebf7fddebecd317463b879e8b0f776886a31",
+            "cd9e8f2459fcf1b87014e0e0a586d5b9a4862690b2714d4b0565728aaa4243c7",
+            "df936a2e00d8cc82567ff47f205973bf0724808ea5036c33f986803f281fb7a8")),
+    ], ids=["pd-1000", "pd-1002", "netmetrics-1000", "netmetrics-1002", "ser-1000", "ser-1002",
+            "ser-localscat-1000", "ser-localscat-1002"])
+    def test_outputs_pinned(self, tmp_path, argv, scenario, seed, files, digests):
+        if scenario is not None:
+            path = tmp_path / "scenario.json"
+            save_scenario(SystemConfig(**scenario), str(path))
+            argv = argv + ["--scenario", str(path)]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+        got = tuple(hashlib.sha256((out / n).read_bytes()).hexdigest() for n in files)
+        assert got == digests
+
+
 class TestReportCommand:
     def test_combines_reports(self, tmp_path):
         path = small_scenario(tmp_path)
