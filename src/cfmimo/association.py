@@ -26,23 +26,22 @@ def mask(config: SystemConfig, budget: channel.LinkBudget):
 
 
 def link_quality(deployment: Deployment, config: SystemConfig,
-                 budget: channel.LinkBudget, mask_m: np.ndarray | None,
+                 budget: channel.LinkBudget, mask_m: np.ndarray,
                  geom: channel.ClutterGeometry) -> np.ndarray:
     """SNR / SCNR / weighted-joint metric per link, in linear scale: the
     (L, K) array S, 0 on every link not evaluated.
 
-    With a mask given, clutter is evaluated only on unmasked cells (the
-    sparsity that drives the pipeline's complexity advantage); mask_m=None
-    evaluates every cell, which is what the all-to-all baseline must do.
+    Only the unmasked links (mask_m == 1) are evaluated, clutter included:
+    the sparsity that drives the pipeline's complexity advantage. The
+    all-to-all baseline passes a mask of ones.
     """
-    L, K = budget.p_r_dbm.shape
-    evaluate = np.ones((L, K), dtype=bool) if mask_m is None else (np.asarray(mask_m) == 1)
+    evaluate = np.asarray(mask_m) == 1
 
     n0 = config.noise_power_w()
-    p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
+    p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
     snr = p_r_w / n0
 
-    S = np.zeros((L, K))
+    S = np.zeros(evaluate.shape)
     svc = np.asarray(deployment.ue_service)[None, :]
     com = evaluate & (svc == ServiceType.COM)
     S[com] = snr[com]
@@ -420,7 +419,8 @@ def run_sua(deployment: Deployment, config: SystemConfig,
 
 def run_baseline(deployment: Deployment, config: SystemConfig, budget: channel.LinkBudget,
                  geom: channel.ClutterGeometry) -> AssociationResult:
-    """All-to-all evaluation: metrics for every link, every AP serves every UE."""
-    S = link_quality(deployment, config, budget, None, geom)
+    """All-to-all evaluation: metrics for every link, every AP serves every UE.
+    Its all-ones association is also its mask."""
     A = baseline_all_to_all(deployment.L, deployment.K)
-    return AssociationResult(np.ones_like(A), S, priorities(S), A, None)
+    S = link_quality(deployment, config, budget, A, geom)
+    return AssociationResult(A, S, priorities(S), A, None)

@@ -267,9 +267,8 @@ class ClutterGeometry:
 
     The dense pass of `clutter_returns` works on per-(AP, scatterer) rows in
     the original scatterer order: distance, bearing cosine and sine, and the
-    two-way gain times the reflectivity. `_dense_rows` builds each AP's row
-    on first use and caches it in the `row_*` arrays, which are allocated at
-    the first dense use.
+    two-way gain. `_dense_rows` builds each AP's row on first use and caches
+    it in the `row_*` arrays, which are allocated at the first dense use.
     """
 
     pathloss: PathLossParams
@@ -277,7 +276,6 @@ class ClutterGeometry:
     cell_m: float
     shape: tuple              # (rows, columns) of the grid
     xy: np.ndarray            # (2, S) scatterer x and y coordinates in cell order
-    refl: np.ndarray          # (S,) reflectivities in cell order
     cell_start: np.ndarray    # (rows * columns + 1,)
     cell_prefix: np.ndarray   # (rows + 1, columns + 1)
     row_built: np.ndarray | None = None
@@ -313,7 +311,6 @@ def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> Clutte
     return ClutterGeometry(
         pathloss=pathloss, origin=origin, cell_m=cell, shape=(ny, nx),
         xy=np.ascontiguousarray(scat[order].T),
-        refl=np.asarray(deployment.scatterer_refl, dtype=float)[order],
         cell_start=np.concatenate([[0], np.cumsum(occupancy)]), cell_prefix=prefix)
 
 
@@ -339,7 +336,7 @@ def _two_way_gain(pathloss: PathLossParams, d):
 def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: np.ndarray):
     """Build and cache the dense rows of the APs `aps` (see ClutterGeometry)."""
     if geom.row_built is None:
-        shape = (deployment.L, geom.refl.size)
+        shape = (deployment.L, geom.xy.shape[1])
         geom.row_built = np.zeros(deployment.L, dtype=bool)
         geom.row_dist, geom.row_cos, geom.row_sin, geom.row_return = (
             np.empty(shape) for _ in range(4))
@@ -349,7 +346,7 @@ def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: np.ndarray):
     d = np.maximum(_distance(dx, dy), geom.pathloss.d0_m)
     geom.row_dist[aps] = d
     geom.row_cos[aps], geom.row_sin[aps] = _bearing(dx, dy)
-    geom.row_return[aps] = _two_way_gain(geom.pathloss, d) * deployment.scatterer_refl
+    geom.row_return[aps] = _two_way_gain(geom.pathloss, d)
     geom.row_built[aps] = True
 
 
@@ -423,14 +420,14 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     keep = d <= reach[link]
     keep &= dx * ux[link] + dy * uy[link] >= (cos_half - 1e-9) * norm
     keep = np.flatnonzero(keep)
-    cand, link, d = cand[keep], link[keep], d[keep]
+    link, d = link[keep], d[keep]
     cos_diff, sin_term = _bearing(dx[keep], dy[keep])
     cos_diff *= ux[link]
     sin_term *= uy[link]
     cos_diff += sin_term
     hit = cos_diff >= cos_half
     link = link[hit]
-    returns = _two_way_gain(geom.pathloss, d[hit]) * geom.refl[cand[hit]]
+    returns = _two_way_gain(geom.pathloss, d[hit])
     return np.bincount(link, returns, minlength=n), np.bincount(link, minlength=n)
 
 
@@ -443,7 +440,7 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
     power = np.zeros(n)
     count = np.zeros(n, dtype=int)
     ux, uy = ux[:, None], uy[:, None]
-    step = max(1, _LOBE_TESTS_PER_BLOCK // geom.refl.size)
+    step = max(1, _LOBE_TESTS_PER_BLOCK // geom.xy.shape[1])
     need = np.zeros(deployment.L, dtype=bool)
     need[l_idx] = True
     if geom.row_built is not None:
@@ -469,32 +466,6 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
     return power, count
 
 
-def _route_and_test(geom, deployment, l_idx, k_idx, reach, half_angle: float):
-    """Unscaled power sums and counts of one chunk of links, each routed to
-    the grid or the dense pass (see `clutter_returns`)."""
-    power = np.zeros(l_idx.size)
-    count = np.zeros(l_idx.size, dtype=int)
-    apex = deployment.ap_pos[l_idx]
-    diff = deployment.ue_pos[k_idx] - apex
-    ue_bearing = np.arctan2(diff[:, 1], diff[:, 0])
-    ux, uy = np.cos(ue_bearing), np.sin(ue_bearing)
-    cos_half = math.cos(half_angle)
-    cells = _sector_cells(geom, apex, ux, uy, reach, half_angle)
-    to_dense = cells[-1] > _DENSE_FRACTION * geom.refl.size
-    dense = np.flatnonzero(to_dense)
-    if dense.size:
-        power[dense], count[dense] = _dense_pass(geom, deployment, l_idx[dense], ux[dense],
-                                                 uy[dense], reach[dense], cos_half)
-    grid = np.flatnonzero(~to_dense)
-    # blocks of about _GRID_TESTS_PER_BLOCK candidates, at least one link each
-    block = np.cumsum(cells[-1][grid]) // _GRID_TESTS_PER_BLOCK
-    for b in np.split(grid, np.flatnonzero(np.diff(block)) + 1):
-        if b.size:
-            power[b], count[b] = _grid_pass(geom, apex[b], ux[b], uy[b], reach[b], cos_half,
-                                            [c[b] for c in cells])
-    return power, count
-
-
 def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: SystemConfig,
                     l_idx, k_idx, link_dist) -> tuple[np.ndarray, np.ndarray]:
     """Clutter power (W) and scatterer count inside the sensing lobe of each
@@ -517,16 +488,32 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
     l_idx = np.asarray(l_idx, dtype=np.intp)
     k_idx = np.asarray(k_idx, dtype=np.intp)
     reach = CLUTTER_RANGE_FACTOR * np.asarray(link_dist, dtype=float)
-    n = l_idx.size
+    n, n_scat = l_idx.size, geom.xy.shape[1]
     power = np.zeros(n)
     count = np.zeros(n, dtype=int)
-    if n == 0 or geom.refl.size == 0:
+    if n == 0 or n_scat == 0:
         return power, count
     half_angle = BEAM_HALF_ANGLE_FACTOR / config.N
+    cos_half = math.cos(half_angle)
     for lo in range(0, n, _LINKS_PER_CHUNK):
         c = slice(lo, lo + _LINKS_PER_CHUNK)
-        power[c], count[c] = _route_and_test(geom, deployment, l_idx[c], k_idx[c], reach[c],
-                                             half_angle)
+        # views of the chunk's links: writing their entries fills power and count
+        l_c, reach_c, power_c, count_c = l_idx[c], reach[c], power[c], count[c]
+        apex = deployment.ap_pos[l_c]
+        ux, uy = _bearing(*(deployment.ue_pos[k_idx[c]] - apex).T)
+        cells = _sector_cells(geom, apex, ux, uy, reach_c, half_angle)
+        to_dense = cells[-1] > _DENSE_FRACTION * n_scat
+        dense = np.flatnonzero(to_dense)
+        if dense.size:
+            power_c[dense], count_c[dense] = _dense_pass(
+                geom, deployment, l_c[dense], ux[dense], uy[dense], reach_c[dense], cos_half)
+        grid = np.flatnonzero(~to_dense)
+        # blocks of about _GRID_TESTS_PER_BLOCK candidates, at least one link each
+        block = np.cumsum(cells[-1][grid]) // _GRID_TESTS_PER_BLOCK
+        for b in np.split(grid, np.flatnonzero(np.diff(block)) + 1):
+            if b.size:
+                power_c[b], count_c[b] = _grid_pass(geom, apex[b], ux[b], uy[b], reach_c[b],
+                                                    cos_half, [x[b] for x in cells])
     power *= config.sigma_c2 * float(dbm_to_watts(config.p_t_dbm))
     return power, count
 

@@ -155,11 +155,11 @@ def cmd_ser(args) -> int:
     pts = comm_perf.ser_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, constel, grid, args.symbols,
         cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
-    n = len(grid)
-    by_scheme = {s: {constel.name.lower(): pts[i * n:(i + 1) * n]} for i, s in enumerate(schemes)}
-    csv = comm_perf.ser_csv(by_scheme)
+    n, mod = len(grid), constel.name.lower()
+    by_scheme = {s: pts[i * n:(i + 1) * n] for i, s in enumerate(schemes)}
+    csv = comm_perf.ser_csv(by_scheme, mod)
     for scheme in schemes:
-        single = comm_perf.ser_csv({scheme: by_scheme[scheme]})
+        single = comm_perf.ser_csv({scheme: by_scheme[scheme]}, mod)
         atomic_write(os.path.join(args.out, f"ser_{scheme}.csv"), single)
     rep = report.build_report("ser", cfg, cfg.seed, {"ser": csv})
     atomic_write(os.path.join(args.out, "ser_report.json"), rep.to_json())

@@ -151,16 +151,16 @@ class SerPoint:
     pilot_collisions: int
 
 
-def ser_csv(points_by_scheme: dict[str, dict[str, list[SerPoint]]]) -> str:
+def ser_csv(points_by_scheme: dict[str, list[SerPoint]], mod: str) -> str:
+    """SER table of the modulation `mod`, schemes in name order."""
     lines = ["scheme,modulation,snr_db,ser_theory,ser_mc,ci95,ci95_clustered,n_symbols"]
     for scheme in sorted(points_by_scheme):
-        for mod in sorted(points_by_scheme[scheme]):
-            for p in points_by_scheme[scheme][mod]:
-                lines.append(
-                    f"{scheme},{mod},{repr(float(p.snr_db))},{repr(float(p.ser_theory))},"
-                    f"{repr(float(p.ser_mc))},{repr(float(p.ci95))},"
-                    f"{repr(float(p.ci95_clustered))},{p.mc_symbols}"
-                )
+        for p in points_by_scheme[scheme]:
+            lines.append(
+                f"{scheme},{mod},{repr(float(p.snr_db))},{repr(float(p.ser_theory))},"
+                f"{repr(float(p.ser_mc))},{repr(float(p.ci95))},"
+                f"{repr(float(p.ci95_clustered))},{p.mc_symbols}"
+            )
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,6 @@ def _canonical(value):
         return format(value, ".17g")
     if isinstance(value, dict):
         return {k: _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
     return value
 
 

@@ -169,7 +169,6 @@ class Deployment:
     ue_pos: np.ndarray         # (K, 2) meters
     ue_service: np.ndarray     # (K,) ServiceType values
     scatterer_pos: np.ndarray  # (S, 2) meters
-    scatterer_refl: np.ndarray # (S,) reflectivity >= 0
 
     @property
     def L(self) -> int:
@@ -213,14 +212,12 @@ def generate_deployment(config: SystemConfig) -> Deployment:
     area_km2 = (side / 1000.0) ** 2
     n_scatter = int(round(config.clutter_density_per_km2 * area_km2))
     scatterer_pos = rng.uniform(0.0, side, size=(n_scatter, 2))
-    scatterer_refl = np.ones(n_scatter)
 
     return Deployment(
         ap_pos=ap_pos,
         ue_pos=ue_pos,
         ue_service=labels,
         scatterer_pos=scatterer_pos,
-        scatterer_refl=scatterer_refl,
     )
 
 

@@ -19,20 +19,6 @@ from cfmimo.scenario import Deployment, InfeasibleModelError, ServiceType, Syste
 _SERIES_CUTOFF = 30.0
 
 
-def _i0_series(x: float) -> float:
-    # all-positive power series, numerically stable for moderate x
-    term = 1.0
-    total = 1.0
-    q = x * x / 4.0
-    k = 1
-    while True:
-        term *= q / (k * k)
-        total += term
-        if term < total * 1e-17:
-            return total
-        k += 1
-
-
 def _i0_asymptotic_scaled(x: float) -> float:
     # e^{-x} I0(x) ~ (2 pi x)^{-1/2} sum a_k / x^k, truncated where terms stop shrinking
     total = 1.0
@@ -49,18 +35,16 @@ def _i0_asymptotic_scaled(x: float) -> float:
 
 
 def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0: power series below 30, asymptotic above."""
-    x = abs(float(x))
-    if x <= _SERIES_CUTOFF:
-        return _i0_series(x)
-    return _i0_asymptotic_scaled(x) * math.exp(x)
+    """Modified Bessel function I0 (numpy's Chebyshev evaluation)."""
+    return float(np.i0(x))
 
 
 def bessel_i0_scaled(x: float) -> float:
-    """exp(-x) I0(x), overflow-safe for large arguments."""
+    """exp(-x) I0(x): numpy's I0 up to 30, an asymptotic expansion above,
+    where I0 alone would overflow for large arguments."""
     x = abs(float(x))
     if x <= _SERIES_CUTOFF:
-        return _i0_series(x) * math.exp(-x)
+        return bessel_i0(x) * math.exp(-x)
     return _i0_asymptotic_scaled(x)
 
 

@@ -44,9 +44,12 @@ class TestMask:
         assert not np.any((m_hi == 1) & (m_lo == 0))
 
     def test_returns_initial_access_rssi(self, desk):
+        # the two-value form kept for perfbench/tracer.py, which wraps it by
+        # name and reads the mask as r[0]
         cfg, dep, budget, _ = desk
         m, rssi = assoc.mask(cfg, budget)
         np.testing.assert_array_equal(rssi, budget.rssi_dbm)
+        np.testing.assert_array_equal(m, assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm))
         assert m.shape == (cfg.L, cfg.K)
 
 
@@ -55,10 +58,10 @@ class TestLinkQuality:
         # JCAS cells hold w_c*SNR + w_s*SCNR and SENSE cells the SCNR, with the
         # clutter from channel.clutter_returns on the same links
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(cfg, budget)
+        m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
-        p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
+        p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
         cells = {ServiceType.JCAS: 0, ServiceType.SENSE: 0}
         cluttered = 0
         for k in dep.ue_indices(ServiceType.SENSE, ServiceType.JCAS):
@@ -77,16 +80,17 @@ class TestLinkQuality:
     def test_masked_cells_zero(self, desk):
         # S > 0 exactly on the evaluated links: the unmasked ones, or all
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(cfg, budget)
+        m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
         np.testing.assert_array_equal(assoc.link_quality(dep, cfg, budget, m, geom) > 0, m == 1)
-        assert np.all(assoc.link_quality(dep, cfg, budget, None, geom) > 0)
+        ones = np.ones((cfg.L, cfg.K), dtype=np.int8)
+        assert np.all(assoc.link_quality(dep, cfg, budget, ones, geom) > 0)
 
     def test_com_cells_are_snr(self, desk):
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(cfg, budget)
+        m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
-        p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
+        p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
         for k in dep.ue_indices(ServiceType.COM):
             rows = np.flatnonzero(m[:, k] == 1)
             np.testing.assert_allclose(S[rows, k], p_r_w[rows, k] / n0, rtol=1e-12)
@@ -96,17 +100,17 @@ class TestLinkQuality:
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
         geom = channel.clutter_geometry(dep, cfg.pathloss)
-        m, _ = assoc.mask(cfg, budget)
+        m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
-        p_r_w = channel.dbm_to_watts(budget.p_r_dbm)
+        p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
         for k in dep.ue_indices(ServiceType.SENSE):
             rows = np.flatnonzero(m[:, k] == 1)
             np.testing.assert_allclose(S[rows, k], p_r_w[rows, k] / n0, rtol=1e-12)
 
     def test_nonnegative_everywhere(self, desk):
         cfg, dep, budget, geom = desk
-        m, _ = assoc.mask(cfg, budget)
+        m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
         S = assoc.link_quality(dep, cfg, budget, m, geom)
         assert np.all(S >= 0)
 
@@ -116,36 +120,28 @@ class TestClutterPower:
         self.cfg = desk_config()
         self.dep = generate_deployment(self.cfg)
 
-    def _with_scatterers(self, pos, refl):
+    def _with_scatterers(self, pos):
         dep = generate_deployment(self.cfg)
         dep.scatterer_pos = np.asarray(pos, dtype=float)
-        dep.scatterer_refl = np.asarray(refl, dtype=float)
         return dep
 
     def _power(self, dep):
         geom = channel.clutter_geometry(dep, self.cfg.pathloss)
         link_dist = max(float(np.linalg.norm(dep.ap_pos[0] - dep.ue_pos[0])),
                         self.cfg.pathloss.d0_m)
-        power, _ = channel.clutter_return(geom, dep, self.cfg, 0, 0, link_dist)
-        return power
+        power, _ = channel.clutter_returns(geom, dep, self.cfg, [0], [0], [link_dist])
+        return power[0]
 
     def test_no_scatterers_zero(self):
-        dep = self._with_scatterers(np.zeros((0, 2)), np.zeros(0))
+        dep = self._with_scatterers(np.zeros((0, 2)))
         assert self._power(dep) == 0.0
-
-    def test_reflectivity_linearity(self):
-        ap, ue = self.dep.ap_pos[0], self.dep.ue_pos[0]
-        mid = ap + 0.4 * (ue - ap)
-        p1 = self._power(self._with_scatterers([mid], [1.0]))
-        p2 = self._power(self._with_scatterers([mid], [2.0]))
-        assert p1 > 0
-        assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
 
     def test_two_equal_scatterers_double(self):
         ap, ue = self.dep.ap_pos[0], self.dep.ue_pos[0]
         mid = ap + 0.4 * (ue - ap)
-        p1 = self._power(self._with_scatterers([mid], [1.0]))
-        p2 = self._power(self._with_scatterers([mid, mid], [1.0, 1.0]))
+        p1 = self._power(self._with_scatterers([mid]))
+        p2 = self._power(self._with_scatterers([mid, mid]))
+        assert p1 > 0
         assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
 
 
@@ -188,7 +184,7 @@ class TestPsiAndCounts:
 
     def test_psi_weakly_decreasing_in_threshold(self, desk):
         cfg, dep, budget, _ = desk
-        psis = [assoc.sparsity_psi(assoc.mask_links(budget.p_r_dbm, t))
+        psis = [assoc.sparsity_psi(assoc.mask_links(budget.rssi_dbm, t))
                 for t in np.linspace(-90, -40, 11)]
         assert all(a >= b for a, b in zip(psis, psis[1:]))
 
@@ -475,7 +471,7 @@ def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
                        seed=seed)
     dep = generate_deployment(cfg)
     budget = channel.link_budget(dep, cfg)
-    m, _ = assoc.mask(cfg, budget)
+    m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
     S = assoc.link_quality(dep, cfg, budget, m, channel.clutter_geometry(dep, cfg.pathloss))
     return S, assoc.priorities(S), m, cfg.tau_p, cfg.X
 

@@ -64,6 +64,7 @@ class TestLinkBudget:
         np.testing.assert_array_equal(a.rssi_dbm, b.rssi_dbm)
 
     def test_received_power_equals_rssi(self):
+        # the alias kept for perfbench/workloads.py and perfbench/tracer.py
         cfg = SystemConfig(L=5, K=2, X=2, tau_p=2, seed=3)
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
@@ -555,19 +556,28 @@ class TestCombinedDomainSer:
 
 class TestClutterGeometry:
     def test_counts_and_powers(self):
-        cfg = SystemConfig(L=3, K=2, X=2, tau_p=2, seed=4)
+        # the one-link form kept for perfbench/tracer.py, which wraps it by
+        # name and reads its `deployment` parameter and the count r[1]: a
+        # float and an int, equal to clutter_returns on that link alone
+        cfg = SystemConfig(L=20, K=8, N=5, tau_p=5, X=3, area_side_m=250.0, seed=7)
         dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
         geom = channel.clutter_geometry(dep, cfg.pathloss)
-        p, c = channel.clutter_return(geom, dep, cfg, 0, 0,
-                                      float(np.linalg.norm(dep.ap_pos[0] - dep.ue_pos[0])))
-        assert p >= 0.0 and c >= 0
+        l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
+        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx,
+                                               budget.distance_m[l_idx, k_idx])
+        assert count.sum() > 0
+        for i, (l, k) in enumerate(zip(l_idx, k_idx)):
+            p, c = channel.clutter_return(geom, dep, cfg, l, k, budget.distance_m[l, k])
+            assert type(p) is float and type(c) is int
+            assert (p, c) == (power[i], count[i])
 
     def test_no_scatterers(self):
         cfg = SystemConfig(L=3, K=2, X=2, tau_p=2, clutter_density_per_km2=0.0, seed=4)
         dep = generate_deployment(cfg)
         geom = channel.clutter_geometry(dep, cfg.pathloss)
-        p, c = channel.clutter_return(geom, dep, cfg, 0, 0, 100.0)
-        assert p == 0.0 and c == 0
+        p, c = channel.clutter_returns(geom, dep, cfg, [0], [0], [100.0])
+        assert p.tolist() == [0.0] and c.tolist() == [0]
 
 
 def lobe_oracle(dep, cfg, l, k, link_dist):
@@ -583,8 +593,7 @@ def lobe_oracle(dep, cfg, l, k, link_dist):
     dphi = np.angle(np.exp(1j * (ang - np.arctan2(to_ue[1], to_ue[0]))))
     in_lobe = ((np.abs(dphi) <= channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
                & (dist <= channel.CLUTTER_RANGE_FACTOR * link_dist))
-    power = cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm)) * float(
-        np.sum(dep.scatterer_refl[in_lobe] * gain[in_lobe]))
+    power = cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm)) * float(np.sum(gain[in_lobe]))
     return power, int(np.count_nonzero(in_lobe))
 
 
@@ -602,12 +611,10 @@ def routed_returns(route, dep, cfg, *links):
                                        *links)
 
 
-def make_deployment(ap, ue, scat, refl=None):
+def make_deployment(ap, ue, scat):
     ap, ue = np.asarray(ap, dtype=float), np.asarray(ue, dtype=float)
-    scat = np.asarray(scat, dtype=float).reshape(-1, 2)
     return Deployment(ap_pos=ap, ue_pos=ue, ue_service=np.zeros(len(ue), dtype=int),
-                      scatterer_pos=scat,
-                      scatterer_refl=np.ones(len(scat)) if refl is None else np.asarray(refl))
+                      scatterer_pos=np.asarray(scat, dtype=float).reshape(-1, 2))
 
 
 def link_distance(dep, cfg, l, k):
@@ -621,26 +628,23 @@ class TestClutterReturnsOracle:
     @settings(max_examples=150, deadline=None)
     @given(ap=st.lists(coord, min_size=1, max_size=4),
            ue=st.lists(coord, min_size=1, max_size=3),
-           scat=st.lists(st.tuples(coord, st.floats(0.0, 5.0)), max_size=15),
+           scat=st.lists(coord, max_size=15),
            n_antennas=st.integers(1, 8),
            reach=st.floats(0.3, 3.0),
            order_seed=st.integers(0, 2 ** 16),
            route=st.sampled_from([channel._DENSE_FRACTION, ALL_GRID, ALL_DENSE]))
     def test_matches_per_link_rule(self, ap, ue, scat, n_antennas, reach, order_seed, route):
-        dep = make_deployment(ap, ue, [p for p, _ in scat], [r for _, r in scat])
+        dep = make_deployment(ap, ue, scat)
         cfg = SystemConfig(N=n_antennas)
         l_idx, k_idx = np.nonzero(np.ones((dep.L, dep.K), dtype=bool))
         perm = np.random.default_rng(order_seed).permutation(l_idx.size)
         l_idx, k_idx = l_idx[perm], k_idx[perm]
         dist = np.array([reach * link_distance(dep, cfg, l, k) for l, k in zip(l_idx, k_idx)])
         power, count = routed_returns(route, dep, cfg, l_idx, k_idx, dist)
-        geom = channel.clutter_geometry(dep, cfg.pathloss)
         for i, (l, k) in enumerate(zip(l_idx, k_idx)):
             p_ref, c_ref = lobe_oracle(dep, cfg, l, k, dist[i])
             assert count[i] == c_ref
             assert power[i] == pytest.approx(p_ref, rel=1e-12, abs=0.0)
-            if route == channel._DENSE_FRACTION:
-                assert channel.clutter_return(geom, dep, cfg, l, k, dist[i]) == (power[i], count[i])
 
     def check_counts(self, dep, cfg, links, expected):
         """Counts equal `expected` and the oracle's through the default
@@ -737,6 +741,31 @@ class TestClutterReturnsOracle:
         p_sub, c_sub = channel.clutter_returns(fresh, dep, cfg, l_idx[sub], k_idx[sub], dist[sub])
         np.testing.assert_array_equal(p_sub, power[sub])
         np.testing.assert_array_equal(c_sub, count[sub])
+
+    @pytest.mark.parametrize("route", [channel._DENSE_FRACTION, ALL_DENSE],
+                             ids=["default", "all-dense"])
+    def test_cached_rows_match_a_fresh_geometry(self, monkeypatch, route):
+        # the first call caches the dense rows of some even-numbered APs; the
+        # second, over every link, reads those and builds the others, and gets
+        # bit-identical results to a geometry that built every row at once
+        cfg = SystemConfig(L=60, K=20, area_side_m=400.0, seed=5)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
+        dist = budget.distance_m[l_idx, k_idx]
+        monkeypatch.setattr(channel, "_DENSE_FRACTION", route)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        even = l_idx % 2 == 0
+        channel.clutter_returns(geom, dep, cfg, l_idx[even], k_idx[even], dist[even])
+        built = geom.row_built.copy()
+        assert built.any() and not built[1::2].any()
+        power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
+        assert (geom.row_built & ~built).any()
+        fresh = channel.clutter_geometry(dep, cfg.pathloss)
+        p_fresh, c_fresh = channel.clutter_returns(fresh, dep, cfg, l_idx, k_idx, dist)
+        assert count.sum() > 0
+        np.testing.assert_array_equal(power, p_fresh)
+        np.testing.assert_array_equal(count, c_fresh)
 
     def test_scatterer_on_cell_border_sector_edge_and_range_edge(self):
         # APs on an 80 m square give a 20 m cell from (0, 0); the scatterers

@@ -441,7 +441,7 @@ class TestCsvAndWilson:
 
     def test_ser_csv_shape(self):
         pts = [comm_perf.SerPoint(0.0, 0.1, 0.09, 1000, 0.01, 0.03, 0)]
-        text = comm_perf.ser_csv({"sua": {"qpsk": pts}})
+        text = comm_perf.ser_csv({"sua": pts}, "qpsk")
         lines = text.strip().split("\n")
         assert lines[0] == ("scheme,modulation,snr_db,ser_theory,ser_mc,ci95,ci95_clustered,"
                             "n_symbols")

@@ -97,7 +97,7 @@ def _link_distance(ap, ue, floor=1.0):
     # link distances are computed once, by channel.link_budget
     dep = Deployment(ap_pos=np.array([ap], dtype=float), ue_pos=np.array([ue], dtype=float),
                      ue_service=np.zeros(1, dtype=int),
-                     scatterer_pos=np.zeros((0, 2)), scatterer_refl=np.zeros(0))
+                     scatterer_pos=np.zeros((0, 2)))
     cfg = small_config(L=1, K=1, pathloss=PathLossParams(d0_m=floor))
     return float(channel.link_budget(dep, cfg).distance_m[0, 0])
 

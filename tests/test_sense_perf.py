@@ -213,9 +213,9 @@ class TestPdFormulas:
         for k, a, s in zip(ues, amp, sig):
             l = best[k]
             two_way = channel.db_to_lin(-2.0 * budget.pl_db[l, k])
-            pc, _ = channel.clutter_return(geom, dep, cfg, l, k, budget.distance_m[l, k])
+            pc, _ = channel.clutter_returns(geom, dep, cfg, [l], [k], [budget.distance_m[l, k]])
             assert a == pytest.approx(math.sqrt(two_way), rel=1e-14)
-            assert s == pytest.approx(1.0 + pc / cfg.noise_power_w(), rel=1e-14)
+            assert s == pytest.approx(1.0 + pc[0] / cfg.noise_power_w(), rel=1e-14)
 
 
 class TestPdMonteCarlo:
