@@ -521,14 +521,16 @@ NET_FILES = ("netmetrics_delay.csv", "netmetrics_energy.csv", "netmetrics_clutte
              "netmetrics_report.json")
 SER_ARGV = ["ser", "--snr", "0:5:10", "--symbols", "570"]
 SER_FILES = ("ser_sua.csv", "ser_baseline.csv", "ser_report.json")
+SWEEP_ARGV = ["sweep-x"]
+SWEEP_FILES = ("sweep-x_sua.csv", "sweep-x_report.json")
 LOCAL_SCATTERING = dict(correlation_model="local_scattering")
 
 
 class TestOutputsPinned:
-    """sha256 of every reproducible file that pd, netmetrics and ser write on
-    the default scenario, under the identity and the local-scattering model.
-    The clutter lobes reach pd_formula and the clutter counts; the SER writer
-    reaches the SER tables."""
+    """sha256 of every reproducible file that pd, netmetrics, ser, sweep-x and
+    report write on the default scenario, under the identity and the
+    local-scattering model. The clutter lobes reach pd_formula and the clutter
+    counts; the SER writer reaches the SER tables."""
 
     @pytest.mark.parametrize("argv, scenario, seed, files, digests", [
         (PD_ARGV, None, 1000, PD_FILES, (
@@ -565,8 +567,14 @@ class TestOutputsPinned:
             "a8579626209091ef5d3e3b2ed5baebf7fddebecd317463b879e8b0f776886a31",
             "cd9e8f2459fcf1b87014e0e0a586d5b9a4862690b2714d4b0565728aaa4243c7",
             "df936a2e00d8cc82567ff47f205973bf0724808ea5036c33f986803f281fb7a8")),
+        (SWEEP_ARGV, None, 1000, SWEEP_FILES, (
+            "0f979ce692fda38a3cc96c939108706c627d46647a2a2029f3ec7c413daf01d0",
+            "12d78951c64ff9943302058d13f32eb8b7f9c55e2480f2cafad0121823660db0")),
+        (SWEEP_ARGV, None, 1002, SWEEP_FILES, (
+            "0f979ce692fda38a3cc96c939108706c627d46647a2a2029f3ec7c413daf01d0",
+            "8d346738203bf7367e8901789d3a95125345fb88e777fe40813f148c276f6466")),
     ], ids=["pd-1000", "pd-1002", "netmetrics-1000", "netmetrics-1002", "ser-1000", "ser-1002",
-            "ser-localscat-1000", "ser-localscat-1002"])
+            "ser-localscat-1000", "ser-localscat-1002", "sweep-x-1000", "sweep-x-1002"])
     def test_outputs_pinned(self, tmp_path, argv, scenario, seed, files, digests):
         if scenario is not None:
             path = tmp_path / "scenario.json"
@@ -576,6 +584,16 @@ class TestOutputsPinned:
         assert cli.main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
         got = tuple(hashlib.sha256((out / n).read_bytes()).hexdigest() for n in files)
         assert got == digests
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1000, "1b61c68e2e59dbfa10aecc795b56979f038d13752f398a95949139c6d28d92b6"),
+        (1002, "788fff0d8581a0dc4f616d8f090546561f681d1cabb4bcd8d7b5d6f4292a1133"),
+    ], ids=["combined-1000", "combined-1002"])
+    def test_combined_report_pinned(self, tmp_path, seed, digest):
+        out = tmp_path / "out"
+        for argv in (PD_ARGV, SER_ARGV, SWEEP_ARGV, NET_ARGV, ["report"]):
+            assert cli.main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "combined_report.json").read_bytes()).hexdigest() == digest
 
 
 class TestReportCommand:
