@@ -6,28 +6,3 @@ assignment) plus closed-form and Monte-Carlo evaluation of symbol error rate
 and detection probability, with the unscalable all-to-all association as the
 comparison baseline.
 """
-
-from cfmimo.scenario import (
-    Deployment,
-    PathLossParams,
-    ServiceMix,
-    ServiceType,
-    SystemConfig,
-    ValidationError,
-    generate_deployment,
-    load_scenario,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Deployment",
-    "PathLossParams",
-    "ServiceMix",
-    "ServiceType",
-    "SystemConfig",
-    "ValidationError",
-    "generate_deployment",
-    "load_scenario",
-    "__version__",
-]

@@ -76,10 +76,21 @@ def atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _write_outputs(out, experiment, cfg, files, tables):
+    """Write each of `files` (file name -> text), then the experiment's report
+    over `tables`."""
+    for name, text in files.items():
+        atomic_write(os.path.join(out, name), text)
+    rep = report.build_report(experiment, cfg, cfg.seed, tables)
+    atomic_write(os.path.join(out, f"{experiment}_report.json"), rep.to_json())
+
+
 def _load_config(args) -> SystemConfig:
     cfg = load_scenario(args.scenario) if getattr(args, "scenario", None) else SystemConfig()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+    if getattr(args, "pfa", None) is not None:
+        cfg.p_fa = args.pfa
     cfg.validate()
     return cfg
 
@@ -125,11 +136,10 @@ def cmd_associate(args) -> int:
     run = {"sua": association.run_sua, "baseline": association.run_baseline}
     results = {s: run[s](deployment, cfg, budget, geom) for s in _schemes(args)}
     del budget, geom
-    tables = {}
+    files, tables = {}, {}
     for scheme, res in results.items():
         csv = association.association_csv(res.S, res.prio, res.A, res.mask)
-        atomic_write(os.path.join(args.out, f"associate_{scheme}.csv"), csv)
-        tables[f"association_{scheme}"] = csv
+        files[f"associate_{scheme}.csv"] = tables[f"association_{scheme}"] = csv
         per_ap, per_ue, active = association.served_counts(res.A)
         psi = association.sparsity_psi(res.mask)
         obj = (res.report.objective if res.report
@@ -138,8 +148,7 @@ def cmd_associate(args) -> int:
                    if res.report else "")
         print(f"{scheme}: psi={psi:.4f} objective={obj:.6g} active_aps={active} "
               f"max_ues_per_ap={int(per_ap.max())} max_aps_per_ue={int(per_ue.max())}{repairs}")
-    rep = report.build_report("associate", cfg, cfg.seed, tables)
-    atomic_write(os.path.join(args.out, "associate_report.json"), rep.to_json())
+    _write_outputs(args.out, "associate", cfg, files, tables)
     return EXIT_OK
 
 
@@ -157,12 +166,9 @@ def cmd_ser(args) -> int:
         cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
     n, mod = len(grid), constel.name.lower()
     by_scheme = {s: pts[i * n:(i + 1) * n] for i, s in enumerate(schemes)}
-    csv = comm_perf.ser_csv(by_scheme, mod)
-    for scheme in schemes:
-        single = comm_perf.ser_csv({scheme: by_scheme[scheme]}, mod)
-        atomic_write(os.path.join(args.out, f"ser_{scheme}.csv"), single)
-    rep = report.build_report("ser", cfg, cfg.seed, {"ser": csv})
-    atomic_write(os.path.join(args.out, "ser_report.json"), rep.to_json())
+    _write_outputs(args.out, "ser", cfg,
+                   {f"ser_{s}.csv": comm_perf.ser_csv({s: by_scheme[s]}, mod) for s in schemes},
+                   {"ser": comm_perf.ser_csv(by_scheme, mod)})
     collisions = " ".join(f"{s}={pts[i * n].pilot_collisions}" for i, s in enumerate(schemes))
     print(f"ser: {len(grid)} SNR points x {len(schemes)} scheme(s), "
           f"{args.symbols} symbols/point, pilot collisions {collisions} -> {args.out}")
@@ -171,9 +177,6 @@ def cmd_ser(args) -> int:
 
 def cmd_pd(args) -> int:
     cfg = _load_config(args)
-    if args.pfa is not None:
-        cfg.p_fa = args.pfa
-        cfg.validate()
     deployment = generate_deployment(cfg)
     schemes = _schemes(args)
     budget, geom = _deployment_state(deployment, cfg)
@@ -182,11 +185,10 @@ def cmd_pd(args) -> int:
     all_points, scale = sense_perf.pd_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, assocs["sua"], grid, args.trials,
         cfg.seed, budget, geom)
-    for scheme in schemes:
-        atomic_write(os.path.join(args.out, f"pd_{scheme}.csv"),
-                     sense_perf.pd_csv([p for p in all_points if p.scheme == scheme]))
-    rep = report.build_report("pd", cfg, cfg.seed, {"pd": sense_perf.pd_csv(all_points)})
-    atomic_write(os.path.join(args.out, "pd_report.json"), rep.to_json())
+    _write_outputs(args.out, "pd", cfg,
+                   {f"pd_{s}.csv": sense_perf.pd_csv([p for p in all_points if p.scheme == s])
+                    for s in schemes},
+                   {"pd": sense_perf.pd_csv(all_points)})
     # one draw per sensing UE, read by every SCNR point and scheme
     print(f"pd: {len(grid)} SCNR points x {len(schemes)} scheme(s), "
           f"{args.trials} trials/point, {scale.shape[0] * args.trials} normal pairs drawn "
@@ -202,9 +204,7 @@ def cmd_sweep_x(args) -> int:
     points = net_metrics.x_sweep_gain(cfg.L, cfg.K, xs)
     knee = net_metrics.detect_knee(points)
     csv = net_metrics.gain_csv(points)
-    atomic_write(os.path.join(args.out, "sweep-x_sua.csv"), csv)
-    rep = report.build_report("sweep-x", cfg, cfg.seed, {"gain": csv})
-    atomic_write(os.path.join(args.out, "sweep-x_report.json"), rep.to_json())
+    _write_outputs(args.out, "sweep-x", cfg, {"sweep-x_sua.csv": csv}, {"gain": csv})
     print(f"sweep-x: knee at x={knee}")
     return EXIT_OK
 
@@ -225,14 +225,11 @@ def cmd_netmetrics(args) -> int:
         "energy": net_metrics.energy_csv(energies),
         "clutter": net_metrics.clutter_csv(clutters),
     }
-    for name, csv in tables.items():
-        atomic_write(os.path.join(args.out, f"netmetrics_{name}.csv"), csv)
     # wall-clock measurement: not reproducible run-to-run, kept out of the report
     rt = net_metrics.association_runtime(deployment, cfg, budget, geom, reps=args.reps)
-    atomic_write(os.path.join(args.out, "netmetrics_runtime.csv"),
-                 net_metrics.runtime_csv(rt))
-    rep = report.build_report("netmetrics", cfg, cfg.seed, tables)
-    atomic_write(os.path.join(args.out, "netmetrics_report.json"), rep.to_json())
+    files = {f"netmetrics_{name}.csv": csv for name, csv in tables.items()}
+    files["netmetrics_runtime.csv"] = net_metrics.runtime_csv(rt)
+    _write_outputs(args.out, "netmetrics", cfg, files, tables)
     print(f"netmetrics: sua runtime {rt.sua_s * 1e3:.2f} ms vs baseline {rt.baseline_s * 1e3:.2f} ms "
           f"({(1 - rt.sua_s / rt.baseline_s) * 100:.1f}% faster)")
     return EXIT_OK
@@ -337,6 +334,9 @@ def main(argv=None) -> int:
     except InfeasibleModelError as e:
         print(f"infeasible model: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except OSError as e:  # --out is a file, lies below one, or is not writable
+        print(f"cannot write outputs: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

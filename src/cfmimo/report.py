@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from cfmimo.scenario import SystemConfig, config_to_dict
+from cfmimo.scenario import SystemConfig
 
 
 def _canonical(value):
@@ -23,7 +23,7 @@ def canonical_json(obj) -> str:
 
 
 def config_digest(config: SystemConfig, seed: int) -> str:
-    payload = canonical_json({"config": config_to_dict(config), "seed": int(seed)})
+    payload = canonical_json({"config": asdict(config), "seed": int(seed)})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -35,13 +35,7 @@ class MetricReport:
     tables: dict            # name -> {"schema": str, "csv": str}
 
     def to_json(self) -> str:
-        doc = {
-            "experiment": self.experiment,
-            "digest": self.digest,
-            "seed": self.seed,
-            "tables": self.tables,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def build_report(experiment: str, config: SystemConfig, seed: int,

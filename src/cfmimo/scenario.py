@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -233,27 +233,14 @@ def _dataclass_from_dict(cls, data: dict, where: str):
 
 def config_from_dict(data: dict) -> SystemConfig:
     data = dict(data)
-    if "pathloss" in data:
-        if not isinstance(data["pathloss"], dict):
-            raise ValidationError("pathloss must be an object")
-        data["pathloss"] = _dataclass_from_dict(PathLossParams, data["pathloss"], "pathloss")
-    if "service_mix" in data:
-        if not isinstance(data["service_mix"], dict):
-            raise ValidationError("service_mix must be an object")
-        data["service_mix"] = _dataclass_from_dict(ServiceMix, data["service_mix"], "service_mix")
+    for key, cls in (("pathloss", PathLossParams), ("service_mix", ServiceMix)):
+        if key in data:
+            if not isinstance(data[key], dict):
+                raise ValidationError(f"{key} must be an object")
+            data[key] = _dataclass_from_dict(cls, data[key], key)
     cfg = _dataclass_from_dict(SystemConfig, data, "scenario")
     cfg.validate()
     return cfg
-
-
-def config_to_dict(config: SystemConfig) -> dict:
-    out = {}
-    for f in fields(SystemConfig):
-        v = getattr(config, f.name)
-        if isinstance(v, (PathLossParams, ServiceMix)):
-            v = {g.name: getattr(v, g.name) for g in fields(v)}
-        out[f.name] = v
-    return out
 
 
 def load_scenario(path: str) -> SystemConfig:
@@ -273,5 +260,5 @@ def load_scenario(path: str) -> SystemConfig:
 
 def save_scenario(config: SystemConfig, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")

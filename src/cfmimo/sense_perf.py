@@ -20,14 +20,13 @@ _SERIES_CUTOFF = 30.0
 
 
 def _i0_asymptotic_scaled(x: float) -> float:
-    # e^{-x} I0(x) ~ (2 pi x)^{-1/2} sum a_k / x^k, truncated where terms stop shrinking
+    # e^{-x} I0(x) ~ (2 pi x)^{-1/2} sum a_k / x^k. Callers pass x > _SERIES_CUTOFF,
+    # where each term ratio (2k-1)^2 / (8kx) is below 0.47 for k < 30, so the
+    # terms shrink throughout; truncated at 29 terms or below 1e-18
     total = 1.0
     term = 1.0
     for k in range(1, 30):
-        factor = (2 * k - 1) ** 2 / (8.0 * k * x)
-        if factor >= 1.0:
-            break
-        term *= factor
+        term *= (2 * k - 1) ** 2 / (8.0 * k * x)
         total += term
         if term < 1e-18:
             break

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfmimo import association, cli
+from cfmimo import association, cli, report
 from cfmimo.scenario import (
     ServiceMix,
     ServiceType,
     SystemConfig,
     ValidationError,
-    config_to_dict,
     generate_deployment,
     load_scenario,
     save_scenario,
@@ -81,7 +81,7 @@ class TestValidateCommand:
         assert cli.main(["validate", path]) == 0
 
     def test_invalid_scenario_exit_2(self, tmp_path):
-        doc = config_to_dict(SystemConfig())
+        doc = asdict(SystemConfig())
         doc["K"] = 500
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -93,7 +93,7 @@ class TestValidateCommand:
         assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
     def test_unknown_key_exit_2(self, tmp_path):
-        doc = config_to_dict(SystemConfig())
+        doc = asdict(SystemConfig())
         doc["mystery"] = 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -102,7 +102,7 @@ class TestValidateCommand:
     def test_removed_sigma_rcs_key_exit_2(self, tmp_path, capsys):
         # the target RCS variance was a field that nothing read; a scenario
         # that still sets it is rejected like any other unknown key
-        doc = config_to_dict(SystemConfig())
+        doc = asdict(SystemConfig())
         doc["sigma_rcs"] = 1.0
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
@@ -114,7 +114,7 @@ class TestValidateCommand:
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", ["associate", "ser", "pd", "netmetrics"])
     def test_scenario_seed_exit_2(self, tmp_path, capsys, command):
-        doc = config_to_dict(SystemConfig(L=12, K=5, X=2, tau_p=3))
+        doc = asdict(SystemConfig(L=12, K=5, X=2, tau_p=3))
         doc["seed"] = -3
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -445,6 +445,21 @@ class TestPd:
         formulas = [float(row.split(",")[3]) for row in rows]
         assert formulas and all(0.0 <= f <= 1.0 for f in formulas)
 
+    def test_pfa_option_equals_scenario_file(self, tmp_path):
+        # --pfa is applied before the one validation, so the report's digest
+        # is that of a scenario file holding the same false-alarm rate
+        path = tmp_path / "pfa.json"
+        save_scenario(SystemConfig(p_fa=0.001, seed=1000), str(path))
+        out = tmp_path / "out"
+        assert cli.main(["pd", "--pfa", "0.001", "--seed", "1000", "--snr", "0:5:5",
+                         "--trials", "200", "--out", str(out)]) == 0
+        digest = json.loads((out / "pd_report.json").read_text())["digest"]
+        assert digest == report.config_digest(load_scenario(str(path)), 1000)
+
+    def test_pfa_out_of_range_exit_2(self, tmp_path, capsys):
+        assert cli.main(["pd", "--pfa", "2", "--out", str(tmp_path / "out")]) == 2
+        assert "p_fa must be in (0, 1)" in capsys.readouterr().err
+
 
 class TestPilotCollisions:
     def test_ser_prints_collisions_per_scheme(self, tmp_path, capsys):
@@ -594,6 +609,18 @@ class TestOutputsPinned:
         for argv in (PD_ARGV, SER_ARGV, SWEEP_ARGV, NET_ARGV, ["report"]):
             assert cli.main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "combined_report.json").read_bytes()).hexdigest() == digest
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_exit_2(self, tmp_path, capsys, below):
+        # --out names an existing file, or a path below one
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert cli.main(["sweep-x", "--out", str(out)]) == 2
+        assert "cannot write outputs: " in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
 
 class TestReportCommand:

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from cfmimo.scenario import (
     SystemConfig,
     ValidationError,
     config_from_dict,
-    config_to_dict,
     generate_deployment,
     load_scenario,
     rng_stream,
@@ -174,10 +173,10 @@ class TestScenarioFile:
         path = tmp_path / "scenario.json"
         save_scenario(cfg, str(path))
         loaded = load_scenario(str(path))
-        assert config_to_dict(loaded) == config_to_dict(cfg)
+        assert asdict(loaded) == asdict(cfg)
 
     def test_unknown_key_rejected(self, tmp_path):
-        doc = config_to_dict(small_config())
+        doc = asdict(small_config())
         doc["bogus_knob"] = 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -185,13 +184,13 @@ class TestScenarioFile:
             load_scenario(str(path))
 
     def test_unknown_nested_key_rejected(self):
-        doc = config_to_dict(small_config())
+        doc = asdict(small_config())
         doc["pathloss"]["exponent"] = 4.0
         with pytest.raises(ValidationError, match="exponent"):
             config_from_dict(doc)
 
     def test_invalid_values_rejected(self, tmp_path):
-        doc = config_to_dict(small_config())
+        doc = asdict(small_config())
         doc["K"] = 99  # K > L
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
