@@ -522,24 +522,26 @@ class TestOptimizerAtScale:
         best = lp_optimum(w, tau_p, X)
         assert abs(rep.objective - best) <= 1e-9 * best
 
-    @pytest.mark.parametrize("seed, kw, digest", [
-        (3000, {}, "3a13a5f51e8e7a85d67c231e622d88416827d6b08d7a846ddb6e07975df29265"),
-        (3001, {}, "1f08029524a0e7b0b3d29b4b0e831b5b44094f14649188dd1824ad96708b86b9"),
-        (3002, {}, "fc348f84c883b2f7cf0ec4ef5072462fbd6f982da04215deb87d454173885fce"),
-        (3003, {}, "8227382fdf866f715960a1cf5efbdfcfd814bb72613e19f068995357e4a82d96"),
-        (11, dict(L=1000, K=300, area_side_m=1581.0, tau_p=3),
+    @pytest.mark.parametrize("seed, kw, searches, repairs, digest", [
+        (3000, {}, 11, 97, "3a13a5f51e8e7a85d67c231e622d88416827d6b08d7a846ddb6e07975df29265"),
+        (3001, {}, 7, 85, "1f08029524a0e7b0b3d29b4b0e831b5b44094f14649188dd1824ad96708b86b9"),
+        (3002, {}, 11, 86, "fc348f84c883b2f7cf0ec4ef5072462fbd6f982da04215deb87d454173885fce"),
+        (3003, {}, 9, 88, "8227382fdf866f715960a1cf5efbdfcfd814bb72613e19f068995357e4a82d96"),
+        (11, dict(L=1000, K=300, area_side_m=1581.0, tau_p=3), 10, 78,
          "ced6b4c3b70b851852445f02ff163867095df39b2faf50e9bddd643d4beecb0a"),
-        (12, dict(L=1000, K=300, area_side_m=1581.0, tau_p=3),
+        (12, dict(L=1000, K=300, area_side_m=1581.0, tau_p=3), 6, 73,
          "42ee5873a32f43e579901afe58bf26a04b5b8de26140413bfdf55bfc949f9ec0"),
     ], ids=["scenario-3000", "scenario-3001", "scenario-3002", "scenario-3003",
             "scenario-L1000", "scenario-L1000-12"])
-    def test_support_pinned(self, seed, kw, digest):
+    def test_support_pinned(self, seed, kw, searches, repairs, digest):
         # sha256 of the int8 support that the solver routing one unit per
         # search returned; real-valued weights leave no tie, so routing
-        # several units per search must reproduce it exactly
+        # several units per search must reproduce it exactly. The search and
+        # repair counts are those of the solver that kept its loads by hand
+        # beside the flow; the same searches must route the same paths.
         S, R, M, tau_p, X = binding_scenario_instance(seed, **kw)
         A, rep = assoc.optimize(S, R, M, tau_p, X)
-        assert 0 < rep.searches < rep.repairs
+        assert (rep.searches, rep.repairs) == (searches, repairs)
         assert hashlib.sha256(A.tobytes()).hexdigest() == digest
 
 

@@ -279,7 +279,8 @@ class TestPilotsAndEstimation:
     @staticmethod
     def _assign_pilots_per_ap_loops(serving_sets, K, tau_p):
         # the rule written as per-AP member lists: UE k avoids the pilots of
-        # the earlier UEs at each of its APs
+        # the earlier UEs at each of its APs. Also returns the number of UE
+        # pairs that share an AP and a pilot, a pair sharing two APs once.
         pilots = np.full(K, -1, dtype=int)
         ap_members = {}
         for k in range(K):
@@ -296,7 +297,9 @@ class TestPilotsAndEstimation:
             pilots[k] = pilot
             for l in serving_sets.get(k, ()):
                 ap_members.setdefault(l, []).append(k)
-        return pilots
+        pairs = {(i, j) for members in ap_members.values() for i in members for j in members
+                 if i < j and pilots[i] == pilots[j]}
+        return pilots, len(pairs)
 
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.int8, st.tuples(st.integers(0, 8), st.integers(0, 12)),
@@ -305,8 +308,9 @@ class TestPilotsAndEstimation:
     def test_pilot_assignment_equals_per_ap_loops(self, A, tau_p):
         K = A.shape[1]
         serving = {k: np.flatnonzero(A[:, k]) for k in range(K)}
-        np.testing.assert_array_equal(channel.assign_pilots(A, tau_p),
-                                      self._assign_pilots_per_ap_loops(serving, K, tau_p))
+        pilots, pairs = self._assign_pilots_per_ap_loops(serving, K, tau_p)
+        np.testing.assert_array_equal(channel.assign_pilots(A, tau_p), pilots)
+        assert channel.pilot_collisions(A, pilots) == pairs
 
     def test_pilot_assignment_edge_cases(self):
         assert channel.assign_pilots(np.zeros((3, 0)), 3).shape == (0,)  # K = 0
