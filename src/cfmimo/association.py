@@ -200,14 +200,18 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
     used = A[e_l, e_k] == 1             # edge carries flow, i.e. a_lk = 1
     _, starts, e_u = np.unique(e_k, return_index=True, return_inverse=True)
     L, U, E = w.shape[0], starts.size, e_k.size
-    col_used = np.add.reduceat(used.astype(int), starts)
     theta = np.minimum.reduceat(np.where(used, e_w, np.inf), starts)
-    pi_ue = np.where(col_used == X, -theta, 0.0)
+    pi_ue = np.where(np.add.reduceat(used.astype(int), starts) == X, -theta, 0.0)
     pi_ap = np.zeros(L)
     edge_ap, edge_ue = e_l.tolist(), e_u.tolist()
 
-    routed = searches = 0
-    while routed < D:
+    searches = 0
+    while True:
+        row_used = np.bincount(e_l[used], minlength=L)
+        col_used = np.add.reduceat(used.astype(int), starts)
+        over = np.flatnonzero(row_used > tau_p)
+        if over.size == 0:
+            break
         searches += 1
         # Label-correcting shortest paths on the residual graph from the
         # source, which reaches the APs with spare capacity and the UEs
@@ -246,7 +250,6 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
 
         # Every overfilled AP holds a link of a source UE, so it is reached;
         # the nearest is always routed, so every search makes progress.
-        over = np.flatnonzero(row_used > tau_p)
         sinks = over[np.argsort(dist_ap[over], kind="stable")].tolist()
         par_ap, par_ue = parent_ap.tolist(), parent_ue.tolist()
         taken_ap, taken_ue = set(), set()
@@ -268,14 +271,8 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
                 continue
             taken_ap.update(aps)
             taken_ue.update(ues)
-            if len(aps) > len(ues):
-                row_used[aps[-1]] += 1  # an AP with spare capacity takes a UE
-            else:
-                col_used[ues[-1]] -= 1  # a UE drops a link
             used[path] = ~used[path]
-            row_used[sink] -= 1
             d_max = dist_ap[sink]
-            routed += 1
         pi_ap += np.minimum(dist_ap, d_max)
         pi_ue += np.minimum(dist_ue, d_max)
     A[e_l, e_k] = used                  # every link A holds is eligible

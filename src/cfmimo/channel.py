@@ -216,22 +216,25 @@ def mmse_estimate(R, tau_p: int, pilots, l_idx, k_idx):
     return B, lam[at, slot], np.swapaxes(U, -1, -2).conj()
 
 
-def assign_pilots(A, tau_p: int) -> np.ndarray:
+def assign_pilots(A, tau_p: int) -> tuple[np.ndarray, int]:
     """Round-robin pilots, avoiding collisions among UEs served by a common AP
-    in the (L, K) association A.
+    in the (L, K) association A, and the number of collisions: UE pairs that
+    share a pilot and a serving AP.
 
     UE k, in index order, takes the first of the pilots k, k+1, ... (mod
     tau_p) that no earlier UE sharing an AP with it uses; a UE with no
     serving AP shares none. With each AP serving at most tau_p UEs a
     collision-free choice usually exists; if every pilot is taken the
-    round-robin default k mod tau_p stands.
+    round-robin default k mod tau_p stands, shared with some earlier UEs.
     """
     served = (np.asarray(A) == 1).astype(float)
     shares_ap = served.T @ served > 0
     K = shares_ap.shape[0]
     pilots = np.full(K, -1, dtype=int)
+    collisions = 0
     for k in range(K):
-        used = set(pilots[:k][shares_ap[k, :k]].tolist())
+        others = pilots[:k][shares_ap[k, :k]].tolist()
+        used = set(others)
         pilot = k % tau_p
         for step in range(tau_p):
             cand = (k + step) % tau_p
@@ -239,16 +242,8 @@ def assign_pilots(A, tau_p: int) -> np.ndarray:
                 pilot = cand
                 break
         pilots[k] = pilot
-    return pilots
-
-
-def pilot_collisions(A, pilots) -> int:
-    """Number of UE pairs that use the same pilot and share a serving AP in
-    the (L, K) association A."""
-    served = (np.asarray(A) == 1).astype(float)
-    pilots = np.asarray(pilots)
-    shares = np.triu(served.T @ served > 0, 1)
-    return int(np.count_nonzero(shares & (pilots[:, None] == pilots[None, :])))
+        collisions += others.count(pilot)
+    return pilots, collisions
 
 
 # --- sensing: clutter geometry and lobe returns ------------------------------

@@ -62,10 +62,12 @@ def parse_db_range(text: str) -> np.ndarray:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for sample and repetition counts: an int >= 1."""
+    """argparse type for counts: an int >= 1 whose (2, count) float64 sample array numpy can size."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > np.iinfo(np.intp).max // 16:
+        raise argparse.ArgumentTypeError(f"too large for a sample array, got {value}")
     return value
 
 
@@ -111,12 +113,17 @@ def _deployment_state(deployment, cfg):
     return channel.link_budget(deployment, cfg), channel.clutter_geometry(deployment, cfg.pathloss)
 
 
-def _association_matrices(deployment, cfg, schemes, budget, geom):
-    """Association matrix per scheme. The baseline's is all ones whatever the
-    link metrics, so it skips `run_baseline`'s all-link evaluation."""
-    return {s: association.run_sua(deployment, cfg, budget, geom).A if s == "sua"
-            else association.baseline_all_to_all(deployment.L, deployment.K)
-            for s in schemes}
+def _setup(args, schemes):
+    """Config, deployment, link budget, clutter geometry and the association
+    matrix of SUA and of each of `schemes`; the baseline's is all ones, so it
+    skips `run_baseline`'s all-link evaluation."""
+    cfg = _load_config(args)
+    deployment = generate_deployment(cfg)
+    budget, geom = _deployment_state(deployment, cfg)
+    assocs = {s: association.run_sua(deployment, cfg, budget, geom).A if s == "sua"
+              else association.baseline_all_to_all(deployment.L, deployment.K)
+              for s in dict.fromkeys(("sua", *schemes))}
+    return cfg, deployment, budget, geom, assocs
 
 
 def cmd_validate(args) -> int:
@@ -153,18 +160,14 @@ def cmd_associate(args) -> int:
 
 
 def cmd_ser(args) -> int:
-    cfg = _load_config(args)
-    deployment = generate_deployment(cfg)
     schemes = _schemes(args)
-    budget, geom = _deployment_state(deployment, cfg)
-    assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
+    cfg, deployment, budget, geom, assocs = _setup(args, schemes)
     del geom
     grid = parse_db_range(args.snr)
-    constel = comm_perf.constellation(args.mod)
     pts = comm_perf.ser_monte_carlo(
-        deployment, cfg, {s: assocs[s] for s in schemes}, constel, grid, args.symbols,
-        cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
-    n, mod = len(grid), constel.name.lower()
+        deployment, cfg, {s: assocs[s] for s in schemes}, comm_perf.CONSTELLATIONS[args.mod],
+        grid, args.symbols, cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
+    n, mod = len(grid), args.mod
     by_scheme = {s: pts[i * n:(i + 1) * n] for i, s in enumerate(schemes)}
     _write_outputs(args.out, "ser", cfg,
                    {f"ser_{s}.csv": comm_perf.ser_csv({s: by_scheme[s]}, mod) for s in schemes},
@@ -176,11 +179,8 @@ def cmd_ser(args) -> int:
 
 
 def cmd_pd(args) -> int:
-    cfg = _load_config(args)
-    deployment = generate_deployment(cfg)
     schemes = _schemes(args)
-    budget, geom = _deployment_state(deployment, cfg)
-    assocs = _association_matrices(deployment, cfg, set(schemes) | {"sua"}, budget, geom)
+    cfg, deployment, budget, geom, assocs = _setup(args, schemes)
     grid = parse_db_range(args.snr)
     all_points, scale = sense_perf.pd_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, assocs["sua"], grid, args.trials,
@@ -210,10 +210,7 @@ def cmd_sweep_x(args) -> int:
 
 
 def cmd_netmetrics(args) -> int:
-    cfg = _load_config(args)
-    deployment = generate_deployment(cfg)
-    budget, geom = _deployment_state(deployment, cfg)
-    assocs = _association_matrices(deployment, cfg, ("sua", "baseline"), budget, geom)
+    cfg, deployment, budget, geom, assocs = _setup(args, ("baseline",))
     delays, energies, clutters = {}, {}, {}
     for scheme, A in assocs.items():
         delays[scheme] = net_metrics.transmission_delay(budget, A)
@@ -231,7 +228,7 @@ def cmd_netmetrics(args) -> int:
     files["netmetrics_runtime.csv"] = net_metrics.runtime_csv(rt)
     _write_outputs(args.out, "netmetrics", cfg, files, tables)
     print(f"netmetrics: sua runtime {rt.sua_s * 1e3:.2f} ms vs baseline {rt.baseline_s * 1e3:.2f} ms "
-          f"({(1 - rt.sua_s / rt.baseline_s) * 100:.1f}% faster)")
+          f"(speed-up {rt.baseline_s / rt.sua_s:.2f}x)")
     return EXIT_OK
 
 
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default="0:2:20",
                    help="SNR grid a:step:b in dB: the SNR of a link with the median "
                         "gain over SUA's serving links, for every scheme")
-    p.add_argument("--mod", choices=("bpsk", "qpsk"), default="qpsk")
+    p.add_argument("--mod", choices=comm_perf.CONSTELLATIONS, default="qpsk")
     p.add_argument("--symbols", type=positive_int, default=100000)
     p.add_argument("--perfect-csi", action="store_true")
     p.set_defaults(func=cmd_ser)
@@ -337,6 +334,9 @@ def main(argv=None) -> int:
     except OSError as e:  # --out is a file, lies below one, or is not writable
         print(f"cannot write outputs: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

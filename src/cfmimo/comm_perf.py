@@ -24,35 +24,18 @@ from cfmimo.scenario import (
 
 @dataclass
 class Constellation:
-    name: str
-    points: np.ndarray  # unit average energy
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=complex)
-        energy = float(np.mean(np.abs(self.points) ** 2))
-        if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"constellation {self.name} mean energy {energy!r} != 1")
-        diffs = [abs(a - b) for i, a in enumerate(self.points) for b in self.points[i + 1:]]
-        if min(diffs) <= 0:
-            raise ValueError(f"constellation {self.name} has coincident points")
+    points: np.ndarray  # complex, unit average energy
 
     @property
     def M(self) -> int:
         return len(self.points)
 
 
-BPSK = Constellation("BPSK", np.array([1.0, -1.0]))
+BPSK = Constellation(np.array([1.0 + 0j, -1.0 + 0j]))
 # Gray-labelled QPSK, unit symbol energy
-QPSK = Constellation("QPSK", np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0))
+QPSK = Constellation(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0))
 
-_BY_NAME = {"bpsk": BPSK, "qpsk": QPSK}
-
-
-def constellation(name: str) -> Constellation:
-    try:
-        return _BY_NAME[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown modulation {name!r} (expected bpsk or qpsk)") from None
+CONSTELLATIONS = {"bpsk": BPSK, "qpsk": QPSK}
 
 
 def q_exact(x):
@@ -140,7 +123,7 @@ class SerPoint:
     the cluster-robust half-width with one cluster per coherence block, which
     holds every data UE's symbols of one fading draw, so it also covers the
     fading. pilot_collisions counts the UE pairs that share a pilot and a
-    serving AP (see `channel.pilot_collisions`)."""
+    serving AP (see `channel.assign_pilots`)."""
 
     snr_db: float
     ser_theory: float
@@ -196,13 +179,12 @@ SER_BLOCK_STREAM = 93000
 
 @dataclass
 class _SchemeLinks:
-    """The per-call state of one scheme: the APs that serve a data UE and their
-    positions among the call's APs; per serving link, the position of its AP
-    among the scheme's APs, its UE, its row of the stacked (data UEs x the
-    scheme's APs) combiners and its row of the stacked (pilots x the scheme's
-    APs) pilot observations; the pilots and the pilot collisions."""
+    """The per-call state of one scheme: the positions among the call's APs
+    of its APs, those serving a data UE; per serving link, the position of
+    its AP among the scheme's APs, its UE, its row of the stacked (data UEs
+    x the scheme's APs) combiners and its row of the stacked (pilots x the
+    scheme's APs) pilot observations; the pilots and the pilot collisions."""
 
-    aps: np.ndarray
     pos: np.ndarray
     link_at: np.ndarray
     link_ue: np.ndarray
@@ -276,10 +258,10 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     for A, (ue, ap) in zip(served, links):
         s_aps, at = np.unique(ap, return_inverse=True)
         k = data_ues[ue]
-        pilots = channel.assign_pilots(A, tau_p)
-        schemes.append(_SchemeLinks(s_aps, np.searchsorted(aps, s_aps), at, k,
+        pilots, collisions = channel.assign_pilots(A, tau_p)
+        schemes.append(_SchemeLinks(np.searchsorted(aps, s_aps), at, k,
                                     ue * s_aps.size + at, pilots[k] * s_aps.size + at,
-                                    pilots, channel.pilot_collisions(A, pilots)))
+                                    pilots, collisions))
     C, C_sqrt = channel.link_correlations(deployment, config, aps)
     sqrt_g = np.sqrt(g[aps] / 2.0)[..., None]
     # under local scattering C is scaled in place into the correlations g_lk C_lk
@@ -298,7 +280,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
         nsym = min(sym_per_block, n_symbols - start)
         rng = rng_stream(seed, "mc", SER_BLOCK_STREAM, block)
         w = _unit_complex(rng, (L, K, N))[aps]
-        pilot_noise = _unit_complex(rng, (tau_p, L, N))
+        pilot_noise = _unit_complex(rng, (tau_p, L, N))[:, aps]
         idx = rng.integers(0, constel.M, (n_data, nsym))
         out_noise = _unit_complex(rng, (n_data, nsym))
         h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
@@ -340,10 +322,11 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
                   constel: Constellation, sigma2s, data_ues, tau_p: int) -> np.ndarray:
     """Symbol errors of one scheme in one coherence block at each noise
     variance of `sigma2s`, from the block's draws (see `ser_monte_carlo`): h
-    holds the channels (APs, K, N) from the call's APs, idx the symbols.
-    `factors` holds the `channel.mmse_estimate` factors of the scheme's
-    serving links, or is None for perfect CSI, where each link's estimate is
-    its channel. The link estimates are scattered into the stacked combiners."""
+    (APs, K, N) and pilot_noise (tau_p, APs, N) over the call's APs, idx the
+    symbols. `factors` holds the `channel.mmse_estimate` factors of the
+    scheme's serving links, or is None for perfect CSI, where each link's
+    estimate is its channel. The link estimates are scattered into the
+    stacked combiners."""
     h_s = h if s.pos.size == h.shape[0] else h[s.pos]
     H = h_s.transpose(1, 0, 2)[data_ues]
     x = constel.points[idx]
@@ -353,7 +336,7 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
         Gx, v_norm2 = _combined_signal(V, H, x)
     else:
         B, lam, U_h = factors
-        y_p = channel.pilot_rx(h_s, tau_p, s.pilots, pilot_noise[:, s.aps], sigma2s)
+        y_p = channel.pilot_rx(h_s, tau_p, s.pilots, pilot_noise[:, s.pos], sigma2s)
         y_p = y_p.reshape(len(sigma2s), -1, y_p.shape[-1])
     errors = np.zeros(len(sigma2s), dtype=np.int64)
     for j, sigma2 in enumerate(sigma2s):

@@ -146,6 +146,16 @@ class SystemConfig:
             raise ValidationError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
         if self.clutter_density_per_km2 < 0:
             raise ValidationError(f"clutter_density_per_km2 must be >= 0, got {self.clutter_density_per_km2}")
+        try:
+            scatterers = self.clutter_density_per_km2 * (self.area_side_m / 1000.0) ** 2
+        except OverflowError:
+            raise ValidationError(f"area_side_m {self.area_side_m} overflows the area in km^2") from None
+        if scatterers > np.iinfo(np.intp).max // 16:  # numpy sizes (scatterers, 2) float64 positions
+            raise ValidationError(f"clutter_density_per_km2 * area_side_m^2 gives {scatterers:.3g} scatterers, too many")
+        try:
+            self.noise_power_w()
+        except OverflowError:
+            raise ValidationError(f"noise_figure_db {self.noise_figure_db} overflows the noise power") from None
         if self.sigma_c2 < 0:
             raise ValidationError(f"sigma_c2 must be >= 0, got {self.sigma_c2}")
         if self.correlation_model not in ("identity", "local_scattering"):

@@ -272,7 +272,7 @@ class TestPilotsAndEstimation:
 
     def test_pilot_assignment_round_robin_and_collision_free(self):
         A = np.array([[1, 1, 1, 0], [0, 0, 0, 1]])
-        pilots = channel.assign_pilots(A, 3)
+        pilots, _ = channel.assign_pilots(A, 3)
         assert len(set(pilots[:3])) == 3  # UEs sharing AP 0 get distinct pilots
         assert pilots[3] == 0  # round-robin default
 
@@ -309,33 +309,36 @@ class TestPilotsAndEstimation:
         K = A.shape[1]
         serving = {k: np.flatnonzero(A[:, k]) for k in range(K)}
         pilots, pairs = self._assign_pilots_per_ap_loops(serving, K, tau_p)
-        np.testing.assert_array_equal(channel.assign_pilots(A, tau_p), pilots)
-        assert channel.pilot_collisions(A, pilots) == pairs
+        got, collisions = channel.assign_pilots(A, tau_p)
+        np.testing.assert_array_equal(got, pilots)
+        assert collisions == pairs
 
     def test_pilot_assignment_edge_cases(self):
-        assert channel.assign_pilots(np.zeros((3, 0)), 3).shape == (0,)  # K = 0
-        np.testing.assert_array_equal(channel.assign_pilots(np.zeros((0, 4)), 3),  # L = 0
+        assert channel.assign_pilots(np.zeros((3, 0)), 3)[0].shape == (0,)  # K = 0
+        np.testing.assert_array_equal(channel.assign_pilots(np.zeros((0, 4)), 3)[0],  # L = 0
                                       [0, 1, 2, 0])
-        np.testing.assert_array_equal(channel.assign_pilots([[0, 0], [1, 1]], 1), [0, 0])
+        np.testing.assert_array_equal(channel.assign_pilots([[0, 0], [1, 1]], 1)[0], [0, 0])
 
     def test_pilot_fallback_keeps_round_robin(self):
         # three UEs at one AP and two pilots: UE 2 finds both taken and keeps
         # 2 mod 2; UE 3, alone at AP 1, is free to take its own 3 mod 2
         A = np.array([[1, 1, 1, 0], [0, 0, 0, 1]])
-        pilots = channel.assign_pilots(A, 2)
+        pilots, collisions = channel.assign_pilots(A, 2)
         np.testing.assert_array_equal(pilots, [0, 1, 0, 1])
-        assert channel.pilot_collisions(A, pilots) == 1  # only (0, 2) share an AP
+        assert collisions == 1  # only (0, 2) share an AP
         # five UEs at one AP and three pilots: UEs 3 and 4 fall back to 0 and 1
-        pilots = channel.assign_pilots(np.ones((1, 5)), 3)
+        pilots, collisions = channel.assign_pilots(np.ones((1, 5)), 3)
         np.testing.assert_array_equal(pilots, [0, 1, 2, 0, 1])
-        assert channel.pilot_collisions(np.ones((1, 5)), pilots) == 2
+        assert collisions == 2
 
     def test_pilot_collisions_count_pairs_once(self):
-        # UEs 0 and 1 share two APs and one pilot: one pair
-        A = np.array([[1, 1, 0], [1, 1, 1]])
-        assert channel.pilot_collisions(A, [0, 0, 1]) == 1
-        assert channel.pilot_collisions(A, [0, 0, 0]) == 3
-        assert channel.pilot_collisions(np.eye(3), [0, 0, 0]) == 0  # no shared AP
+        # one pilot: UEs 0 and 1 share two APs, one pair; UE 2 shares AP 1
+        # with both
+        assert channel.assign_pilots([[1, 1], [1, 1]], 1)[1] == 1
+        assert channel.assign_pilots([[1, 1, 0], [1, 1, 1]], 1)[1] == 3
+        # two pilots: UE 2 finds both taken at AP 1 and keeps 2 mod 2, UE 0's
+        assert channel.assign_pilots([[1, 1, 0], [1, 1, 1]], 2)[1] == 1
+        assert channel.assign_pilots(np.eye(3), 1)[1] == 0  # no shared AP
 
     def test_identity_scalars_equal_solve_with_identity(self):
         # the UEs' pilot powers folded into the gains
@@ -456,7 +459,7 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
     g = gain / float(np.median(gain[np.asarray(reference) == 1]))
     data_ues = dep.ue_indices(ServiceType.COM, ServiceType.JCAS)
     aps = np.flatnonzero(A[:, data_ues].any(axis=1))
-    pilots = channel.assign_pilots(A, cfg.tau_p)
+    pilots, _ = channel.assign_pilots(A, cfg.tau_p)
     C, C_sqrt = channel.link_correlations(dep, cfg, aps)
     serves = A[np.ix_(aps, data_ues)][..., None]
     sym_per_block = max(1, cfg.tau_c - cfg.tau_p)

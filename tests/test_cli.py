@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfmimo import association, cli, report
+from cfmimo import association, cli, net_metrics, report
 from cfmimo.scenario import (
     ServiceMix,
     ServiceType,
@@ -92,6 +92,20 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 2
         assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("field,value", [("area_side_m", 1e200),
+                                             ("clutter_density_per_km2", 1e300),
+                                             ("noise_figure_db", 1e308)])
+    def test_out_of_range_scenario_exit_2(self, tmp_path, capsys, field, value):
+        # finite values whose deployment area, scatterer count or noise power
+        # leaves the range of a float or of an array: rejected by name
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**asdict(SystemConfig(L=12, K=5, X=2, tau_p=3)), field: value}))
+        assert cli.main(["validate", str(path)]) == 2
+        for command in ("associate", "ser", "pd", "netmetrics"):
+            assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(field) == 5 and "Traceback" not in err
+
     def test_unknown_key_exit_2(self, tmp_path):
         doc = asdict(SystemConfig())
         doc["mystery"] = 1
@@ -163,6 +177,26 @@ class TestSampleCounts:
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
         assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
+    def test_count_beyond_array_size_exit_2(self, tmp_path, capsys):
+        # numpy cannot size a (2, 10^19) sample array: rejected before any work
+        path = small_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pd", "--scenario", path, "--out", str(tmp_path),
+                      "--trials", "10000000000000000000"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli.sense_perf, "pd_monte_carlo", no_memory)
+        path = small_scenario(tmp_path)
+        assert cli.main(["pd", "--scenario", path, "--out", str(tmp_path),
+                         "--trials", "10"]) == 3
+        assert "out of memory: Unable to allocate 8.00 EiB" in capsys.readouterr().err
 
 
 class TestDeploymentStateBuiltOnce:
@@ -526,6 +560,14 @@ class TestNetmetrics:
         assert rc == 0
         for name in ("delay", "energy", "clutter", "runtime"):
             assert (out / f"netmetrics_{name}.csv").exists()
+
+    def test_slower_sua_printed_as_speed_up_below_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.net_metrics, "association_runtime",
+                            lambda *a, **kw: net_metrics.RuntimeResult(0.73e-3, 0.26e-3, 1))
+        path = small_scenario(tmp_path)
+        assert cli.main(["netmetrics", "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ("netmetrics: sua runtime 0.73 ms vs baseline "
+                                           "0.26 ms (speed-up 0.36x)\n")
 
 
 PD_ARGV = ["pd", "--snr", "0:5:15", "--trials", "2000"]

@@ -37,14 +37,13 @@ class TestConstellations:
     def test_sizes(self):
         assert BPSK.M == 2 and QPSK.M == 4
 
-    def test_lookup(self):
-        assert comm_perf.constellation("QPSK") is QPSK
-        with pytest.raises(ValueError):
-            comm_perf.constellation("8psk")
+    @pytest.mark.parametrize("constel", [BPSK, QPSK])
+    def test_distinct_points(self, constel):
+        pts = constel.points
+        assert np.abs(pts[:, None] - pts[None, :])[~np.eye(constel.M, dtype=bool)].min() > 0
 
-    def test_bad_constellation_rejected(self):
-        with pytest.raises(ValueError):
-            comm_perf.Constellation("bad", np.array([2.0, -2.0]))
+    def test_lookup(self):
+        assert comm_perf.CONSTELLATIONS["bpsk"] is BPSK and comm_perf.CONSTELLATIONS["qpsk"] is QPSK
 
 
 def _mgf_gamma(t, alphas, delta, N):

@@ -190,12 +190,16 @@ class TestScenarioFile:
             config_from_dict(doc)
 
     def test_invalid_values_rejected(self, tmp_path):
-        doc = asdict(small_config())
-        doc["K"] = 99  # K > L
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError):
-            load_scenario(str(path))
+        # K > L; then an area, a scatterer count and a noise power beyond the
+        # range of a float or of an array, each named in the message
+        for key, value in (("K", 99), ("area_side_m", 1e200), ("clutter_density_per_km2", 1e300),
+                           ("noise_figure_db", 1e308)):
+            doc = asdict(small_config())
+            doc[key] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match=key):
+                load_scenario(str(path))
 
     @given(st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=6))
     @example({"seed": -1})
