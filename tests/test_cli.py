@@ -178,7 +178,6 @@ class TestSampleCounts:
         assert option in capsys.readouterr().err
         assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
-
     def test_count_beyond_array_size_exit_2(self, tmp_path, capsys):
         # numpy cannot size a (2, 10^19) sample array: rejected before any work
         path = small_scenario(tmp_path)
