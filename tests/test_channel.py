@@ -817,3 +817,88 @@ class TestClutterReturnsOracle:
         expected = lobe_oracle(dep, cfg, 0, 0, 10.0)[1]
         assert expected == 2 * 15  # 15 of 24 bearings lie within 2 rad, at two radii
         self.check_counts(dep, cfg, [(0, 0, 10.0)], [expected])
+
+
+def parent_rule_returns(dep, cfg, geom, links, dense):
+    """Power and count of each link (l, k, link_dist) under the trigonometric
+    lobe rule cos(arctan2)*ux + sin(arctan2)*uy >= cos(half-angle) and
+    d <= reach, summed in the order of one pass of `clutter_returns`: the
+    cell order of `geom` through np.bincount for the grid pass, the full row
+    in scatterer order for the dense pass."""
+    cos_half = math.cos(channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
+    scat = dep.scatterer_pos if dense else geom.xy.T
+    power, count = [], []
+    for l, k, link_dist in links:
+        ap = dep.ap_pos[l]
+        to_ue = np.arctan2(*(dep.ue_pos[k] - ap)[::-1])
+        ux, uy = np.cos(to_ue), np.sin(to_ue)
+        dx = np.ascontiguousarray(scat[:, 0] - ap[0])
+        dy = np.ascontiguousarray(scat[:, 1] - ap[1])
+        ang = np.arctan2(dy, dx)
+        d = np.maximum(np.sqrt(dx * dx + dy * dy), cfg.pathloss.d0_m)
+        hit = (np.cos(ang) * ux + np.sin(ang) * uy >= cos_half)
+        hit &= d <= channel.CLUTTER_RANGE_FACTOR * link_dist
+        if dense:
+            returns = channel.db_to_lin(-2.0 * channel.path_loss_db(cfg.pathloss, d))
+            total = (returns * hit).sum()
+        else:
+            returns = channel.db_to_lin(-2.0 * channel.path_loss_db(cfg.pathloss, d[hit]))
+            total = np.bincount(np.zeros(returns.size, dtype=np.intp), returns, minlength=1)[0]
+        power.append(total)
+        count.append(int(np.count_nonzero(hit)))
+    return np.array(power) * (cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm))), count
+
+
+class TestLobeEdgeBand:
+    """Scatterers on and within 1e-9 of the lobe's edges, where a dot-product
+    test alone cannot decide: both passes agree exactly with the
+    trigonometric rule, and those scatterers reach `_bearing`."""
+
+    @staticmethod
+    def edge_deployment(n_antennas, phi_ue):
+        ap = np.array([3.0, -2.0])
+        half = channel.BEAM_HALF_ANGLE_FACTOR / n_antennas
+        angles = []
+        for edge in (phi_ue - half, phi_ue + half):
+            angles += [edge, edge - 1e-12, edge + 1e-12]
+            for n_ulp in (1, 2, 4):
+                up = down = edge
+                for _ in range(n_ulp):
+                    up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                angles += [up, down]
+        angles = np.array(angles)
+        scat = np.concatenate([ap + r * np.column_stack([np.cos(angles), np.sin(angles)])
+                               for r in (0.7, 5.0, 11.0)])
+        # one on the AP itself, one on the range edge 12 m along x and one just past it
+        scat = np.concatenate([scat, [ap, ap + [12.0, 0.0], [np.nextafter(15.0, 16.0), -2.0]]])
+        ue = ap + 10.0 * np.array([math.cos(phi_ue), math.sin(phi_ue)])
+        return make_deployment([ap], [ue], scat)
+
+    @pytest.mark.parametrize("n_antennas, phi_ue", [(4, 0.3), (8, -2.9), (1, 1.0), (4, -0.2)])
+    @pytest.mark.parametrize("route", [ALL_GRID, ALL_DENSE], ids=["grid", "dense"])
+    def test_edges_match_trigonometric_rule(self, monkeypatch, n_antennas, phi_ue, route):
+        dep = self.edge_deployment(n_antennas, phi_ue)
+        cfg = SystemConfig(N=n_antennas)
+        link_dist = float(np.sqrt(np.sum((dep.ue_pos[0] - dep.ap_pos[0]) ** 2)))
+        links = [(0, 0, 10.0), (0, 0, 6.0), (0, 0, link_dist)]
+        seen = set()
+
+        def spied(dx, dy, _fn=channel._bearing):
+            seen.update(zip(np.ravel(dx).tolist(), np.ravel(dy).tolist()))
+            return _fn(dx, dy)
+        monkeypatch.setattr(channel, "_bearing", spied)
+        power, count = routed_returns(route, dep, cfg, *(np.array(v) for v in zip(*links)))
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        ref_power, ref_count = parent_rule_returns(dep, cfg, geom, links, route == ALL_DENSE)
+        assert count.tolist() == ref_count
+        assert power.tolist() == ref_power.tolist()
+        assert min(ref_count) > 0
+        # every offset within the 1e-9 band of an edge, and the zero offset,
+        # went through the trigonometric test
+        cos_half = math.cos(channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
+        ux, uy = channel._bearing(*(dep.ue_pos[0] - dep.ap_pos[0]))
+        off = dep.scatterer_pos - dep.ap_pos[0]
+        norm = np.sqrt(np.sum(off * off, axis=1))
+        band = np.abs(off @ [ux, uy] - cos_half * norm) <= 1e-9 * norm
+        assert np.count_nonzero(band) > 12 * 3
+        assert set(map(tuple, off[band].tolist())) <= seen
