@@ -33,24 +33,22 @@ def link_quality(deployment: Deployment, config: SystemConfig,
 
     Only the unmasked links (mask_m == 1) are evaluated, clutter included:
     the sparsity that drives the pipeline's complexity advantage. The
-    all-to-all baseline passes a mask of ones.
+    all-to-all baseline passes a mask of ones. The received power is
+    converted to W only on the evaluated links.
     """
     evaluate = np.asarray(mask_m) == 1
-
     n0 = config.noise_power_w()
-    p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
-    snr = p_r_w / n0
-
     S = np.zeros(evaluate.shape)
     svc = np.asarray(deployment.ue_service)[None, :]
     com = evaluate & (svc == ServiceType.COM)
-    S[com] = snr[com]
+    S[com] = channel.dbm_to_watts(budget.rssi_dbm[com]) / n0
     l_idx, k_idx = np.nonzero(evaluate & (svc != ServiceType.COM))
     pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                     budget.distance_m[l_idx, k_idx])
-    scnr = p_r_w[l_idx, k_idx] / (pc + n0)
+    p_r_w = channel.dbm_to_watts(budget.rssi_dbm[l_idx, k_idx])
+    scnr = p_r_w / (pc + n0)
     sense = svc[0, k_idx] == ServiceType.SENSE
-    S[l_idx, k_idx] = np.where(sense, scnr, config.w_c * snr[l_idx, k_idx] + config.w_s * scnr)
+    S[l_idx, k_idx] = np.where(sense, scnr, config.w_c * (p_r_w / n0) + config.w_s * scnr)
     return S
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,9 +262,10 @@ class ClutterGeometry:
     takes four lookups.
 
     The dense pass of `clutter_returns` works on per-(AP, scatterer) rows in
-    the original scatterer order: distance, bearing cosine and sine, and the
-    two-way gain. `_dense_rows` builds each AP's row on first use and caches
-    it in the `row_*` arrays, which are allocated at the first dense use.
+    the original scatterer order: distance, the unit AP -> scatterer offset
+    (see `_unit_offset`) and the two-way gain. `_dense_rows` builds each
+    AP's row on first use and caches it in the `row_*` arrays, which are
+    allocated at the first dense use.
     """
 
     pathloss: PathLossParams
@@ -275,8 +277,8 @@ class ClutterGeometry:
     cell_prefix: np.ndarray   # (rows + 1, columns + 1)
     row_built: np.ndarray | None = None
     row_dist: np.ndarray | None = None
-    row_cos: np.ndarray | None = None
-    row_sin: np.ndarray | None = None
+    row_ux: np.ndarray | None = None
+    row_uy: np.ndarray | None = None
     row_return: np.ndarray | None = None
 
 
@@ -310,17 +312,49 @@ def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> Clutte
 
 
 # Both passes of `clutter_returns` take the distance and the bearing of an
-# AP -> scatterer offset (dx, dy) from these two functions, so a lobe test
-# sees the same numbers whichever pass runs it.
+# AP -> scatterer offset (dx, dy) from these functions, and share one lobe
+# rule. The exact test is cos(phi_s) * ux + sin(phi_s) * uy >= cos(half-angle),
+# with phi_s the `_bearing` of the offset and (ux, uy) the link's direction.
+# Where the offset's norm is a normal float, (dx, dy) / norm is the direction
+# cosine to within a few ulp, and so is its dot product with (ux, uy): a
+# product more than 1e-9 above cos(half-angle) is a hit and one more than
+# 1e-9 below it a miss, as the exact test would decide. Only the offsets in
+# that band, and those whose norm is 0, subnormal or infinite, run `_bearing`
+# and the exact test.
+
+_NORMAL_NORM = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+
 
 def _distance(dx, dy):
-    return np.sqrt(dx * dx + dy * dy)
+    sq = dx * dx
+    sq += dy * dy
+    return np.sqrt(sq, out=sq)
 
 
 def _bearing(dx, dy):
     """Cosine and sine of the bearing; arctan2 gives a zero offset the bearing 0."""
     ang = np.arctan2(dy, dx)
     return np.cos(ang), np.sin(ang)
+
+
+def _normal(norm):
+    """Where the norm of an offset is a normal float: its squares neither
+    underflowed nor overflowed, so the norm is exact to a few ulp."""
+    ok = norm >= _NORMAL_NORM[0]
+    ok &= norm <= _NORMAL_NORM[1]
+    return ok
+
+
+def _unit_offset(dx, dy, norm):
+    """(dx, dy) / norm, written over dx and dy; where the norm is not normal,
+    the `_bearing` cosine and sine instead, so (1, 0) at a zero offset."""
+    ok = _normal(norm)
+    odd = ~ok
+    bearing = _bearing(dx[odd], dy[odd])
+    np.divide(dx, norm, out=dx, where=ok)
+    np.divide(dy, norm, out=dy, where=ok)
+    dx[odd], dy[odd] = bearing
+    return dx, dy
 
 
 def _two_way_gain(pathloss: PathLossParams, d):
@@ -333,14 +367,15 @@ def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: np.ndarray):
     if geom.row_built is None:
         shape = (deployment.L, geom.xy.shape[1])
         geom.row_built = np.zeros(deployment.L, dtype=bool)
-        geom.row_dist, geom.row_cos, geom.row_sin, geom.row_return = (
+        geom.row_dist, geom.row_ux, geom.row_uy, geom.row_return = (
             np.empty(shape) for _ in range(4))
     scat, ap = deployment.scatterer_pos, deployment.ap_pos[aps]
     dx = scat[None, :, 0] - ap[:, 0, None]
     dy = scat[None, :, 1] - ap[:, 1, None]
-    d = np.maximum(_distance(dx, dy), geom.pathloss.d0_m)
+    norm = _distance(dx, dy)
+    geom.row_ux[aps], geom.row_uy[aps] = _unit_offset(dx, dy, norm)
+    d = np.maximum(norm, geom.pathloss.d0_m, out=norm)
     geom.row_dist[aps] = d
-    geom.row_cos[aps], geom.row_sin[aps] = _bearing(dx, dy)
     geom.row_return[aps] = _two_way_gain(geom.pathloss, d)
     geom.row_built[aps] = True
 
@@ -392,13 +427,16 @@ def _sector_cells(geom: ClutterGeometry, apex, ux, uy, reach, half_angle: float)
 def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     """Lobe test of each link against the scatterers in its sector's cells.
 
-    A candidate first passes the exact range test and a dot-product bearing
-    test with a 1e-9 margin, which rejects only scatterers that the exact
-    bearing test rejects too; the trigonometric test then runs on the
-    survivors. Returns the summed two-way returns of the hits (in cell order)
-    and the hit count per link.
+    The candidates of each link are one run of scatterers in cell order, so
+    the link's apex, direction and reach repeat over its run. A candidate
+    passes the exact range test and the band rule shared with the dense pass
+    (see `_bearing`): its dot product with the link direction is compared
+    with cos(half-angle) * norm, with a margin of 1e-9 * norm either side,
+    and `_bearing` runs only on the candidates inside that band. Returns the
+    summed two-way returns of the hits (in cell order) and the hit count per
+    link.
     """
-    x0, x1, y0, y1, _ = cells
+    x0, x1, y0, y1, n_cand = cells
     n, nx = apex.shape[0], geom.shape[1]
     # one range of sorted scatterers per (link, grid row) the box spans
     n_rows = y1 - y0 + 1
@@ -406,28 +444,37 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     row = np.arange(link.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows) + y0[link]
     first = geom.cell_start[row * nx + x0[link]]
     length = geom.cell_start[row * nx + x1[link] + 1] - first
-    link = np.repeat(link, length)
-    cand = np.arange(link.size) + np.repeat(first - (np.cumsum(length) - length), length)
-    dx = geom.xy[0, cand] - apex[link, 0]
-    dy = geom.xy[1, cand] - apex[link, 1]
+    cand = np.repeat(first - (np.cumsum(length) - length), length)
+    cand += np.arange(cand.size)
+    dx = geom.xy[0].take(cand)
+    dx -= np.repeat(apex[:, 0], n_cand)
+    dy = geom.xy[1].take(cand)
+    dy -= np.repeat(apex[:, 1], n_cand)
+    ux, uy = np.repeat(ux, n_cand), np.repeat(uy, n_cand)
     norm = _distance(dx, dy)
-    d = np.maximum(norm, geom.pathloss.d0_m)
-    keep = d <= reach[link]
-    keep &= dx * ux[link] + dy * uy[link] >= (cos_half - 1e-9) * norm
-    keep = np.flatnonzero(keep)
-    link, d = link[keep], d[keep]
-    cos_diff, sin_term = _bearing(dx[keep], dy[keep])
-    cos_diff *= ux[link]
-    sin_term *= uy[link]
+    # max(norm, d0) <= reach: a link whose reach is below d0 has no hit
+    d0 = geom.pathloss.d0_m
+    hit = norm <= np.repeat(np.where(reach >= d0, reach, -1.0), n_cand)
+    dot = dx * ux
+    dot += dy * uy
+    hit &= dot >= (cos_half - 1e-9) * norm
+    sure = dot > (cos_half + 1e-9) * norm
+    sure &= _normal(norm)
+    band = np.flatnonzero(hit > sure)
+    cos_diff, sin_term = _bearing(dx[band], dy[band])
+    cos_diff *= ux[band]
+    sin_term *= uy[band]
     cos_diff += sin_term
-    hit = cos_diff >= cos_half
-    link = link[hit]
-    returns = _two_way_gain(geom.pathloss, d[hit])
-    return np.bincount(link, returns, minlength=n), np.bincount(link, minlength=n)
+    hit[band] = cos_diff >= cos_half
+    hit = np.flatnonzero(hit)
+    count = np.diff(np.searchsorted(hit, np.cumsum(n_cand)), prepend=0)
+    returns = _two_way_gain(geom.pathloss, np.maximum(norm.take(hit), d0))
+    return np.bincount(np.repeat(np.arange(n), count), returns, minlength=n), count
 
 
 def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
-    """Lobe test of each link against all S scatterers of its AP's dense row.
+    """Lobe test of each link against all S scatterers of its AP's dense row,
+    by the band rule (see `_bearing`) on the row's unit offsets.
 
     Returns the full-row sum of the two-way returns and the hit count per link.
     """
@@ -443,16 +490,26 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
     aps = np.flatnonzero(need)
     for lo in range(0, aps.size, step):
         _dense_rows(geom, deployment, aps[lo:lo + step])
+    scat = deployment.scatterer_pos
     for lo in range(0, n, step):
         b = slice(lo, lo + step)
         rows = l_idx[b]
         # the row gathers are fresh copies, so the arithmetic runs in place
-        cos_diff = geom.row_cos[rows]
-        cos_diff *= ux[b]
-        sin_term = geom.row_sin[rows]
-        sin_term *= uy[b]
-        cos_diff += sin_term
-        in_lobe = cos_diff >= cos_half
+        dot = geom.row_ux[rows]
+        dot *= ux[b]
+        uy_term = geom.row_uy[rows]
+        uy_term *= uy[b]
+        dot += uy_term
+        in_lobe = dot > cos_half + 1e-9
+        maybe = dot >= cos_half - 1e-9
+        if np.count_nonzero(maybe) > np.count_nonzero(in_lobe):
+            i, j = np.nonzero(maybe ^ in_lobe)
+            ap = deployment.ap_pos[rows[i]]
+            cos_diff, sin_term = _bearing(scat[j, 0] - ap[:, 0], scat[j, 1] - ap[:, 1])
+            cos_diff *= ux[lo + i, 0]
+            sin_term *= uy[lo + i, 0]
+            cos_diff += sin_term
+            in_lobe[i, j] = cos_diff >= cos_half
         in_lobe &= geom.row_dist[rows] <= reach[b, None]
         count[b] = np.count_nonzero(in_lobe, axis=1)
         returns = geom.row_return[rows]

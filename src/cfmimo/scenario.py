@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from enum import IntEnum
 
@@ -53,8 +54,16 @@ def _check_types(obj, where: str = ""):
         if f.type == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValidationError(f"{where}{f.name} must be an integer, got {v!r}")
         if f.type == "float" and (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                                  or not math.isfinite(v)):
+                                  or not _finite(v)):
             raise ValidationError(f"{where}{f.name} must be a finite number, got {v!r}")
+
+
+def _finite(v: numbers.Real) -> bool:
+    """math.isfinite, False for an integer too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -153,9 +162,11 @@ class SystemConfig:
         if scatterers > np.iinfo(np.intp).max // 16:  # numpy sizes (scatterers, 2) float64 positions
             raise ValidationError(f"clutter_density_per_km2 * area_side_m^2 gives {scatterers:.3g} scatterers, too many")
         try:
-            self.noise_power_w()
+            noise_w = self.noise_power_w()
         except OverflowError:
             raise ValidationError(f"noise_figure_db {self.noise_figure_db} overflows the noise power") from None
+        if noise_w < sys.float_info.min:  # 0 or subnormal: the SNRs would divide by it
+            raise ValidationError(f"noise_figure_db {self.noise_figure_db} underflows the noise power")
         if self.sigma_c2 < 0:
             raise ValidationError(f"sigma_c2 must be >= 0, got {self.sigma_c2}")
         if self.correlation_model not in ("identity", "local_scattering"):
@@ -257,12 +268,12 @@ def load_scenario(path: str) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"scenario file is not valid JSON: {e}") from e
     except OSError as e:  # its message names the file
         raise ValidationError(f"cannot read scenario file: {e}") from e
     except UnicodeDecodeError as e:
         raise ValidationError(f"cannot read scenario file {path!r}: {e}") from e
+    except ValueError as e:  # a JSONDecodeError, or an integer of over 4300 digits
+        raise ValidationError(f"scenario file is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ValidationError("scenario file must contain a JSON object")
     return config_from_dict(data)

@@ -824,7 +824,9 @@ def parent_rule_returns(dep, cfg, geom, links, dense):
     lobe rule cos(arctan2)*ux + sin(arctan2)*uy >= cos(half-angle) and
     d <= reach, summed in the order of one pass of `clutter_returns`: the
     cell order of `geom` through np.bincount for the grid pass, the full row
-    in scatterer order for the dense pass."""
+    in scatterer order for the dense pass. The grid pass also requires
+    dx*ux + dy*uy >= (cos(half-angle) - 1e-9) * norm, which rejects nothing
+    the rule accepts unless the squared norm leaves the normal float range."""
     cos_half = math.cos(channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
     scat = dep.scatterer_pos if dense else geom.xy.T
     power, count = [], []
@@ -838,6 +840,8 @@ def parent_rule_returns(dep, cfg, geom, links, dense):
         d = np.maximum(np.sqrt(dx * dx + dy * dy), cfg.pathloss.d0_m)
         hit = (np.cos(ang) * ux + np.sin(ang) * uy >= cos_half)
         hit &= d <= channel.CLUTTER_RANGE_FACTOR * link_dist
+        if not dense:
+            hit &= dx * ux + dy * uy >= (cos_half - 1e-9) * np.sqrt(dx * dx + dy * dy)
         if dense:
             returns = channel.db_to_lin(-2.0 * channel.path_loss_db(cfg.pathloss, d))
             total = (returns * hit).sum()
@@ -902,3 +906,21 @@ class TestLobeEdgeBand:
         band = np.abs(off @ [ux, uy] - cos_half * norm) <= 1e-9 * norm
         assert np.count_nonzero(band) > 12 * 3
         assert set(map(tuple, off[band].tolist())) <= seen
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-162])
+    @pytest.mark.parametrize("route", [ALL_GRID, ALL_DENSE], ids=["grid", "dense"])
+    def test_offsets_whose_squares_underflow(self, route, scale):
+        # every squared offset underflows: at 1e-300 m to 0, at 1e-162 m to a
+        # subnormal of a few units, so the norms are 0 or far off and no dot
+        # product decides; the trigonometric test decides each scatterer
+        rng = np.random.default_rng(2)
+        dep = make_deployment(scale * np.array([[0.0, 0.0], [3.0, 1.0]]), [[2.0 * scale, scale]],
+                              rng.uniform(-5.0 * scale, 5.0 * scale, (60, 2)))
+        cfg = SystemConfig(N=4)
+        links = [(0, 0, 1.0), (1, 0, 1.0)]
+        power, count = routed_returns(route, dep, cfg, *(np.array(v) for v in zip(*links)))
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        ref_power, ref_count = parent_rule_returns(dep, cfg, geom, links, route == ALL_DENSE)
+        assert 0 < min(ref_count) and max(ref_count) < 60
+        assert count.tolist() == ref_count
+        assert power.tolist() == ref_power.tolist()

@@ -106,6 +106,28 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.count(field) == 5 and "Traceback" not in err
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, digits):
+        # a JSON integer is read exactly, so it can exceed every float; past
+        # 4300 digits Python refuses to read it at all
+        path = tmp_path / "scenario.json"
+        path.write_text('{"area_side_m": 1' + "0" * digits + "}")
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("area_side_m" if digits == 400 else "4300 digits") == 2
+
+    def test_noise_power_underflow_exit_2(self, tmp_path, capsys):
+        # a noise power of 0 would give infinite SNRs and a NaN objective
+        path = tmp_path / "scenario.json"
+        save_scenario(SystemConfig(L=12, K=5, X=2, tau_p=3, noise_figure_db=-1e308), str(path))
+        assert cli.main(["validate", str(path)]) == 2
+        for command in ("associate", "ser"):
+            assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("noise_figure_db") == 3 and "underflows" in err
+
     def test_unknown_key_exit_2(self, tmp_path):
         doc = asdict(SystemConfig())
         doc["mystery"] = 1
