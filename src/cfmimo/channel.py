@@ -315,15 +315,12 @@ def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> Clutte
 # AP -> scatterer offset (dx, dy) from these functions, and share one lobe
 # rule. The exact test is cos(phi_s) * ux + sin(phi_s) * uy >= cos(half-angle),
 # with phi_s the `_bearing` of the offset and (ux, uy) the link's direction.
-# Where the offset's norm is a normal float, (dx, dy) / norm is the direction
+# Where dx^2 + dy^2 is a normal float, (dx, dy) / norm is the direction
 # cosine to within a few ulp, and so is its dot product with (ux, uy): a
 # product more than 1e-9 above cos(half-angle) is a hit and one more than
 # 1e-9 below it a miss, as the exact test would decide. Only the offsets in
-# that band, and those whose norm is 0, subnormal or infinite, run `_bearing`
-# and the exact test.
-
-_NORMAL_NORM = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
-
+# that band, and those whose dx^2 + dy^2 is 0, subnormal or infinite, run
+# `_bearing` and the exact test, `_in_lobe`.
 
 def _distance(dx, dy):
     sq = dx * dx
@@ -337,17 +334,26 @@ def _bearing(dx, dy):
     return np.cos(ang), np.sin(ang)
 
 
+def _in_lobe(dx, dy, ux, uy, cos_half):
+    """The exact test of offsets (dx, dy) against link directions (ux, uy)."""
+    cos_diff, sin_term = _bearing(dx, dy)
+    cos_diff *= ux
+    sin_term *= uy
+    cos_diff += sin_term
+    return cos_diff >= cos_half
+
+
 def _normal(norm):
-    """Where the norm of an offset is a normal float: its squares neither
-    underflowed nor overflowed, so the norm is exact to a few ulp."""
-    ok = norm >= _NORMAL_NORM[0]
-    ok &= norm <= _NORMAL_NORM[1]
+    """Where the norm of an offset (dx, dy) comes from a normal dx^2 + dy^2,
+    neither underflowed nor overflowed, and so is exact to a few ulp."""
+    ok = norm >= math.sqrt(sys.float_info.min)
+    ok &= norm <= math.sqrt(sys.float_info.max)
     return ok
 
 
 def _unit_offset(dx, dy, norm):
-    """(dx, dy) / norm, written over dx and dy; where the norm is not normal,
-    the `_bearing` cosine and sine instead, so (1, 0) at a zero offset."""
+    """(dx, dy) / norm, written over dx and dy; where `_normal` is False, the
+    `_bearing` cosine and sine instead, so (1, 0) at a zero offset."""
     ok = _normal(norm)
     odd = ~ok
     bearing = _bearing(dx[odd], dy[odd])
@@ -461,11 +467,7 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     sure = dot > (cos_half + 1e-9) * norm
     sure &= _normal(norm)
     band = np.flatnonzero(hit > sure)
-    cos_diff, sin_term = _bearing(dx[band], dy[band])
-    cos_diff *= ux[band]
-    sin_term *= uy[band]
-    cos_diff += sin_term
-    hit[band] = cos_diff >= cos_half
+    hit[band] = _in_lobe(dx[band], dy[band], ux[band], uy[band], cos_half)
     hit = np.flatnonzero(hit)
     count = np.diff(np.searchsorted(hit, np.cumsum(n_cand)), prepend=0)
     returns = _two_way_gain(geom.pathloss, np.maximum(norm.take(hit), d0))
@@ -505,11 +507,8 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
         if np.count_nonzero(maybe) > np.count_nonzero(in_lobe):
             i, j = np.nonzero(maybe ^ in_lobe)
             ap = deployment.ap_pos[rows[i]]
-            cos_diff, sin_term = _bearing(scat[j, 0] - ap[:, 0], scat[j, 1] - ap[:, 1])
-            cos_diff *= ux[lo + i, 0]
-            sin_term *= uy[lo + i, 0]
-            cos_diff += sin_term
-            in_lobe[i, j] = cos_diff >= cos_half
+            in_lobe[i, j] = _in_lobe(scat[j, 0] - ap[:, 0], scat[j, 1] - ap[:, 1],
+                                     ux[lo + i, 0], uy[lo + i, 0], cos_half)
         in_lobe &= geom.row_dist[rows] <= reach[b, None]
         count[b] = np.count_nonzero(in_lobe, axis=1)
         returns = geom.row_return[rows]

@@ -819,7 +819,7 @@ class TestClutterReturnsOracle:
         self.check_counts(dep, cfg, [(0, 0, 10.0)], [expected])
 
 
-def parent_rule_returns(dep, cfg, geom, links, dense):
+def trig_rule_returns(dep, cfg, geom, links, dense):
     """Power and count of each link (l, k, link_dist) under the trigonometric
     lobe rule cos(arctan2)*ux + sin(arctan2)*uy >= cos(half-angle) and
     d <= reach, summed in the order of one pass of `clutter_returns`: the
@@ -893,7 +893,7 @@ class TestLobeEdgeBand:
         monkeypatch.setattr(channel, "_bearing", spied)
         power, count = routed_returns(route, dep, cfg, *(np.array(v) for v in zip(*links)))
         geom = channel.clutter_geometry(dep, cfg.pathloss)
-        ref_power, ref_count = parent_rule_returns(dep, cfg, geom, links, route == ALL_DENSE)
+        ref_power, ref_count = trig_rule_returns(dep, cfg, geom, links, route == ALL_DENSE)
         assert count.tolist() == ref_count
         assert power.tolist() == ref_power.tolist()
         assert min(ref_count) > 0
@@ -920,7 +920,7 @@ class TestLobeEdgeBand:
         links = [(0, 0, 1.0), (1, 0, 1.0)]
         power, count = routed_returns(route, dep, cfg, *(np.array(v) for v in zip(*links)))
         geom = channel.clutter_geometry(dep, cfg.pathloss)
-        ref_power, ref_count = parent_rule_returns(dep, cfg, geom, links, route == ALL_DENSE)
+        ref_power, ref_count = trig_rule_returns(dep, cfg, geom, links, route == ALL_DENSE)
         assert 0 < min(ref_count) and max(ref_count) < 60
         assert count.tolist() == ref_count
         assert power.tolist() == ref_power.tolist()
