@@ -7,9 +7,10 @@ combined outputs directly from their sufficient statistics."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,10 +263,14 @@ class ClutterGeometry:
     takes four lookups.
 
     The dense pass of `clutter_returns` works on per-(AP, scatterer) rows in
-    the original scatterer order: distance, the unit AP -> scatterer offset
-    (see `_unit_offset`) and the two-way gain. `_dense_rows` builds each
-    AP's row on first use and caches it in the `row_*` arrays, which are
-    allocated at the first dense use.
+    the original scatterer order: the unit AP -> scatterer offsets as one
+    (2, S) array, the right operand of the pass's per-AP product (see
+    `_unit_offset`), the distances and the two-way gains. `_dense_rows`
+    builds the rows of the APs a call needs on first use, as one (APs, 4, S)
+    block, and caches them in `rows`, keyed by AP. A call allocates only the
+    rows it builds: numpy advises huge pages for an array of 4 MiB or more,
+    so in a sparse (L, S) array each of the few rows SUA's links need would
+    fault in 2 MiB.
     """
 
     pathloss: PathLossParams
@@ -275,11 +280,7 @@ class ClutterGeometry:
     xy: np.ndarray            # (2, S) scatterer x and y coordinates in cell order
     cell_start: np.ndarray    # (rows * columns + 1,)
     cell_prefix: np.ndarray   # (rows + 1, columns + 1)
-    row_built: np.ndarray | None = None
-    row_dist: np.ndarray | None = None
-    row_ux: np.ndarray | None = None
-    row_uy: np.ndarray | None = None
-    row_return: np.ndarray | None = None
+    rows: dict = field(default_factory=dict)  # AP -> (unit offsets, distances, returns)
 
 
 def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> ClutterGeometry:
@@ -368,22 +369,21 @@ def _two_way_gain(pathloss: PathLossParams, d):
     return db_to_lin(-2.0 * path_loss_db(pathloss, d))
 
 
-def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: np.ndarray):
-    """Build and cache the dense rows of the APs `aps` (see ClutterGeometry)."""
-    if geom.row_built is None:
-        shape = (deployment.L, geom.xy.shape[1])
-        geom.row_built = np.zeros(deployment.L, dtype=bool)
-        geom.row_dist, geom.row_ux, geom.row_uy, geom.row_return = (
-            np.empty(shape) for _ in range(4))
-    scat, ap = deployment.scatterer_pos, deployment.ap_pos[aps]
-    dx = scat[None, :, 0] - ap[:, 0, None]
-    dy = scat[None, :, 1] - ap[:, 1, None]
-    norm = _distance(dx, dy)
-    geom.row_ux[aps], geom.row_uy[aps] = _unit_offset(dx, dy, norm)
-    d = np.maximum(norm, geom.pathloss.d0_m, out=norm)
-    geom.row_dist[aps] = d
-    geom.row_return[aps] = _two_way_gain(geom.pathloss, d)
-    geom.row_built[aps] = True
+def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: list):
+    """Build and cache the dense rows of the APs `aps` (see ClutterGeometry),
+    in batches of about _LOBE_TESTS_PER_BLOCK (AP, scatterer) pairs."""
+    scat = deployment.scatterer_pos
+    rows = np.empty((len(aps), 4, scat.shape[0]))
+    step = max(1, _LOBE_TESTS_PER_BLOCK // scat.shape[0])
+    for lo in range(0, len(aps), step):
+        ap, batch = deployment.ap_pos[aps[lo:lo + step]], rows[lo:lo + step]
+        dx = scat[None, :, 0] - ap[:, 0, None]
+        dy = scat[None, :, 1] - ap[:, 1, None]
+        norm = _distance(dx, dy)
+        batch[:, 0], batch[:, 1] = _unit_offset(dx, dy, norm)
+        d = np.maximum(norm, geom.pathloss.d0_m, out=batch[:, 2])
+        batch[:, 3] = _two_way_gain(geom.pathloss, d)
+    geom.rows.update((l, (row[:2], row[2], row[3])) for l, row in zip(aps, rows))
 
 
 # Link routing and block sizes of `clutter_returns`. A link whose sector box
@@ -478,42 +478,57 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
     """Lobe test of each link against all S scatterers of its AP's dense row,
     by the band rule (see `_bearing`) on the row's unit offsets.
 
-    Returns the full-row sum of the two-way returns and the hit count per link.
+    The links' APs have their rows built (see `clutter_returns`). The links
+    are sorted by AP and taken in blocks of _LOBE_TESTS_PER_BLOCK lobe tests.
+    In a block, each run of one AP's links takes its dot products from one
+    (links, 2) @ (2, S) product with the AP's unit offsets, and reads the
+    AP's distance and return rows in place. The product may round
+    differently with the run's length or the BLAS threads, by a few ulp, far
+    inside the 1e-9 band, so the hits do not depend on the other links of the
+    call; nor do the sums, each the sum of one link's masked row. Returns the
+    full-row sum of the two-way returns and the hit count per link.
     """
     n = l_idx.size
+    step = max(1, _LOBE_TESTS_PER_BLOCK // geom.xy.shape[1])
+    order = np.argsort(l_idx, kind="stable")
+    l_sorted = l_idx[order]
+    u = np.column_stack([ux[order], uy[order]])
+    reach = reach[order, None]
+    # the runs of one AP's links, cut again at each block start
+    cut = np.ones(n, dtype=bool)
+    np.not_equal(l_sorted[1:], l_sorted[:-1], out=cut[1:])
+    cut[::step] = True
+    starts = np.flatnonzero(cut)
+    runs = zip(starts.tolist(), [*starts[1:].tolist(), n], l_sorted[starts].tolist())
     power = np.zeros(n)
     count = np.zeros(n, dtype=int)
-    ux, uy = ux[:, None], uy[:, None]
-    step = max(1, _LOBE_TESTS_PER_BLOCK // geom.xy.shape[1])
-    need = np.zeros(deployment.L, dtype=bool)
-    need[l_idx] = True
-    if geom.row_built is not None:
-        need &= ~geom.row_built
-    aps = np.flatnonzero(need)
-    for lo in range(0, aps.size, step):
-        _dense_rows(geom, deployment, aps[lo:lo + step])
     scat = deployment.scatterer_pos
-    for lo in range(0, n, step):
-        b = slice(lo, lo + step)
-        rows = l_idx[b]
-        # the row gathers are fresh copies, so the arithmetic runs in place
-        dot = geom.row_ux[rows]
-        dot *= ux[b]
-        uy_term = geom.row_uy[rows]
-        uy_term *= uy[b]
-        dot += uy_term
+    for _, block in itertools.groupby(runs, key=lambda run: run[0] // step):
+        block = list(block)
+        b = slice(block[0][0], block[-1][1])
+        # the block's own arrays, with its runs indexed from its first link
+        block = [(slice(lo - b.start, hi - b.start), geom.rows[l]) for lo, hi, l in block]
+        u_b, reach_b = u[b], reach[b]
+        dot = np.empty((u_b.shape[0], geom.xy.shape[1]))
+        near = np.empty(dot.shape, dtype=bool)
+        for r, (row_u, row_dist, _) in block:
+            np.matmul(u_b[r], row_u, out=dot[r])
+            np.less_equal(row_dist, reach_b[r], out=near[r])
         in_lobe = dot > cos_half + 1e-9
         maybe = dot >= cos_half - 1e-9
         if np.count_nonzero(maybe) > np.count_nonzero(in_lobe):
             i, j = np.nonzero(maybe ^ in_lobe)
-            ap = deployment.ap_pos[rows[i]]
+            ap = deployment.ap_pos[l_sorted[b][i]]
             in_lobe[i, j] = _in_lobe(scat[j, 0] - ap[:, 0], scat[j, 1] - ap[:, 1],
-                                     ux[lo + i, 0], uy[lo + i, 0], cos_half)
-        in_lobe &= geom.row_dist[rows] <= reach[b, None]
-        count[b] = np.count_nonzero(in_lobe, axis=1)
-        returns = geom.row_return[rows]
-        returns *= in_lobe
-        power[b] = returns.sum(axis=1)
+                                     u_b[i, 0], u_b[i, 1], cos_half)
+        in_lobe &= near
+        # the dot products are spent: their memory takes the 0/1 hits, whose
+        # row sums are the exact counts, and then the masked returns
+        np.copyto(dot, in_lobe)
+        count[order[b]] = dot.sum(axis=1)
+        for r, (_, _, row_return) in block:
+            dot[r] *= row_return
+        power[order[b]] = dot.sum(axis=1)
     return power, count
 
 
@@ -533,8 +548,10 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
     against the scatterers in the grid cells that meet the box, any other
     link against its AP's dense row. So a link's result does not depend on
     which other links share the call. The two passes count the same
-    scatterers; their power sums differ in the last digits. The links run in
-    chunks of _LINKS_PER_CHUNK, which bounds the per-link temporaries.
+    scatterers; their power sums differ in the last digits. The links are
+    routed, and their passes run, in chunks of _LINKS_PER_CHUNK, which bounds
+    the per-link temporaries. Between the two, the dense rows of every AP
+    with a dense link are built in one block (see ClutterGeometry).
     """
     l_idx = np.asarray(l_idx, dtype=np.intp)
     k_idx = np.asarray(k_idx, dtype=np.intp)
@@ -546,6 +563,8 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
         return power, count
     half_angle = BEAM_HALF_ANGLE_FACTOR / config.N
     cos_half = math.cos(half_angle)
+    dense = np.empty(n, dtype=bool)
+    used = np.zeros(deployment.L, dtype=bool)
     for lo in range(0, n, _LINKS_PER_CHUNK):
         c = slice(lo, lo + _LINKS_PER_CHUNK)
         # views of the chunk's links: writing their entries fills power and count
@@ -553,11 +572,8 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
         apex = deployment.ap_pos[l_c]
         ux, uy = _bearing(*(deployment.ue_pos[k_idx[c]] - apex).T)
         cells = _sector_cells(geom, apex, ux, uy, reach_c, half_angle)
-        to_dense = cells[-1] > _DENSE_FRACTION * n_scat
-        dense = np.flatnonzero(to_dense)
-        if dense.size:
-            power_c[dense], count_c[dense] = _dense_pass(
-                geom, deployment, l_c[dense], ux[dense], uy[dense], reach_c[dense], cos_half)
+        to_dense = dense[c] = cells[-1] > _DENSE_FRACTION * n_scat
+        used[l_c[to_dense]] = True
         grid = np.flatnonzero(~to_dense)
         # blocks of about _GRID_TESTS_PER_BLOCK candidates, at least one link each
         block = np.cumsum(cells[-1][grid]) // _GRID_TESTS_PER_BLOCK
@@ -565,6 +581,17 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
             if b.size:
                 power_c[b], count_c[b] = _grid_pass(geom, apex[b], ux[b], uy[b], reach_c[b],
                                                     cos_half, [x[b] for x in cells])
+    # the rows of every AP with a dense link are built in one block, then the
+    # dense links of each chunk run
+    aps = [l for l in np.flatnonzero(used).tolist() if l not in geom.rows]
+    if aps:
+        _dense_rows(geom, deployment, aps)
+    for lo in range(0, n, _LINKS_PER_CHUNK):
+        d = lo + np.flatnonzero(dense[lo:lo + _LINKS_PER_CHUNK])
+        if d.size:
+            ux, uy = _bearing(*(deployment.ue_pos[k_idx[d]] - deployment.ap_pos[l_idx[d]]).T)
+            power[d], count[d] = _dense_pass(geom, deployment, l_idx[d], ux, uy, reach[d],
+                                             cos_half)
     power *= config.sigma_c2 * float(dbm_to_watts(config.p_t_dbm))
     return power, count
 

@@ -106,9 +106,10 @@ def _deployment_state(deployment, cfg):
 
     The geometry buckets the scatterers on a grid, which SUA's short links
     read. All-link work (the baseline's metrics, its Pd terms and clutter
-    counts) also caches one dense (AP, scatterer) row per AP on it, up to
-    four (L, S) arrays, so callers that are done with it drop it before the
-    output tables are formatted.
+    counts) also caches the dense (AP, scatterer) rows of every AP on it, in
+    `rows`: each AP's (2, S) unit offsets, distances and returns, four (L, S)
+    arrays' worth, so callers that are done with it drop it before the output
+    tables are formatted.
     """
     return channel.link_budget(deployment, cfg), channel.clutter_geometry(deployment, cfg.pathloss)
 

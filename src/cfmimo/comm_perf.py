@@ -18,6 +18,7 @@ from cfmimo.scenario import (
     InfeasibleModelError,
     ServiceType,
     SystemConfig,
+    median,
     rng_stream,
 )
 
@@ -247,13 +248,14 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     if ref_gains.size == 0:
         raise InfeasibleModelError("the reference association serves no link to "
                                    "calibrate the SNR axis on")
-    g = budget.gain_lin / float(np.median(ref_gains))
+    g = budget.gain_lin / median(ref_gains)
     grid = np.atleast_1d(np.asarray(snr_db_grid, dtype=float))
     sigma2s = 10.0 ** (-grid / 10.0)
 
     served = [np.asarray(A) == 1 for A in assocs.values()]
     links = [association.serving_links(A, data_ues) for A in served]
-    aps = np.unique(np.concatenate([ap for _, ap in links]))
+    # the APs of either scheme, ascending (np.unique would import numpy.ma)
+    aps = np.flatnonzero(np.bincount(np.concatenate([ap for _, ap in links]), minlength=L))
     schemes = []
     for A, (ue, ap) in zip(served, links):
         s_aps, at = np.unique(ap, return_inverse=True)

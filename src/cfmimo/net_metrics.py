@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfmimo import association, channel
-from cfmimo.scenario import Deployment, SystemConfig, ValidationError
+from cfmimo.scenario import Deployment, SystemConfig, ValidationError, median
 
 
 # slot energy model: a static cost per active AP plus a cost per served UE
@@ -77,7 +77,7 @@ def association_runtime(deployment: Deployment, config: SystemConfig,
             t0 = time.perf_counter()
             run(deployment, config, budget, geom)
             times.append(time.perf_counter() - t0)
-    sua_s, baseline_s = (float(np.median(times)) for times in samples)
+    sua_s, baseline_s = (median(times) for times in samples)
     return RuntimeResult(sua_s, baseline_s, reps)
 
 

@@ -43,6 +43,15 @@ def rng_stream(seed: int, name: str, *extra: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), _STREAMS[name], *map(int, extra))))
 
 
+def median(values) -> float:
+    """np.median of a 1-D sequence, to the bit: the middle value, or (a + b) / 2
+    of the two middle ones. np.median would import numpy.ma on first use,
+    about 15 ms of each fresh process."""
+    v = np.sort(np.asarray(values, dtype=float))
+    mid = v.size // 2
+    return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
+
+
 def _check_types(obj, where: str = ""):
     """Integer fields must be ints (not bools), float fields finite numbers.
 
@@ -143,6 +152,12 @@ class SystemConfig:
             raise ValidationError(f"require 0 < tau_p <= tau_c, got tau_p={self.tau_p}, tau_c={self.tau_c}")
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
+        # numpy sizes the (L, K) link arrays and SER's (L, K, N) complex
+        # fading draw in bytes; an integer field can be too large for either
+        limit = np.iinfo(np.intp).max // 16
+        for names, size in (("L * K", self.L * self.K), ("L * K * N", self.L * self.K * self.N)):
+            if size > limit:
+                raise ValidationError(f"{names} must be at most {limit}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.w_c < 0 or self.w_s < 0 or abs(self.w_c + self.w_s - 1.0) > 1e-12:
@@ -159,7 +174,7 @@ class SystemConfig:
             scatterers = self.clutter_density_per_km2 * (self.area_side_m / 1000.0) ** 2
         except OverflowError:
             raise ValidationError(f"area_side_m {self.area_side_m} overflows the area in km^2") from None
-        if scatterers > np.iinfo(np.intp).max // 16:  # numpy sizes (scatterers, 2) float64 positions
+        if scatterers > limit:  # numpy sizes (scatterers, 2) float64 positions
             raise ValidationError(f"clutter_density_per_km2 * area_side_m^2 gives {scatterers:.3g} scatterers, too many")
         try:
             noise_w = self.noise_power_w()

@@ -764,10 +764,10 @@ class TestClutterReturnsOracle:
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         even = l_idx % 2 == 0
         channel.clutter_returns(geom, dep, cfg, l_idx[even], k_idx[even], dist[even])
-        built = geom.row_built.copy()
-        assert built.any() and not built[1::2].any()
+        built = set(geom.rows)
+        assert built and not any(l % 2 for l in built)
         power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
-        assert (geom.row_built & ~built).any()
+        assert set(geom.rows) - built
         fresh = channel.clutter_geometry(dep, cfg.pathloss)
         p_fresh, c_fresh = channel.clutter_returns(fresh, dep, cfg, l_idx, k_idx, dist)
         assert count.sum() > 0
@@ -924,3 +924,62 @@ class TestLobeEdgeBand:
         assert 0 < min(ref_count) and max(ref_count) < 60
         assert count.tolist() == ref_count
         assert power.tolist() == ref_power.tolist()
+
+
+class TestDensePassOracle:
+    """The dense pass runs the links AP by AP, one (links, 2) @ (2, S) product
+    per run of an AP's links. Each link gets the count and the power bits of
+    the definitional rule, `_in_lobe` on every scatterer of its AP's row with
+    the range test and the full-row sum of the masked returns, in whatever
+    order and company the link comes."""
+
+    @staticmethod
+    def deployment():
+        # TestLobeEdgeBand's scatterers on and beside the lobe edges of link
+        # (0, 0), among random APs, UEs and scatterers
+        edge = TestLobeEdgeBand.edge_deployment(4, 0.3)
+        rng = np.random.default_rng(8)
+        return make_deployment(np.concatenate([edge.ap_pos, rng.uniform(-30, 30, (11, 2))]),
+                               np.concatenate([edge.ue_pos, rng.uniform(-30, 30, (8, 2))]),
+                               np.concatenate([edge.scatterer_pos, rng.uniform(-30, 30, (150, 2))]))
+
+    @staticmethod
+    def definitional(dep, cfg, geom, l_idx, k_idx, dist):
+        cos_half = math.cos(channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
+        ux, uy = channel._bearing(*(dep.ue_pos[k_idx] - dep.ap_pos[l_idx]).T)
+        power, count = [], []
+        for i, l in enumerate(l_idx):
+            off = dep.scatterer_pos - dep.ap_pos[l]
+            hit = channel._in_lobe(off[:, 0], off[:, 1], ux[i], uy[i], cos_half)
+            _, row_dist, row_return = geom.rows[l]
+            hit &= row_dist <= channel.CLUTTER_RANGE_FACTOR * dist[i]
+            power.append((row_return * hit).sum())
+            count.append(int(np.count_nonzero(hit)))
+        return np.array(power) * (cfg.sigma_c2 * float(channel.dbm_to_watts(cfg.p_t_dbm))), count
+
+    @pytest.mark.parametrize("links_per_block", [None, 3], ids=["default", "3-links"])
+    def test_matches_definitional_rule_in_any_order(self, monkeypatch, links_per_block):
+        dep = self.deployment()
+        cfg = SystemConfig(N=4)
+        monkeypatch.setattr(channel, "_DENSE_FRACTION", ALL_DENSE)
+        if links_per_block:
+            monkeypatch.setattr(channel, "_LOBE_TESTS_PER_BLOCK",
+                                links_per_block * dep.scatterer_pos.shape[0])
+        ap_major = np.nonzero(np.ones((dep.L, dep.K), dtype=bool))
+        ue_major = np.nonzero(np.ones((dep.L, dep.K), dtype=bool).T)[::-1]
+        shuffled = np.random.default_rng(3).permutation(dep.L * dep.K)
+        # APs 0-3 with every UE among APs 4-11 with one UE each
+        mixed = (np.concatenate([np.repeat(np.arange(4), dep.K), np.arange(4, dep.L)]),
+                 np.concatenate([np.tile(np.arange(dep.K), 4), np.arange(dep.L - 4) % dep.K]))
+        results = {}
+        for l_idx, k_idx in (ap_major, ue_major, tuple(v[shuffled] for v in ap_major), mixed):
+            dist = np.array([link_distance(dep, cfg, l, k) for l, k in zip(l_idx, k_idx)])
+            geom = channel.clutter_geometry(dep, cfg.pathloss)
+            power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
+            ref_power, ref_count = self.definitional(dep, cfg, geom, l_idx, k_idx, dist)
+            assert count.tolist() == ref_count
+            assert power.tolist() == ref_power.tolist()
+            for link in zip(l_idx.tolist(), k_idx.tolist(), power.tolist(), count.tolist()):
+                assert results.setdefault(link[:2], link[2:]) == link[2:]
+        assert len(results) == dep.L * dep.K
+        assert results[0, 0][1] > 0 and sum(c > 0 for _, c in results.values()) > dep.L * dep.K // 2

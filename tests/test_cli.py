@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -117,6 +119,19 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("area_side_m" if digits == 400 else "4300 digits") == 2
+
+    @pytest.mark.parametrize("doc, names", [
+        ('{"L": 1' + "0" * 400 + "}", "L * K"),
+        ('{"N": 1' + "0" * 30 + "}", "L * K * N"),
+    ], ids=["L", "N"])
+    def test_oversized_integer_field_exit_2(self, tmp_path, capsys, doc, names):
+        # L * K sizes the link arrays and L * K * N SER's fading draw
+        path = tmp_path / "scenario.json"
+        path.write_text(doc)
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["associate", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count(f"{names} must be at most") == 2
 
     def test_noise_power_underflow_exit_2(self, tmp_path, capsys):
         # a noise power of 0 would give infinite SNRs and a NaN objective
@@ -326,6 +341,25 @@ class TestDenseClutterRows:
         built = self.built_rows(tmp_path, monkeypatch, argv, **kw)
         assert len(built) > 0
         assert len(built) == len(set(built))
+
+
+class TestFreshInterpreter:
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        # np.median and the one-argument np.unique import numpy.ma on first
+        # use, about 15 ms of each fresh process; the commands call neither
+        path = small_scenario(tmp_path)
+        out = str(tmp_path / "out")
+        argvs = [["associate"], ["ser", "--symbols", "570"], ["pd", "--trials", "200"],
+                 ["netmetrics", "--reps", "1"]]
+        argvs = [argv + ["--scenario", path, "--out", out] for argv in argvs]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (f"import sys\nsys.path.insert(0, {src!r})\nfrom cfmimo import cli\n"
+                f"for argv in {argvs!r}:\n    assert cli.main(argv) == 0, argv\n"
+                "print('numpy.ma' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
 
 
 class TestAssociate:
