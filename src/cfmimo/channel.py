@@ -7,7 +7,6 @@ combined outputs directly from their sufficient statistics."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -320,8 +319,9 @@ def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> Clutte
 # cosine to within a few ulp, and so is its dot product with (ux, uy): a
 # product more than 1e-9 above cos(half-angle) is a hit and one more than
 # 1e-9 below it a miss, as the exact test would decide. Only the offsets in
-# that band, and those whose dx^2 + dy^2 is 0, subnormal or infinite, run
-# `_bearing` and the exact test, `_in_lobe`.
+# that band run `_in_lobe`. In both passes the exact test decides an offset
+# whose dx^2 + dy^2 is 0, subnormal or infinite (`_normal` is False): the
+# grid pass sends it to `_in_lobe`, and a dense row holds its `_bearing`.
 
 def _distance(dx, dy):
     sq = dx * dx
@@ -436,11 +436,11 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     The candidates of each link are one run of scatterers in cell order, so
     the link's apex, direction and reach repeat over its run. A candidate
     passes the exact range test and the band rule shared with the dense pass
-    (see `_bearing`): its dot product with the link direction is compared
-    with cos(half-angle) * norm, with a margin of 1e-9 * norm either side,
-    and `_bearing` runs only on the candidates inside that band. Returns the
-    summed two-way returns of the hits (in cell order) and the hit count per
-    link.
+    (see `_bearing`): where its norm is `_normal`, its dot product with the
+    link direction is compared with cos(half-angle) * norm, with a margin of
+    1e-9 * norm either side, and `_in_lobe` decides the candidates inside
+    that band and those whose norm is not normal. Returns the summed two-way
+    returns of the hits (in cell order) and the hit count per link.
     """
     x0, x1, y0, y1, n_cand = cells
     n, nx = apex.shape[0], geom.shape[1]
@@ -463,9 +463,9 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     hit = norm <= np.repeat(np.where(reach >= d0, reach, -1.0), n_cand)
     dot = dx * ux
     dot += dy * uy
-    hit &= dot >= (cos_half - 1e-9) * norm
-    sure = dot > (cos_half + 1e-9) * norm
-    sure &= _normal(norm)
+    ok = _normal(norm)
+    hit &= (dot >= (cos_half - 1e-9) * norm) | ~ok
+    sure = (dot > (cos_half + 1e-9) * norm) & ok
     band = np.flatnonzero(hit > sure)
     hit[band] = _in_lobe(dx[band], dy[band], ux[band], uy[band], cos_half)
     hit = np.flatnonzero(hit)
@@ -478,10 +478,10 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
     """Lobe test of each link against all S scatterers of its AP's dense row,
     by the band rule (see `_bearing`) on the row's unit offsets.
 
-    The links' APs have their rows built (see `clutter_returns`). The links
-    are sorted by AP and taken in blocks of _LOBE_TESTS_PER_BLOCK lobe tests.
-    In a block, each run of one AP's links takes its dot products from one
-    (links, 2) @ (2, S) product with the AP's unit offsets, and reads the
+    The links come sorted by AP (see `clutter_returns`), and their APs have
+    their rows built. They are taken in blocks of _LOBE_TESTS_PER_BLOCK lobe
+    tests. In a block, each run of one AP's links takes its dot products from
+    one (links, 2) @ (2, S) product with the AP's unit offsets, and reads the
     AP's distance and return rows in place. The product may round
     differently with the run's length or the BLAS threads, by a few ulp, far
     inside the 1e-9 band, so the hits do not depend on the other links of the
@@ -490,45 +490,38 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
     """
     n = l_idx.size
     step = max(1, _LOBE_TESTS_PER_BLOCK // geom.xy.shape[1])
-    order = np.argsort(l_idx, kind="stable")
-    l_sorted = l_idx[order]
-    u = np.column_stack([ux[order], uy[order]])
-    reach = reach[order, None]
-    # the runs of one AP's links, cut again at each block start
-    cut = np.ones(n, dtype=bool)
-    np.not_equal(l_sorted[1:], l_sorted[:-1], out=cut[1:])
-    cut[::step] = True
-    starts = np.flatnonzero(cut)
-    runs = zip(starts.tolist(), [*starts[1:].tolist(), n], l_sorted[starts].tolist())
+    u = np.column_stack([ux, uy])
+    reach = reach[:, None]
     power = np.zeros(n)
     count = np.zeros(n, dtype=int)
     scat = deployment.scatterer_pos
-    for _, block in itertools.groupby(runs, key=lambda run: run[0] // step):
-        block = list(block)
-        b = slice(block[0][0], block[-1][1])
-        # the block's own arrays, with its runs indexed from its first link
-        block = [(slice(lo - b.start, hi - b.start), geom.rows[l]) for lo, hi, l in block]
-        u_b, reach_b = u[b], reach[b]
-        dot = np.empty((u_b.shape[0], geom.xy.shape[1]))
+    for lo in range(0, n, step):
+        b = slice(lo, lo + step)
+        l_b, u_b, reach_b = l_idx[b], u[b], reach[b]
+        # the runs of one AP's links in the block
+        cut = [0, *(np.flatnonzero(l_b[1:] != l_b[:-1]) + 1).tolist(), l_b.size]
+        runs = [(slice(a, z), geom.rows[l])
+                for a, z, l in zip(cut, cut[1:], l_b[cut[:-1]].tolist())]
+        dot = np.empty((l_b.size, geom.xy.shape[1]))
         near = np.empty(dot.shape, dtype=bool)
-        for r, (row_u, row_dist, _) in block:
+        for r, (row_u, row_dist, _) in runs:
             np.matmul(u_b[r], row_u, out=dot[r])
             np.less_equal(row_dist, reach_b[r], out=near[r])
         in_lobe = dot > cos_half + 1e-9
         maybe = dot >= cos_half - 1e-9
         if np.count_nonzero(maybe) > np.count_nonzero(in_lobe):
             i, j = np.nonzero(maybe ^ in_lobe)
-            ap = deployment.ap_pos[l_sorted[b][i]]
+            ap = deployment.ap_pos[l_b[i]]
             in_lobe[i, j] = _in_lobe(scat[j, 0] - ap[:, 0], scat[j, 1] - ap[:, 1],
                                      u_b[i, 0], u_b[i, 1], cos_half)
         in_lobe &= near
         # the dot products are spent: their memory takes the 0/1 hits, whose
         # row sums are the exact counts, and then the masked returns
         np.copyto(dot, in_lobe)
-        count[order[b]] = dot.sum(axis=1)
-        for r, (_, _, row_return) in block:
+        count[b] = dot.sum(axis=1)
+        for r, (_, _, row_return) in runs:
             dot[r] *= row_return
-        power[order[b]] = dot.sum(axis=1)
+        power[b] = dot.sum(axis=1)
     return power, count
 
 
@@ -548,10 +541,12 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
     against the scatterers in the grid cells that meet the box, any other
     link against its AP's dense row. So a link's result does not depend on
     which other links share the call. The two passes count the same
-    scatterers; their power sums differ in the last digits. The links are
-    routed, and their passes run, in chunks of _LINKS_PER_CHUNK, which bounds
-    the per-link temporaries. Between the two, the dense rows of every AP
-    with a dense link are built in one block (see ClutterGeometry).
+    scatterers, by one lobe rule (see `_bearing`); their power sums differ in
+    the last digits. The links are sorted by AP once, by a stable argsort, and
+    in that order routed, and their passes run, in chunks of _LINKS_PER_CHUNK,
+    which bounds the per-link temporaries; each result is written at its
+    link's own index. Between the two, the dense rows of every AP with a
+    dense link are built in one block (see ClutterGeometry).
     """
     l_idx = np.asarray(l_idx, dtype=np.intp)
     k_idx = np.asarray(k_idx, dtype=np.intp)
@@ -563,31 +558,32 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
         return power, count
     half_angle = BEAM_HALF_ANGLE_FACTOR / config.N
     cos_half = math.cos(half_angle)
+    # the chunks and `dense` follow the links in AP order
+    order = np.argsort(l_idx, kind="stable")
     dense = np.empty(n, dtype=bool)
     used = np.zeros(deployment.L, dtype=bool)
     for lo in range(0, n, _LINKS_PER_CHUNK):
-        c = slice(lo, lo + _LINKS_PER_CHUNK)
-        # views of the chunk's links: writing their entries fills power and count
-        l_c, reach_c, power_c, count_c = l_idx[c], reach[c], power[c], count[c]
+        c = order[lo:lo + _LINKS_PER_CHUNK]
+        l_c, reach_c = l_idx[c], reach[c]
         apex = deployment.ap_pos[l_c]
         ux, uy = _bearing(*(deployment.ue_pos[k_idx[c]] - apex).T)
         cells = _sector_cells(geom, apex, ux, uy, reach_c, half_angle)
-        to_dense = dense[c] = cells[-1] > _DENSE_FRACTION * n_scat
+        to_dense = dense[lo:lo + _LINKS_PER_CHUNK] = cells[-1] > _DENSE_FRACTION * n_scat
         used[l_c[to_dense]] = True
         grid = np.flatnonzero(~to_dense)
         # blocks of about _GRID_TESTS_PER_BLOCK candidates, at least one link each
         block = np.cumsum(cells[-1][grid]) // _GRID_TESTS_PER_BLOCK
         for b in np.split(grid, np.flatnonzero(np.diff(block)) + 1):
             if b.size:
-                power_c[b], count_c[b] = _grid_pass(geom, apex[b], ux[b], uy[b], reach_c[b],
-                                                    cos_half, [x[b] for x in cells])
+                power[c[b]], count[c[b]] = _grid_pass(geom, apex[b], ux[b], uy[b], reach_c[b],
+                                                      cos_half, [x[b] for x in cells])
     # the rows of every AP with a dense link are built in one block, then the
     # dense links of each chunk run
     aps = [l for l in np.flatnonzero(used).tolist() if l not in geom.rows]
     if aps:
         _dense_rows(geom, deployment, aps)
     for lo in range(0, n, _LINKS_PER_CHUNK):
-        d = lo + np.flatnonzero(dense[lo:lo + _LINKS_PER_CHUNK])
+        d = order[lo + np.flatnonzero(dense[lo:lo + _LINKS_PER_CHUNK])]
         if d.size:
             ux, uy = _bearing(*(deployment.ue_pos[k_idx[d]] - deployment.ap_pos[l_idx[d]]).T)
             power[d], count[d] = _dense_pass(geom, deployment, l_idx[d], ux, uy, reach[d],

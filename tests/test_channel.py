@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -640,6 +640,9 @@ class TestClutterReturnsOracle:
            reach=st.floats(0.3, 3.0),
            order_seed=st.integers(0, 2 ** 16),
            route=st.sampled_from([channel._DENSE_FRACTION, ALL_GRID, ALL_DENSE]))
+    # an offset whose square underflows, inside the 2 rad lobe of N=1
+    @example(ap=[(2.6e-275, 2.0e-178)], ue=[(1.0, 0.0)], scat=[(0.0, 0.0)], n_antennas=1,
+             reach=1.0, order_seed=0, route=ALL_GRID)
     def test_matches_per_link_rule(self, ap, ue, scat, n_antennas, reach, order_seed, route):
         dep = make_deployment(ap, ue, scat)
         cfg = SystemConfig(N=n_antennas)
@@ -749,6 +752,35 @@ class TestClutterReturnsOracle:
         np.testing.assert_array_equal(p_sub, power[sub])
         np.testing.assert_array_equal(c_sub, count[sub])
 
+    def test_dense_pass_gets_links_in_ap_order(self, monkeypatch):
+        # a UE-major call in chunks of 100 links: the dense pass gets the
+        # links in AP order across all chunks, and every link the bits of the
+        # AP-major call
+        cfg = SystemConfig(L=60, K=20, area_side_m=400.0, seed=5)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        monkeypatch.setattr(channel, "_LINKS_PER_CHUNK", 100)
+        calls = []
+
+        def spied(geom, deployment, l_idx, *args, _fn=channel._dense_pass):
+            calls.append(l_idx.copy())
+            return _fn(geom, deployment, l_idx, *args)
+        monkeypatch.setattr(channel, "_dense_pass", spied)
+
+        def run(l_idx, k_idx):
+            calls.clear()
+            power, count = channel.clutter_returns(channel.clutter_geometry(dep, cfg.pathloss),
+                                                   dep, cfg, l_idx, k_idx,
+                                                   budget.distance_m[l_idx, k_idx])
+            return {(l, k): pc for l, k, *pc in zip(l_idx.tolist(), k_idx.tolist(),
+                                                    power.tolist(), count.tolist())}
+        ap_major = run(*np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool)))
+        ue_major = run(*np.nonzero(np.ones((cfg.K, cfg.L), dtype=bool))[::-1])
+        assert len(calls) > 2
+        assert np.all(np.diff(np.concatenate(calls)) >= 0)
+        assert ue_major == ap_major
+        assert sum(c for _, c in ap_major.values()) > 0
+
     @pytest.mark.parametrize("route", [channel._DENSE_FRACTION, ALL_DENSE],
                              ids=["default", "all-dense"])
     def test_cached_rows_match_a_fresh_geometry(self, monkeypatch, route):
@@ -824,9 +856,7 @@ def trig_rule_returns(dep, cfg, geom, links, dense):
     lobe rule cos(arctan2)*ux + sin(arctan2)*uy >= cos(half-angle) and
     d <= reach, summed in the order of one pass of `clutter_returns`: the
     cell order of `geom` through np.bincount for the grid pass, the full row
-    in scatterer order for the dense pass. The grid pass also requires
-    dx*ux + dy*uy >= (cos(half-angle) - 1e-9) * norm, which rejects nothing
-    the rule accepts unless the squared norm leaves the normal float range."""
+    in scatterer order for the dense pass."""
     cos_half = math.cos(channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
     scat = dep.scatterer_pos if dense else geom.xy.T
     power, count = [], []
@@ -840,8 +870,6 @@ def trig_rule_returns(dep, cfg, geom, links, dense):
         d = np.maximum(np.sqrt(dx * dx + dy * dy), cfg.pathloss.d0_m)
         hit = (np.cos(ang) * ux + np.sin(ang) * uy >= cos_half)
         hit &= d <= channel.CLUTTER_RANGE_FACTOR * link_dist
-        if not dense:
-            hit &= dx * ux + dy * uy >= (cos_half - 1e-9) * np.sqrt(dx * dx + dy * dy)
         if dense:
             returns = channel.db_to_lin(-2.0 * channel.path_loss_db(cfg.pathloss, d))
             total = (returns * hit).sum()
