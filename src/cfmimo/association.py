@@ -107,17 +107,22 @@ class OptimizerReport:
 
 def objective_value(weights: np.ndarray, A: np.ndarray) -> float:
     """Canonical objective sum; fixed accumulation order so every solver
-    producing the same support reports bit-identical objectives.
-
-    Each column's selected weights, rows ascending, are summed as one
-    np.sum of that length (pairwise from 8 terms on); the column sums are
-    then added in column order. Columns with the same number of selected
-    rows are summed together as the rows of one (columns, m) array, which
-    numpy reduces row by row exactly as it reduces each 1-D column.
-    """
+    producing the same support reports bit-identical objectives (see
+    `_objective_sum`)."""
     sel = np.asarray(A).T == 1
-    n_sel = sel.sum(axis=1)
-    vals = np.asarray(weights).T[sel]
+    return _objective_sum(sel.sum(axis=1), np.asarray(weights).T[sel])
+
+
+def _objective_sum(n_sel, vals) -> float:
+    """The objective of the selected cells `vals`, listed by column with rows
+    ascending, `n_sel` of them in each column.
+
+    Each column's values are summed as one np.sum of that length (pairwise
+    from 8 terms on); the column sums are then added in column order.
+    Columns with the same number of selected rows are summed together as the
+    rows of one (columns, m) array, which numpy reduces row by row exactly as
+    it reduces each 1-D column.
+    """
     start = np.cumsum(n_sel) - n_sel
     col_sums = np.zeros(n_sel.size)
     for m in np.flatnonzero(np.bincount(n_sel)[1:]) + 1:
@@ -126,7 +131,10 @@ def objective_value(weights: np.ndarray, A: np.ndarray) -> float:
     return float(np.add.accumulate(col_sums)[-1]) if col_sums.size else 0.0
 
 
-def _check_instance(S, R, M, tau_p, X):
+def _eligible_links(S, R, M, tau_p, X):
+    """The eligible links, M_lk == 1 and S_lk R_lk > 0, listed by UE with APs
+    ascending: their UEs, APs and weights S_lk R_lk, and the mask. S and R
+    are read only where M_lk == 1."""
     S = np.asarray(S, dtype=float)
     R = np.asarray(R, dtype=float)
     M = np.asarray(M)
@@ -134,32 +142,55 @@ def _check_instance(S, R, M, tau_p, X):
         raise ValueError(f"dimension mismatch: S{S.shape} R{R.shape} M{M.shape}")
     if tau_p < 1 or X < 1:
         raise ValueError("tau_p and X must be >= 1")
-    w = S * R
-    w[M == 0] = 0.0
+    ue, ap = np.divmod(np.flatnonzero(M.T == 1), M.shape[0])
+    w = S[ap, ue] * R[ap, ue]
+    keep = w > 0
+    return ue[keep], ap[keep], w[keep], M
+
+
+def _check_instance(S, R, M, tau_p, X):
+    """The (L, K) weights of the eligible links, 0 elsewhere, and the mask."""
+    ue, ap, w_links, M = _eligible_links(S, R, M, tau_p, X)
+    w = np.zeros(M.shape)
+    w[ap, ue] = w_links
     return w, M
 
 
-def _column_top_selection(w: np.ndarray, M: np.ndarray, X: int) -> np.ndarray:
-    """Per column, the (at most) X eligible rows of largest weight; equal
-    weights go to the lower row.
+def _top_x(ue, w, X: int) -> np.ndarray:
+    """Of links listed by UE with APs ascending, each UE's (at most) X of
+    largest weight, equal weights to the lower AP: a boolean per link.
 
-    Only the eligible cells are sorted, stably by column and then weight
-    descending. They are listed rows ascending, so ties keep that order.
+    Each UE's negated weights fill one row of a (UEs, most links of a UE)
+    array, padded with +inf, and each row is sorted stably, so ties keep the
+    listed order. One sort of floats costs a fraction of a lexsort of the
+    list by UE and weight.
     """
-    K = w.shape[1]
-    rows, cols = np.divmod(np.flatnonzero((M == 1) & (w > 0)), K)
-    order = np.lexsort((-w[rows, cols], cols))
-    per_col = np.bincount(cols, minlength=K)
-    top = order[np.arange(cols.size) - np.repeat(np.cumsum(per_col) - per_col, per_col) < X]
+    per_ue = np.bincount(ue)
+    start = np.cumsum(per_ue) - per_ue
+    neg_w = np.full((per_ue.size, per_ue.max(initial=0)), np.inf)
+    neg_w[ue, np.arange(ue.size) - np.repeat(start, per_ue)] = -w
+    best = np.argsort(neg_w, axis=1, kind="stable")[:, :X]
+    top = np.zeros(ue.size, dtype=bool)
+    top[(start[:, None] + best)[best < per_ue[:, None]]] = True
+    return top
+
+
+def _column_top_selection(w: np.ndarray, M: np.ndarray, X: int) -> np.ndarray:
+    """Per column, the (at most) X eligible rows of largest weight (see
+    `_top_x`), as an (L, K) int8 array."""
+    ue, ap = np.divmod(np.flatnonzero(((M == 1) & (w > 0)).T), w.shape[0])
+    top = _top_x(ue, w[ap, ue], X)
     A = np.zeros(w.shape, dtype=np.int8)
-    A[rows[top], cols[top]] = 1
+    A[ap[top], ue[top]] = 1
     return A
 
 
-def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.ndarray, int, int]:
-    """Exact max-weight b-matching: the per-UE relaxation, repaired by
-    successive shortest paths.  Returns it, the number of units of overload
-    routed and the number of shortest-path searches run.
+def _solve_flow(e_k, e_l, e_w, L: int, tau_p: int, X: int) -> tuple[np.ndarray, int, int]:
+    """Exact max-weight b-matching on the eligible links, listed by UE with
+    APs ascending (UE e_k, AP e_l, weight e_w > 0): the per-UE relaxation,
+    repaired by successive shortest paths.  Returns whether each link is
+    selected, the number of units of overload routed and the number of
+    shortest-path searches run.
 
     The relaxation (each UE's top X, AP capacities dropped) is returned when
     it fits.  Otherwise it is the starting pseudoflow of a min-cost flow on
@@ -185,19 +216,14 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
     weight ties, which of the optimal supports is returned depends on the
     order the paths are routed in.
     """
-    A = _column_top_selection(w, M, X)
-    row_used = A.sum(axis=1)
-    D = int(np.maximum(row_used - tau_p, 0).sum())
+    used = _top_x(e_k, e_w, X)          # edge carries flow, i.e. a_lk = 1
+    D = int(np.maximum(np.bincount(e_l[used], minlength=L) - tau_p, 0).sum())
     if D == 0:
-        return A, 0, 0
+        return used, 0, 0
 
-    # Eligible links as a flat edge list grouped by UE, APs ascending within a
-    # UE; only UEs with at least one edge take part, renumbered u = 0..U-1.
-    e_k, e_l = np.nonzero(((M == 1) & (w > 0)).T)
-    e_w = w[e_l, e_k]
-    used = A[e_l, e_k] == 1             # edge carries flow, i.e. a_lk = 1
+    # Only UEs with at least one edge take part, renumbered u = 0..U-1.
     _, starts, e_u = np.unique(e_k, return_index=True, return_inverse=True)
-    L, U, E = w.shape[0], starts.size, e_k.size
+    U, E = starts.size, e_k.size
     theta = np.minimum.reduceat(np.where(used, e_w, np.inf), starts)
     pi_ue = np.where(np.add.reduceat(used.astype(int), starts) == X, -theta, 0.0)
     pi_ap = np.zeros(L)
@@ -273,20 +299,23 @@ def _solve_flow(w: np.ndarray, M: np.ndarray, tau_p: int, X: int) -> tuple[np.nd
             d_max = dist_ap[sink]
         pi_ap += np.minimum(dist_ap, d_max)
         pi_ue += np.minimum(dist_ue, d_max)
-    A[e_l, e_k] = used                  # every link A holds is eligible
-    return A, D, searches
+    return used, D, searches
 
 
 def optimize(S, R, M, tau_p: int, X: int):
     """Solve the association problem exactly.
 
     Maximizes sum S_lk R_lk a_lk over binary a, subject to at most tau_p UEs
-    per AP, at most X APs per UE, and a <= M elementwise.
+    per AP, at most X APs per UE, and a <= M elementwise.  The eligible
+    links are listed once, and the solver, the objective and A all work from
+    that list.
     """
-    w, M = _check_instance(S, R, M, tau_p, X)
-    A, repairs, searches = _solve_flow(w, M, tau_p, X)
+    ue, ap, w, M = _eligible_links(S, R, M, tau_p, X)
+    used, repairs, searches = _solve_flow(ue, ap, w, M.shape[0], tau_p, X)
+    A = np.zeros(M.shape, dtype=np.int8)
+    A[ap[used], ue[used]] = 1
     report = OptimizerReport(
-        objective=objective_value(w, A),
+        objective=_objective_sum(np.bincount(ue[used], minlength=M.shape[1]), w[used]),
         integral=bool(((A == 0) | (A == 1)).all()),
         repairs=repairs,
         searches=searches,

@@ -39,6 +39,15 @@ QPSK = Constellation(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.
 CONSTELLATIONS = {"bpsk": BPSK, "qpsk": QPSK}
 
 
+def _ml_decisions(z, candidates) -> np.ndarray:
+    """Maximum-likelihood (nearest-point) decisions: per entry of z, the
+    index along the first axis of `candidates`, the constellation points
+    each broadcast against z, of the least |z - point|^2; equal distances go
+    to the lower index. With the points on the leading axis the distances
+    and the argmin run over whole (..., n) arrays, not M-element rows."""
+    return np.argmin(np.abs(z - candidates) ** 2, axis=0)
+
+
 def q_exact(x):
     """Gaussian tail probability via the complementary error function."""
     xs = np.asarray(x, dtype=float)
@@ -162,7 +171,7 @@ def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
         noise = math.sqrt(sigma2 / 2.0) * (rng.standard_normal(n_symbols)
                                            + 1j * rng.standard_normal(n_symbols))
         y = s + noise
-        det = np.argmin(np.abs(y[:, None] - constel.points[None, :]) ** 2, axis=1)
+        det = _ml_decisions(y, constel.points[:, None])
         errors = int(np.count_nonzero(det != idx))
         out.append(SerPoint(float(snr_db), math.nan, errors / n_symbols, n_symbols,
                             wilson_halfwidth(errors, n_symbols),
@@ -354,8 +363,7 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
                 V[s.link_row] = (B @ y[..., None])[..., 0]
             Gx, v_norm2 = _combined_signal(V, H, x)
         z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
-        det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
-                        axis=-1)
+        det = _ml_decisions(z, v_norm2[:, None] * constel.points[:, None, None])
         errors[j] = np.count_nonzero(det != idx)
     return errors
 

@@ -449,6 +449,81 @@ class TestOptimize:
             np.testing.assert_array_equal(got, A)
 
 
+def tied_instances(weights):
+    """The instances of `test_ties_with_binding_capacities`."""
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        if weights == "ones":
+            L, K = (6, 5) if trial == 0 else (int(rng.integers(3, 7)), int(rng.integers(2, 6)))
+            S = np.ones((L, K))
+        else:
+            L, K = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+            S = rng.integers(1, 4, (L, K)).astype(float)
+        M = np.ones((L, K), dtype=np.int8)
+        drop = rng.random((L, K)) < 0.2
+        if trial > 0:
+            M[drop] = 0
+        yield S, np.ones((L, K)), M, 1, 2
+
+
+def decade_instances():
+    """The instances of `test_binding_exact_over_twenty_decades`, binding or
+    not."""
+    rng = np.random.default_rng(2006)
+    for _ in range(40):
+        L, K = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        tau_p, X = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        M = (rng.random((L, K)) < rng.uniform(0.5, 1.0)).astype(np.int8)
+        yield 10.0 ** rng.uniform(-10.0, 10.0, (L, K)) * M, np.ones((L, K)), M, tau_p, X
+
+
+def random_instances(seed, n, **kw):
+    rng = np.random.default_rng(seed)
+    return (random_instance(rng, **kw) for _ in range(n))
+
+
+class TestOneRule:
+    """The optimizer's objective and relaxation follow the same rules as
+    `objective_value` and `_column_top_selection` on the dense arrays."""
+
+    @pytest.mark.parametrize("instances", [
+        pytest.param(lambda: random_instances(2024, 60), id="random-2024"),
+        pytest.param(lambda: random_instances(77, 40), id="random-77"),
+        pytest.param(lambda: random_instances(41, 60, tau_max=5), id="random-41"),
+        pytest.param(lambda: tied_instances("ones"), id="ties-ones"),
+        pytest.param(lambda: tied_instances("small_int"), id="ties-small-int"),
+        pytest.param(decade_instances, id="decades"),
+    ])
+    def test_objective_and_relaxation(self, instances):
+        repaired = 0
+        for S, R, M, tau_p, X in instances():
+            w, _ = assoc._check_instance(S, R, M, tau_p, X)
+            A, rep = assoc.optimize(S, R, M, tau_p, X)
+            assert rep.objective.hex() == assoc.objective_value(w, A).hex()
+            if rep.repairs == 0:
+                np.testing.assert_array_equal(A, assoc._column_top_selection(w, M, X))
+            repaired += rep.repairs > 0
+        assert repaired > 0
+
+    def test_masked_cells_never_read(self):
+        # NaN and infinities in the masked cells of S and R, some of whose
+        # products are NaN or would warn: the result is that of zeros there
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            S, R, M, tau_p, X = random_instance(rng)
+            masked = M == 0
+            if not masked.any():
+                continue
+            bad_S, bad_R = S.copy(), R.copy()
+            bad_S[masked] = rng.choice([np.nan, np.inf, -np.inf, 0.0], masked.sum())
+            bad_R[masked] = rng.choice([np.nan, np.inf, 0.0], masked.sum())
+            S[masked] = R[masked] = 0.0
+            A_bad, rep_bad = assoc.optimize(bad_S, bad_R, M, tau_p, X)
+            A, rep = assoc.optimize(S, R, M, tau_p, X)
+            np.testing.assert_array_equal(A_bad, A)
+            assert rep_bad == rep
+
+
 def lp_optimum(w, tau_p, X):
     """Max-weight b-matching as an LP; the bipartite incidence matrix is
     totally unimodular, so the LP optimum is the integer optimum."""

@@ -586,6 +586,39 @@ class TestClutterGeometry:
         p, c = channel.clutter_returns(geom, dep, cfg, [0], [0], [100.0])
         assert p.tolist() == [0.0] and c.tolist() == [0]
 
+    @pytest.mark.parametrize("flip, origin, shape", [(False, [100.0, 0.5], (1, 21)),
+                                                     (True, [0.5, 100.0], (21, 1))])
+    def test_unequal_axes_pinned(self, flip, origin, shape):
+        # x and y extents four decades apart, and their mirror image: origin,
+        # cell and grid shape as reductions along the point axis of the (S, 2)
+        # positions give them, so a swapped column fails; both passes still
+        # count what the per-link rule counts
+        ap = np.array([[0.0, 0.0], [20000.0, 3.0]])
+        ue = np.array([[6000.0, 1.0], [14000.0, 2.0]])
+        scat = np.array([[100.0, 0.5], [15000.0, 2.5], [5000.0, 1.0], [9000.0, 2.0],
+                         [12000.0, 0.75]])
+        if flip:
+            ap, ue, scat = ap[:, ::-1], ue[:, ::-1], scat[:, ::-1]
+        dep = make_deployment(ap, ue, scat)
+        cfg = SystemConfig(N=2)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        assert (geom.origin.tolist(), geom.cell_m, geom.shape) == (origin, 745.0, shape)
+        l_idx, k_idx = np.nonzero(np.ones((dep.L, dep.K), dtype=bool))
+        dist = np.array([link_distance(dep, cfg, l, k) for l, k in zip(l_idx, k_idx)])
+        expected = [lobe_oracle(dep, cfg, l, k, d)[1] for l, k, d in zip(l_idx, k_idx, dist)]
+        assert sum(expected) > 0
+        for route in (ALL_GRID, ALL_DENSE):
+            _, count = routed_returns(route, dep, cfg, l_idx, k_idx, dist)
+            assert count.tolist() == expected
+
+    def test_one_scatterer(self):
+        # no extent: the scatterer is the origin and the cell comes from the
+        # AP spacing alone, 0.5 * sqrt(20000 * 3 / 2)
+        dep = make_deployment([[0.0, 0.0], [20000.0, 3.0]], [[6000.0, 1.0]], [[7000.0, 1.5]])
+        geom = channel.clutter_geometry(dep, SystemConfig().pathloss)
+        assert (geom.origin.tolist(), geom.cell_m, geom.shape) == ([7000.0, 1.5],
+                                                                    86.60254037844386, (1, 1))
+
 
 def lobe_oracle(dep, cfg, l, k, link_dist):
     """The per-link lobe rule the batched kernel replaced: the bearing
