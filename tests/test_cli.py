@@ -633,6 +633,10 @@ NET_FILES = ("netmetrics_delay.csv", "netmetrics_energy.csv", "netmetrics_clutte
              "netmetrics_report.json")
 SER_ARGV = ["ser", "--snr", "0:5:10", "--symbols", "570"]
 SER_FILES = ("ser_sua.csv", "ser_baseline.csv", "ser_report.json")
+SER_CSI_BPSK_ARGV = SER_ARGV + ["--perfect-csi", "--mod", "bpsk"]
+# a one-scheme call: the union of APs is SUA's alone
+SER_SUA_ARGV = SER_ARGV + ["--scheme", "sua"]
+SER_SUA_FILES = ("ser_sua.csv", "ser_report.json")
 SWEEP_ARGV = ["sweep-x"]
 SWEEP_FILES = ("sweep-x_sua.csv", "sweep-x_report.json")
 LOCAL_SCATTERING = dict(correlation_model="local_scattering")
@@ -642,7 +646,8 @@ class TestOutputsPinned:
     """sha256 of every reproducible file that pd, netmetrics, ser, sweep-x and
     report write on the default scenario, under the identity and the
     local-scattering model. The clutter lobes reach pd_formula and the clutter
-    counts; the SER writer reaches the SER tables."""
+    counts; the SER writer reaches the SER tables. The SER pins cover QPSK and
+    BPSK, estimated and perfect CSI, and a one-scheme SUA call."""
 
     @pytest.mark.parametrize("argv, scenario, seed, files, digests", [
         (PD_ARGV, None, 1000, PD_FILES, (
@@ -679,6 +684,24 @@ class TestOutputsPinned:
             "a8579626209091ef5d3e3b2ed5baebf7fddebecd317463b879e8b0f776886a31",
             "cd9e8f2459fcf1b87014e0e0a586d5b9a4862690b2714d4b0565728aaa4243c7",
             "df936a2e00d8cc82567ff47f205973bf0724808ea5036c33f986803f281fb7a8")),
+        (SER_CSI_BPSK_ARGV, None, 1000, SER_FILES, (
+            "573730d6b9124f44ee76615480783b17b85d47d33bd8a6fb019165ce5f19e8b8",
+            "cccac6aebb249f65e1cfd1b2eef053360e06577621b75e1ddaaad013b16de0f5",
+            "01b4ca9d99d009f8f9f49d9db20ef82b412b238277766cc02df4f63c0a02d612")),
+        (SER_CSI_BPSK_ARGV, None, 1002, SER_FILES, (
+            "72889f11ddd1cc60aaf51b36a1e7caa98f0f20b209065a3b0031c58ac2550151",
+            "a680b3a5c8e9d8899b57ebf562c9572e5be582512d468386387e84bcfd0c38a8",
+            "afe3b0726e932207e63706f8fd24af51f5e96eb93ed548320a1c9c9728b586f3")),
+        (SER_ARGV + ["--perfect-csi"], LOCAL_SCATTERING, 1000, SER_FILES, (
+            "d659831d2ad6a7eb57ec6a0c2891a9f6d3fe6b6dfe4fa8c4d147c878b18b8df9",
+            "97850d85bdd42082870d9fb65a2c078fd629e2e6d2db076b422786cacbba4a07",
+            "125756dfa8b004454a704250d108eeca27a79307919183fc0b7fcd4196e9a413")),
+        (SER_SUA_ARGV, None, 1000, SER_SUA_FILES, (
+            "509b3ac47df2f474c75eef94d39b81628217b1f88a7e509e159415235e103e4e",
+            "7d456022904decc23e498d6c5238bf4214a7e0760aed4996d1237ff60588a63c")),
+        (SER_SUA_ARGV, LOCAL_SCATTERING, 1000, SER_SUA_FILES, (
+            "d55db1317c42c7d1893f21e88d8d6eacaea311cfe1a035a350475e14a78fbeac",
+            "de2b4e235b14ed585ac08270f2c9f8caee99f24de64dc9f95645cbe6e810732e")),
         (SWEEP_ARGV, None, 1000, SWEEP_FILES, (
             "0f979ce692fda38a3cc96c939108706c627d46647a2a2029f3ec7c413daf01d0",
             "12d78951c64ff9943302058d13f32eb8b7f9c55e2480f2cafad0121823660db0")),
@@ -686,7 +709,9 @@ class TestOutputsPinned:
             "0f979ce692fda38a3cc96c939108706c627d46647a2a2029f3ec7c413daf01d0",
             "8d346738203bf7367e8901789d3a95125345fb88e777fe40813f148c276f6466")),
     ], ids=["pd-1000", "pd-1002", "netmetrics-1000", "netmetrics-1002", "ser-1000", "ser-1002",
-            "ser-localscat-1000", "ser-localscat-1002", "sweep-x-1000", "sweep-x-1002"])
+            "ser-localscat-1000", "ser-localscat-1002", "ser-bpsk-csi-1000", "ser-bpsk-csi-1002",
+            "ser-localscat-csi-1000", "ser-sua-1000", "ser-localscat-sua-1000",
+            "sweep-x-1000", "sweep-x-1002"])
     def test_outputs_pinned(self, tmp_path, argv, scenario, seed, files, digests):
         if scenario is not None:
             path = tmp_path / "scenario.json"
