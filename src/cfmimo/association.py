@@ -156,19 +156,28 @@ def _check_instance(S, R, M, tau_p, X):
     return w, M
 
 
+def padded_by_ue(ue, values, fill):
+    """Of links listed by UE (ue the UE of each link), each UE's `values` in
+    link order at the start of its row of a (UEs, most links of a UE) array,
+    padded with `fill`; UE ids without a link get a row of `fill`. Returns
+    the array, the links per UE and each UE's first position in the list."""
+    per_ue = np.bincount(ue)
+    start = np.cumsum(per_ue) - per_ue
+    padded = np.full((per_ue.size, per_ue.max(initial=0)), fill)
+    padded[ue, np.arange(ue.size) - np.repeat(start, per_ue)] = values
+    return padded, per_ue, start
+
+
 def _top_x(ue, w, X: int) -> np.ndarray:
     """Of links listed by UE with APs ascending, each UE's (at most) X of
     largest weight, equal weights to the lower AP: a boolean per link.
 
-    Each UE's negated weights fill one row of a (UEs, most links of a UE)
-    array, padded with +inf, and each row is sorted stably, so ties keep the
-    listed order. One sort of floats costs a fraction of a lexsort of the
-    list by UE and weight.
+    Each UE's negated weights fill one row of a `padded_by_ue` array, padded
+    with +inf, and each row is sorted stably, so ties keep the listed order.
+    One sort of floats costs a fraction of a lexsort of the list by UE and
+    weight.
     """
-    per_ue = np.bincount(ue)
-    start = np.cumsum(per_ue) - per_ue
-    neg_w = np.full((per_ue.size, per_ue.max(initial=0)), np.inf)
-    neg_w[ue, np.arange(ue.size) - np.repeat(start, per_ue)] = -w
+    neg_w, per_ue, start = padded_by_ue(ue, -w, np.inf)
     best = np.argsort(neg_w, axis=1, kind="stable")[:, :X]
     top = np.zeros(ue.size, dtype=bool)
     top[(start[:, None] + best)[best < per_ue[:, None]]] = True

@@ -101,26 +101,17 @@ def _schemes(args):
     return ("sua", "baseline") if args.scheme == "both" else (args.scheme,)
 
 
-def _deployment_state(deployment, cfg):
-    """The one link budget and clutter geometry a command builds per deployment.
-
-    The geometry buckets the scatterers on a grid, which SUA's short links
-    read. All-link work (the baseline's metrics, its Pd terms and clutter
-    counts) also caches the dense (AP, scatterer) rows of every AP on it, in
-    `rows`: each AP's (2, S) unit offsets, distances and returns, four (L, S)
-    arrays' worth, so callers that are done with it drop it before the output
-    tables are formatted.
-    """
-    return channel.link_budget(deployment, cfg), channel.clutter_geometry(deployment, cfg.pathloss)
-
-
 def _setup(args, schemes):
     """Config, deployment, link budget, clutter geometry and the association
     matrix of SUA and of each of `schemes`; the baseline's is all ones, so it
-    skips `run_baseline`'s all-link evaluation."""
+    skips `run_baseline`'s all-link evaluation. All-link work (the
+    baseline's metrics, Pd terms and clutter counts) caches four (L, S)
+    arrays' worth of dense rows on the geometry, so commands drop the
+    geometry before they format their outputs."""
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
-    budget, geom = _deployment_state(deployment, cfg)
+    budget = channel.link_budget(deployment, cfg)
+    geom = channel.clutter_geometry(deployment, cfg.pathloss)
     assocs = {s: association.run_sua(deployment, cfg, budget, geom).A if s == "sua"
               else association.baseline_all_to_all(deployment.L, deployment.K)
               for s in dict.fromkeys(("sua", *schemes))}
@@ -140,7 +131,8 @@ def cmd_validate(args) -> int:
 def cmd_associate(args) -> int:
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
-    budget, geom = _deployment_state(deployment, cfg)
+    budget = channel.link_budget(deployment, cfg)
+    geom = channel.clutter_geometry(deployment, cfg.pathloss)
     run = {"sua": association.run_sua, "baseline": association.run_baseline}
     results = {s: run[s](deployment, cfg, budget, geom) for s in _schemes(args)}
     del budget, geom
@@ -162,9 +154,9 @@ def cmd_associate(args) -> int:
 
 def cmd_ser(args) -> int:
     schemes = _schemes(args)
+    grid = parse_db_range(args.snr)
     cfg, deployment, budget, geom, assocs = _setup(args, schemes)
     del geom
-    grid = parse_db_range(args.snr)
     pts = comm_perf.ser_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, comm_perf.CONSTELLATIONS[args.mod],
         grid, args.symbols, cfg.seed, assocs["sua"], budget, perfect_csi=args.perfect_csi)
@@ -181,8 +173,8 @@ def cmd_ser(args) -> int:
 
 def cmd_pd(args) -> int:
     schemes = _schemes(args)
-    cfg, deployment, budget, geom, assocs = _setup(args, schemes)
     grid = parse_db_range(args.snr)
+    cfg, deployment, budget, geom, assocs = _setup(args, schemes)
     all_points, scale = sense_perf.pd_monte_carlo(
         deployment, cfg, {s: assocs[s] for s in schemes}, assocs["sua"], grid, args.trials,
         cfg.seed, budget, geom)

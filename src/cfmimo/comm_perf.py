@@ -23,18 +23,10 @@ from cfmimo.scenario import (
 )
 
 
-@dataclass
-class Constellation:
-    points: np.ndarray  # complex, unit average energy
-
-    @property
-    def M(self) -> int:
-        return len(self.points)
-
-
-BPSK = Constellation(np.array([1.0 + 0j, -1.0 + 0j]))
+# a constellation is the array of its complex points, of unit average energy
+BPSK = np.array([1.0 + 0j, -1.0 + 0j])
 # Gray-labelled QPSK, unit symbol energy
-QPSK = Constellation(np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0))
+QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
 
 CONSTELLATIONS = {"bpsk": BPSK, "qpsk": QPSK}
 
@@ -66,7 +58,7 @@ def residual_error_power(sigma2: float, K: int, tau_p: int, X: int) -> float:
     return sigma2 * K / (tau_p * X)
 
 
-def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int):
+def ser_theory(constel: np.ndarray, alphas, sigma2: float, c2: float, N: int):
     """Closed-form SER, clamped to [0, 1]: the union bound
     sum_{i != j} PEP(i -> j) / M over the ordered symbol pairs.
 
@@ -80,9 +72,8 @@ def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int)
     order, one after the other. Returns a float for one UE's 1-D alphas,
     else an array over the leading axes.
     """
-    pts = constel.points
-    i, j = np.nonzero(~np.eye(constel.M, dtype=bool))
-    d2, pair = np.unique(np.abs(pts[i] - pts[j]) ** 2, return_inverse=True)
+    i, j = np.nonzero(~np.eye(constel.size, dtype=bool))
+    d2, pair = np.unique(np.abs(constel[i] - constel[j]) ** 2, return_inverse=True)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     link_sums = alphas[None] * d2.reshape((-1,) + (1,) * alphas.ndim)
     D = 2.0 * (sigma2 + c2)
@@ -96,7 +87,7 @@ def ser_theory(constel: Constellation, alphas, sigma2: float, c2: float, N: int)
     total = 0.0
     for d in pair:
         total = total + pep[d]
-    ser = np.clip(total / constel.M, 0.0, 1.0)
+    ser = np.clip(total / constel.size, 0.0, 1.0)
     return float(ser) if alphas.ndim == 1 else ser
 
 
@@ -159,19 +150,19 @@ def ser_csv(points_by_scheme: dict[str, list[SerPoint]], mod: str) -> str:
 
 # --- link-level AWGN reference ------------------------------------------------
 
-def ser_awgn_mc(constel: Constellation, snr_db_grid, n_symbols: int, seed: int):
+def ser_awgn_mc(constel: np.ndarray, snr_db_grid, n_symbols: int, seed: int):
     """Single-link, perfect-CSI, unit-channel Monte-Carlo SER (textbook AWGN).
     Every symbol is its own cluster."""
     out = []
     for i, snr_db in enumerate(np.atleast_1d(snr_db_grid)):
         sigma2 = 10.0 ** (-float(snr_db) / 10.0)
         rng = rng_stream(seed, "mc", 1000 + i)
-        idx = rng.integers(0, constel.M, n_symbols)
-        s = constel.points[idx]
+        idx = rng.integers(0, constel.size, n_symbols)
+        s = constel[idx]
         noise = math.sqrt(sigma2 / 2.0) * (rng.standard_normal(n_symbols)
                                            + 1j * rng.standard_normal(n_symbols))
         y = s + noise
-        det = _ml_decisions(y, constel.points[:, None])
+        det = _ml_decisions(y, constel[:, None])
         errors = int(np.count_nonzero(det != idx))
         out.append(SerPoint(float(snr_db), math.nan, errors / n_symbols, n_symbols,
                             wilson_halfwidth(errors, n_symbols),
@@ -211,7 +202,7 @@ def _unit_complex(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
-                    constel: Constellation, snr_db_grid, n_symbols: int, seed: int, reference,
+                    constel: np.ndarray, snr_db_grid, n_symbols: int, seed: int, reference,
                     budget: channel.LinkBudget, perfect_csi: bool = False):
     """Uplink SER of communication and JCAS UEs under each association of
     `assocs`, a mapping from scheme name to association matrix.
@@ -292,7 +283,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
         rng = rng_stream(seed, "mc", SER_BLOCK_STREAM, block)
         w = _unit_complex(rng, (L, K, N))[aps]
         pilot_noise = _unit_complex(rng, (tau_p, L, N))[:, aps]
-        idx = rng.integers(0, constel.M, (n_data, nsym))
+        idx = rng.integers(0, constel.size, (n_data, nsym))
         out_noise = _unit_complex(rng, (n_data, nsym))
         h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
         for si, s in enumerate(schemes):
@@ -305,7 +296,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     clusters = (sizes.size, n_tot, n_data * n_data * int(sizes @ sizes))
     points = []
     for si, (s, (ue, ap)) in enumerate(zip(schemes, links)):
-        betas = _padded_link_gains(ue, g[ap, data_ues[ue]])
+        betas, _, _ = association.padded_by_ue(ue, g[ap, data_ues[ue]], 0.0)
         for gi, (snr_db, sigma2) in enumerate(zip(grid, sigma2s)):
             c2 = residual_error_power(sigma2, K, tau_p, config.X)
             theory = float(np.mean(ser_theory(
@@ -318,19 +309,8 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     return points
 
 
-def _padded_link_gains(ue, gains) -> np.ndarray:
-    """Each UE's serving-link gains, from a link list grouped by UE as
-    `association.serving_links` returns it (ue the UE of each link, gains
-    its gain), left-aligned in link order and zero-padded to the largest
-    serving set: (UEs, max links served)."""
-    n_links = np.bincount(ue)
-    out = np.zeros((n_links.size, n_links.max()))
-    out[ue, np.arange(ue.size) - (np.cumsum(n_links) - n_links)[ue]] = gains
-    return out
-
-
 def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
-                  constel: Constellation, sigma2s, data_ues, tau_p: int) -> np.ndarray:
+                  constel: np.ndarray, sigma2s, data_ues, tau_p: int) -> np.ndarray:
     """Symbol errors of one scheme in one coherence block at each noise
     variance of `sigma2s`, from the block's draws (see `ser_monte_carlo`): h
     (APs, K, N) and pilot_noise (tau_p, APs, N) over the call's APs, idx the
@@ -340,7 +320,7 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
     stacked combiners."""
     h_s = h if s.pos.size == h.shape[0] else h[s.pos]
     H = h_s.transpose(1, 0, 2)[data_ues]
-    x = constel.points[idx]
+    x = constel[idx]
     V = np.zeros((H.shape[0] * H.shape[1], H.shape[2]), dtype=complex)
     if factors is None:
         V[s.link_row] = h_s[s.link_at, s.link_ue]
@@ -363,7 +343,7 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
                 V[s.link_row] = (B @ y[..., None])[..., 0]
             Gx, v_norm2 = _combined_signal(V, H, x)
         z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
-        det = _ml_decisions(z, v_norm2[:, None] * constel.points[:, None, None])
+        det = _ml_decisions(z, v_norm2[:, None] * constel[:, None, None])
         errors[j] = np.count_nonzero(det != idx)
     return errors
 

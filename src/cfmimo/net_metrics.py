@@ -59,7 +59,7 @@ class RuntimeResult:
 
 def association_runtime(deployment: Deployment, config: SystemConfig,
                         budget: channel.LinkBudget, geom: channel.ClutterGeometry,
-                        reps: int = 20) -> RuntimeResult:
+                        reps: int) -> RuntimeResult:
     """Median wall-clock of `association.run_sua` against `association.run_baseline`.
 
     Both schemes share the given link budget and clutter geometry, so the

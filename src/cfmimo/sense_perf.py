@@ -203,7 +203,7 @@ def false_alarm_monte_carlo(p_fa: float, n_trials: int, seed: int) -> float:
 
 
 def pd_chain_monte_carlo(scnr: float, p_fa: float, n_trials: int, seed: int,
-                         stream_tag: int = 0) -> float:
+                         stream_tag: int) -> float:
     """Empirical detection rate of the matched-envelope chain at a given SCNR,
     at unit clutter + noise power.
 

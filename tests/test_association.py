@@ -230,6 +230,25 @@ class TestServingLinks:
             assoc.serving_links(self.A, np.array(ues))
 
 
+class TestPaddedByUe:
+    @pytest.mark.parametrize("fill", [np.inf, 0.0])
+    def test_ue_ids_with_gaps(self, fill):
+        # UEs 1, 3 and 4 have no link, as in an optimizer instance whose
+        # columns hold no eligible link
+        ue = np.array([0, 0, 2, 2, 2, 5])
+        values = np.array([3.0, -1.0, 2.5, 7.0, 0.5, -4.0])
+        padded, per_ue, start = assoc.padded_by_ue(ue, values, fill)
+        assert padded.shape == (6, 3)
+        np.testing.assert_array_equal(per_ue, [2, 0, 3, 0, 0, 1])
+        for k in range(6):
+            own = values[ue == k]
+            assert per_ue[k] == own.size
+            if own.size:
+                assert start[k] == np.flatnonzero(ue == k)[0]
+            np.testing.assert_array_equal(padded[k, :own.size], own)
+            assert np.all(padded[k, own.size:] == fill)
+
+
 def random_instance(rng, l_max=6, k_max=5, tau_max=3, x_max=2):
     L = int(rng.integers(2, l_max + 1))
     K = int(rng.integers(1, k_max + 1))

@@ -484,15 +484,15 @@ def _ser_errors_per_ap(dep, cfg, A, constel, snr_db_grid, n_symbols, seed, refer
             h = np.sqrt(g[aps] / 2.0)[..., None] * (
                 w[aps] if C_sqrt is None else (C_sqrt @ w[aps][..., None])[..., 0])
             pilot_noise = (rng.standard_normal((cfg.tau_p, L, N, 2)) @ [1.0, 1j])[:, aps]
-            idx = rng.integers(0, constel.M, (data_ues.size, nsym))
+            idx = rng.integers(0, constel.size, (data_ues.size, nsym))
             if perfect_csi:
                 h_hat = serves * h[:, data_ues]
             else:
                 y_p = channel.pilot_rx(h, cfg.tau_p, pilots, pilot_noise, [sigma2])[0]
                 h_hat = (filt @ y_p[pilots[data_ues]].transpose(1, 0, 2)[..., None])[..., 0]
-            z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues], constel.points[idx], sigma2, rng))
+            z = _mr_combine(h_hat, _ul_data_rx(h[:, data_ues], constel[idx], sigma2, rng))
             v_norm2 = np.einsum("lkn,lkn->k", h_hat.conj(), h_hat).real
-            det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel.points) ** 2,
+            det = np.argmin(np.abs(z[..., None] - v_norm2[:, None, None] * constel) ** 2,
                             axis=-1)
             errors += int(np.count_nonzero(det != idx))
         counts.append(errors)

@@ -70,7 +70,14 @@ class TestParseRange:
         ["pd", "--snr", "0:inf:5"],
         ["pd", "--snr", "400:400"],
     ])
-    def test_bad_grid_exit_2(self, tmp_path, capsys, argv):
+    def test_bad_grid_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # the grid is parsed before the link budget is built and SUA runs
+        from cfmimo import channel
+
+        def unreachable(*a, **kw):
+            raise AssertionError("the association ran before the grid was parsed")
+        monkeypatch.setattr(channel, "link_budget", unreachable)
+        monkeypatch.setattr(association, "run_sua", unreachable)
         path = small_scenario(tmp_path)
         assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path)]) == 2
         assert "bad range" in capsys.readouterr().err

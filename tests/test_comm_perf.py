@@ -32,15 +32,14 @@ class TestQFunctions:
 class TestConstellations:
     @pytest.mark.parametrize("constel", [BPSK, QPSK])
     def test_unit_energy(self, constel):
-        assert float(np.mean(np.abs(constel.points) ** 2)) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.mean(np.abs(constel) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_sizes(self):
-        assert BPSK.M == 2 and QPSK.M == 4
+        assert BPSK.size == 2 and QPSK.size == 4
 
     @pytest.mark.parametrize("constel", [BPSK, QPSK])
     def test_distinct_points(self, constel):
-        pts = constel.points
-        assert np.abs(pts[:, None] - pts[None, :])[~np.eye(constel.M, dtype=bool)].min() > 0
+        assert np.abs(constel[:, None] - constel[None, :])[~np.eye(constel.size, dtype=bool)].min() > 0
 
     def test_lookup(self):
         assert comm_perf.CONSTELLATIONS["bpsk"] is BPSK and comm_perf.CONSTELLATIONS["qpsk"] is QPSK
@@ -164,12 +163,11 @@ class TestSerTheory:
     @staticmethod
     def _ser_theory_pair_loop(constel, alphas, sigma2, c2, N):
         total = 0.0
-        for i in range(constel.M):
-            for j in range(constel.M):
+        for i in range(constel.size):
+            for j in range(constel.size):
                 if i != j:
-                    total += _pep_average(alphas, constel.points[i] - constel.points[j],
-                                          sigma2, c2, N)
-        return min(max(total / constel.M, 0.0), 1.0)
+                    total += _pep_average(alphas, constel[i] - constel[j], sigma2, c2, N)
+        return min(max(total / constel.size, 0.0), 1.0)
 
     def test_equals_pair_loop(self):
         rng = np.random.default_rng(17)

@@ -194,7 +194,7 @@ class TestPdFormulas:
 
     def test_matches_rician_monte_carlo(self):
         scnr = 10.0  # 10 dB
-        mc = sense_perf.pd_chain_monte_carlo(scnr, 1e-2, 1_000_000, 5)
+        mc = sense_perf.pd_chain_monte_carlo(scnr, 1e-2, 1_000_000, 5, stream_tag=0)
         assert abs(mc - sense_perf.pd_single(scnr, 1e-2)) < 2e-3
 
     def test_aggregate_reduces_to_single(self):
