@@ -7,6 +7,7 @@ combined outputs directly from their sufficient statistics."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -265,8 +266,13 @@ class ClutterGeometry:
     the original scatterer order: the unit AP -> scatterer offsets as one
     (2, S) array, the right operand of the pass's per-AP product (see
     `_unit_offset`), the distances and the two-way gains. `_dense_rows`
-    builds the rows of the APs a call needs on first use, as one (APs, 4, S)
-    block, and caches them in `rows`, keyed by AP. A call allocates only the
+    builds the rows a call needs and has no cached copy of, in chunks of the
+    APs of _LINKS_PER_CHUNK links of an all-link call, as (APs, 4, S) blocks.
+    A call whose new rows fit in one chunk caches them in `rows`, keyed by
+    AP, for later calls to read. A larger call builds its chunks in turn
+    over one block and caches none, so it holds one chunk's rows, about 1 MB
+    at the default densities, where the rows of every AP would take L x 4 x
+    S doubles (14 MB at L=400, 88 MB at L=1000). A call allocates only the
     rows it builds: numpy advises huge pages for an array of 4 MiB or more,
     so in a sparse (L, S) array each of the few rows SUA's links need would
     fault in 2 MiB.
@@ -367,34 +373,62 @@ def _unit_offset(dx, dy, norm):
     return dx, dy
 
 
-def _two_way_gain(pathloss: PathLossParams, d):
-    """Linear gain of both hops AP -> scatterer -> AP at the config exponent."""
-    return db_to_lin(-2.0 * path_loss_db(pathloss, d))
+def _two_way_gain(pathloss: PathLossParams, d, out=None):
+    """Linear gain of both hops AP -> scatterer -> AP at the config exponent:
+    db_to_lin(-2 * path_loss_db(pathloss, d)) bit for bit, by the same steps
+    in the same order, written over one array (`out`, or a new one) instead
+    of a temporary per step. path_loss_db's +0.0 shadowing is left out: it
+    only turns -0.0 into +0.0, and 10**x maps both to 1.0."""
+    g = np.maximum(d, pathloss.d0_m, out=out)
+    g /= pathloss.d0_m
+    np.log10(g, out=g)
+    g *= 10.0 * pathloss.gamma_pl
+    g += pathloss.pl0_db
+    g *= -2.0
+    g /= 10.0
+    return np.power(10.0, g, out=g)
 
 
 def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: list):
-    """Build and cache the dense rows of the APs `aps` (see ClutterGeometry),
-    in batches of about _LOBE_TESTS_PER_BLOCK (AP, scatterer) pairs."""
+    """Put the dense rows of the APs `aps`, in AP order, in `geom.rows` (see
+    ClutterGeometry), one chunk of APs at a time: a generator that yields the
+    last AP of each chunk once the chunk's rows are in place.
+
+    A chunk holds the APs of _LINKS_PER_CHUNK links of an all-link call, at
+    least one. When `aps` fit in one chunk their rows stay cached. Otherwise
+    every chunk is written over one block, and its rows are taken out of
+    `geom.rows` before the next chunk is built and after the last. The rows
+    are built in batches of about _LOBE_TESTS_PER_BLOCK (AP, scatterer) pairs.
+    """
     scat = deployment.scatterer_pos
-    rows = np.empty((len(aps), 4, scat.shape[0]))
+    per_chunk = max(1, _LINKS_PER_CHUNK // deployment.K)
+    block = np.empty((min(len(aps), per_chunk), 4, scat.shape[0]))
     step = max(1, _LOBE_TESTS_PER_BLOCK // scat.shape[0])
-    for lo in range(0, len(aps), step):
-        ap, batch = deployment.ap_pos[aps[lo:lo + step]], rows[lo:lo + step]
-        dx = scat[None, :, 0] - ap[:, 0, None]
-        dy = scat[None, :, 1] - ap[:, 1, None]
-        norm = _distance(dx, dy)
-        batch[:, 0], batch[:, 1] = _unit_offset(dx, dy, norm)
-        d = np.maximum(norm, geom.pathloss.d0_m, out=batch[:, 2])
-        batch[:, 3] = _two_way_gain(geom.pathloss, d)
-    geom.rows.update((l, (row[:2], row[2], row[3])) for l, row in zip(aps, rows))
+    for start in range(0, len(aps), per_chunk):
+        chunk = aps[start:start + per_chunk]
+        rows = block[:len(chunk)]
+        for lo in range(0, len(chunk), step):
+            ap, batch = deployment.ap_pos[chunk[lo:lo + step]], rows[lo:lo + step]
+            dx = scat[None, :, 0] - ap[:, 0, None]
+            dy = scat[None, :, 1] - ap[:, 1, None]
+            norm = _distance(dx, dy)
+            batch[:, 0], batch[:, 1] = _unit_offset(dx, dy, norm)
+            d = np.maximum(norm, geom.pathloss.d0_m, out=batch[:, 2])
+            _two_way_gain(geom.pathloss, d, out=batch[:, 3])
+        geom.rows.update((l, (row[:2], row[2], row[3])) for l, row in zip(chunk, rows))
+        yield chunk[-1]
+        if len(aps) > per_chunk:
+            for l in chunk:
+                del geom.rows[l]
 
 
 # Link routing and block sizes of `clutter_returns`. A link whose sector box
 # holds more than _DENSE_FRACTION of the scatterers goes to the dense pass.
-# Links run in chunks of _LINKS_PER_CHUNK; within a chunk the dense pass runs
-# _LOBE_TESTS_PER_BLOCK lobe tests per block of links and the grid pass about
-# _GRID_TESTS_PER_BLOCK, so the temporaries stay near 0.5 MB whatever the
-# number of links.
+# Links are routed and grid-tested in chunks of _LINKS_PER_CHUNK, and the
+# dense links run with the dense rows of one chunk of APs (see `_dense_rows`).
+# The dense pass runs _LOBE_TESTS_PER_BLOCK lobe tests per block of links and
+# the grid pass about _GRID_TESTS_PER_BLOCK, so the temporaries stay near
+# 0.5 MB whatever the number of links.
 _DENSE_FRACTION = 0.15
 _LINKS_PER_CHUNK = 1 << 12
 _LOBE_TESTS_PER_BLOCK = 1 << 16
@@ -473,7 +507,7 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     hit[band] = _in_lobe(dx[band], dy[band], ux[band], uy[band], cos_half)
     hit = np.flatnonzero(hit)
     count = np.diff(np.searchsorted(hit, np.cumsum(n_cand)), prepend=0)
-    returns = _two_way_gain(geom.pathloss, np.maximum(norm.take(hit), d0))
+    returns = _two_way_gain(geom.pathloss, norm.take(hit))
     return np.bincount(np.repeat(np.arange(n), count), returns, minlength=n), count
 
 
@@ -546,10 +580,11 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
     which other links share the call. The two passes count the same
     scatterers, by one lobe rule (see `_bearing`); their power sums differ in
     the last digits. The links are sorted by AP once, by a stable argsort, and
-    in that order routed, and their passes run, in chunks of _LINKS_PER_CHUNK,
-    which bounds the per-link temporaries; each result is written at its
-    link's own index. Between the two, the dense rows of every AP with a
-    dense link are built in one block (see ClutterGeometry).
+    in that order routed, and their grid passes run, in chunks of
+    _LINKS_PER_CHUNK, which bounds the per-link temporaries; each result is
+    written at its link's own index. Then the dense links run in AP order,
+    one chunk of their APs' rows at a time (see ClutterGeometry), and each
+    AP's row is built at most once per call.
     """
     l_idx = np.asarray(l_idx, dtype=np.intp)
     k_idx = np.asarray(k_idx, dtype=np.intp)
@@ -564,7 +599,6 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
     # the chunks and `dense` follow the links in AP order
     order = np.argsort(l_idx, kind="stable")
     dense = np.empty(n, dtype=bool)
-    used = np.zeros(deployment.L, dtype=bool)
     for lo in range(0, n, _LINKS_PER_CHUNK):
         c = order[lo:lo + _LINKS_PER_CHUNK]
         l_c, reach_c = l_idx[c], reach[c]
@@ -572,7 +606,6 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
         ux, uy = _bearing(*(deployment.ue_pos[k_idx[c]] - apex).T)
         cells = _sector_cells(geom, apex, ux, uy, reach_c, half_angle)
         to_dense = dense[lo:lo + _LINKS_PER_CHUNK] = cells[-1] > _DENSE_FRACTION * n_scat
-        used[l_c[to_dense]] = True
         grid = np.flatnonzero(~to_dense)
         # blocks of about _GRID_TESTS_PER_BLOCK candidates, at least one link each
         block = np.cumsum(cells[-1][grid]) // _GRID_TESTS_PER_BLOCK
@@ -580,13 +613,17 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
             if b.size:
                 power[c[b]], count[c[b]] = _grid_pass(geom, apex[b], ux[b], uy[b], reach_c[b],
                                                       cos_half, [x[b] for x in cells])
-    # the rows of every AP with a dense link are built in one block, then the
-    # dense links of each chunk run
-    aps = [l for l in np.flatnonzero(used).tolist() if l not in geom.rows]
-    if aps:
-        _dense_rows(geom, deployment, aps)
-    for lo in range(0, n, _LINKS_PER_CHUNK):
-        d = order[lo + np.flatnonzero(dense[lo:lo + _LINKS_PER_CHUNK])]
+    # the dense links in AP order, run one chunk of their APs' rows at a time;
+    # the links of APs with cached rows run with the chunk they sort into, or
+    # after the last one (up to the sentinel AP L)
+    links = order[np.flatnonzero(dense)]
+    l_d = l_idx[links]
+    new = [l for l in np.flatnonzero(np.bincount(l_d)).tolist() if l not in geom.rows]
+    lo = 0
+    for last in itertools.chain(_dense_rows(geom, deployment, new), [deployment.L]):
+        hi = np.searchsorted(l_d, last, side="right")
+        d = links[lo:hi]
+        lo = hi
         if d.size:
             ux, uy = _bearing(*(deployment.ue_pos[k_idx[d]] - deployment.ap_pos[l_idx[d]]).T)
             power[d], count[d] = _dense_pass(geom, deployment, l_idx[d], ux, uy, reach[d],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -71,11 +72,31 @@ def positive_int(text: str) -> int:
     return value
 
 
-def atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file written at `path` + ".tmp" and renamed to `path` when the
+    block ends; if the block, the write or the rename fails, the temporary
+    file is removed."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def atomic_write(path: str, text: str):
+    with _atomic_file(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
+
+
+def _write_report(out, rep):
+    """Stream `rep` to <experiment>_report.json in `out`."""
+    with _atomic_file(os.path.join(out, f"{rep.experiment}_report.json")) as fh:
+        rep.write(fh)
 
 
 def _write_outputs(out, experiment, cfg, files, tables):
@@ -83,8 +104,7 @@ def _write_outputs(out, experiment, cfg, files, tables):
     over `tables`."""
     for name, text in files.items():
         atomic_write(os.path.join(out, name), text)
-    rep = report.build_report(experiment, cfg, cfg.seed, tables)
-    atomic_write(os.path.join(out, f"{experiment}_report.json"), rep.to_json())
+    _write_report(out, report.build_report(experiment, cfg, cfg.seed, tables))
 
 
 def _load_config(args) -> SystemConfig:
@@ -105,9 +125,10 @@ def _setup(args, schemes):
     """Config, deployment, link budget, clutter geometry and the association
     matrix of SUA and of each of `schemes`; the baseline's is all ones, so it
     skips `run_baseline`'s all-link evaluation. All-link work (the
-    baseline's metrics, Pd terms and clutter counts) caches four (L, S)
-    arrays' worth of dense rows on the geometry, so commands drop the
-    geometry before they format their outputs."""
+    baseline's metrics, Pd terms and clutter counts) caches the dense rows
+    of its APs on the geometry when they fit in one chunk of links (see
+    `channel.ClutterGeometry`), at most about 1 MB at the default densities,
+    and otherwise caches none."""
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
     budget = channel.link_budget(deployment, cfg)
@@ -250,7 +271,7 @@ def cmd_report(args) -> int:
         print(f"reports do not match this scenario (digest {combined.digest[:12]} "
               f"!= {expected[:12]})", file=sys.stderr)
         return EXIT_VALIDATION
-    atomic_write(os.path.join(args.out, "combined_report.json"), combined.to_json())
+    _write_report(args.out, combined)
     print(f"combined {len(reports)} report(s), digest {combined.digest[:12]}")
     return EXIT_OK
 

@@ -34,8 +34,11 @@ class MetricReport:
     seed: int
     tables: dict            # name -> {"schema": str, "csv": str}
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+    def write(self, fh):
+        """Stream the report to the text file `fh` as JSON, keys sorted and
+        indented by 2, with a final newline."""
+        json.dump(asdict(self), fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def build_report(experiment: str, config: SystemConfig, seed: int,

@@ -814,27 +814,34 @@ class TestClutterReturnsOracle:
         assert ue_major == ap_major
         assert sum(c for _, c in ap_major.values()) > 0
 
-    @pytest.mark.parametrize("route", [channel._DENSE_FRACTION, ALL_DENSE],
-                             ids=["default", "all-dense"])
-    def test_cached_rows_match_a_fresh_geometry(self, monkeypatch, route):
+    @pytest.mark.parametrize("route, chunk", [
+        (channel._DENSE_FRACTION, None), (ALL_DENSE, None),
+        (channel._DENSE_FRACTION, 100), (ALL_DENSE, 100),
+    ], ids=["default", "all-dense", "default-streamed", "all-dense-streamed"])
+    def test_cached_rows_match_a_fresh_geometry(self, monkeypatch, route, chunk):
         # the first call caches the dense rows of some even-numbered APs; the
         # second, over every link, reads those and builds the others, and gets
-        # bit-identical results to a geometry that built every row at once
+        # bit-identical results to a geometry that built every row at once.
+        # With chunks of 100 links the second call has the rows of more than
+        # one chunk of APs to build: it streams them and caches none
         cfg = SystemConfig(L=60, K=20, area_side_m=400.0, seed=5)
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
         l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
         dist = budget.distance_m[l_idx, k_idx]
         monkeypatch.setattr(channel, "_DENSE_FRACTION", route)
+        fresh = channel.clutter_geometry(dep, cfg.pathloss)
+        p_fresh, c_fresh = channel.clutter_returns(fresh, dep, cfg, l_idx, k_idx, dist)
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         even = l_idx % 2 == 0
         channel.clutter_returns(geom, dep, cfg, l_idx[even], k_idx[even], dist[even])
         built = set(geom.rows)
         assert built and not any(l % 2 for l in built)
+        assert len(set(fresh.rows) - built) > 100 // cfg.K
+        if chunk:
+            monkeypatch.setattr(channel, "_LINKS_PER_CHUNK", chunk)
         power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
-        assert set(geom.rows) - built
-        fresh = channel.clutter_geometry(dep, cfg.pathloss)
-        p_fresh, c_fresh = channel.clutter_returns(fresh, dep, cfg, l_idx, k_idx, dist)
+        assert (set(geom.rows) == built) if chunk else (set(geom.rows) - built)
         assert count.sum() > 0
         np.testing.assert_array_equal(power, p_fresh)
         np.testing.assert_array_equal(count, c_fresh)

@@ -751,6 +751,17 @@ class TestUnwritableOut:
         assert "cannot write outputs: " in capsys.readouterr().err
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("name", ["associate_sua.csv", "associate_report.json"],
+                             ids=["csv", "report"])
+    def test_failed_rename_leaves_no_temporary(self, tmp_path, capsys, name):
+        # a directory takes the name of one output file: its temporary file
+        # is written, the rename fails, and the temporary file is removed
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli.main(["associate", "--scheme", "sua", "--out", str(out)]) == 2
+        assert "cannot write outputs: " in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
+
 
 class TestReportCommand:
     def test_combines_reports(self, tmp_path):
