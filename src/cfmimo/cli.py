@@ -89,8 +89,12 @@ def _atomic_file(path: str):
 
 
 def atomic_write(path: str, text: str):
+    """Write `text` to `path` through `_atomic_file`, one slice of
+    `report.SLICE_CHARS` characters per write, so the file's encoder never
+    holds a copy of the whole text."""
     with _atomic_file(path) as fh:
-        fh.write(text)
+        for part in report.slices(text):
+            fh.write(part)
 
 
 def _write_report(out, rep):

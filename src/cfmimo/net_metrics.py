@@ -36,7 +36,9 @@ def energy_total(A) -> float:
 
 @dataclass
 class ClutterReport:
-    links: list            # (ap_id, ue_id, count) over selected links
+    ap: np.ndarray         # AP, UE and lobe scatterer count of each selected
+    ue: np.ndarray         # link, APs in order and each AP's UEs in order
+    count: np.ndarray
     mean: float
 
 
@@ -46,8 +48,7 @@ def clutter_counts(deployment: Deployment, config: SystemConfig, A,
     l_idx, k_idx = np.nonzero(np.asarray(A) == 1)
     _, counts = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
                                         budget.distance_m[l_idx, k_idx])
-    links = list(zip(l_idx.tolist(), k_idx.tolist(), counts.tolist()))
-    return ClutterReport(links, float(counts.mean()) if counts.size else 0.0)
+    return ClutterReport(l_idx, k_idx, counts, float(counts.mean()) if counts.size else 0.0)
 
 
 @dataclass
@@ -150,8 +151,9 @@ def energy_csv(rows: dict[str, tuple[int, float]]) -> str:
 def clutter_csv(reports: dict[str, ClutterReport]) -> str:
     lines = ["scheme,ap_id,ue_id,count"]
     for scheme in sorted(reports):
-        for l, k, c in reports[scheme].links:
-            lines.append(f"{scheme},{l},{k},{c}")
+        rep = reports[scheme]
+        lines += (f"{scheme},{l},{k},{c}"
+                  for l, k, c in zip(rep.ap.tolist(), rep.ue.tolist(), rep.count.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,17 @@ from dataclasses import asdict, dataclass
 
 from cfmimo.scenario import SystemConfig
 
+# the most characters of one string that a single `write` gets: a whole
+# association table (100 MB at L=4000) written at once is copied whole by the
+# JSON escape and again by the file's encoder; written in slices, it is
+# copied one slice at a time
+SLICE_CHARS = 64 * 1024
+
+
+def slices(text: str):
+    """`text` in consecutive pieces of at most SLICE_CHARS characters."""
+    return (text[i:i + SLICE_CHARS] for i in range(0, len(text), SLICE_CHARS))
+
 
 def _canonical(value):
     """Floats rendered at 17 significant digits so digests are platform-stable."""
@@ -35,10 +46,35 @@ class MetricReport:
     tables: dict            # name -> {"schema": str, "csv": str}
 
     def write(self, fh):
-        """Stream the report to the text file `fh` as JSON, keys sorted and
-        indented by 2, with a final newline."""
-        json.dump(asdict(self), fh, sort_keys=True, indent=2)
+        """Write the report to the text file `fh`: the text of
+        `json.dump(asdict(self), fh, sort_keys=True, indent=2)` and a final
+        newline, with each string escaped and written one slice at a time
+        (see `slices`), so no whole-table copy is made."""
+        _write_json(fh, asdict(self), "")
         fh.write("\n")
+
+
+def _write_json(fh, value, indent: str):
+    """`value` as `json.dump(..., sort_keys=True, indent=2)` writes it at the
+    nesting level of `indent`. JSON escapes a string character by character,
+    so the escaped slices join to the escaped string. Values other than
+    non-empty dicts and strings are dumped whole and re-indented (their
+    strings escape every newline)."""
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        opening = "{"
+        for key in sorted(value):
+            fh.write(f"{opening}\n{inner}{json.dumps(key)}: ")
+            _write_json(fh, value[key], inner)
+            opening = ","
+        fh.write(f"\n{indent}}}")
+    elif isinstance(value, str):
+        fh.write('"')
+        for part in slices(value):
+            fh.write(json.dumps(part)[1:-1])
+        fh.write('"')
+    else:
+        fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent))
 
 
 def build_report(experiment: str, config: SystemConfig, seed: int,
