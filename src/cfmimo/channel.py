@@ -7,10 +7,9 @@ combined outputs directly from their sufficient statistics."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,7 +249,7 @@ def assign_pilots(A, tau_p: int) -> tuple[np.ndarray, int]:
 
 # --- sensing: clutter geometry and lobe returns ------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ClutterGeometry:
     """The scatterers of one deployment, bucketed once on a uniform grid.
 
@@ -262,20 +261,8 @@ class ClutterGeometry:
     of the cell occupancy, so the number of scatterers in any block of cells
     takes four lookups.
 
-    The dense pass of `clutter_returns` works on per-(AP, scatterer) rows in
-    the original scatterer order: the unit AP -> scatterer offsets as one
-    (2, S) array, the right operand of the pass's per-AP product (see
-    `_unit_offset`), the distances and the two-way gains. `_dense_rows`
-    builds the rows a call needs and has no cached copy of, in chunks of the
-    APs of _LINKS_PER_CHUNK links of an all-link call, as (APs, 4, S) blocks.
-    A call whose new rows fit in one chunk caches them in `rows`, keyed by
-    AP, for later calls to read. A larger call builds its chunks in turn
-    over one block and caches none, so it holds one chunk's rows, about 1 MB
-    at the default densities, where the rows of every AP would take L x 4 x
-    S doubles (14 MB at L=400, 88 MB at L=1000). A call allocates only the
-    rows it builds: numpy advises huge pages for an array of 4 MiB or more,
-    so in a sparse (L, S) array each of the few rows SUA's links need would
-    fault in 2 MiB.
+    The geometry is built once per deployment and no call changes it: the
+    dense rows of `clutter_returns` are built per call (see `_dense_rows`).
     """
 
     pathloss: PathLossParams
@@ -285,7 +272,6 @@ class ClutterGeometry:
     xy: np.ndarray            # (2, S) scatterer x and y coordinates in cell order
     cell_start: np.ndarray    # (rows * columns + 1,)
     cell_prefix: np.ndarray   # (rows + 1, columns + 1)
-    rows: dict = field(default_factory=dict)  # AP -> (unit offsets, distances, returns)
 
 
 def clutter_geometry(deployment: Deployment, pathloss: PathLossParams) -> ClutterGeometry:
@@ -389,16 +375,20 @@ def _two_way_gain(pathloss: PathLossParams, d, out=None):
     return np.power(10.0, g, out=g)
 
 
-def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: list):
-    """Put the dense rows of the APs `aps`, in AP order, in `geom.rows` (see
-    ClutterGeometry), one chunk of APs at a time: a generator that yields the
-    last AP of each chunk once the chunk's rows are in place.
+def _dense_rows(deployment: Deployment, pathloss: PathLossParams, aps: list):
+    """The dense rows of the APs `aps`, in AP order, one chunk of APs at a
+    time: a generator that yields each chunk's rows as a dict AP -> (4, S)
+    array. An AP's array holds, in the original scatterer order, the unit AP
+    -> scatterer offsets ([:2], the right operand of the dense pass's per-AP
+    product; see `_unit_offset`), the distances floored at d0 ([2]) and the
+    two-way gains ([3]).
 
     A chunk holds the APs of _LINKS_PER_CHUNK links of an all-link call, at
-    least one. When `aps` fit in one chunk their rows stay cached. Otherwise
-    every chunk is written over one block, and its rows are taken out of
-    `geom.rows` before the next chunk is built and after the last. The rows
-    are built in batches of about _LOBE_TESTS_PER_BLOCK (AP, scatterer) pairs.
+    least one. Every chunk is written over one block allocated per call, so
+    a chunk's rows are valid until the next is asked for, and a call holds
+    about 1 MB at the default densities, where the rows of every AP would
+    take L x 4 x S doubles (88 MB at L=1000). The rows are built in batches
+    of about _LOBE_TESTS_PER_BLOCK (AP, scatterer) pairs.
     """
     scat = deployment.scatterer_pos
     per_chunk = max(1, _LINKS_PER_CHUNK // deployment.K)
@@ -413,13 +403,9 @@ def _dense_rows(geom: ClutterGeometry, deployment: Deployment, aps: list):
             dy = scat[None, :, 1] - ap[:, 1, None]
             norm = _distance(dx, dy)
             batch[:, 0], batch[:, 1] = _unit_offset(dx, dy, norm)
-            d = np.maximum(norm, geom.pathloss.d0_m, out=batch[:, 2])
-            _two_way_gain(geom.pathloss, d, out=batch[:, 3])
-        geom.rows.update((l, (row[:2], row[2], row[3])) for l, row in zip(chunk, rows))
-        yield chunk[-1]
-        if len(aps) > per_chunk:
-            for l in chunk:
-                del geom.rows[l]
+            d = np.maximum(norm, pathloss.d0_m, out=batch[:, 2])
+            _two_way_gain(pathloss, d, out=batch[:, 3])
+        yield dict(zip(chunk, rows))
 
 
 # Link routing and block sizes of `clutter_returns`. A link whose sector box
@@ -511,39 +497,39 @@ def _grid_pass(geom, apex, ux, uy, reach, cos_half, cells):
     return np.bincount(np.repeat(np.arange(n), count), returns, minlength=n), count
 
 
-def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
-    """Lobe test of each link against all S scatterers of its AP's dense row,
-    by the band rule (see `_bearing`) on the row's unit offsets.
+def _dense_pass(rows, deployment, l_idx, ux, uy, reach, cos_half):
+    """Lobe test of each link against all S scatterers of its AP's dense row
+    (`rows`, from `_dense_rows`), by the band rule (see `_bearing`) on the
+    row's unit offsets.
 
-    The links come sorted by AP (see `clutter_returns`), and their APs have
-    their rows built. They are taken in blocks of _LOBE_TESTS_PER_BLOCK lobe
-    tests. In a block, each run of one AP's links takes its dot products from
-    one (links, 2) @ (2, S) product with the AP's unit offsets, and reads the
-    AP's distance and return rows in place. The product may round
-    differently with the run's length or the BLAS threads, by a few ulp, far
-    inside the 1e-9 band, so the hits do not depend on the other links of the
-    call; nor do the sums, each the sum of one link's masked row. Returns the
-    full-row sum of the two-way returns and the hit count per link.
+    The links come sorted by AP (see `clutter_returns`). They are taken in
+    blocks of _LOBE_TESTS_PER_BLOCK lobe tests. In a block, each run of one
+    AP's links takes its dot products from one (links, 2) @ (2, S) product
+    with the AP's unit offsets, and reads the AP's distance and return rows
+    in place. The product may round differently with the run's length or the
+    BLAS threads, by a few ulp, far inside the 1e-9 band, so the hits do not
+    depend on the other links of the call; nor do the sums, each the sum of
+    one link's masked row. Returns the full-row sum of the two-way returns
+    and the hit count per link.
     """
     n = l_idx.size
-    step = max(1, _LOBE_TESTS_PER_BLOCK // geom.xy.shape[1])
+    scat = deployment.scatterer_pos
+    step = max(1, _LOBE_TESTS_PER_BLOCK // scat.shape[0])
     u = np.column_stack([ux, uy])
     reach = reach[:, None]
     power = np.zeros(n)
     count = np.zeros(n, dtype=int)
-    scat = deployment.scatterer_pos
     for lo in range(0, n, step):
         b = slice(lo, lo + step)
         l_b, u_b, reach_b = l_idx[b], u[b], reach[b]
         # the runs of one AP's links in the block
         cut = [0, *(np.flatnonzero(l_b[1:] != l_b[:-1]) + 1).tolist(), l_b.size]
-        runs = [(slice(a, z), geom.rows[l])
-                for a, z, l in zip(cut, cut[1:], l_b[cut[:-1]].tolist())]
-        dot = np.empty((l_b.size, geom.xy.shape[1]))
+        runs = [(slice(a, z), rows[l]) for a, z, l in zip(cut, cut[1:], l_b[cut[:-1]].tolist())]
+        dot = np.empty((l_b.size, scat.shape[0]))
         near = np.empty(dot.shape, dtype=bool)
-        for r, (row_u, row_dist, _) in runs:
-            np.matmul(u_b[r], row_u, out=dot[r])
-            np.less_equal(row_dist, reach_b[r], out=near[r])
+        for r, row in runs:
+            np.matmul(u_b[r], row[:2], out=dot[r])
+            np.less_equal(row[2], reach_b[r], out=near[r])
         in_lobe = dot > cos_half + 1e-9
         maybe = dot >= cos_half - 1e-9
         if np.count_nonzero(maybe) > np.count_nonzero(in_lobe):
@@ -556,8 +542,8 @@ def _dense_pass(geom, deployment, l_idx, ux, uy, reach, cos_half):
         # row sums are the exact counts, and then the masked returns
         np.copyto(dot, in_lobe)
         count[b] = dot.sum(axis=1)
-        for r, (_, _, row_return) in runs:
-            dot[r] *= row_return
+        for r, row in runs:
+            dot[r] *= row[3]
         power[b] = dot.sum(axis=1)
     return power, count
 
@@ -583,8 +569,8 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
     in that order routed, and their grid passes run, in chunks of
     _LINKS_PER_CHUNK, which bounds the per-link temporaries; each result is
     written at its link's own index. Then the dense links run in AP order,
-    one chunk of their APs' rows at a time (see ClutterGeometry), and each
-    AP's row is built at most once per call.
+    one chunk of their APs' rows at a time (see `_dense_rows`), so each AP's
+    row is built once per call.
     """
     l_idx = np.asarray(l_idx, dtype=np.intp)
     k_idx = np.asarray(k_idx, dtype=np.intp)
@@ -613,21 +599,16 @@ def clutter_returns(geom: ClutterGeometry, deployment: Deployment, config: Syste
             if b.size:
                 power[c[b]], count[c[b]] = _grid_pass(geom, apex[b], ux[b], uy[b], reach_c[b],
                                                       cos_half, [x[b] for x in cells])
-    # the dense links in AP order, run one chunk of their APs' rows at a time;
-    # the links of APs with cached rows run with the chunk they sort into, or
-    # after the last one (up to the sentinel AP L)
+    # the dense links in AP order, run with one chunk of their APs' rows at a time
     links = order[np.flatnonzero(dense)]
     l_d = l_idx[links]
-    new = [l for l in np.flatnonzero(np.bincount(l_d)).tolist() if l not in geom.rows]
     lo = 0
-    for last in itertools.chain(_dense_rows(geom, deployment, new), [deployment.L]):
-        hi = np.searchsorted(l_d, last, side="right")
+    for rows in _dense_rows(deployment, geom.pathloss, np.flatnonzero(np.bincount(l_d)).tolist()):
+        hi = np.searchsorted(l_d, max(rows), side="right")
         d = links[lo:hi]
         lo = hi
-        if d.size:
-            ux, uy = _bearing(*(deployment.ue_pos[k_idx[d]] - deployment.ap_pos[l_idx[d]]).T)
-            power[d], count[d] = _dense_pass(geom, deployment, l_idx[d], ux, uy, reach[d],
-                                             cos_half)
+        ux, uy = _bearing(*(deployment.ue_pos[k_idx[d]] - deployment.ap_pos[l_idx[d]]).T)
+        power[d], count[d] = _dense_pass(rows, deployment, l_idx[d], ux, uy, reach[d], cos_half)
     power *= config.sigma_c2 * float(dbm_to_watts(config.p_t_dbm))
     return power, count
 

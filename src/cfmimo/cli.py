@@ -128,11 +128,7 @@ def _schemes(args):
 def _setup(args, schemes):
     """Config, deployment, link budget, clutter geometry and the association
     matrix of SUA and of each of `schemes`; the baseline's is all ones, so it
-    skips `run_baseline`'s all-link evaluation. All-link work (the
-    baseline's metrics, Pd terms and clutter counts) caches the dense rows
-    of its APs on the geometry when they fit in one chunk of links (see
-    `channel.ClutterGeometry`), at most about 1 MB at the default densities,
-    and otherwise caches none."""
+    skips `run_baseline`'s all-link evaluation."""
     cfg = _load_config(args)
     deployment = generate_deployment(cfg)
     budget = channel.link_budget(deployment, cfg)

@@ -64,14 +64,12 @@ def association_runtime(deployment: Deployment, config: SystemConfig,
     """Median wall-clock of `association.run_sua` against `association.run_baseline`.
 
     Both schemes share the given link budget and clutter geometry, so the
-    timed region covers each scheme's per-link metric evaluation and its own
-    logic (mask -> metrics -> priorities -> optimize for SUA; all-link
-    metrics, priorities and the all-ones matrix for the baseline). Each
-    scheme runs once untimed first.
+    timed region covers each scheme's per-link metric evaluation, dense
+    clutter rows included, and its own logic (mask -> metrics -> priorities
+    -> optimize for SUA; all-link metrics, priorities and the all-ones
+    matrix for the baseline).
     """
     runs = (association.run_sua, association.run_baseline)
-    for run in runs:
-        run(deployment, config, budget, geom)
     samples = ([], [])
     for _ in range(reps):
         for run, times in zip(runs, samples):

@@ -184,6 +184,20 @@ class SystemConfig:
             raise ValidationError(f"noise_figure_db {self.noise_figure_db} underflows the noise power")
         if self.sigma_c2 < 0:
             raise ValidationError(f"sigma_c2 must be >= 0, got {self.sigma_c2}")
+        # `clutter_returns` scales every return by sigma_c2 * P_t in W, and an
+        # infinite scale turns the SCNRs into NaN: P_t must be a normal float,
+        # and so must the scale unless sigma_c2 is 0 (no clutter)
+        try:
+            p_t_w = 10.0 ** ((self.p_t_dbm - 30.0) / 10.0)
+        except OverflowError:
+            raise ValidationError(f"p_t_dbm {self.p_t_dbm} overflows the transmit power in W") from None
+        if p_t_w < sys.float_info.min:
+            raise ValidationError(f"p_t_dbm {self.p_t_dbm} underflows the transmit power in W")
+        if not (self.sigma_c2 == 0 or sys.float_info.min <= self.sigma_c2 * p_t_w <= sys.float_info.max):
+            raise ValidationError(f"sigma_c2 {self.sigma_c2} times the transmit power of {p_t_w:.3g} W "
+                                  "is not a finite normal float")
+        if not 0 <= self.angular_spread_deg <= 180:
+            raise ValidationError(f"angular_spread_deg must be in [0, 180], got {self.angular_spread_deg}")
         if self.correlation_model not in ("identity", "local_scattering"):
             raise ValidationError(f"unknown correlation_model {self.correlation_model!r}")
         self.service_mix.validate()

@@ -819,29 +819,46 @@ class TestClutterReturnsOracle:
         (channel._DENSE_FRACTION, 100), (ALL_DENSE, 100),
     ], ids=["default", "all-dense", "default-streamed", "all-dense-streamed"])
     def test_cached_rows_match_a_fresh_geometry(self, monkeypatch, route, chunk):
-        # the first call caches the dense rows of some even-numbered APs; the
-        # second, over every link, reads those and builds the others, and gets
-        # bit-identical results to a geometry that built every row at once.
-        # With chunks of 100 links the second call has the rows of more than
-        # one chunk of APs to build: it streams them and caches none
+        # the first call builds the dense rows of some even-numbered APs; the
+        # geometry keeps none of them, so the second, over every link, builds
+        # every AP's row again, once, with the bits of the rows a fresh
+        # geometry builds in one chunk, and gets that geometry's results.
+        # With chunks of 100 links the second call builds its rows five APs
+        # per chunk over one block
         cfg = SystemConfig(L=60, K=20, area_side_m=400.0, seed=5)
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)
         l_idx, k_idx = np.nonzero(np.ones((cfg.L, cfg.K), dtype=bool))
         dist = budget.distance_m[l_idx, k_idx]
         monkeypatch.setattr(channel, "_DENSE_FRACTION", route)
-        fresh = channel.clutter_geometry(dep, cfg.pathloss)
-        p_fresh, c_fresh = channel.clutter_returns(fresh, dep, cfg, l_idx, k_idx, dist)
+        chunks = []
+
+        def copied(deployment, pathloss, aps, _fn=channel._dense_rows):
+            for rows in _fn(deployment, pathloss, aps):
+                chunks.append({l: row.copy() for l, row in rows.items()})
+                yield rows
+        monkeypatch.setattr(channel, "_dense_rows", copied)
+        p_fresh, c_fresh = routed_returns(route, dep, cfg, l_idx, k_idx, dist)
+        [one] = chunks
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         even = l_idx % 2 == 0
+        chunks.clear()
         channel.clutter_returns(geom, dep, cfg, l_idx[even], k_idx[even], dist[even])
-        built = set(geom.rows)
-        assert built and not any(l % 2 for l in built)
-        assert len(set(fresh.rows) - built) > 100 // cfg.K
+        first = {l for rows in chunks for l in rows}
+        assert first and not any(l % 2 for l in first)
+        assert len(set(one) - first) > 100 // cfg.K
+        chunks.clear()
         if chunk:
             monkeypatch.setattr(channel, "_LINKS_PER_CHUNK", chunk)
         power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
-        assert (set(geom.rows) == built) if chunk else (set(geom.rows) - built)
+        if chunk:
+            assert len(chunks) > 1 and max(map(len, chunks)) == chunk // cfg.K
+        else:
+            assert len(chunks) == 1
+        assert [l for rows in chunks for l in rows] == list(one)
+        for rows in chunks:
+            for l, row in rows.items():
+                np.testing.assert_array_equal(row, one[l])
         assert count.sum() > 0
         np.testing.assert_array_equal(power, p_fresh)
         np.testing.assert_array_equal(count, c_fresh)
@@ -1012,14 +1029,14 @@ class TestDensePassOracle:
                                np.concatenate([edge.scatterer_pos, rng.uniform(-30, 30, (150, 2))]))
 
     @staticmethod
-    def definitional(dep, cfg, geom, l_idx, k_idx, dist):
+    def definitional(dep, cfg, l_idx, k_idx, dist):
         cos_half = math.cos(channel.BEAM_HALF_ANGLE_FACTOR / cfg.N)
         ux, uy = channel._bearing(*(dep.ue_pos[k_idx] - dep.ap_pos[l_idx]).T)
         power, count = [], []
-        for i, l in enumerate(l_idx):
+        for i, l in enumerate(l_idx.tolist()):
             off = dep.scatterer_pos - dep.ap_pos[l]
             hit = channel._in_lobe(off[:, 0], off[:, 1], ux[i], uy[i], cos_half)
-            _, row_dist, row_return = geom.rows[l]
+            _, _, row_dist, row_return = next(channel._dense_rows(dep, cfg.pathloss, [l]))[l]
             hit &= row_dist <= channel.CLUTTER_RANGE_FACTOR * dist[i]
             power.append((row_return * hit).sum())
             count.append(int(np.count_nonzero(hit)))
@@ -1044,7 +1061,7 @@ class TestDensePassOracle:
             dist = np.array([link_distance(dep, cfg, l, k) for l, k in zip(l_idx, k_idx)])
             geom = channel.clutter_geometry(dep, cfg.pathloss)
             power, count = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, dist)
-            ref_power, ref_count = self.definitional(dep, cfg, geom, l_idx, k_idx, dist)
+            ref_power, ref_count = self.definitional(dep, cfg, l_idx, k_idx, dist)
             assert count.tolist() == ref_count
             assert power.tolist() == ref_power.tolist()
             for link in zip(l_idx.tolist(), k_idx.tolist(), power.tolist(), count.tolist()):

@@ -103,10 +103,16 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("field,value", [("area_side_m", 1e200),
                                              ("clutter_density_per_km2", 1e300),
-                                             ("noise_figure_db", 1e308)])
+                                             ("noise_figure_db", 1e308),
+                                             ("p_t_dbm", 1e6),
+                                             ("sigma_c2", 1e308),
+                                             ("angular_spread_deg", 1e300),
+                                             ("angular_spread_deg", -10.0)])
     def test_out_of_range_scenario_exit_2(self, tmp_path, capsys, field, value):
-        # finite values whose deployment area, scatterer count or noise power
-        # leaves the range of a float or of an array: rejected by name
+        # finite values whose deployment area, scatterer count, noise power,
+        # transmit power in W or clutter scale sigma_c2 * P_t leaves the
+        # range of a float or of an array, or an angular spread outside
+        # [0, 180] degrees: rejected by name
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({**asdict(SystemConfig(L=12, K=5, X=2, tau_p=3)), field: value}))
         assert cli.main(["validate", str(path)]) == 2
@@ -319,35 +325,43 @@ class TestDeploymentStateBuiltOnce:
 
 class TestDenseClutterRows:
     """The dense (AP, scatterer) rows of the clutter geometry are built only
-    for links that need them, and at most once per AP."""
+    for links that need them, and at most once per AP in each
+    `clutter_returns` call."""
 
     def built_rows(self, tmp_path, monkeypatch, argv, **kw):
+        """The APs whose rows each `clutter_returns` call of the run built."""
         from cfmimo import channel
 
-        built = []
+        calls = []
 
-        def counted(geom, deployment, aps, _fn=channel._dense_rows):
-            built.extend(np.asarray(aps).tolist())
-            return _fn(geom, deployment, aps)
+        def returns(*a, _fn=channel.clutter_returns):
+            calls.append([])
+            return _fn(*a)
+
+        def counted(deployment, pathloss, aps, _fn=channel._dense_rows):
+            for rows in _fn(deployment, pathloss, aps):
+                calls[-1].extend(rows)
+                yield rows
+        monkeypatch.setattr(channel, "clutter_returns", returns)
         monkeypatch.setattr(channel, "_dense_rows", counted)
         path = tmp_path / "scenario.json"
         save_scenario(SystemConfig(**kw), str(path))
         assert cli.main([*argv, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
-        return built
+        return calls
 
     def test_sua_builds_no_dense_row(self, tmp_path, monkeypatch):
-        built = self.built_rows(tmp_path, monkeypatch, ["associate", "--scheme", "sua"],
+        calls = self.built_rows(tmp_path, monkeypatch, ["associate", "--scheme", "sua"],
                                 L=400, K=120, area_side_m=1000.0, seed=11)
-        assert built == []
+        assert calls and not any(calls)
 
     @pytest.mark.parametrize("argv, kw", [
         (["associate", "--scheme", "both"], dict(L=400, K=120, area_side_m=1000.0, seed=11)),
         (["netmetrics", "--reps", "2"], dict(seed=1000)),
     ], ids=["associate-L400", "netmetrics-L100"])
     def test_each_row_built_at_most_once(self, tmp_path, monkeypatch, argv, kw):
-        built = self.built_rows(tmp_path, monkeypatch, argv, **kw)
-        assert len(built) > 0
-        assert len(built) == len(set(built))
+        calls = self.built_rows(tmp_path, monkeypatch, argv, **kw)
+        assert any(calls)
+        assert all(len(built) == len(set(built)) for built in calls)
 
 
 class TestFreshInterpreter:

@@ -151,6 +151,34 @@ class TestRuntime:
                                              channel.clutter_geometry(dep, cfg.pathloss), reps=5)
         assert rt.sua_s < 0.01 and rt.baseline_s < 0.01
 
+    def test_baseline_builds_its_dense_rows_in_each_timed_run(self, monkeypatch):
+        # at L=100 the rows of every AP fit in one chunk, and still each
+        # timed run_baseline builds them itself, as it must at L=1000: no
+        # untimed run and no earlier call leaves rows for it to read
+        cfg = SystemConfig(seed=1000)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        association.run_sua(dep, cfg, budget, geom)
+        inside, built = [], []
+
+        def baseline(*a, _fn=association.run_baseline):
+            inside.append([])
+            try:
+                return _fn(*a)
+            finally:
+                built.append(inside.pop())
+
+        def counted(*a, _fn=channel._dense_rows):
+            if inside:
+                inside[-1].extend(a[-1])  # the APs whose rows to build
+            return _fn(*a)
+        monkeypatch.setattr(association, "run_baseline", baseline)
+        monkeypatch.setattr(channel, "_dense_rows", counted)
+        net_metrics.association_runtime(dep, cfg, budget, geom, reps=3)
+        assert len(built) == 3 and built[0]
+        assert built == [built[0]] * 3
+
     def test_measurement_stability(self, desk):
         # the reported median shrugs off a preempted sample: three
         # measurements agree within a factor of 4 (on a shared 2-CPU host,

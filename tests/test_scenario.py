@@ -59,11 +59,22 @@ class TestValidation:
         ("K", True),
         ("area_side_m", float("inf")),   # float fields must be finite
         ("p_threshold_dbm", float("nan")),
+        ("p_t_dbm", -1e6),               # 0 W
+        ("sigma_c2", 1e-320),            # a subnormal sigma_c2 * P_t
+        ("angular_spread_deg", 180.5),
     ])
     def test_invariants_rejected(self, field, value):
         cfg = SystemConfig(**{field: value})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=field):
             cfg.validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma_c2", 0.0),               # no clutter: an exact zero scale
+        ("angular_spread_deg", 0.0),     # rank-one local scattering
+        ("angular_spread_deg", 180.0),
+    ])
+    def test_range_edges_valid(self, field, value):
+        SystemConfig(**{field: value}).validate()
 
     def test_bad_mix_rejected(self):
         cfg = SystemConfig(service_mix=ServiceMix(0.5, 0.5, 0.5))
