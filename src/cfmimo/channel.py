@@ -34,10 +34,17 @@ def dbm_to_watts(dbm):
     return 10.0 ** ((np.asarray(dbm, dtype=float) - 30.0) / 10.0)
 
 
-def path_loss_db(params: PathLossParams, d_m, shadow_db=0.0):
-    """Log-distance loss PL0 + 10*gamma*log10(d/d0) + shadow; d clamped at d0."""
-    d = np.maximum(np.asarray(d_m, dtype=float), params.d0_m)
-    return params.pl0_db + 10.0 * params.gamma_pl * np.log10(d / params.d0_m) + shadow_db
+def path_loss_db(params: PathLossParams, d_m, shadow_db=0.0, out=None):
+    """Log-distance loss PL0 + 10*gamma*log10(d/d0) + shadow; d clamped at d0.
+    Computed step by step over one array, `out` or a new one."""
+    d = np.asarray(d_m, dtype=float)
+    pl = np.maximum(d, params.d0_m, out=np.empty_like(d) if out is None else out)
+    pl /= params.d0_m
+    np.log10(pl, out=pl)
+    pl *= 10.0 * params.gamma_pl
+    pl += params.pl0_db
+    pl += shadow_db
+    return pl
 
 
 def rssi_dbm(p_t_dbm, pl_db):
@@ -360,16 +367,10 @@ def _unit_offset(dx, dy, norm):
 
 
 def _two_way_gain(pathloss: PathLossParams, d, out=None):
-    """Linear gain of both hops AP -> scatterer -> AP at the config exponent:
-    db_to_lin(-2 * path_loss_db(pathloss, d)) bit for bit, by the same steps
-    in the same order, written over one array (`out`, or a new one) instead
-    of a temporary per step. path_loss_db's +0.0 shadowing is left out: it
-    only turns -0.0 into +0.0, and 10**x maps both to 1.0."""
-    g = np.maximum(d, pathloss.d0_m, out=out)
-    g /= pathloss.d0_m
-    np.log10(g, out=g)
-    g *= 10.0 * pathloss.gamma_pl
-    g += pathloss.pl0_db
+    """Linear gain of both hops AP -> scatterer -> AP at the config exponent,
+    db_to_lin(-2 * path_loss_db(pathloss, d)), written over one array (`out`,
+    or a new one)."""
+    g = path_loss_db(pathloss, d, out=out)
     g *= -2.0
     g /= 10.0
     return np.power(10.0, g, out=g)

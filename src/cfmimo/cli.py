@@ -108,7 +108,7 @@ def _write_outputs(out, experiment, cfg, files, tables):
     over `tables`."""
     for name, text in files.items():
         atomic_write(os.path.join(out, name), text)
-    _write_report(out, report.build_report(experiment, cfg, cfg.seed, tables))
+    _write_report(out, report.build_report(experiment, cfg, tables))
 
 
 def _load_config(args) -> SystemConfig:

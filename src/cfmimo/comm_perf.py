@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfmimo import association, channel
+from cfmimo import association, channel, report
 from cfmimo.scenario import (
     Deployment,
     InfeasibleModelError,
@@ -137,15 +137,10 @@ class SerPoint:
 
 def ser_csv(points_by_scheme: dict[str, list[SerPoint]], mod: str) -> str:
     """SER table of the modulation `mod`, schemes in name order."""
-    lines = ["scheme,modulation,snr_db,ser_theory,ser_mc,ci95,ci95_clustered,n_symbols"]
-    for scheme in sorted(points_by_scheme):
-        for p in points_by_scheme[scheme]:
-            lines.append(
-                f"{scheme},{mod},{repr(float(p.snr_db))},{repr(float(p.ser_theory))},"
-                f"{repr(float(p.ser_mc))},{repr(float(p.ci95))},"
-                f"{repr(float(p.ci95_clustered))},{p.mc_symbols}"
-            )
-    return "\n".join(lines) + "\n"
+    return report.csv_table(
+        "scheme,modulation,snr_db,ser_theory,ser_mc,ci95,ci95_clustered,n_symbols",
+        ((scheme, mod, p.snr_db, p.ser_theory, p.ser_mc, p.ci95, p.ci95_clustered, p.mc_symbols)
+         for scheme in sorted(points_by_scheme) for p in points_by_scheme[scheme]))
 
 
 # --- link-level AWGN reference ------------------------------------------------

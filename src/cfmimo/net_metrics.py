@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfmimo import association, channel
+from cfmimo import association, channel, report
 from cfmimo.scenario import Deployment, SystemConfig, ValidationError, median
 
 
@@ -131,19 +131,14 @@ def detect_knee(points: list[GainPoint]) -> int:
 # --- CSV payloads ---------------------------------------------------------------
 
 def delay_csv(rows: dict[str, np.ndarray]) -> str:
-    lines = ["scheme,ue_id,mean_delay_s"]
-    for scheme in sorted(rows):
-        for k, v in enumerate(rows[scheme]):
-            lines.append(f"{scheme},{k},{repr(float(v))}")
-    return "\n".join(lines) + "\n"
+    return report.csv_table("scheme,ue_id,mean_delay_s",
+                            ((scheme, k, v) for scheme in sorted(rows)
+                             for k, v in enumerate(rows[scheme])))
 
 
 def energy_csv(rows: dict[str, tuple[int, float]]) -> str:
-    lines = ["scheme,active_aps,energy_j"]
-    for scheme in sorted(rows):
-        active, energy = rows[scheme]
-        lines.append(f"{scheme},{active},{repr(float(energy))}")
-    return "\n".join(lines) + "\n"
+    return report.csv_table("scheme,active_aps,energy_j",
+                            ((scheme, *rows[scheme]) for scheme in sorted(rows)))
 
 
 def clutter_csv(reports: dict[str, ClutterReport]) -> str:
@@ -156,14 +151,10 @@ def clutter_csv(reports: dict[str, ClutterReport]) -> str:
 
 
 def runtime_csv(result: RuntimeResult) -> str:
-    lines = ["scheme,median_s,reps"]
-    lines.append(f"sua,{repr(result.sua_s)},{result.reps}")
-    lines.append(f"baseline,{repr(result.baseline_s)},{result.reps}")
-    return "\n".join(lines) + "\n"
+    return report.csv_table("scheme,median_s,reps", [("sua", result.sua_s, result.reps),
+                                                     ("baseline", result.baseline_s, result.reps)])
 
 
 def gain_csv(points: list[GainPoint]) -> str:
-    lines = ["x,ideal_gain_db,real_gain_db"]
-    for p in points:
-        lines.append(f"{p.x},{repr(float(p.ideal_gain_db))},{repr(float(p.real_gain_db))}")
-    return "\n".join(lines) + "\n"
+    return report.csv_table("x,ideal_gain_db,real_gain_db",
+                            ((p.x, p.ideal_gain_db, p.real_gain_db) for p in points))

@@ -20,6 +20,16 @@ def slices(text: str):
     return (text[i:i + SLICE_CHARS] for i in range(0, len(text), SLICE_CHARS))
 
 
+def csv_table(header: str, rows) -> str:
+    """A CSV table: the `header` line, one comma-joined line per row, with each
+    float (numpy's float64 is one) as repr(float(v)) and any other value as
+    str(v), and a final newline."""
+    lines = [header]
+    lines += (",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _canonical(value):
     """Floats rendered at 17 significant digits so digests are platform-stable."""
     if isinstance(value, float):
@@ -77,9 +87,8 @@ def _write_json(fh, value, indent: str):
         fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent))
 
 
-def build_report(experiment: str, config: SystemConfig, seed: int,
-                 tables: dict[str, str]) -> MetricReport:
-    """Assemble one experiment's tables with provenance.
+def build_report(experiment: str, config: SystemConfig, tables: dict[str, str]) -> MetricReport:
+    """Assemble one experiment's tables with provenance, seeded by config.seed.
 
     The report holds no wall-clock time, so identical runs produce
     byte-identical files.
@@ -91,8 +100,8 @@ def build_report(experiment: str, config: SystemConfig, seed: int,
         named[name] = {"schema": f"{name.split('_')[0]}.v1", "csv": csv_payload}
     return MetricReport(
         experiment=experiment,
-        digest=config_digest(config, seed),
-        seed=int(seed),
+        digest=config_digest(config, config.seed),
+        seed=int(config.seed),
         tables=named,
     )
 

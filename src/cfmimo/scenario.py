@@ -90,7 +90,7 @@ class PathLossParams:
             raise ValidationError(f"pathloss.d0_m must be > 0, got {self.d0_m}")
         if self.gamma_pl < 2.0:
             raise ValidationError(f"pathloss.gamma_pl must be >= 2, got {self.gamma_pl}")
-        if self.shadow_sigma_db < 0:
+        if math.copysign(1.0, self.shadow_sigma_db) < 0:  # numpy's normal refuses -0.0 too
             raise ValidationError(f"pathloss.shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}")
 
 
@@ -202,6 +202,30 @@ class SystemConfig:
             raise ValidationError(f"unknown correlation_model {self.correlation_model!r}")
         self.service_mix.validate()
         self.pathloss.validate()
+        # Every level of the model lies within +-300 dB, far inside a float's
+        # +-3080 dB, so the powers, the distances, their squares and their sums
+        # stay finite: d0 in dB re 1 m, the link loss at d0 and at the area
+        # diagonal, widened by 10 shadow sigmas (beyond any draw), then P_t/N0
+        # and, with clutter, sigma_c2 P_t/N0. Each level names the fields it
+        # adds to the ones before.
+        pl = self.pathloss
+        diagonal = pl.pl0_db + 10.0 * pl.gamma_pl * max(
+            0.0, math.log10(self.area_side_m * math.sqrt(2.0)) - math.log10(pl.d0_m))
+        shadow = 10.0 * pl.shadow_sigma_db
+        snr_db = self.p_t_dbm - self.noise_power_dbm()
+        levels = [("d0 in dB re 1 m", 10.0 * math.log10(pl.d0_m), "pathloss.d0_m"),
+                  ("the link loss at d0", pl.pl0_db, "pathloss.pl0_db"),
+                  ("the link loss at the area diagonal", diagonal,
+                   "pathloss.gamma_pl, pathloss.d0_m and area_side_m"),
+                  ("the link loss less 10 shadow sigmas", pl.pl0_db - shadow, "pathloss.shadow_sigma_db"),
+                  ("the link loss plus 10 shadow sigmas", diagonal + shadow, "pathloss.shadow_sigma_db"),
+                  ("P_t/N0", snr_db, "p_t_dbm, bandwidth_hz and noise_figure_db")]
+        if self.sigma_c2 > 0:
+            levels.append(("the clutter scale over the noise", 10.0 * math.log10(self.sigma_c2) + snr_db,
+                           "sigma_c2"))
+        for what, level, names in levels:
+            if not -300.0 <= level <= 300.0:
+                raise ValidationError(f"{what} is {level:.6g} dB, outside [-300, 300] dB: check {names}")
 
     def noise_power_dbm(self) -> float:
         """Thermal noise floor: -174 dBm/Hz + 10 log10(B) + noise figure."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cfmimo import association, channel
+from cfmimo import association, channel, report
 from cfmimo.scenario import Deployment, InfeasibleModelError, ServiceType, SystemConfig, rng_stream
 
 _SERIES_CUTOFF = 30.0
@@ -227,13 +227,9 @@ class PdPoint:
 
 
 def pd_csv(points: list[PdPoint]) -> str:
-    lines = ["scheme,ue_id,scnr_db,pd_formula,pd_mc,n_trials,p_fa"]
-    for p in points:
-        lines.append(
-            f"{p.scheme},{p.ue},{repr(float(p.scnr_db))},{repr(float(p.pd_formula))},"
-            f"{repr(float(p.pd_mc))},{p.n_trials},{repr(float(p.p_fa))}"
-        )
-    return "\n".join(lines) + "\n"
+    return report.csv_table("scheme,ue_id,scnr_db,pd_formula,pd_mc,n_trials,p_fa",
+                            ((p.scheme, p.ue, p.scnr_db, p.pd_formula, p.pd_mc, p.n_trials, p.p_fa)
+                             for p in points))
 
 
 def _sensing_link_terms(deployment: Deployment, config: SystemConfig, A,

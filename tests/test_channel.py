@@ -34,6 +34,15 @@ class TestPathLoss:
     def test_clamped_below_reference(self):
         assert channel.path_loss_db(PL, 0.0) == 30.0
 
+    def test_two_way_gain_is_the_doubled_loss(self):
+        # the clutter passes' two-way gain, bit for bit, and written over `out`
+        d = np.array([0.0, PL.d0_m / 2, PL.d0_m, 1e3, 1e150])
+        expected = channel.db_to_lin(-2 * channel.path_loss_db(PL, d))
+        assert channel._two_way_gain(PL, d).tobytes() == expected.tobytes()
+        out = np.empty_like(d)
+        assert channel._two_way_gain(PL, d, out=out) is out
+        assert out.tobytes() == expected.tobytes() and d[-1] == 1e150
+
     @given(st.floats(1.0, 1e4), st.floats(1.0, 1e4))
     def test_monotone_in_distance(self, d1, d2):
         lo, hi = sorted((d1, d2))
@@ -795,9 +804,9 @@ class TestClutterReturnsOracle:
         monkeypatch.setattr(channel, "_LINKS_PER_CHUNK", 100)
         calls = []
 
-        def spied(geom, deployment, l_idx, *args, _fn=channel._dense_pass):
+        def spied(rows, deployment, l_idx, *args, _fn=channel._dense_pass):
             calls.append(l_idx.copy())
-            return _fn(geom, deployment, l_idx, *args)
+            return _fn(rows, deployment, l_idx, *args)
         monkeypatch.setattr(channel, "_dense_pass", spied)
 
         def run(l_idx, k_idx):
@@ -818,13 +827,13 @@ class TestClutterReturnsOracle:
         (channel._DENSE_FRACTION, None), (ALL_DENSE, None),
         (channel._DENSE_FRACTION, 100), (ALL_DENSE, 100),
     ], ids=["default", "all-dense", "default-streamed", "all-dense-streamed"])
-    def test_cached_rows_match_a_fresh_geometry(self, monkeypatch, route, chunk):
+    def test_rows_built_per_call_match_one_chunk(self, monkeypatch, route, chunk):
         # the first call builds the dense rows of some even-numbered APs; the
-        # geometry keeps none of them, so the second, over every link, builds
-        # every AP's row again, once, with the bits of the rows a fresh
-        # geometry builds in one chunk, and gets that geometry's results.
-        # With chunks of 100 links the second call builds its rows five APs
-        # per chunk over one block
+        # second, over every link on the same geometry, builds every AP's row
+        # once, with the bits of the rows that a fresh geometry's call builds
+        # in one chunk, and gets that call's results. With chunks of 100
+        # links the second call builds its rows five APs per chunk over one
+        # block
         cfg = SystemConfig(L=60, K=20, area_side_m=400.0, seed=5)
         dep = generate_deployment(cfg)
         budget = channel.link_budget(dep, cfg)

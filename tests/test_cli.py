@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -23,15 +25,26 @@ from cfmimo.scenario import (
 )
 
 
+SMALL = dict(L=12, K=5, N=2, tau_p=3, tau_c=40, X=2, area_side_m=150.0,
+             clutter_density_per_km2=400.0, seed=3)
+
+
 def small_scenario(tmp_path, **kw):
-    base = dict(L=12, K=5, N=2, tau_p=3, tau_c=40, X=2, area_side_m=150.0,
-                clutter_density_per_km2=400.0, seed=3)
-    base.update(kw)
-    cfg = SystemConfig(**base)
+    cfg = SystemConfig(**{**SMALL, **kw})
     cfg.validate()
     path = tmp_path / "scenario.json"
     save_scenario(cfg, str(path))
     return str(path)
+
+
+def _with_fields(cfg, values):
+    """The scenario document of `cfg` with `values` (field name -> value, a
+    `pathloss.` or `service_mix.` prefix for a nested field) written in."""
+    doc = asdict(cfg)
+    for name, value in values.items():
+        *parent, key = name.split(".")
+        (doc[parent[0]] if parent else doc)[key] = value
+    return doc
 
 
 class TestParseRange:
@@ -107,14 +120,23 @@ class TestValidateCommand:
                                              ("p_t_dbm", 1e6),
                                              ("sigma_c2", 1e308),
                                              ("angular_spread_deg", 1e300),
-                                             ("angular_spread_deg", -10.0)])
+                                             ("angular_spread_deg", -10.0),
+                                             ("pathloss.shadow_sigma_db", 1e200),
+                                             ("pathloss.shadow_sigma_db", 500.0),
+                                             ("pathloss.pl0_db", -4000.0),
+                                             ("pathloss.pl0_db", 1e308),
+                                             ("pathloss.gamma_pl", 1e308),
+                                             ("pathloss.d0_m", 5e-324),
+                                             ("p_t_dbm", 3000.0)])
     def test_out_of_range_scenario_exit_2(self, tmp_path, capsys, field, value):
         # finite values whose deployment area, scatterer count, noise power,
         # transmit power in W or clutter scale sigma_c2 * P_t leaves the
-        # range of a float or of an array, or an angular spread outside
-        # [0, 180] degrees: rejected by name
+        # range of a float or of an array, an angular spread outside [0, 180]
+        # degrees, or a level beyond validate's +-300 dB (these gave NaN or
+        # infinite table fields, a zero objective, or an exit 3 that did not
+        # name the cause): rejected by name
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({**asdict(SystemConfig(L=12, K=5, X=2, tau_p=3)), field: value}))
+        path.write_text(json.dumps(_with_fields(SystemConfig(L=12, K=5, X=2, tau_p=3), {field: value})))
         assert cli.main(["validate", str(path)]) == 2
         for command in ("associate", "ser", "pd", "netmetrics"):
             assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
@@ -919,3 +941,70 @@ class TestAnyArgv:
                     *(a for arg in args for a in arg)]
             assert _exit_code(argv) in (0, 2, 3), argv
         assert _exit_code(["validate", scenario]) == 0
+
+
+# --- any loss or power field: exit 0, 2 or 3, finite tables, no warning ------------
+
+MAGNITUDES = [s * m for m in (0.0, 5e-324, 1e-300, 1.0, 1e150, 1e308) for s in (1.0, -1.0)]
+
+
+def _rule_edges():
+    """Per fuzzed field, the values that put a level of `validate`'s +-300 dB
+    rule at an edge, with every other field as in SMALL."""
+    cfg = SystemConfig(**SMALL)
+    pl = cfg.pathloss
+    snr = cfg.p_t_dbm - cfg.noise_power_dbm()
+    diagonal = cfg.area_side_m * math.sqrt(2.0)
+    shadow = 10.0 * pl.shadow_sigma_db
+    span = 10.0 * pl.gamma_pl * math.log10(diagonal / pl.d0_m)
+    edges = {
+        "p_t_dbm": [cfg.noise_power_dbm() + e for e in (-300.0, 300.0)],
+        "noise_figure_db": [cfg.noise_figure_db + snr + e for e in (-300.0, 300.0)],
+        "bandwidth_hz": [cfg.bandwidth_hz * 10.0 ** ((snr + e) / 10.0) for e in (-300.0, 300.0)],
+        "sigma_c2": [10.0 ** ((e - snr) / 10.0) for e in (-300.0, 300.0)],
+        "pathloss.pl0_db": [shadow - 300.0, 300.0 - span - shadow],
+        "pathloss.gamma_pl": [(300.0 - pl.pl0_db - shadow) / (10.0 * math.log10(diagonal / pl.d0_m))],
+        "pathloss.d0_m": [diagonal / 10.0 ** ((300.0 - pl.pl0_db - shadow) / (10.0 * pl.gamma_pl)),
+                          1e30],
+        "pathloss.shadow_sigma_db": [(pl.pl0_db + 300.0) / 10.0, (300.0 - pl.pl0_db - span) / 10.0],
+    }
+    return {name: st.sampled_from(MAGNITUDES + values) for name, values in edges.items()}
+
+
+def _finite_tables(out):
+    """Whether every number in the CSV files of `out` is finite."""
+    for name in os.listdir(out):
+        if name.endswith(".csv"):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                for field in fh.read().replace("\n", ",").split(","):
+                    try:
+                        value = float(field)
+                    except ValueError:  # a scheme, a UE id such as "aggregate", a header
+                        continue
+                    if not math.isfinite(value):
+                        return False
+    return True
+
+
+class TestScenarioFieldFuzz:
+    """Every loss and power field of the scenario drawn from signed magnitudes
+    across a float's range and from the edges of `validate`'s +-300 dB rule:
+    each command exits 0, 2 or 3 without a RuntimeWarning, and one that exits
+    0 writes finite CSV fields only."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.fixed_dictionaries({}, optional=_rule_edges()))
+    def test_exit_code_and_finite_tables(self, tmp_path_factory, fields):
+        work = tmp_path_factory.mktemp("fields")
+        scenario = work / "scenario.json"
+        scenario.write_text(json.dumps(_with_fields(SystemConfig(**SMALL), fields)))
+        runs = {"associate": [], "ser": ["--snr=0:10:10", "--symbols=40"],
+                "pd": ["--snr=0:10:10", "--trials=50"], "netmetrics": ["--reps=1"]}
+        for command, args in runs.items():
+            out = work / command
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main([command, "--scenario", str(scenario), "--out", str(out), *args])
+            assert code in (0, 2, 3), (command, fields)
+            assert code or _finite_tables(out), (command, fields)

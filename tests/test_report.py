@@ -43,16 +43,18 @@ class TestDigest:
 
 class TestBuildReport:
     def test_embeds_tables_with_schema(self):
-        rep = report.build_report("associate", cfg(), 5, {"association_sua": "a,b\n1,2\n"})
+        rep = report.build_report("associate", cfg(), {"association_sua": "a,b\n1,2\n"})
         assert rep.tables["association_sua"]["schema"] == "association.v1"
         assert rep.tables["association_sua"]["csv"].endswith("1,2\n")
+        # the seed and the digest come from the config
+        assert (rep.seed, rep.digest) == (5, report.config_digest(cfg(), 5))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            report.build_report("x", cfg(), 5, {})
+            report.build_report("x", cfg(), {})
 
     def test_round_trip_byte_identical(self):
-        rep = report.build_report("ser", cfg(), 5, {"ser": "h\n1\n"})
+        rep = report.build_report("ser", cfg(), {"ser": "h\n1\n"})
         text = written(rep)
         again = written(report.parse_report(text))
         assert text == again
@@ -60,8 +62,8 @@ class TestBuildReport:
         assert text == json.dumps(asdict(rep), sort_keys=True, indent=2) + "\n"
 
     def test_timing_excluded_from_serialization(self):
-        r1 = report.build_report("ser", cfg(), 5, {"ser": "h\n"})
-        r2 = report.build_report("ser", cfg(), 5, {"ser": "h\n"})
+        r1 = report.build_report("ser", cfg(), {"ser": "h\n"})
+        r2 = report.build_report("ser", cfg(), {"ser": "h\n"})
         assert written(r1) == written(r2)
         assert sorted(json.loads(written(r1))) == ["digest", "experiment", "seed", "tables"]
 
@@ -100,7 +102,7 @@ class TestSlicedWrite:
             gap = i * report.SLICE_CHARS - cut - len(csv)
             csv += filler[:gap] + piece
         csv += filler[:tail]
-        rep = report.build_report("associate", cfg(), 5,
+        rep = report.build_report("associate", cfg(),
                                   {"association_sua": csv, "association_baseline": csv[::-1]})
         assert written(rep) == one_shot(rep)
 
@@ -117,7 +119,7 @@ class TestSlicedWrite:
     def test_no_write_exceeds_one_slice(self, tmp_path, monkeypatch):
         # 3.5 slices of text that JSON escapes to itself
         csv = "7,0.5," * (7 * report.SLICE_CHARS // 12)
-        rep = report.build_report("associate", cfg(), 5, {"association_sua": csv})
+        rep = report.build_report("associate", cfg(), {"association_sua": csv})
         fh = RecordingFile()
         rep.write(fh)
         assert "".join(fh.writes) == one_shot(rep)
@@ -139,21 +141,21 @@ class TestSlicedWrite:
 
 class TestMerge:
     def test_merges_tables(self):
-        a = report.build_report("ser", cfg(), 5, {"ser": "1\n"})
-        b = report.build_report("pd", cfg(), 5, {"pd": "2\n"})
+        a = report.build_report("ser", cfg(), {"ser": "1\n"})
+        b = report.build_report("pd", cfg(), {"pd": "2\n"})
         combined = report.merge_reports([a, b])
         assert set(combined.tables) == {"ser.ser", "pd.pd"}
         assert combined.digest == a.digest
 
     def test_mixed_seed_rejected(self):
-        a = report.build_report("ser", cfg(), 5, {"ser": "1\n"})
-        b = report.build_report("pd", cfg(), 6, {"pd": "2\n"})
+        a = report.build_report("ser", cfg(), {"ser": "1\n"})
+        b = report.build_report("pd", cfg(seed=6), {"pd": "2\n"})
         with pytest.raises(ValueError, match="provenance"):
             report.merge_reports([a, b])
 
     def test_mixed_config_rejected(self):
-        a = report.build_report("ser", cfg(), 5, {"ser": "1\n"})
-        b = report.build_report("pd", cfg(X=1), 5, {"pd": "2\n"})
+        a = report.build_report("ser", cfg(), {"ser": "1\n"})
+        b = report.build_report("pd", cfg(X=1), {"pd": "2\n"})
         with pytest.raises(ValueError, match="provenance"):
             report.merge_reports([a, b])
 

@@ -76,6 +76,53 @@ class TestValidation:
     def test_range_edges_valid(self, field, value):
         SystemConfig(**{field: value}).validate()
 
+    # validate's rule: every level lies within +-300 dB (d0 in dB re 1 m, the
+    # link loss at d0 and at the area diagonal, each +-10 shadow sigmas, P_t/N0
+    # and sigma_c2 P_t/N0); at bandwidth 1e7 Hz and noise figure 4 dB the
+    # noise power is -100 dBm exactly
+    EXACT_NOISE = dict(bandwidth_hz=1e7, noise_figure_db=4.0)
+
+    @pytest.mark.parametrize("kw, field", [
+        (dict(pathloss=PathLossParams(shadow_sigma_db=1e200)), "shadow_sigma_db"),
+        (dict(pathloss=PathLossParams(shadow_sigma_db=500.0)), "shadow_sigma_db"),
+        (dict(pathloss=PathLossParams(shadow_sigma_db=-0.0)), "shadow_sigma_db"),
+        (dict(pathloss=PathLossParams(pl0_db=-4000.0)), "pl0_db"),
+        (dict(pathloss=PathLossParams(pl0_db=1e308)), "pl0_db"),
+        (dict(pathloss=PathLossParams(gamma_pl=1e308)), "gamma_pl"),
+        (dict(pathloss=PathLossParams(d0_m=5e-324)), "d0_m"),
+        (dict(pathloss=PathLossParams(d0_m=1e308)), "d0_m"),
+        (dict(p_t_dbm=3000.0), "p_t_dbm"),
+        # just past the edges accepted below
+        (dict(pathloss=PathLossParams(pl0_db=300.0 + 1e-9, d0_m=1000.0, shadow_sigma_db=0.0)),
+         "pl0_db"),
+        (dict(pathloss=PathLossParams(pl0_db=0.0, gamma_pl=11.0, shadow_sigma_db=0.0)), "gamma_pl"),
+        (dict(pathloss=PathLossParams(pl0_db=0.0, d0_m=1000.0, shadow_sigma_db=30.0 + 1e-9)),
+         "shadow_sigma_db"),
+        (dict(pathloss=PathLossParams(d0_m=1e30 * (1 + 1e-9))), "d0_m"),
+        (dict(EXACT_NOISE, p_t_dbm=200.0 + 1e-9, sigma_c2=1.0), "p_t_dbm"),
+        (dict(EXACT_NOISE, p_t_dbm=-400.0 - 1e-9, sigma_c2=1.0), "p_t_dbm"),
+        (dict(EXACT_NOISE, p_t_dbm=100.0, sigma_c2=1e10 * (1 + 1e-9)), "sigma_c2"),
+        (dict(EXACT_NOISE, p_t_dbm=100.0, sigma_c2=1e-50 * (1 - 1e-9)), "sigma_c2"),
+    ])
+    def test_level_beyond_300_db_rejected(self, kw, field):
+        with pytest.raises(ValidationError, match=field):
+            SystemConfig(**kw).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(pathloss=PathLossParams(pl0_db=300.0, d0_m=1000.0, shadow_sigma_db=0.0)),
+        dict(pathloss=PathLossParams(pl0_db=-300.0, d0_m=1000.0, shadow_sigma_db=0.0)),
+        dict(pathloss=PathLossParams(pl0_db=0.0, d0_m=1000.0, shadow_sigma_db=30.0)),
+        dict(pathloss=PathLossParams(d0_m=1e30)),
+        dict(area_side_m=1e-30, pathloss=PathLossParams(d0_m=1e-30)),
+        dict(EXACT_NOISE, p_t_dbm=200.0, sigma_c2=1.0),
+        dict(EXACT_NOISE, p_t_dbm=-400.0, sigma_c2=1.0),
+        dict(EXACT_NOISE, p_t_dbm=100.0, sigma_c2=1e10),
+        dict(EXACT_NOISE, p_t_dbm=100.0, sigma_c2=1e-50),
+    ], ids=["loss+300", "loss-300", "shadow-30", "d0-1e30", "d0-1e-30", "snr+300", "snr-300",
+            "clutter+300", "clutter-300"])
+    def test_level_at_300_db_valid(self, kw):
+        SystemConfig(**kw).validate()
+
     def test_bad_mix_rejected(self):
         cfg = SystemConfig(service_mix=ServiceMix(0.5, 0.5, 0.5))
         with pytest.raises(ValidationError):
