@@ -27,40 +27,73 @@ def mask(config: SystemConfig, budget: channel.LinkBudget):
 
 def link_quality(deployment: Deployment, config: SystemConfig,
                  budget: channel.LinkBudget, mask_m: np.ndarray,
-                 geom: channel.ClutterGeometry) -> np.ndarray:
-    """SNR / SCNR / weighted-joint metric per link, in linear scale: the
-    (L, K) array S, 0 on every link not evaluated.
+                 geom: channel.ClutterGeometry):
+    """SNR / SCNR / weighted-joint metric of each unmasked link (mask_m ==
+    1), in linear scale: the links, each as its index l*K + k in the (L, K)
+    table, ascending (AP-major), and their metrics S.
 
-    Only the unmasked links (mask_m == 1) are evaluated, clutter included:
-    the sparsity that drives the pipeline's complexity advantage. The
-    all-to-all baseline passes a mask of ones. The received power is
-    converted to W only on the evaluated links.
+    Only the unmasked links are evaluated, clutter included: the sparsity
+    that drives the pipeline's complexity advantage. The all-to-all baseline
+    passes a mask of ones, so its list is every link in row-major order. The
+    sensing and JCAS links are listed first, for `channel.clutter_returns`,
+    and the whole list after it, so an all-link call holds no list of every
+    link while the clutter rows are built. The received power is converted
+    to W only on the evaluated links.
     """
     evaluate = np.asarray(mask_m) == 1
+    K = evaluate.shape[1]
     n0 = config.noise_power_w()
-    S = np.zeros(evaluate.shape)
-    svc = np.asarray(deployment.ue_service)[None, :]
-    com = evaluate & (svc == ServiceType.COM)
-    S[com] = channel.dbm_to_watts(budget.rssi_dbm[com]) / n0
-    l_idx, k_idx = np.nonzero(evaluate & (svc != ServiceType.COM))
+    svc = np.asarray(deployment.ue_service)
+    sensing = svc != ServiceType.COM
+    sensed = np.flatnonzero(evaluate & sensing)
+    l_idx, k_idx = np.divmod(sensed, K)
     pc, _ = channel.clutter_returns(geom, deployment, config, l_idx, k_idx,
-                                    budget.distance_m[l_idx, k_idx])
-    p_r_w = channel.dbm_to_watts(budget.rssi_dbm[l_idx, k_idx])
+                                    budget.distance_m.ravel()[sensed])
+    p_r_w = channel.dbm_to_watts(budget.rssi_dbm.ravel()[sensed])
     scnr = p_r_w / (pc + n0)
-    sense = svc[0, k_idx] == ServiceType.SENSE
-    S[l_idx, k_idx] = np.where(sense, scnr, config.w_c * (p_r_w / n0) + config.w_s * scnr)
-    return S
+    sense = svc[k_idx] == ServiceType.SENSE
+    s_sensed = np.where(sense, scnr, config.w_c * (p_r_w / n0) + config.w_s * scnr)
+    links = np.flatnonzero(evaluate)
+    S = channel.dbm_to_watts(budget.rssi_dbm.ravel()[links])
+    S /= n0
+    S[sensing[links % K]] = s_sensed
+    return links, S
 
 
-def priorities(S: np.ndarray) -> np.ndarray:
-    """Row-normalized priorities; all-zero rows stay all-zero."""
+def priorities(S, links=None, K=None) -> np.ndarray:
+    """Row-normalized priorities: each link's S over the sum of S on its AP,
+    0 where that sum is 0.
+
+    S holds the links `links` of a table of K UEs, each as its index l*K + k,
+    ascending; every link not listed has S = 0. An (L, K) array S, given
+    alone, lists every link and gets an (L, K) array back. Each AP's sum is
+    np.sum over its dense row of K values, as over the (L, K) table, so it
+    adds in the same (pairwise) order: the rows are filled from the list
+    into one buffer, one chunk of the APs of channel._LINKS_PER_CHUNK links
+    at a time.
+    """
     S = np.asarray(S, dtype=float)
     if np.any(S < 0):
         raise ValueError("link-quality matrix must be nonnegative")
-    row_sums = S.sum(axis=1, keepdims=True)
-    out = np.zeros_like(S)
-    np.divide(S, row_sums, out=out, where=row_sums > 0)
-    return out
+    shape = S.shape
+    if links is None:
+        K, S = shape[1], S.ravel()
+        links = np.arange(S.size)
+    rows = max(1, channel._LINKS_PER_CHUNK // K)
+    width = rows * K                   # the links of one chunk of APs
+    buf = np.zeros(width)
+    pos = links % width
+    n_chunks = int(links[-1]) // width + 1 if links.size else 0
+    row_sums = np.empty((n_chunks, rows))
+    starts = np.searchsorted(links, range(0, n_chunks * width, width)).tolist()
+    for sums, lo, hi in zip(row_sums, starts, starts[1:] + [S.size]):
+        buf[pos[lo:hi]] = S[lo:hi]
+        buf.reshape(rows, K).sum(axis=1, out=sums)
+        buf[pos[lo:hi]] = 0.0
+    den = row_sums.reshape(-1)[links // K]
+    out = np.zeros(S.size)
+    np.divide(S, den, out=out, where=den > 0)
+    return out.reshape(shape)
 
 
 def sparsity_psi(mask_m: np.ndarray) -> float:
@@ -142,10 +175,18 @@ def _eligible_links(S, R, M, tau_p, X):
         raise ValueError(f"dimension mismatch: S{S.shape} R{R.shape} M{M.shape}")
     if tau_p < 1 or X < 1:
         raise ValueError("tau_p and X must be >= 1")
-    ue, ap = np.divmod(np.flatnonzero(M.T == 1), M.shape[0])
-    w = S[ap, ue] * R[ap, ue]
-    keep = w > 0
-    return ue[keep], ap[keep], w[keep], M
+    links = np.flatnonzero(M == 1)
+    return (*_by_ue(links, M.shape[1], S.ravel()[links] * R.ravel()[links]), M)
+
+
+def _by_ue(links, K: int, w):
+    """Of the links `links` of a table of K UEs (each l*K + k, ascending)
+    with weights w, those of weight w > 0 listed by UE with APs ascending,
+    by a stable sort on the UE: their UEs, APs and weights."""
+    keep = np.flatnonzero(w > 0)
+    ap, ue = np.divmod(links[keep], K)
+    order = np.argsort(ue, kind="stable")
+    return ue[order], ap[order], w[keep[order]]
 
 
 def _check_instance(S, R, M, tau_p, X):
@@ -317,15 +358,26 @@ def optimize(S, R, M, tau_p: int, X: int):
     Maximizes sum S_lk R_lk a_lk over binary a, subject to at most tau_p UEs
     per AP, at most X APs per UE, and a <= M elementwise.  The eligible
     links are listed once, and the solver, the objective and A all work from
-    that list.
+    that list (see `_associate`).
     """
     ue, ap, w, M = _eligible_links(S, R, M, tau_p, X)
-    used, repairs, searches = _solve_flow(ue, ap, w, M.shape[0], tau_p, X)
-    A = np.zeros(M.shape, dtype=np.int8)
-    A[ap[used], ue[used]] = 1
+    return _associate(ue, ap, w, M.shape, tau_p, X)
+
+
+def _associate(ue, ap, w, shape, tau_p: int, X: int):
+    """The optimum on the eligible links of an (L, K) instance, listed by UE
+    with APs ascending (UE ue, AP ap, weight w > 0): the (L, K) int8
+    association A and its report, read from the selected links. `integral`
+    holds when no link is selected twice: the selected links strictly
+    increase in that order."""
+    used, repairs, searches = _solve_flow(ue, ap, w, shape[0], tau_p, X)
+    sel_ue, sel_ap = ue[used], ap[used]
+    A = np.zeros(shape, dtype=np.int8)
+    A[sel_ap, sel_ue] = 1
+    key = sel_ue * shape[0] + sel_ap
     report = OptimizerReport(
-        objective=_objective_sum(np.bincount(ue[used], minlength=M.shape[1]), w[used]),
-        integral=bool(((A == 0) | (A == 1)).all()),
+        objective=_objective_sum(np.bincount(sel_ue, minlength=shape[1]), w[used]),
+        integral=bool((key[1:] > key[:-1]).all()),
         repairs=repairs,
         searches=searches,
     )
@@ -378,34 +430,48 @@ def check_feasible(A, M, tau_p: int, X: int) -> bool:
 _CSV_AP_BLOCK = 32     # APs formatted together by association_csv
 
 
-def association_csv(S, R, A, M) -> str:
-    """Association dump: one row `l,k,s_lk,r_lk,a_lk,masked` per (AP, UE)
-    link, APs in order and each AP's UEs in order; floats as `repr`.
+def association_csv(links, S, R, A, M) -> str:
+    """Association dump: one row `l,k,s_lk,r_lk,a_lk,masked` per link of the
+    (L, K) tables A and M, APs in order and each AP's UEs in order; floats
+    as `repr`. The links `links`, each l*K + k and ascending, have s_lk =
+    S[i] and r_lk = R[i]; every other link has s_lk = r_lk = 0.0.
 
-    The cost follows the links that were evaluated, not L*K. A row is blank
-    when s_lk and r_lk are both +0.0 (on the bits, so -0.0 is not blank) and
-    a_lk is 0 or 1: every masked SUA link is. Its text after the AP id is
-    one of four per-UE strings `k,0.0,0.0,a,masked`, built once per call and
-    picked by index. Only the other rows go through `repr`. The APs are
-    formatted in blocks of _CSV_AP_BLOCK, each joined into one string, so the
-    temporaries are bounded by one block's rows, not by the (L, K) table.
+    The cost follows the listed links, not L*K. A row is blank when s_lk and
+    r_lk are both +0.0 (on the bits, so -0.0 is not blank) and a_lk is 0 or
+    1: every masked SUA link is. Its text after the AP id is one of four
+    per-UE strings `k,0.0,0.0,a,masked`, built once per call and picked by
+    index. Only the other rows go through `repr`. The APs are formatted in
+    blocks of _CSV_AP_BLOCK, whose s and r rows are filled from the list into
+    one buffer, and each block is joined into one string, so the temporaries
+    are bounded by one block's rows, not by the (L, K) table. The blocks come
+    from a generator, whose last block's rows are freed before the table is
+    joined.
     """
+    return "".join(_csv_blocks(links, S, R, A, M))
+
+
+def _csv_blocks(links, S, R, A, M):
+    """The header of `association_csv`, then the text of each block of APs."""
     S = np.asarray(S, dtype=float)
     R = np.asarray(R, dtype=float)
     A, M = np.asarray(A), np.asarray(M)
-    L, K = S.shape
-    header = "ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"
+    L, K = A.shape
+    yield "ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"
     if K == 0:
-        return header
+        return
     # row 2*a + masked holds UE k's blank text in column k
     blank_text = np.array([[f"{k},0.0,0.0,{a},{m}" for k in range(K)]
                            for a in (0, 1) for m in (0, 1)], dtype=object)
     ues = np.broadcast_to(np.arange(K), (min(L, _CSV_AP_BLOCK), K))
-    parts = [header]
-    for l0 in range(0, L, _CSV_AP_BLOCK):
+    sr = np.zeros((2, min(L, _CSV_AP_BLOCK) * K))
+    starts = np.searchsorted(links, range(0, L * K, _CSV_AP_BLOCK * K)).tolist()
+    for l0, lo, hi in zip(range(0, L, _CSV_AP_BLOCK), starts, starts[1:] + [len(S)]):
         aps = slice(l0, l0 + _CSV_AP_BLOCK)
-        s, r = S[aps], R[aps]
         a, m = A[aps].astype(int), (M[aps] == 0).astype(int)
+        flat = sr[:, :a.size]
+        cells = links[lo:hi] - l0 * K
+        flat[0, cells], flat[1, cells] = S[lo:hi], R[lo:hi]
+        s, r = flat.reshape(2, -1, K)
         k = ues[:len(s)]
         blank = (s.view(np.uint64) | r.view(np.uint64)) == 0
         blank &= (a == 0) | (a == 1)
@@ -415,19 +481,29 @@ def association_csv(S, R, A, M) -> str:
             map("{},{!r},{!r},{},{}".format, k[busy].tolist(), s[busy].tolist(),
                 r[busy].tolist(), a[busy].tolist(), m[busy].tolist()),
             dtype=object, count=int(busy.sum()))
+        flat[:, cells] = 0.0
         block = []
         for l, row in enumerate(text.tolist(), start=l0):
             pre = f"{l},"
             block += (pre, ("\n" + pre).join(row), "\n")
-        parts.append("".join(block))
-    return "".join(parts)
+        yield "".join(block)
 
 
 # --- end-to-end pipelines -----------------------------------------------------
 
 @dataclass
 class AssociationResult:
+    """A scheme's association of L APs and K UEs.
+
+    The links the scheme evaluated, its unmasked ones, are listed by their
+    index l*K + k, ascending (AP-major): link links[i] joins AP links[i] // K
+    and UE links[i] % K and has link quality S[i] and priority prio[i];
+    every other link has S = prio = 0. The baseline lists every link, so a
+    reshape to (L, K) gives its dense S and prio. The mask and the
+    association A are (L, K) int8 arrays.
+    """
     mask: np.ndarray
+    links: np.ndarray
     S: np.ndarray
     prio: np.ndarray
     A: np.ndarray
@@ -437,6 +513,11 @@ class AssociationResult:
 def run_sua(deployment: Deployment, config: SystemConfig,
             budget: channel.LinkBudget | None = None,
             geom: channel.ClutterGeometry | None = None) -> AssociationResult:
+    """The scalable association: the mask, then link quality, priorities and
+    the exact optimizer on the list of unmasked links, listed once AP-major
+    and taken by the optimizer in UE order. Past the (L, K) mask, which is
+    scanned to list the links, and A, the cost and the memory follow the
+    unmasked links, not L*K."""
     # The one function that builds the state left out: the benchmark's sua_ms
     # times run_sua(deployment, config), that build included.
     if budget is None:
@@ -444,10 +525,11 @@ def run_sua(deployment: Deployment, config: SystemConfig,
     if geom is None:
         geom = channel.clutter_geometry(deployment, config.pathloss)
     m, _ = mask(config, budget)
-    S = link_quality(deployment, config, budget, m, geom)
-    prio = priorities(S)
-    A, report = optimize(S, prio, m, config.tau_p, config.X)
-    return AssociationResult(m, S, prio, A, report)
+    links, S = link_quality(deployment, config, budget, m, geom)
+    prio = priorities(S, links, deployment.K)
+    A, report = _associate(*_by_ue(links, deployment.K, S * prio), m.shape, config.tau_p,
+                           config.X)
+    return AssociationResult(m, links, S, prio, A, report)
 
 
 def run_baseline(deployment: Deployment, config: SystemConfig, budget: channel.LinkBudget,
@@ -455,5 +537,5 @@ def run_baseline(deployment: Deployment, config: SystemConfig, budget: channel.L
     """All-to-all evaluation: metrics for every link, every AP serves every UE.
     Its all-ones association is also its mask."""
     A = baseline_all_to_all(deployment.L, deployment.K)
-    S = link_quality(deployment, config, budget, A, geom)
-    return AssociationResult(A, S, priorities(S), A, None)
+    links, S = link_quality(deployment, config, budget, A, geom)
+    return AssociationResult(A, links, S, priorities(S, links, deployment.K), A, None)

@@ -47,8 +47,8 @@ def path_loss_db(params: PathLossParams, d_m, shadow_db=0.0, out=None):
     return pl
 
 
-def rssi_dbm(p_t_dbm, pl_db):
-    return np.asarray(p_t_dbm, dtype=float) - np.asarray(pl_db, dtype=float)
+def rssi_dbm(p_t_dbm, pl_db, out=None):
+    return np.subtract(np.asarray(p_t_dbm, dtype=float), np.asarray(pl_db, dtype=float), out=out)
 
 
 @dataclass
@@ -75,14 +75,29 @@ class LinkBudget:
 
 
 def link_budget(deployment: Deployment, config: SystemConfig) -> LinkBudget:
+    """The (L, K) distances (floored at d0), path losses and RSSIs.
+
+    Each is computed in place over its output array, and the outputs hold
+    the AP-UE offsets and the shadowing on the way, so the call allocates
+    nothing but its three outputs. The shadowing is one (L, K) draw of
+    standard normals from the "shadow" stream, scaled by sigma: the values
+    Generator.normal(0, sigma) draws.
+    """
     ap, ue = deployment.ap_pos, deployment.ue_pos
-    dx = ap[:, None, 0] - ue[None, :, 0]
-    dy = ap[:, None, 1] - ue[None, :, 1]
-    d = np.maximum(_distance(dx, dy), config.pathloss.d0_m)
-    rng = rng_stream(config.seed, "shadow")
-    shadow = rng.normal(0.0, config.pathloss.shadow_sigma_db, size=d.shape)
-    pl = path_loss_db(config.pathloss, d, shadow)
-    return LinkBudget(distance_m=d, pl_db=pl, rssi_dbm=rssi_dbm(config.p_t_dbm, pl))
+    pathloss = config.pathloss
+    budget = LinkBudget(*(np.empty((ap.shape[0], ue.shape[0])) for _ in range(3)))
+    d, pl, rssi = budget.distance_m, budget.pl_db, budget.rssi_dbm
+    # the squared offsets in d and pl, summed as `_distance` sums them
+    np.subtract(ap[:, 0, None], ue[:, 0], out=d)
+    np.subtract(ap[:, 1, None], ue[:, 1], out=pl)
+    d *= d
+    pl *= pl
+    d += pl
+    np.maximum(np.sqrt(d, out=d), pathloss.d0_m, out=d)
+    shadow = rng_stream(config.seed, "shadow").standard_normal(out=rssi)
+    shadow *= pathloss.shadow_sigma_db
+    rssi_dbm(config.p_t_dbm, path_loss_db(pathloss, d, shadow, out=pl), out=rssi)
+    return budget
 
 
 # --- spatial correlation ----------------------------------------------------
@@ -415,7 +430,8 @@ def _dense_rows(deployment: Deployment, pathloss: PathLossParams, aps: list):
 # dense links run with the dense rows of one chunk of APs (see `_dense_rows`).
 # The dense pass runs _LOBE_TESTS_PER_BLOCK lobe tests per block of links and
 # the grid pass about _GRID_TESTS_PER_BLOCK, so the temporaries stay near
-# 0.5 MB whatever the number of links.
+# 0.5 MB whatever the number of links. `association.priorities` also sums
+# the rows of one chunk of APs of _LINKS_PER_CHUNK links at a time.
 _DENSE_FRACTION = 0.15
 _LINKS_PER_CHUNK = 1 << 12
 _LOBE_TESTS_PER_BLOCK = 1 << 16

@@ -8,13 +8,38 @@ from hypothesis import strategies as st
 
 from cfmimo import association as assoc
 from cfmimo import channel
-from cfmimo.scenario import InfeasibleModelError, ServiceType, SystemConfig, generate_deployment
+from cfmimo.scenario import (
+    InfeasibleModelError,
+    ServiceMix,
+    ServiceType,
+    SystemConfig,
+    generate_deployment,
+)
 
 
 def desk_config(**kw):
     base = dict(L=20, K=8, N=5, tau_p=5, tau_c=200, X=3, area_side_m=250.0, seed=7)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def dense(shape, links, values):
+    """Values of the links `links` (each l*K + k) as an (L, K) array, 0
+    elsewhere."""
+    out = np.zeros(shape)
+    out.reshape(-1)[links] = values
+    return out
+
+
+def quality(dep, cfg, budget, m, geom):
+    """`assoc.link_quality` of the unmasked links as an (L, K) array S."""
+    return dense(m.shape, *assoc.link_quality(dep, cfg, budget, m, geom))
+
+
+def every_link(S, R):
+    """The per-link arguments of `assoc.association_csv` for (L, K) tables S
+    and R: every link listed."""
+    return np.arange(S.size), S.ravel(), R.ravel()
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +85,7 @@ class TestLinkQuality:
         # clutter from channel.clutter_returns on the same links
         cfg, dep, budget, geom = desk
         m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
-        S = assoc.link_quality(dep, cfg, budget, m, geom)
+        S = quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
         p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
         cells = {ServiceType.JCAS: 0, ServiceType.SENSE: 0}
@@ -79,17 +104,19 @@ class TestLinkQuality:
         assert min(cells.values()) > 0 and cluttered > 0
 
     def test_masked_cells_zero(self, desk):
-        # S > 0 exactly on the evaluated links: the unmasked ones, or all
+        # the evaluated links, the unmasked ones or all, are listed AP-major,
+        # each with S > 0
         cfg, dep, budget, geom = desk
         m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
-        np.testing.assert_array_equal(assoc.link_quality(dep, cfg, budget, m, geom) > 0, m == 1)
-        ones = np.ones((cfg.L, cfg.K), dtype=np.int8)
-        assert np.all(assoc.link_quality(dep, cfg, budget, ones, geom) > 0)
+        for mask_m in (m, np.ones((cfg.L, cfg.K), dtype=np.int8)):
+            links, S = assoc.link_quality(dep, cfg, budget, mask_m, geom)
+            np.testing.assert_array_equal(links, np.flatnonzero(mask_m == 1))
+            assert np.all(S > 0)
 
     def test_com_cells_are_snr(self, desk):
         cfg, dep, budget, geom = desk
         m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
-        S = assoc.link_quality(dep, cfg, budget, m, geom)
+        S = quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
         p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
         for k in dep.ue_indices(ServiceType.COM):
@@ -102,7 +129,7 @@ class TestLinkQuality:
         budget = channel.link_budget(dep, cfg)
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
-        S = assoc.link_quality(dep, cfg, budget, m, geom)
+        S = quality(dep, cfg, budget, m, geom)
         n0 = cfg.noise_power_w()
         p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
         for k in dep.ue_indices(ServiceType.SENSE):
@@ -112,7 +139,7 @@ class TestLinkQuality:
     def test_nonnegative_everywhere(self, desk):
         cfg, dep, budget, geom = desk
         m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
-        S = assoc.link_quality(dep, cfg, budget, m, geom)
+        S = quality(dep, cfg, budget, m, geom)
         assert np.all(S >= 0)
 
 
@@ -311,6 +338,15 @@ class TestOptimize:
         A = (np.arange(300)[:, None] < np.array([1, 7, 8, 9, 130, 300])).astype(np.int8)
         assert assoc.objective_value(w, A) == column_loop(w, A)
         assert assoc.objective_value(np.zeros((3, 0)), np.zeros((3, 0))) == 0.0
+
+    def test_integral_false_when_a_link_is_selected_twice(self):
+        # `integral` is read from the selected links: UE 0 lists AP 0 twice,
+        # and with X = 2 both copies are selected
+        ue, ap, w = np.array([0, 0, 1]), np.array([0, 0, 1]), np.array([2.0, 2.0, 1.0])
+        _, rep = assoc._associate(ue, ap, w, (2, 2), 2, 2)
+        assert not rep.integral
+        _, rep = assoc._associate(ue[1:], ap[1:], w[1:], (2, 2), 2, 2)
+        assert rep.integral
 
     def test_matches_enumeration_exactly(self):
         for seed, n in ((2024, 60), (77, 40)):
@@ -567,7 +603,7 @@ def binding_scenario_instance(seed, L=400, K=120, area_side_m=1000.0, tau_p=2):
     dep = generate_deployment(cfg)
     budget = channel.link_budget(dep, cfg)
     m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
-    S = assoc.link_quality(dep, cfg, budget, m, channel.clutter_geometry(dep, cfg.pathloss))
+    S = quality(dep, cfg, budget, m, channel.clutter_geometry(dep, cfg.pathloss))
     return S, assoc.priorities(S), m, cfg.tau_p, cfg.X
 
 
@@ -646,7 +682,7 @@ class TestCsvDump:
         R = assoc.priorities(S)
         A = np.array([[1, 0]])
         M = np.array([[1, 0]])
-        text = assoc.association_csv(S, R, A, M)
+        text = assoc.association_csv(*every_link(S, R), A, M)
         lines = text.strip().split("\n")
         assert lines[0] == "ap_id,ue_id,s_lk,r_lk,a_lk,masked"
         assert lines[1] == "0,0,1.5,1.0,1,0"
@@ -662,7 +698,7 @@ class TestCsvDump:
         expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
             f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
             for l in range(7) for k in range(5)]
-        assert assoc.association_csv(S, R, A, M) == "\n".join(expected) + "\n"
+        assert assoc.association_csv(*every_link(S, R), A, M) == "\n".join(expected) + "\n"
 
     @settings(deadline=None)
     @given(kind=st.sampled_from(["mixed", "all_blank", "no_blank"]),
@@ -672,9 +708,10 @@ class TestCsvDump:
         # a blank row (s and r both +0.0, a in {0, 1}) takes a per-UE string,
         # every other row goes through repr; -0.0, subnormals, 1/3, 1e16,
         # nonzero S on masked cells and a_lk outside {0, 1} must all come out
-        # as the cell-by-cell format writes them, across the AP blocks. The
-        # cells are drawn from a seeded generator so that tables of up to
-        # 67 x 6 cells stay within hypothesis's data budget.
+        # as the cell-by-cell format writes them, across the AP blocks, from
+        # a list of every link and from one that leaves out links whose s and
+        # r are both +0.0. The cells are drawn from a seeded generator so that
+        # tables of up to 67 x 6 cells stay within hypothesis's data budget.
         rng = np.random.default_rng(seed)
         values = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 1e16, *pool])
         S, R = rng.choice(values, (2, L, K))
@@ -690,7 +727,11 @@ class TestCsvDump:
         expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
             f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
             for l in range(L) for k in range(K)]
-        assert assoc.association_csv(S, R, A, M) == "\n".join(expected) + "\n"
+        expected = "\n".join(expected) + "\n"
+        assert assoc.association_csv(*every_link(S, R), A, M) == expected
+        zero = (S.view(np.uint64) | R.view(np.uint64)) == 0
+        links = np.flatnonzero(~zero | (rng.random((L, K)) < 0.5))
+        assert assoc.association_csv(links, S.ravel()[links], R.ravel()[links], A, M) == expected
 
 
 class TestPipelines:
@@ -720,6 +761,25 @@ class TestPipelines:
             tracemalloc.stop()
         assert peak < cfg.L * 4 * geom.xy.shape[1] * 8
 
+    def test_memory_follows_unmasked_links_at_l1000(self):
+        # run_sua keeps the (L, K) int8 mask and A and a few arrays of the
+        # unmasked links; the link budget's temporaries are one chunk of APs
+        cfg = SystemConfig(L=1000, K=300, area_side_m=1581.0, seed=11)
+        dep = generate_deployment(cfg)
+        tracemalloc.start()
+        try:
+            budget = channel.link_budget(dep, cfg)
+            budget_peak = tracemalloc.get_traced_memory()[1]
+            geom = channel.clutter_geometry(dep, cfg.pathloss)
+            before = tracemalloc.get_traced_memory()[0]
+            res = assoc.run_sua(dep, cfg, budget, geom)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert budget_peak <= 3 * 8 * cfg.L * cfg.K + 2 ** 20
+        assert 0 < res.links.size < cfg.L * cfg.K / 10
+        assert kept <= 2 * cfg.L * cfg.K + 100 * res.links.size
+
     @pytest.mark.parametrize("kw", [dict(seed=1000), dict(seed=1002),
                                     dict(L=400, K=120, area_side_m=1000.0, seed=11)],
                              ids=["default-1000", "default-1002", "L400-11"])
@@ -732,6 +792,52 @@ class TestPipelines:
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         sua = assoc.run_sua(dep, cfg, budget, geom)
         base = assoc.run_baseline(dep, cfg, budget, geom)
-        unmasked = sua.mask == 1
-        assert unmasked.any()
-        np.testing.assert_array_equal(sua.S[unmasked], base.S[unmasked])
+        np.testing.assert_array_equal(sua.links, np.flatnonzero(sua.mask == 1))
+        np.testing.assert_array_equal(base.links, np.arange(base.A.size))
+        assert sua.links.size
+        np.testing.assert_array_equal(sua.S, base.S[sua.links])
+
+
+class TestListPathOracle:
+    """`run_sua` lists the unmasked links once and runs link quality,
+    priorities and the optimizer on that list; a dense reference built here
+    from the (L, K) formulas must give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), L=st.integers(2, 16), seed=st.integers(0, 2 ** 16),
+           mix=st.sampled_from([ServiceMix(1.0, 0.0, 0.0), ServiceMix(0.0, 1.0, 0.0),
+                                ServiceMix(0.0, 0.0, 1.0), ServiceMix()]),
+           threshold=st.one_of(st.sampled_from([-1e308, 1e308]), st.floats(0.0, 1.0)))
+    def test_matches_dense_reference(self, data, L, seed, mix, threshold):
+        K, X = data.draw(st.integers(1, L - 1)), data.draw(st.integers(1, L - 1))
+        cfg = SystemConfig(L=L, K=K, X=X, tau_p=data.draw(st.integers(1, 4)), area_side_m=250.0,
+                           service_mix=mix, seed=seed)
+        dep = generate_deployment(cfg)
+        budget = channel.link_budget(dep, cfg)
+        geom = channel.clutter_geometry(dep, cfg.pathloss)
+        if abs(threshold) <= 1.0:  # a point of the deployment's RSSI range
+            lo, hi = budget.rssi_dbm.min(), budget.rssi_dbm.max()
+            threshold = float(lo + threshold * (hi - lo))
+        cfg.p_threshold_dbm = threshold
+        res = assoc.run_sua(dep, cfg, budget, geom)
+
+        M = (budget.rssi_dbm >= threshold).astype(np.int8)
+        n0 = cfg.noise_power_w()
+        p_r_w = channel.dbm_to_watts(budget.rssi_dbm)
+        l_idx, k_idx = np.indices((L, K)).reshape(2, -1)
+        pc, _ = channel.clutter_returns(geom, dep, cfg, l_idx, k_idx, budget.distance_m.ravel())
+        snr, scnr = p_r_w / n0, p_r_w / (pc.reshape(L, K) + n0)
+        svc = np.broadcast_to(dep.ue_service, (L, K))
+        S = np.where(svc == ServiceType.COM, snr,
+                     np.where(svc == ServiceType.SENSE, scnr, cfg.w_c * snr + cfg.w_s * scnr))
+        S = np.where(M == 1, S, 0.0)
+        sums = S.sum(axis=1, keepdims=True)
+        R = np.divide(S, sums, out=np.zeros((L, K)), where=sums > 0)
+        A, rep = assoc.optimize(S, R, M, cfg.tau_p, cfg.X)
+
+        np.testing.assert_array_equal(res.mask, M)
+        np.testing.assert_array_equal(res.links, np.flatnonzero(M))
+        assert res.S.tobytes() == S.ravel()[res.links].tobytes()
+        assert res.prio.tobytes() == R.ravel()[res.links].tobytes()
+        assert res.A.dtype == A.dtype and res.A.tobytes() == A.tobytes()
+        assert res.report == rep

@@ -83,6 +83,28 @@ class TestLinkBudget:
         # P_t 30 dBm over a 90 dB loss
         assert channel.rssi_dbm(30.0, 90.0) == -60.0
 
+    @pytest.mark.parametrize("n_aps", [1, 2, 37, 200])
+    @pytest.mark.parametrize("sigma", [4.0, 0.0])
+    def test_in_place_matches_one_call_formula(self, n_aps, sigma):
+        # the budget is computed in place over its outputs, with the shadowing
+        # drawn as scaled standard normals; it equals the one-call formula
+        # bit for bit, with no shadowing too (where 0 * z is -0.0 for z < 0)
+        cfg = SystemConfig(L=200, K=120, area_side_m=1000.0, seed=21,
+                           pathloss=PathLossParams(shadow_sigma_db=sigma))
+        full = generate_deployment(cfg)
+        dep = Deployment(full.ap_pos[:n_aps], full.ue_pos, full.ue_service, full.scatterer_pos)
+        budget = channel.link_budget(dep, cfg)
+        pl = cfg.pathloss
+        dx = dep.ap_pos[:, None, 0] - dep.ue_pos[None, :, 0]
+        dy = dep.ap_pos[:, None, 1] - dep.ue_pos[None, :, 1]
+        d = np.maximum(np.sqrt(dx * dx + dy * dy), pl.d0_m)
+        shadow = rng_stream(cfg.seed, "shadow").normal(0.0, pl.shadow_sigma_db, size=d.shape)
+        loss = np.log10(d / pl.d0_m) * (10.0 * pl.gamma_pl) + pl.pl0_db + shadow
+        for got, want in ((budget.distance_m, d), (budget.pl_db, loss),
+                          (budget.rssi_dbm, cfg.p_t_dbm - loss)):
+            assert got.shape == want.shape == (dep.L, dep.K)
+            assert got.tobytes() == want.tobytes()
+
 
 def colored_draws(R, beta, rng, n):
     """n draws sqrt(beta) R^(1/2) w, w ~ CN(0, I): the fading rule of the SER

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cfmimo import association, cli, net_metrics, report
+from cfmimo import association, channel, cli, net_metrics, report
 from cfmimo.scenario import (
     ServiceMix,
     ServiceType,
@@ -466,13 +466,49 @@ class TestAssociate:
                          "--scheme", "sua"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         res = association.run_sua(generate_deployment(cfg), cfg)
-        w, _ = association._check_instance(res.S, res.prio, res.mask, cfg.tau_p, cfg.X)
+        S, R = np.zeros((2, cfg.L, cfg.K))
+        S.reshape(-1)[res.links], R.reshape(-1)[res.links] = res.S, res.prio
+        w, _ = association._check_instance(S, R, res.mask, cfg.tau_p, cfg.X)
         load = association._column_top_selection(w, res.mask, cfg.X).sum(axis=1)
         overload = int(np.maximum(load - cfg.tau_p, 0).sum())
         assert line.startswith("sua: ") and line.endswith(f" repairs={overload}")
         assert (overload > 0) == binds
         searches = int(line.split(" searches=")[1].split()[0])
         assert (0 < searches < overload) if binds else (searches == 0)
+
+
+class TestMaskingThresholdEdges:
+    """A masking threshold above every RSSI leaves SUA no link, one below
+    every RSSI masks none (L=16, K=6, 200 m side, seed 5): `associate`
+    writes both full tables either way, and the commands that need a
+    serving link exit 3 with the reason."""
+
+    RUNS = {"associate": ["--scheme", "both"], "ser": ["--snr=0:10:10", "--symbols=40"],
+            "pd": ["--snr=0:10:10", "--trials=50"], "netmetrics": ["--reps=1"]}
+    EMPTY = {"associate": (0, ""),
+             "ser": (3, "the reference association serves no link to calibrate the SNR axis on"),
+             "pd": (3, "UE 0 has an empty serving set"),
+             "netmetrics": (3, "UE 0 has an empty serving set")}
+
+    @pytest.mark.parametrize("threshold", [1e308, -1e308], ids=["above", "below"])
+    def test_exit_codes_and_tables(self, tmp_path, capsys, threshold):
+        path = tmp_path / "scenario.json"
+        cfg = SystemConfig(L=16, K=6, area_side_m=200.0, seed=5, p_threshold_dbm=threshold)
+        save_scenario(cfg, str(path))
+        for command, args in self.RUNS.items():
+            out = tmp_path / command
+            code = cli.main([command, "--scenario", str(path), "--out", str(out), *args])
+            stdout, stderr = capsys.readouterr()
+            want, reason = self.EMPTY[command] if threshold > 0 else (0, "")
+            assert code == want, (command, stderr)
+            assert reason in stderr
+            if command == "associate":
+                sua = stdout.splitlines()[0]
+                assert sua.startswith("sua: psi=0.0000 objective=0 active_aps=0 " if threshold > 0
+                                      else "sua: psi=1.0000 ")
+                for scheme in ("sua", "baseline"):
+                    text = (out / f"associate_{scheme}.csv").read_text()
+                    assert text.count("\n") == cfg.L * cfg.K + 1
 
 
 class TestSer:
@@ -986,15 +1022,32 @@ def _finite_tables(out):
     return True
 
 
+def _threshold_and_weights():
+    """The masking threshold, from signed magnitudes and from the lowest,
+    median and highest RSSI of SMALL's links, and the weight w_c, from signed
+    magnitudes and points of [0, 1] (`_weight_pair` adds w_s = 1 - w_c)."""
+    cfg = SystemConfig(**SMALL)
+    rssi = channel.link_budget(generate_deployment(cfg), cfg).rssi_dbm
+    levels = [float(rssi.min()), float(np.median(rssi)), float(rssi.max())]
+    return {"p_threshold_dbm": st.sampled_from(MAGNITUDES + levels),
+            "w_c": st.sampled_from(MAGNITUDES + [0.25, 1.0])}
+
+
+def _weight_pair(fields):
+    return {**fields, "w_s": 1.0 - fields["w_c"]} if "w_c" in fields else fields
+
+
 class TestScenarioFieldFuzz:
     """Every loss and power field of the scenario drawn from signed magnitudes
-    across a float's range and from the edges of `validate`'s +-300 dB rule:
-    each command exits 0, 2 or 3 without a RuntimeWarning, and one that exits
-    0 writes finite CSV fields only."""
+    across a float's range and from the edges of `validate`'s +-300 dB rule,
+    and the fields the association's link list reads, the masking threshold
+    and the weight pair: each command exits 0, 2 or 3 without a
+    RuntimeWarning, and one that exits 0 writes finite CSV fields only."""
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(fields=st.fixed_dictionaries({}, optional=_rule_edges()))
+    @given(fields=st.fixed_dictionaries(
+        {}, optional={**_rule_edges(), **_threshold_and_weights()}).map(_weight_pair))
     def test_exit_code_and_finite_tables(self, tmp_path_factory, fields):
         work = tmp_path_factory.mktemp("fields")
         scenario = work / "scenario.json"
