@@ -334,8 +334,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options whose grids may start with a minus sign
+_GRID_OPTIONS = ("--snr", "--x-range")
+
+
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """argv with each grid of `_GRID_OPTIONS` given as its own token and
+    starting with a single '-', such as `--snr -10:2:10`, joined to its option
+    as `--snr=-10:2:10`; the option may be abbreviated, as argparse allows.
+    argparse takes such a token for an option unless it is a plain negative
+    number, so the grid would lose its value."""
+    out = []
+    for token in argv:
+        if (out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in _GRID_OPTIONS)
+                and token[:1] == "-" and token[1:2] != "-" and ":" in token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         if getattr(args, "out", None):
             os.makedirs(args.out, exist_ok=True)

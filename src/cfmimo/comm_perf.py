@@ -30,14 +30,78 @@ QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
 
 CONSTELLATIONS = {"bpsk": BPSK, "qpsk": QPSK}
 
+# Relative near-tie band of `_ml_decisions`, and the floor of its length scale
+_TIE_BAND = 2.0 ** -40
+_TIE_FLOOR = 2.0 ** -480
 
-def _ml_decisions(z, candidates) -> np.ndarray:
-    """Maximum-likelihood (nearest-point) decisions: per entry of z, the
-    index along the first axis of `candidates`, the constellation points
-    each broadcast against z, of the least |z - point|^2; equal distances go
-    to the lower index. With the points on the leading axis the distances
-    and the argmin run over whole (..., n) arrays, not M-element rows."""
-    return np.argmin(np.abs(z - candidates) ** 2, axis=0)
+
+def _decision_regions(constel: np.ndarray):
+    """(a, table) for BPSK, whose points are (+-a, 0), or QPSK, whose points
+    are (+-a, +-a): the point nearest to z is then the one with the signs of
+    Re z (and of Im z for QPSK). table maps each sign pattern
+    (Re z < 0, Im z < 0), its two bytes read as one uint16 code, to the index
+    of the point with that pattern, as read from the constellation's own
+    points; BPSK's ignores the sign of Im z."""
+    re, im = constel.real, constel.imag
+    a = abs(float(re[0]))
+    quad = constel.size == 4
+    assert (constel.size in (2, 4) and a > 0 and np.all(np.abs(re) == a)
+            and np.all(np.abs(im) == (a if quad else 0.0))), "not BPSK or QPSK"
+    patterns = np.array([[False, False], [True, False], [False, True], [True, True]])
+    codes = patterns.view(np.uint16)[:, 0]
+    table = np.zeros(codes.max() + 1, dtype=np.intp)
+    for (neg_re, neg_im), code in zip(patterns, codes):
+        point = np.flatnonzero(((re < 0) == neg_re) & (((im < 0) == neg_im) | (not quad)))
+        assert point.size == 1, "one point per sign pattern"
+        table[code] = point[0]
+    return a, table
+
+
+def _nearest_points(z, scale, constel: np.ndarray) -> np.ndarray:
+    """Per entry of z, the index of the least |z - scale point|^2 over the
+    points of `constel`, scale broadcast against z; equal distances go to
+    the lower index."""
+    return np.argmin(np.abs(z - scale * constel.reshape(-1, *[1] * z.ndim)) ** 2, axis=0)
+
+
+def _ml_decisions(z, scale, constel: np.ndarray, regions) -> np.ndarray:
+    """Maximum-likelihood (nearest-point) decisions: per entry of the complex
+    C-contiguous z, the index of the point of scale * constel nearest to it,
+    scale >= 0 broadcast against z and regions = `_decision_regions(constel)`.
+    Each entry is decided as `_nearest_points` decides it.
+
+    With p = scale a, the points' coordinates are +-p (rounding is symmetric
+    in sign), and the exact squared distances of the signs' point and any
+    other point differ by at least 4 p m, m = |Re z| for BPSK and
+    min(|Re z|, |Im z|) for QPSK. With r >= max(|Re z|, |Im z|) + p over the
+    entry's row, each distance is at most 2 r^2. `_nearest_points`' computed
+    distances are each within 2^-50 relative of their exact value (a
+    rounding of each coordinate difference, under one ulp in hypot and a
+    rounding of the square), so together they are off by less than
+    2^-48 r^2, while where m p > _TIE_BAND r^2 the exact gap exceeds
+    2^-38 r^2: there the signs' point is the strict argmin with a margin of
+    2^10. The floor _TIE_FLOOR added to r keeps _TIE_BAND r^2 above
+    2^-1000, so the absolute rounding of distances in the subnormal range is
+    far inside the margin too. The entries inside the band, among them every
+    coordinate at +-0, every zero scale and every row holding a NaN, go to
+    `_nearest_points`, which breaks equal computed distances towards the
+    lower index; when they are most of z, it decides all of z at once."""
+    a, table = regions
+    f = z.view(float)
+    abs_f = np.abs(f)
+    p = scale * a
+    r = abs_f.max(axis=-1, keepdims=True) + (p + _TIE_FLOOR)
+    m = np.minimum(abs_f[..., 0::2], abs_f[..., 1::2]) if constel.size == 4 else abs_f[..., 0::2]
+    near = ~(m * p > _TIE_BAND * r * r)
+    n_near = np.count_nonzero(near)
+    if 2 * n_near > near.size:
+        return _nearest_points(z, scale, constel)
+    # each entry's sign pattern, its two bytes (Re z < 0, Im z < 0) as one code
+    det = table.take((f < 0).view(np.uint16))
+    if n_near:
+        near = np.nonzero(near)
+        det[near] = _nearest_points(z[near], np.broadcast_to(scale, z.shape)[near], constel)
+    return det
 
 
 def q_exact(x):
@@ -149,6 +213,7 @@ def ser_awgn_mc(constel: np.ndarray, snr_db_grid, n_symbols: int, seed: int):
     """Single-link, perfect-CSI, unit-channel Monte-Carlo SER (textbook AWGN).
     Every symbol is its own cluster."""
     out = []
+    regions = _decision_regions(constel)
     for i, snr_db in enumerate(np.atleast_1d(snr_db_grid)):
         sigma2 = 10.0 ** (-float(snr_db) / 10.0)
         rng = rng_stream(seed, "mc", 1000 + i)
@@ -157,7 +222,7 @@ def ser_awgn_mc(constel: np.ndarray, snr_db_grid, n_symbols: int, seed: int):
         noise = math.sqrt(sigma2 / 2.0) * (rng.standard_normal(n_symbols)
                                            + 1j * rng.standard_normal(n_symbols))
         y = s + noise
-        det = _ml_decisions(y, constel[:, None])
+        det = _ml_decisions(y, 1.0, constel, regions)
         errors = int(np.count_nonzero(det != idx))
         out.append(SerPoint(float(snr_db), math.nan, errors / n_symbols, n_symbols,
                             wilson_halfwidth(errors, n_symbols),
@@ -270,6 +335,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
     factors = [None if perfect_csi
                else channel.mmse_estimate(R, tau_p, s.pilots, s.pos[s.link_at], s.link_ue)
                for s in schemes]
+    regions = _decision_regions(constel)
     # per (scheme, SNR point): sum e_b, sum e_b^2 and sum n_b e_b over the
     # blocks, e_b errors out of the n_b symbols of all data UEs in block b
     tally = np.zeros((len(schemes), grid.size, 3), dtype=np.int64)
@@ -282,8 +348,8 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
         out_noise = _unit_complex(rng, (n_data, nsym))
         h = sqrt_g * (w if C_sqrt is None else (C_sqrt @ w[..., None])[..., 0])
         for si, s in enumerate(schemes):
-            e = _block_errors(s, factors[si], h, pilot_noise, idx, out_noise, constel, sigma2s,
-                              data_ues, tau_p)
+            e = _block_errors(s, factors[si], h, pilot_noise, idx, out_noise, constel, regions,
+                              sigma2s, data_ues, tau_p)
             tally[si] += np.stack([e, e * e, nsym * n_data * e], axis=1)
 
     sizes = np.diff([*starts, n_symbols])
@@ -305,7 +371,7 @@ def ser_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict,
 
 
 def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
-                  constel: np.ndarray, sigma2s, data_ues, tau_p: int) -> np.ndarray:
+                  constel: np.ndarray, regions, sigma2s, data_ues, tau_p: int) -> np.ndarray:
     """Symbol errors of one scheme in one coherence block at each noise
     variance of `sigma2s`, from the block's draws (see `ser_monte_carlo`): h
     (APs, K, N) and pilot_noise (tau_p, APs, N) over the call's APs, idx the
@@ -334,11 +400,14 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
                 V[s.link_row] = (B / (lam + sigma2))[:, None] * y
             else:
                 y = (U_h @ y[..., None])[..., 0]
-                y /= lam + sigma2
+                # y / (lam + sigma2) as numpy divides complex by real, each
+                # part times fl(1 / (lam + sigma2)), without the complex division
+                y_parts = y.view(float).reshape(*y.shape, 2)
+                y_parts *= (1.0 / (lam + sigma2))[..., None]
                 V[s.link_row] = (B @ y[..., None])[..., 0]
             Gx, v_norm2 = _combined_signal(V, H, x)
         z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
-        det = _ml_decisions(z, v_norm2[:, None] * constel[:, None, None])
+        det = _ml_decisions(z, v_norm2[:, None], constel, regions)
         errors[j] = np.count_nonzero(det != idx)
     return errors
 

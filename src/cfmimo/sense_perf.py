@@ -281,10 +281,12 @@ def pd_monte_carlo(deployment: Deployment, config: SystemConfig, assocs: dict, r
     (UEs, grid) array of echo scales.
     """
     grid = np.atleast_1d(np.asarray(scnr_grid_db, dtype=float))
-    ues, amp_ref, sig_ref = _sensing_link_terms(deployment, config, reference, budget, geom)
+    ref_terms = _sensing_link_terms(deployment, config, reference, budget, geom)
+    ues, amp_ref, sig_ref = ref_terms
     scale = (sig_ref / amp_ref ** 2)[:, None] * 10.0 ** (grid / 10.0)
-    # (scheme, UE) sums of each association
-    amp, sig = np.array([_sensing_link_terms(deployment, config, A, budget, geom)[1:]
+    # (scheme, UE) sums of each association; the reference's are reused
+    amp, sig = np.array([(ref_terms if A is reference
+                          else _sensing_link_terms(deployment, config, A, budget, geom))[1:]
                          for A in assocs.values()]).transpose(1, 0, 2)
     eta = np.array([[detection_threshold(config.p_fa, s) for s in row] for row in sig])
 

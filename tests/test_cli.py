@@ -80,6 +80,9 @@ class TestParseRange:
         ["ser", "--snr", "0:1:inf"],
         ["ser", "--snr", "0:1e-300:1"],
         ["ser", "--snr=-1e300:-1e300"],
+        ["ser", "--snr", "-1e300:-1e300"],
+        ["ser", "--snr", "-10:x:10"],
+        ["pd", "--snr", "-inf:1:5"],
         ["pd", "--snr", "0:inf:5"],
         ["pd", "--snr", "400:400"],
     ])
@@ -95,6 +98,48 @@ class TestParseRange:
         assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path)]) == 2
         assert "bad range" in capsys.readouterr().err
         assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
+class TestNegativeGridToken:
+    """A grid that starts with '-' may follow its option as its own token."""
+
+    @pytest.mark.parametrize("command,grid,extra", [
+        ("ser", "-10:10:10", ["--symbols", "200"]),
+        ("pd", "-5:5:5", ["--trials", "200"]),
+    ])
+    def test_both_forms_write_the_same_files(self, tmp_path, command, grid, extra):
+        path = small_scenario(tmp_path)
+        outs = [tmp_path / "joined", tmp_path / "token"]
+        for out, form in zip(outs, ([f"--snr={grid}"], ["--snr", grid])):
+            assert cli.main([command, *form, *extra, "--scenario", path, "--out", str(out)]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("grid", ["-1:5", "-2:1:3", "-x:3"])
+    def test_sweep_x_forms_give_one_message(self, tmp_path, capsys, grid):
+        path = small_scenario(tmp_path)
+        errors = []
+        for form in ([f"--x-range={grid}"], ["--x-range", grid]):
+            assert cli.main(["sweep-x", *form, "--scenario", path, "--out", str(tmp_path)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and "validation error" in errors[0]
+
+    @pytest.mark.parametrize("argv", [["--snr", "--symbols", "5"], ["--snr", "-h"]])
+    def test_options_are_not_taken_for_grids(self, argv):
+        assert cli._join_grid_values(argv) == argv
+
+    def test_only_the_grid_options_join(self):
+        assert cli._join_grid_values(["--seed", "-3:1", "--snr", "-3:1"]) == \
+            ["--seed", "-3:1", "--snr=-3:1"]
+
+    def test_abbreviated_options_join(self, tmp_path):
+        assert cli._join_grid_values(["--sn", "-3:1", "--x-r", "-1:5", "--", "-1:2"]) == \
+            ["--sn=-3:1", "--x-r=-1:5", "--", "-1:2"]
+        path = small_scenario(tmp_path)
+        assert cli.main(["ser", "--sn", "-10:10:10", "--symbols", "200", "--scenario", path,
+                         "--out", str(tmp_path)]) == 0
 
 
 class TestValidateCommand:
@@ -935,16 +980,24 @@ def _given(name, values):
 
 
 _RANGE = st.lists(st.sampled_from(RANGE_PARTS), min_size=1, max_size=4).map(":".join)
+
+
+def _grid(name):
+    """A drawn range given as `name=range` or as its own token after `name`."""
+    return st.tuples(_RANGE, st.booleans()).map(
+        lambda rj: [f"{name}={rj[0]}"] if rj[1] else [name, rj[0]])
+
+
 _SCHEME = _option("--scheme", ["sua", "baseline", "both", "all"])
 # sample counts are always given: their defaults run 100000 samples
 _ARGS = {
     "associate": st.tuples(_SCHEME),
-    "ser": st.tuples(_SCHEME, _RANGE.map(lambda r: [f"--snr={r}"]), _given("--symbols", COUNTS),
+    "ser": st.tuples(_SCHEME, _grid("--snr"), _given("--symbols", COUNTS),
                      _option("--mod", ["bpsk", "qpsk", "8psk"]),
                      st.sampled_from([[], ["--perfect-csi"]])),
-    "pd": st.tuples(_SCHEME, _RANGE.map(lambda r: [f"--snr={r}"]), _given("--trials", COUNTS),
+    "pd": st.tuples(_SCHEME, _grid("--snr"), _given("--trials", COUNTS),
                     _option("--pfa", ["0", "1", "1e-300", "0.01", "nan", "-1"])),
-    "sweep-x": st.tuples(_RANGE.map(lambda r: [f"--x-range={r}"])),
+    "sweep-x": st.tuples(_grid("--x-range")),
     "netmetrics": st.tuples(_given("--reps", COUNTS)),
     "report": st.tuples(),
 }

@@ -204,6 +204,102 @@ class TestSerTheory:
         # one mode remains: c^2 = sigma2 K / (tau_p X)
         assert comm_perf.residual_error_power(0.5, 30, 10, 5) == pytest.approx(0.5 * 30 / 50)
 
+
+def _argmin_decisions(z, candidates):
+    """The nearest-point rule by distance: the argmin over the leading axis
+    of |z - candidates|^2, the first index on equal distances."""
+    return np.argmin(np.abs(z - candidates) ** 2, axis=0)
+
+
+# signed coordinates at 0, a few ulp from it and at the scale of the points
+_EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 2e-323, -1e-310, 1e-300, -0.7, 0.7071067811865476,
+                1.0, -3.0, 1e30]
+_EDGE_SCALES = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1e30]
+
+
+class TestMlDecisions:
+    """The sign-region detector decides every entry as the distance argmin
+    does, equal distances included, and raises no floating-point warning."""
+
+    @staticmethod
+    def _check(z, scale, constel, padded=False):
+        scale = np.asarray(scale, dtype=float)
+        if padded:
+            # rows of unit scale on the points themselves, far from every
+            # boundary, so the near-tie entries are a minority of z and are
+            # decided apart from the others
+            z = np.concatenate([z, np.tile(np.resize(constel, z.shape[1]), (3 * len(z), 1))])
+            scale = np.concatenate([scale, np.ones(3 * len(scale))])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            want = _argmin_decisions(z, scale[..., None] * constel[:, None, None])
+            got = comm_perf._ml_decisions(z, scale[..., None], constel,
+                                          comm_perf._decision_regions(constel))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("constel", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           snr_db=st.floats(-300.0, 300.0),
+           log_scale=st.one_of(st.none(), st.floats(-30.0, 30.0)))
+    def test_equals_argmin_across_the_grid(self, constel, seed, snr_db, log_scale):
+        # MR outputs as `_block_errors` draws them: scale |v|^2 times the
+        # symbol plus noise of variance sigma2 |v|^2, per row its own scale
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.5, 2.0, 7) * (0.0 if log_scale is None else 10.0 ** log_scale)
+        scale[rng.integers(0, 7)] = 0.0
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        z = scale[:, None] * constel[rng.integers(0, constel.size, (7, 50))]
+        z += np.sqrt(sigma2 / 2.0 * scale)[:, None] * (rng.standard_normal((7, 50))
+                                                       + 1j * rng.standard_normal((7, 50)))
+        self._check(z, scale, constel)
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["alone", "padded"])
+    @pytest.mark.parametrize("constel", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    def test_equals_argmin_at_edges(self, constel, padded):
+        # every pair of edge coordinates, each against every edge scale
+        re, im = np.meshgrid(_EDGE_COORDS, _EDGE_COORDS)
+        z = np.empty(re.size, dtype=complex)  # parts set apart keep the signs of zeros
+        z.real, z.imag = re.ravel(), im.ravel()
+        z = np.broadcast_to(z, (len(_EDGE_SCALES), z.size)).copy()
+        self._check(z, _EDGE_SCALES, constel, padded)
+
+    @pytest.mark.parametrize("constel", [BPSK, QPSK], ids=["bpsk", "qpsk"])
+    def test_unit_scale_of_the_awgn_reference(self, constel):
+        # `ser_awgn_mc` decides against the points themselves
+        rng = np.random.default_rng(3)
+        y = constel[rng.integers(0, constel.size, 4000)] + 10.0 ** rng.uniform(-17, 3, 4000) \
+            * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+        y[:8] = [0.0, -0.0, 1e-300j, -5e-324, complex(0.0, -0.0), 1.0, -1.0, 1j]
+        got = comm_perf._ml_decisions(y, 1.0, constel, comm_perf._decision_regions(constel))
+        np.testing.assert_array_equal(got, _argmin_decisions(y, constel[:, None]))
+
+    def test_table_follows_the_constellation_order(self):
+        # reversing the points reverses the indices the detector returns
+        z = np.array([0.5 + 0.25j, -0.5 + 0.25j, -0.5 - 0.25j, 0.5 - 0.25j])
+        for constel in (BPSK, QPSK):
+            flipped = constel[::-1].copy()
+            self._check(z[None], [1.0], flipped)
+            np.testing.assert_array_equal(
+                comm_perf._ml_decisions(z, 1.0, flipped, comm_perf._decision_regions(flipped)),
+                constel.size - 1 - comm_perf._ml_decisions(z, 1.0, constel,
+                                                           comm_perf._decision_regions(constel)))
+
+    @pytest.mark.parametrize("model", ["identity", "local_scattering"])
+    def test_monte_carlo_equals_argmin_detector(self, model, monkeypatch):
+        # at both ends of the dB grid, where every entry or none goes to the
+        # argmin, and in between, the error counts equal the argmin's
+        cfg, dep, assocs = TestSerMonteCarlo._pinned_scenario(correlation_model=model)
+        budget = channel.link_budget(dep, cfg)
+
+        def run(constel, perfect):
+            return comm_perf.ser_monte_carlo(dep, cfg, assocs, constel, [-300.0, 0.0, 300.0],
+                                             400, 21, assocs["sua"], budget, perfect_csi=perfect)
+        cases = [(c, p) for c in (BPSK, QPSK) for p in (False, True)]
+        regions = [run(*case) for case in cases]
+        monkeypatch.setattr(comm_perf, "_ml_decisions", lambda z, scale, constel, _:
+                            _argmin_decisions(z, scale * constel[:, None, None]))
+        assert regions == [run(*case) for case in cases]
+
+
 class TestSerMonteCarlo:
     def test_awgn_bpsk_matches_q_function(self):
         pts = comm_perf.ser_awgn_mc(BPSK, [0.0, 4.0, 8.0], 100000, 99)

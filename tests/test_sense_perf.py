@@ -302,6 +302,26 @@ class TestPdMonteCarlo:
             np.testing.assert_array_equal(one_scale[:, 0], scale[:, gi])
             assert one == [p for p in full if p.scnr_db == g]
 
+    def test_reference_scheme_clutter_computed_once(self, monkeypatch):
+        # the reference's sensing terms serve the scheme that is the same
+        # object; an equal copy is computed again, with the same points
+        from cfmimo import association
+        cfg, dep, A, state = self._scenario()
+        B = association.baseline_all_to_all(dep.L, dep.K)
+        passes = []
+
+        def counted(*a, _fn=channel.clutter_returns, **kw):
+            passes.append(a)
+            return _fn(*a, **kw)
+        monkeypatch.setattr(channel, "clutter_returns", counted)
+        shared, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A, "baseline": B}, A,
+                                              [0.0, 5.0], 500, 9, *state)
+        assert len(passes) == 2
+        copied, _ = sense_perf.pd_monte_carlo(dep, cfg, {"sua": A, "baseline": B}, A.copy(),
+                                              [0.0, 5.0], 500, 9, *state)
+        assert len(passes) == 5
+        assert shared == copied
+
     def test_one_stream_per_sensing_ue(self, monkeypatch):
         from cfmimo import association
         cfg, dep, A, state = self._scenario()
