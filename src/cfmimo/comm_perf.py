@@ -85,7 +85,7 @@ def _ml_decisions(z, scale, constel: np.ndarray, regions) -> np.ndarray:
     far inside the margin too. The entries inside the band, among them every
     coordinate at +-0, every zero scale and every row holding a NaN, go to
     `_nearest_points`, which breaks equal computed distances towards the
-    lower index; when they are most of z, it decides all of z at once."""
+    lower index."""
     a, table = regions
     f = z.view(float)
     abs_f = np.abs(f)
@@ -93,12 +93,9 @@ def _ml_decisions(z, scale, constel: np.ndarray, regions) -> np.ndarray:
     r = abs_f.max(axis=-1, keepdims=True) + (p + _TIE_FLOOR)
     m = np.minimum(abs_f[..., 0::2], abs_f[..., 1::2]) if constel.size == 4 else abs_f[..., 0::2]
     near = ~(m * p > _TIE_BAND * r * r)
-    n_near = np.count_nonzero(near)
-    if 2 * n_near > near.size:
-        return _nearest_points(z, scale, constel)
     # each entry's sign pattern, its two bytes (Re z < 0, Im z < 0) as one code
     det = table.take((f < 0).view(np.uint16))
-    if n_near:
+    if near.any():
         near = np.nonzero(near)
         det[near] = _nearest_points(z[near], np.broadcast_to(scale, z.shape)[near], constel)
     return det
@@ -400,10 +397,7 @@ def _block_errors(s: _SchemeLinks, factors, h, pilot_noise, idx, out_noise,
                 V[s.link_row] = (B / (lam + sigma2))[:, None] * y
             else:
                 y = (U_h @ y[..., None])[..., 0]
-                # y / (lam + sigma2) as numpy divides complex by real, each
-                # part times fl(1 / (lam + sigma2)), without the complex division
-                y_parts = y.view(float).reshape(*y.shape, 2)
-                y_parts *= (1.0 / (lam + sigma2))[..., None]
+                y /= lam + sigma2
                 V[s.link_row] = (B @ y[..., None])[..., 0]
             Gx, v_norm2 = _combined_signal(V, H, x)
         z = Gx + np.sqrt(sigma2 / 2.0 * v_norm2)[:, None] * out_noise
