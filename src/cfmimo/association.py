@@ -96,11 +96,6 @@ def priorities(S, links=None, K=None) -> np.ndarray:
     return out.reshape(shape)
 
 
-def sparsity_psi(mask_m: np.ndarray) -> float:
-    m = np.asarray(mask_m)
-    return float(m.sum()) / m.size
-
-
 def baseline_all_to_all(L: int, K: int) -> np.ndarray:
     """The unscalable reference: every AP serves every UE, no capacity limits."""
     return np.ones((L, K), dtype=np.int8)
@@ -427,66 +422,40 @@ def check_feasible(A, M, tau_p: int, X: int) -> bool:
     return not np.any((A == 1) & (M == 0))
 
 
-_CSV_AP_BLOCK = 32     # APs formatted together by association_csv
-
-
-def association_csv(links, S, R, A, M) -> str:
+def association_csv(links, S, R, A) -> str:
     """Association dump: one row `l,k,s_lk,r_lk,a_lk,masked` per link of the
-    (L, K) tables A and M, APs in order and each AP's UEs in order; floats
-    as `repr`. The links `links`, each l*K + k and ascending, have s_lk =
-    S[i] and r_lk = R[i]; every other link has s_lk = r_lk = 0.0.
+    (L, K) int8 association A (K >= 1), APs in order and each AP's UEs in
+    order; floats as `repr`. The links `links`, each l*K + k and ascending,
+    are the scheme's unmasked ones: link links[i] has s_lk = S[i], r_lk =
+    R[i] and masked = 0. Every other link is masked, with s_lk = r_lk = 0.0
+    and masked = 1.
 
-    The cost follows the listed links, not L*K. A row is blank when s_lk and
-    r_lk are both +0.0 (on the bits, so -0.0 is not blank) and a_lk is 0 or
-    1: every masked SUA link is. Its text after the AP id is one of four
-    per-UE strings `k,0.0,0.0,a,masked`, built once per call and picked by
-    index. Only the other rows go through `repr`. The APs are formatted in
-    blocks of _CSV_AP_BLOCK, whose s and r rows are filled from the list into
-    one buffer, and each block is joined into one string, so the temporaries
-    are bounded by one block's rows, not by the (L, K) table. The blocks come
-    from a generator, whose last block's rows are freed before the table is
-    joined.
+    The cost follows the listed links, not L*K. Only the listed rows go
+    through `repr`; a masked row's text after the AP id is one of two per-UE
+    strings `k,0.0,0.0,a,1`, built once per call and picked by a_lk. The APs
+    are formatted in the chunks of `priorities`, and each chunk is joined
+    into one string, so the temporaries are bounded by one chunk's rows.
     """
-    return "".join(_csv_blocks(links, S, R, A, M))
-
-
-def _csv_blocks(links, S, R, A, M):
-    """The header of `association_csv`, then the text of each block of APs."""
-    S = np.asarray(S, dtype=float)
-    R = np.asarray(R, dtype=float)
-    A, M = np.asarray(A), np.asarray(M)
     L, K = A.shape
-    yield "ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"
-    if K == 0:
-        return
-    # row 2*a + masked holds UE k's blank text in column k
-    blank_text = np.array([[f"{k},0.0,0.0,{a},{m}" for k in range(K)]
-                           for a in (0, 1) for m in (0, 1)], dtype=object)
-    ues = np.broadcast_to(np.arange(K), (min(L, _CSV_AP_BLOCK), K))
-    sr = np.zeros((2, min(L, _CSV_AP_BLOCK) * K))
-    starts = np.searchsorted(links, range(0, L * K, _CSV_AP_BLOCK * K)).tolist()
-    for l0, lo, hi in zip(range(0, L, _CSV_AP_BLOCK), starts, starts[1:] + [len(S)]):
-        aps = slice(l0, l0 + _CSV_AP_BLOCK)
-        a, m = A[aps].astype(int), (M[aps] == 0).astype(int)
-        flat = sr[:, :a.size]
+    ues = np.arange(K)
+    masked_text = np.array([[f"{k},0.0,0.0,{a},1" for k in ues] for a in (0, 1)], dtype=object)
+    rows = max(1, channel._LINKS_PER_CHUNK // K)
+    starts = np.searchsorted(links, range(0, L * K, rows * K)).tolist()
+    parts = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked\n"]
+    for l0, lo, hi in zip(range(0, L, rows), starts, starts[1:] + [len(links)]):
+        a = A[l0:l0 + rows]
+        text = masked_text[a, ues]
         cells = links[lo:hi] - l0 * K
-        flat[0, cells], flat[1, cells] = S[lo:hi], R[lo:hi]
-        s, r = flat.reshape(2, -1, K)
-        k = ues[:len(s)]
-        blank = (s.view(np.uint64) | r.view(np.uint64)) == 0
-        blank &= (a == 0) | (a == 1)
-        text = blank_text[np.where(blank, 2 * a + m, 0), k]
-        busy = ~blank
-        text[busy] = np.fromiter(
-            map("{},{!r},{!r},{},{}".format, k[busy].tolist(), s[busy].tolist(),
-                r[busy].tolist(), a[busy].tolist(), m[busy].tolist()),
-            dtype=object, count=int(busy.sum()))
-        flat[:, cells] = 0.0
-        block = []
+        text.reshape(-1)[cells] = np.fromiter(
+            map("{},{!r},{!r},{},0".format, (cells % K).tolist(), S[lo:hi].tolist(),
+                R[lo:hi].tolist(), a.reshape(-1)[cells].tolist()),
+            dtype=object, count=cells.size)
+        chunk = []
         for l, row in enumerate(text.tolist(), start=l0):
             pre = f"{l},"
-            block += (pre, ("\n" + pre).join(row), "\n")
-        yield "".join(block)
+            chunk += (pre, ("\n" + pre).join(row), "\n")
+        parts.append("".join(chunk))
+    return "".join(parts)
 
 
 # --- end-to-end pipelines -----------------------------------------------------
@@ -498,11 +467,10 @@ class AssociationResult:
     The links the scheme evaluated, its unmasked ones, are listed by their
     index l*K + k, ascending (AP-major): link links[i] joins AP links[i] // K
     and UE links[i] % K and has link quality S[i] and priority prio[i];
-    every other link has S = prio = 0. The baseline lists every link, so a
-    reshape to (L, K) gives its dense S and prio. The mask and the
-    association A are (L, K) int8 arrays.
+    every other link is masked and has S = prio = 0. The baseline masks no
+    link and lists every one, so a reshape to (L, K) gives its dense S and
+    prio. The association A is an (L, K) int8 array, 0 on every masked link.
     """
-    mask: np.ndarray
     links: np.ndarray
     S: np.ndarray
     prio: np.ndarray
@@ -516,8 +484,9 @@ def run_sua(deployment: Deployment, config: SystemConfig,
     """The scalable association: the mask, then link quality, priorities and
     the exact optimizer on the list of unmasked links, listed once AP-major
     and taken by the optimizer in UE order. Past the (L, K) mask, which is
-    scanned to list the links, and A, the cost and the memory follow the
-    unmasked links, not L*K."""
+    scanned to list the links and then dropped, the cost and the memory
+    follow the unmasked links, not L*K; the result keeps one (L, K) array,
+    the int8 A."""
     # The one function that builds the state left out: the benchmark's sua_ms
     # times run_sua(deployment, config), that build included.
     if budget is None:
@@ -529,13 +498,13 @@ def run_sua(deployment: Deployment, config: SystemConfig,
     prio = priorities(S, links, deployment.K)
     A, report = _associate(*_by_ue(links, deployment.K, S * prio), m.shape, config.tau_p,
                            config.X)
-    return AssociationResult(m, links, S, prio, A, report)
+    return AssociationResult(links, S, prio, A, report)
 
 
 def run_baseline(deployment: Deployment, config: SystemConfig, budget: channel.LinkBudget,
                  geom: channel.ClutterGeometry) -> AssociationResult:
     """All-to-all evaluation: metrics for every link, every AP serves every UE.
-    Its all-ones association is also its mask."""
+    No link is masked, so the list holds every link and A is all ones."""
     A = baseline_all_to_all(deployment.L, deployment.K)
     links, S = link_quality(deployment, config, budget, A, geom)
-    return AssociationResult(A, links, S, priorities(S, links, deployment.K), A, None)
+    return AssociationResult(links, S, priorities(S, links, deployment.K), A, None)

@@ -159,10 +159,10 @@ def cmd_associate(args) -> int:
     del budget, geom
     files, tables = {}, {}
     for scheme, res in results.items():
-        csv = association.association_csv(res.links, res.S, res.prio, res.A, res.mask)
+        csv = association.association_csv(res.links, res.S, res.prio, res.A)
         files[f"associate_{scheme}.csv"] = tables[f"association_{scheme}"] = csv
         per_ap, per_ue, active = association.served_counts(res.A)
-        psi = association.sparsity_psi(res.mask)
+        psi = res.links.size / res.A.size
         # the baseline, which has no report, lists every link in row-major order
         obj = (res.report.objective if res.report
                else association.objective_value((res.S * res.prio).reshape(res.A.shape), res.A))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -36,10 +37,17 @@ def quality(dep, cfg, budget, m, geom):
     return dense(m.shape, *assoc.link_quality(dep, cfg, budget, m, geom))
 
 
-def every_link(S, R):
-    """The per-link arguments of `assoc.association_csv` for (L, K) tables S
-    and R: every link listed."""
-    return np.arange(S.size), S.ravel(), R.ravel()
+def cell_by_cell_csv(links, S, R, A):
+    """The association table written one cell at a time: the links `links`
+    unmasked with their S and R, every other link masked with s = r = 0.0."""
+    L, K = A.shape
+    s, r, masked = np.zeros(L * K), np.zeros(L * K), np.ones(L * K, dtype=int)
+    s[links], r[links], masked[links] = S, R, 0
+    rows = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
+        f"{l},{k},{float(s[l * K + k])!r},{float(r[l * K + k])!r},{int(A[l, k])},"
+        f"{masked[l * K + k]}"
+        for l in range(L) for k in range(K)]
+    return "\n".join(rows) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -202,17 +210,26 @@ class TestPriorities:
         np.testing.assert_allclose(sums, 1.0, rtol=1e-12)
 
 
+def psi(res):
+    """The fraction of unmasked links, as `associate` prints it."""
+    return res.links.size / res.A.size
+
+
 class TestPsiAndCounts:
-    def test_psi_values(self):
-        assert assoc.sparsity_psi(np.ones((3, 4))) == 1.0
-        assert assoc.sparsity_psi(np.zeros((3, 4))) == 0.0
-        m = np.zeros((3, 4), dtype=int)
-        m[0, 0] = m[1, 1] = m[2, 2] = 1
-        assert assoc.sparsity_psi(m) == 0.25
+    def test_psi_values(self, desk):
+        cfg, dep, budget, geom = desk
+        assert psi(assoc.run_baseline(dep, cfg, budget, geom)) == 1.0
+        # the printed float is the one the dense mask's sum over its size gives
+        m = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
+        assert psi(assoc.run_sua(dep, cfg, budget, geom)) == float(m.sum()) / m.size
+        for threshold, expected in ((1e308, 0.0), (-1e308, 1.0)):
+            at = dataclasses.replace(cfg, p_threshold_dbm=threshold)
+            assert psi(assoc.run_sua(dep, at, budget, geom)) == expected
 
     def test_psi_weakly_decreasing_in_threshold(self, desk):
-        cfg, dep, budget, _ = desk
-        psis = [assoc.sparsity_psi(assoc.mask_links(budget.rssi_dbm, t))
+        cfg, dep, budget, geom = desk
+        psis = [psi(assoc.run_sua(dep, dataclasses.replace(cfg, p_threshold_dbm=float(t)),
+                                  budget, geom))
                 for t in np.linspace(-90, -40, 11)]
         assert all(a >= b for a, b in zip(psis, psis[1:]))
 
@@ -678,67 +695,66 @@ class TestOptimizerAtScale:
 
 class TestCsvDump:
     def test_format(self):
-        S = np.array([[1.5, 0.0]])
-        R = assoc.priorities(S)
-        A = np.array([[1, 0]])
-        M = np.array([[1, 0]])
-        text = assoc.association_csv(*every_link(S, R), A, M)
-        lines = text.strip().split("\n")
-        assert lines[0] == "ap_id,ue_id,s_lk,r_lk,a_lk,masked"
-        assert lines[1] == "0,0,1.5,1.0,1,0"
-        assert lines[2] == "0,1,0.0,0.0,0,1"
+        # links 0 and 2 listed, the second with s = r = +0.0; link 1 masked
+        A = np.array([[1, 0, 0]], dtype=np.int8)
+        text = assoc.association_csv(np.array([0, 2]), np.array([1.5, 0.0]),
+                                     np.array([1.0, 0.0]), A)
+        assert text.split("\n") == ["ap_id,ue_id,s_lk,r_lk,a_lk,masked", "0,0,1.5,1.0,1,0",
+                                    "0,1,0.0,0.0,0,1", "0,2,0.0,0.0,0,0", ""]
+
+    def test_masked_row_picked_by_a(self):
+        # the schemes leave a_lk = 0 on every masked link, but a masked row's
+        # string is picked by a_lk, so the table writes A as it is given
+        A = np.array([[0, 1]], dtype=np.int8)
+        text = assoc.association_csv(np.array([], dtype=int), np.array([]), np.array([]), A)
+        assert text.split("\n")[1:] == ["0,0,0.0,0.0,0,1", "0,1,0.0,0.0,1,1", ""]
 
     def test_matches_cell_by_cell_format(self):
         rng = np.random.default_rng(3)
         M = (rng.random((7, 5)) < 0.6).astype(np.int8)
+        M[0, :3] = 1
         S = rng.random((7, 5)) * 1e6 * M
         S[0, :3] = [1e-300, 1.0 / 3.0, 1e16]
         R = assoc.priorities(S)
-        A = (rng.random((7, 5)) < 0.3).astype(np.int64)
-        expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
-            f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
-            for l in range(7) for k in range(5)]
-        assert assoc.association_csv(*every_link(S, R), A, M) == "\n".join(expected) + "\n"
+        A = ((rng.random((7, 5)) < 0.3) & (M == 1)).astype(np.int8)
+        links = np.flatnonzero(M)
+        args = links, S.ravel()[links], R.ravel()[links], A
+        assert assoc.association_csv(*args) == cell_by_cell_csv(*args)
 
     @settings(deadline=None)
-    @given(kind=st.sampled_from(["mixed", "all_blank", "no_blank"]),
-           L=st.integers(0, 2 * assoc._CSV_AP_BLOCK + 3), K=st.integers(0, 6),
+    @given(kind=st.sampled_from(["mixed", "none", "all"]), L=st.integers(0, 12),
+           K=st.integers(1, 6), chunk=st.sampled_from(["1", "K-1", "K", "K+1", "3K", "LK+1"]),
            pool=st.lists(st.floats(), max_size=4), seed=st.integers(0, 2**32 - 1))
-    def test_matches_cell_by_cell_format_any_table(self, kind, L, K, pool, seed):
-        # a blank row (s and r both +0.0, a in {0, 1}) takes a per-UE string,
-        # every other row goes through repr; -0.0, subnormals, 1/3, 1e16,
-        # nonzero S on masked cells and a_lk outside {0, 1} must all come out
-        # as the cell-by-cell format writes them, across the AP blocks, from
-        # a list of every link and from one that leaves out links whose s and
-        # r are both +0.0. The cells are drawn from a seeded generator so that
-        # tables of up to 67 x 6 cells stay within hypothesis's data budget.
+    def test_matches_cell_by_cell_format_any_table(self, kind, L, K, chunk, pool, seed):
+        # a link is masked exactly when it is not listed: a masked row takes
+        # a per-UE string, a listed one goes through repr, so a listed +0.0,
+        # -0.0, subnormals, 1/3 and 1e16 must come out as the cell-by-cell
+        # format writes them, across the chunk edges of `priorities`. The
+        # cells are drawn from a seeded generator so that tables of up to
+        # 12 x 6 cells stay within hypothesis's data budget.
         rng = np.random.default_rng(seed)
         values = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 1e16, *pool])
-        S, R = rng.choice(values, (2, L, K))
-        A = rng.choice([0, 1, 2, -1], (L, K))
-        M = rng.integers(0, 2, (L, K), dtype=np.int8)
-        blank = {"mixed": rng.random((L, K)) < 0.5, "all_blank": np.ones((L, K), bool),
-                 "no_blank": np.zeros((L, K), bool)}[kind]
-        S[blank] = R[blank] = 0.0
-        A[blank] &= 1
-        if kind == "no_blank":
-            zero = (S.view(np.uint64) | R.view(np.uint64)) == 0
-            S[zero & ((A == 0) | (A == 1))] = -0.0
-        expected = ["ap_id,ue_id,s_lk,r_lk,a_lk,masked"] + [
-            f"{l},{k},{float(S[l, k])!r},{float(R[l, k])!r},{int(A[l, k])},{int(M[l, k] == 0)}"
-            for l in range(L) for k in range(K)]
-        expected = "\n".join(expected) + "\n"
-        assert assoc.association_csv(*every_link(S, R), A, M) == expected
-        zero = (S.view(np.uint64) | R.view(np.uint64)) == 0
-        links = np.flatnonzero(~zero | (rng.random((L, K)) < 0.5))
-        assert assoc.association_csv(links, S.ravel()[links], R.ravel()[links], A, M) == expected
+        listed = {"mixed": rng.random(L * K) < 0.5, "none": np.zeros(L * K, bool),
+                  "all": np.ones(L * K, bool)}[kind]
+        links = np.flatnonzero(listed)
+        S, R = rng.choice(values, (2, links.size))
+        A = np.zeros(L * K, dtype=np.int8)
+        A[links] = rng.integers(0, 2, links.size)
+        A = A.reshape(L, K)
+        per_chunk = {"1": 1, "K-1": K - 1, "K": K, "K+1": K + 1, "3K": 3 * K,
+                     "LK+1": L * K + 1}[chunk]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_LINKS_PER_CHUNK", per_chunk)
+            text = assoc.association_csv(links, S, R, A)
+        assert text == cell_by_cell_csv(links, S, R, A)
 
 
 class TestPipelines:
     def test_sua_satisfies_constraints(self, desk):
         cfg, dep, budget, geom = desk
         res = assoc.run_sua(dep, cfg, budget, geom)
-        assert assoc.check_feasible(res.A, res.mask, cfg.tau_p, cfg.X)
+        M = assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)
+        assert assoc.check_feasible(res.A, M, cfg.tau_p, cfg.X)
 
     def test_baseline_is_all_ones(self, desk):
         cfg, dep, budget, geom = desk
@@ -762,7 +778,7 @@ class TestPipelines:
         assert peak < cfg.L * 4 * geom.xy.shape[1] * 8
 
     def test_memory_follows_unmasked_links_at_l1000(self):
-        # run_sua keeps the (L, K) int8 mask and A and a few arrays of the
+        # run_sua keeps one (L, K) array, the int8 A, and a few arrays of the
         # unmasked links; the link budget's temporaries are one chunk of APs
         cfg = SystemConfig(L=1000, K=300, area_side_m=1581.0, seed=11)
         dep = generate_deployment(cfg)
@@ -778,7 +794,7 @@ class TestPipelines:
             tracemalloc.stop()
         assert budget_peak <= 3 * 8 * cfg.L * cfg.K + 2 ** 20
         assert 0 < res.links.size < cfg.L * cfg.K / 10
-        assert kept <= 2 * cfg.L * cfg.K + 100 * res.links.size
+        assert kept <= cfg.L * cfg.K + 100 * res.links.size
 
     @pytest.mark.parametrize("kw", [dict(seed=1000), dict(seed=1002),
                                     dict(L=400, K=120, area_side_m=1000.0, seed=11)],
@@ -792,7 +808,8 @@ class TestPipelines:
         geom = channel.clutter_geometry(dep, cfg.pathloss)
         sua = assoc.run_sua(dep, cfg, budget, geom)
         base = assoc.run_baseline(dep, cfg, budget, geom)
-        np.testing.assert_array_equal(sua.links, np.flatnonzero(sua.mask == 1))
+        np.testing.assert_array_equal(
+            sua.links, np.flatnonzero(assoc.mask_links(budget.rssi_dbm, cfg.p_threshold_dbm)))
         np.testing.assert_array_equal(base.links, np.arange(base.A.size))
         assert sua.links.size
         np.testing.assert_array_equal(sua.S, base.S[sua.links])
@@ -835,7 +852,6 @@ class TestListPathOracle:
         R = np.divide(S, sums, out=np.zeros((L, K)), where=sums > 0)
         A, rep = assoc.optimize(S, R, M, cfg.tau_p, cfg.X)
 
-        np.testing.assert_array_equal(res.mask, M)
         np.testing.assert_array_equal(res.links, np.flatnonzero(M))
         assert res.S.tobytes() == S.ravel()[res.links].tobytes()
         assert res.prio.tobytes() == R.ravel()[res.links].tobytes()

@@ -1,7 +1,11 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -484,7 +488,7 @@ class TestAssociate:
     def test_outputs_pinned(self, tmp_path, scenario, argv, digests):
         # sha256 of the SUA table, the baseline table and the report, recorded
         # from the cell-by-cell CSV writer; the writer that formats only the
-        # non-blank rows must reproduce them byte for byte
+        # listed links' rows must reproduce them byte for byte
         if scenario is not None:
             path = tmp_path / "scenario.json"
             save_scenario(SystemConfig(**scenario), str(path))
@@ -511,10 +515,11 @@ class TestAssociate:
                          "--scheme", "sua"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         res = association.run_sua(generate_deployment(cfg), cfg)
-        S, R = np.zeros((2, cfg.L, cfg.K))
+        S, R, M = np.zeros((3, cfg.L, cfg.K))
         S.reshape(-1)[res.links], R.reshape(-1)[res.links] = res.S, res.prio
-        w, _ = association._check_instance(S, R, res.mask, cfg.tau_p, cfg.X)
-        load = association._column_top_selection(w, res.mask, cfg.X).sum(axis=1)
+        M.reshape(-1)[res.links] = 1
+        w, _ = association._check_instance(S, R, M, cfg.tau_p, cfg.X)
+        load = association._column_top_selection(w, M, cfg.X).sum(axis=1)
         overload = int(np.maximum(load - cfg.tau_p, 0).sum())
         assert line.startswith("sua: ") and line.endswith(f" repairs={overload}")
         assert (overload > 0) == binds
@@ -1015,8 +1020,9 @@ def _exit_code(argv):
 class TestAnyArgv:
     """Every subcommand on a desk-scale scenario with tiny sample counts: each
     drawn argv, malformed ranges, counts and options included, returns 0, 2
-    or 3 and raises nothing else. Two commands share an output directory, so
-    `report` also meets what an earlier command wrote."""
+    or 3 and raises nothing else, and one that returns 0 leaves finite CSV
+    fields only (see `_finite_tables`). Two commands share an output
+    directory, so `report` also meets what an earlier command wrote."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1025,10 +1031,13 @@ class TestAnyArgv:
     def test_exit_code_is_0_2_or_3(self, tmp_path_factory, runs, service_mix):
         work = tmp_path_factory.mktemp("argv")
         scenario = small_scenario(work, L=10, K=4, service_mix=service_mix)
+        block = _block_symbols(load_scenario(scenario))
         for command, seed, args in runs:
             argv = [command, "--scenario", scenario, "--out", str(work / "out"), *seed,
                     *(a for arg in args for a in arg)]
-            assert _exit_code(argv) in (0, 2, 3), argv
+            code = _exit_code(argv)
+            assert code in (0, 2, 3), argv
+            assert code or _finite_tables(work / "out", block), argv
         assert _exit_code(["validate", scenario]) == 0
 
 
@@ -1060,18 +1069,28 @@ def _rule_edges():
     return {name: st.sampled_from(MAGNITUDES + values) for name, values in edges.items()}
 
 
-def _finite_tables(out):
-    """Whether every number in the CSV files of `out` is finite."""
+def _block_symbols(cfg):
+    """The symbols per UE of one SER coherence block of `cfg`, as
+    `comm_perf.ser_monte_carlo` splits them."""
+    return max(1, cfg.tau_c - cfg.tau_p)
+
+
+def _finite_tables(out, block):
+    """Whether every number in the CSV files of `out` is finite, apart from a
+    NaN ci95_clustered on a SER row of at most `block` symbols: a run of one
+    coherence block is one cluster, and `clustered_halfwidth` needs two."""
     for name in os.listdir(out):
         if name.endswith(".csv"):
-            with open(os.path.join(out, name), encoding="utf-8") as fh:
-                for field in fh.read().replace("\n", ",").split(","):
-                    try:
-                        value = float(field)
-                    except ValueError:  # a scheme, a UE id such as "aggregate", a header
-                        continue
-                    if not math.isfinite(value):
-                        return False
+            with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for column, field in row.items():
+                        try:
+                            value = float(field)
+                        except ValueError:  # a scheme, a UE id such as "aggregate"
+                            continue
+                        if not (math.isfinite(value) or column == "ci95_clustered"
+                                and math.isnan(value) and int(row["n_symbols"]) <= block):
+                            return False
     return True
 
 
@@ -1090,27 +1109,84 @@ def _weight_pair(fields):
     return {**fields, "w_s": 1.0 - fields["w_c"]} if "w_c" in fields else fields
 
 
+def _integer_fields():
+    """The integer fields, each from small values, from the edges of
+    `validate`'s rules against SMALL's other fields, and from a bool and an
+    integral float, capped at L <= 16, N <= 8 and tau_p, tau_c <= 64 so that
+    no drawn scenario allocates more than a few MB."""
+    cfg = SystemConfig(**SMALL)
+    edges = {"L": [cfg.K, cfg.K + 1, cfg.X, cfg.X + 1, 16], "K": [cfg.L - 1, cfg.L],
+             "N": [8], "tau_p": [cfg.tau_c, cfg.tau_c + 1, 64],
+             "tau_c": [cfg.tau_p - 1, cfg.tau_p, 64], "X": [cfg.L - 1, cfg.L]}
+    return {name: st.sampled_from([-1, 0, 1, 2, *values, True, 2.0])
+            for name, values in edges.items()}
+
+
+def _angle_and_false_alarm():
+    """angular_spread_deg, from signed magnitudes and the edges of [0, 180]
+    (`_local_scattering` adds the model that reads it), and p_fa, from signed
+    magnitudes and the edges of (0, 1)."""
+    return {"angular_spread_deg": st.sampled_from(MAGNITUDES + [180.0, math.nextafter(180.0, 181.0)]),
+            "p_fa": st.sampled_from(MAGNITUDES + [0.5, math.nextafter(1.0, 0.0)])}
+
+
+def _local_scattering(fields):
+    return ({**fields, "correlation_model": "local_scattering"}
+            if "angular_spread_deg" in fields else fields)
+
+
+def _some_of(strategies, most: int):
+    """Up to `most` of the fields of `strategies` (name -> values), each
+    drawn from its values: few enough at once that most draws run."""
+    return st.lists(st.sampled_from(sorted(strategies)), max_size=most, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({name: strategies[name] for name in names}))
+
+
 class TestScenarioFieldFuzz:
-    """Every loss and power field of the scenario drawn from signed magnitudes
-    across a float's range and from the edges of `validate`'s +-300 dB rule,
-    and the fields the association's link list reads, the masking threshold
-    and the weight pair: each command exits 0, 2 or 3 without a
-    RuntimeWarning, and one that exits 0 writes finite CSV fields only."""
+    """Scenario fields drawn at and beyond the edges of what `validate`
+    accepts: every loss and power field, from signed magnitudes across a
+    float's range and from the edges of `validate`'s +-300 dB rule; the
+    fields the association's link list reads, the masking threshold and the
+    weight pair; and the integer fields, the angular spread under local
+    scattering and p_fa. Each command exits 0, 2 or 3 without a
+    RuntimeWarning, and one that exits 0 writes finite CSV fields only (see
+    `_finite_tables`)."""
+
+    RUNS = {"associate": [], "ser": ["--snr=0:10:10", "--symbols=40"],
+            "pd": ["--snr=0:10:10", "--trials=50"], "netmetrics": ["--reps=1"]}
+
+    def run_commands(self, work, fields):
+        """Runs each command of RUNS on SMALL with `fields` written in and
+        checks its exit code and tables; returns what the runs that exit 2
+        print to stderr."""
+        scenario = work / "scenario.json"
+        scenario.write_text(json.dumps(_with_fields(SystemConfig(**SMALL), fields)))
+        rejections = []
+        for command, args in self.RUNS.items():
+            out = work / command
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main([command, "--scenario", str(scenario), "--out", str(out), *args])
+            assert code in (0, 2, 3), (command, fields)
+            assert code or _finite_tables(out, _block_symbols(load_scenario(str(scenario)))), \
+                (command, fields)
+            if code == 2:
+                rejections.append(err.getvalue())
+        return rejections
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fields=st.fixed_dictionaries(
         {}, optional={**_rule_edges(), **_threshold_and_weights()}).map(_weight_pair))
     def test_exit_code_and_finite_tables(self, tmp_path_factory, fields):
-        work = tmp_path_factory.mktemp("fields")
-        scenario = work / "scenario.json"
-        scenario.write_text(json.dumps(_with_fields(SystemConfig(**SMALL), fields)))
-        runs = {"associate": [], "ser": ["--snr=0:10:10", "--symbols=40"],
-                "pd": ["--snr=0:10:10", "--trials=50"], "netmetrics": ["--reps=1"]}
-        for command, args in runs.items():
-            out = work / command
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = cli.main([command, "--scenario", str(scenario), "--out", str(out), *args])
-            assert code in (0, 2, 3), (command, fields)
-            assert code or _finite_tables(out), (command, fields)
+        self.run_commands(tmp_path_factory.mktemp("fields"), fields)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=_some_of({**_integer_fields(), **_angle_and_false_alarm()}, 3).map(
+        _local_scattering))
+    def test_integer_angle_and_false_alarm_fields(self, tmp_path_factory, fields):
+        # a rejection names one of the drawn fields
+        for err in self.run_commands(tmp_path_factory.mktemp("fields"), fields):
+            assert any(re.search(rf"\b{name}\b", err) for name in fields), (err, fields)
